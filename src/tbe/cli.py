@@ -17,9 +17,10 @@ import json
 import math
 import os
 import sys
-from itertools import product
 
-from .cfn import Cfn, center, evaluate_cfn, parse_cfn
+import numpy as np
+
+from .cfn import Cfn, center, parse_cfn
 from .encoding import Fallback, Penalty, build_layout, encode, k_full
 from .errors import CapacityError, CfnFormatError
 from .polynomial import hubo_from_json, hubo_to_json, mask_to_string
@@ -176,20 +177,34 @@ def _prepare(args) -> tuple[Cfn, Cfn, object]:
 
 
 def _true_optimum(cfn: Cfn) -> tuple[float, tuple[int, ...]] | None:
-    """Exact CFN optimum by assignment enumeration, when small enough."""
+    """Exact CFN optimum over every assignment, when small enough.
+
+    Sums the tables into one dense array with an axis per variable:
+    unaries in variable order, then pairwise tables in file order, so
+    each cell gets the same float additions, in the same order, as
+    ``evaluate_cfn``.  ``argmin`` takes the first minimum in C order,
+    which is lexicographic assignment order.
+    """
     total = 1
     for v in cfn.variables:
         total *= v.cardinality
         if total > ENUM_ASSIGNMENT_CAP:
             return None
-    best = math.inf
-    best_assignment: tuple[int, ...] = ()
-    for assignment in product(*(range(1, v.cardinality + 1) for v in cfn.variables)):
-        value = evaluate_cfn(cfn, assignment)
-        if value < best:
-            best = value
-            best_assignment = assignment
-    return best, best_assignment
+    cards = tuple(v.cardinality for v in cfn.variables)
+    values = np.zeros(cards)
+
+    def on_axes(costs, *axes):
+        shape = [1] * len(cards)
+        for a in axes:
+            shape[a] = cards[a]
+        return np.asarray(costs).reshape(shape)
+
+    for i, costs in enumerate(cfn.unary_tables):
+        values += on_axes(costs, i)
+    for t in cfn.pairwise_tables:
+        values += on_axes(t.costs, t.i, t.j)
+    best = int(np.argmin(values))
+    return float(values.flat[best]), tuple(int(c) + 1 for c in np.unravel_index(best, cards))
 
 
 def run_pipeline(args) -> int:

@@ -17,9 +17,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
-from .errors import CapacityError
+from .errors import CapacityError, CfnFormatError
 
 __all__ = [
     "IsingPolynomial",
@@ -102,12 +103,19 @@ class IsingPolynomial:
     def num_terms(self) -> int:
         return len(self.terms)
 
+    @cached_property
+    def term_order(self) -> tuple[int, ...]:
+        """Term keys ordered by (degree, qubit list), sorted once per
+        instance; the canonical iteration order used by evaluation,
+        certification and serialization so floating-point reductions
+        are reproducible."""
+        return _canonical_order(self.terms)
+
     def sorted_terms(self) -> Iterator[tuple[int, float]]:
-        """Terms ordered by (degree, qubit list); the canonical iteration
-        order used by evaluation, certification and serialization so
-        floating-point reductions are reproducible."""
-        for s in sorted(self.terms, key=lambda s: (s.bit_count(), _qubits(s))):
-            yield s, self.terms[s]
+        """(key, coupling) pairs in ``term_order``."""
+        terms = self.terms
+        for s in self.term_order:
+            yield s, terms[s]
 
     def evaluate_mask(self, mask: int) -> float:
         if not (0 <= mask < (1 << self.num_qubits)):
@@ -145,6 +153,10 @@ def evaluate_ising(poly: IsingPolynomial, spins: Sequence[int]) -> float:
     return poly.evaluate(spins)
 
 
+def _canonical_order(terms: Mapping[int, float]) -> tuple[int, ...]:
+    return tuple(sorted(terms, key=lambda s: (s.bit_count(), _qubits(s))))
+
+
 def _qubits(mask: int) -> tuple[int, ...]:
     out = []
     q = 0
@@ -174,9 +186,14 @@ class BinaryPolynomial:
     def degree(self) -> int:
         return max((s.bit_count() for s in self.terms), default=0)
 
+    @cached_property
+    def term_order(self) -> tuple[int, ...]:
+        return _canonical_order(self.terms)
+
     def sorted_terms(self) -> Iterator[tuple[int, float]]:
-        for s in sorted(self.terms, key=lambda s: (s.bit_count(), _qubits(s))):
-            yield s, self.terms[s]
+        terms = self.terms
+        for s in self.term_order:
+            yield s, terms[s]
 
     def evaluate_bits(self, bits: int) -> float:
         """Value at the configuration whose set bits are the 1-valued
@@ -200,17 +217,60 @@ def hubo_to_json(poly: IsingPolynomial) -> str:
 
 
 def hubo_from_json(data: bytes | str) -> IsingPolynomial:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    doc = json.loads(data)
-    n = doc["num_qubits"]
+    """Parse HUBO-JSON into a polynomial; repeated monomials add up.
+
+    Raises CfnFormatError naming the field, and the term index, on
+    invalid JSON, a missing or mistyped field, a non-finite coefficient,
+    or a qubit that is negative, out of range or repeated within its
+    term (z * z = 1, so a repeat cannot stand for a power).
+    """
+    try:
+        doc = json.loads(data)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CfnFormatError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CfnFormatError("top-level value must be an object")
+    n = doc.get("num_qubits")
+    if not _is_int(n) or n < 0:
+        raise CfnFormatError("num_qubits must be a non-negative integer")
+    if n > MAX_QUBITS:
+        raise CapacityError(f"num_qubits {n} exceeds the {MAX_QUBITS}-qubit bitmask capacity")
+    entries = doc.get("terms")
+    if not isinstance(entries, list):
+        raise CfnFormatError("missing field: terms (a list of term objects)")
     terms: dict[int, float] = {}
-    for entry in doc["terms"]:
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict) or "qubits" not in entry or "coeff" not in entry:
+            raise CfnFormatError(f"terms[{k}] must be an object with qubits and coeff")
+        qubits = entry["qubits"]
+        if not isinstance(qubits, list) or not all(_is_int(q) for q in qubits):
+            raise CfnFormatError(f"terms[{k}].qubits must be a list of qubit indices")
         mask = 0
-        for q in entry["qubits"]:
+        for q in qubits:
+            if not 0 <= q < n:
+                raise CfnFormatError(f"terms[{k}].qubits: qubit {q} is outside [0, {n})")
+            if (mask >> q) & 1:
+                raise CfnFormatError(f"terms[{k}].qubits: qubit {q} is repeated")
             mask |= 1 << q
-        terms[mask] = terms.get(mask, 0.0) + float(entry["coeff"])
+        coeff = _finite_float(entry["coeff"])
+        if coeff is None:
+            raise CfnFormatError(f"terms[{k}].coeff must be a finite number")
+        terms[mask] = terms.get(mask, 0.0) + coeff
     return IsingPolynomial(n, terms)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite_float(value) -> float | None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        out = float(value)
+    except OverflowError:
+        return None
+    return out if math.isfinite(out) else None
 
 
 def hubo_to_text(poly: IsingPolynomial) -> str:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CapacityError
 from .polynomial import MAX_QUBITS, BinaryPolynomial, IsingPolynomial
@@ -61,9 +62,14 @@ class QuboModel:
             )
         return leakage_transform(self.as_binary_polynomial())
 
+    @cached_property
+    def term_order(self) -> tuple[int, ...]:
+        """Term keys ordered by (degree, mask), sorted once per instance."""
+        return tuple(sorted(self.terms, key=lambda s: (s.bit_count(), s)))
+
     def evaluate_bits(self, bits: int) -> float:
         total = 0.0
-        for s in sorted(self.terms, key=lambda s: (s.bit_count(), s)):
+        for s in self.term_order:
             if s & ~bits == 0:
                 total += self.terms[s]
         return total
@@ -156,7 +162,8 @@ def qubo_json(model: QuboModel) -> str:
     linear = []
     quadratic = []
     constant = 0.0
-    for s, c in sorted(model.terms.items(), key=lambda kv: (kv[0].bit_count(), kv[0])):
+    for s in model.term_order:
+        c = model.terms[s]
         k = s.bit_count()
         if k == 0:
             constant = c

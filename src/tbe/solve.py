@@ -21,7 +21,7 @@ from .encoding import EncodingLayout, decode
 from .errors import CapacityError
 from .polynomial import IsingPolynomial, mask_to_string
 from .quadratization import QuboModel
-from .verify import MAX_ENUM_QUBITS, bitflip_descent, dense_values
+from .verify import MAX_ENUM_QUBITS, bitflip_descent, dense_values, mask_bits
 
 __all__ = ["AnnealParams", "SolveResult", "solve", "decode_and_refine", "solve_result_json"]
 
@@ -121,6 +121,17 @@ def solve(
 
 
 def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple[int, float]:
+    """Lockstep single-flip Metropolis over all restarts.
+
+    Per sweep the RNG yields one permutation of the coordinates, then
+    one uniform per restart for each coordinate that appears in a term,
+    in permutation order; drawing them as one block gives the same
+    stream.  Term characters are held term-major (terms x restarts) and
+    spins as a boolean (qubits x restarts) array: a proposal gathers its
+    coordinate's rows once, negates the accepted restarts' columns in
+    place and writes the rows back; the best masks are packed once, at
+    the end.
+    """
     n = poly.num_qubits
     keys = [s for s, _ in poly.sorted_terms() if s != 0]
     coeffs = np.array([poly.terms[s] for s in keys])
@@ -134,41 +145,52 @@ def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple
         t0 = float(np.sum(np.abs(coeffs)))
     t0 = max(t0, 1e-12)
 
-    per_coord = [
-        np.array([t for t, s in enumerate(keys) if s & (1 << q)], dtype=np.int64)
-        for q in range(n)
-    ]
-    masks = rng.integers(0, (1 << n) - 1, size=restarts, dtype=np.uint64, endpoint=True)
     key_arr = np.array(keys, dtype=np.uint64)
+    incidence = mask_bits(key_arr, n)
+    per_coord = [np.flatnonzero(incidence[:, q]) for q in range(n)]
+    # -2 * (c @ chi) == (-2 c) @ chi exactly: scaling by a power of two
+    # commutes with rounding
+    flip_gain = [-2.0 * coeffs[idx] for idx in per_coord]
+    active = incidence.any(axis=0)
+    masks = rng.integers(0, (1 << n) - 1, size=restarts, dtype=np.uint64, endpoint=True)
     overlap = np.bitwise_count(masks[:, None] & key_arr[None, :]).astype(np.int64)
     chi = np.where(overlap % 2 == 0, 1.0, -1.0)
     energy = chi @ coeffs + constant
+    chi_t = np.ascontiguousarray(chi.T)
+    spins = mask_bits(masks, n).T.copy()
 
     best_energy = energy.copy()
-    best_masks = masks.copy()
+    best_spins = spins.copy()
     temperature = t0
-    for _ in range(params.sweeps):
-        for q in rng.permutation(n):
-            q = int(q)
-            idx = per_coord[q]
-            if idx.size == 0:
-                continue
-            delta = -2.0 * (chi[:, idx] @ coeffs[idx])
-            with np.errstate(over="ignore", under="ignore"):
-                accept = (delta <= 0.0) | (
-                    rng.random(restarts) < np.exp(np.minimum(-delta / temperature, 0.0))
-                )
-            if accept.any():
-                rows = np.flatnonzero(accept)
-                chi[np.ix_(rows, idx)] *= -1.0
-                masks[rows] ^= np.uint64(1) << np.uint64(q)
-                energy[rows] += delta[rows]
-                improved = rows[energy[rows] < best_energy[rows]]
-                best_energy[improved] = energy[improved]
-                best_masks[improved] = masks[improved]
-        temperature *= params.cooling
-    order = np.lexsort((best_masks, best_energy))
-    pick = order[0]
+    with np.errstate(over="ignore", under="ignore"):
+        for _ in range(params.sweeps):
+            order = rng.permutation(n)
+            order = order[active[order]]
+            uniforms = rng.random((order.size, restarts))
+            neg_t = -temperature
+            for q, u in zip(order.tolist(), uniforms):
+                idx = per_coord[q]
+                sub = chi_t.take(idx, axis=0)
+                delta = flip_gain[q] @ sub
+                if neg_t < 0.0:
+                    # u < 1, so at a positive temperature this already
+                    # accepts every delta <= 0
+                    accept = u < np.exp(delta / neg_t)
+                else:
+                    accept = (delta <= 0.0) | (u < np.exp(np.minimum(delta / neg_t, 0.0)))
+                if np.count_nonzero(accept):
+                    sub *= np.where(accept, -1.0, 1.0)
+                    chi_t[idx] = sub
+                    spins[q] ^= accept
+                    np.add(energy, delta, out=energy, where=accept)
+                    improved = energy < best_energy
+                    if np.count_nonzero(improved):
+                        np.copyto(best_energy, energy, where=improved)
+                        np.copyto(best_spins, spins, where=improved)
+            temperature *= params.cooling
+    shifts = np.arange(n, dtype=np.uint64)[:, None]
+    best_masks = np.bitwise_or.reduce(best_spins.astype(np.uint64) << shifts, axis=0)
+    pick = np.lexsort((best_masks, best_energy))[0]
     return int(best_masks[pick]), float(best_energy[pick])
 
 

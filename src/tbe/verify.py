@@ -272,44 +272,41 @@ def check_preservation(full: IsingPolynomial, k_max: int) -> LandscapeReport:
     )
 
 
+def mask_bits(masks: np.ndarray, n: int) -> np.ndarray:
+    """Boolean (len(masks) x n) matrix of the low ``n`` bits of uint64
+    masks: entry (t, q) is bit q of ``masks[t]``."""
+    octets = masks.astype("<u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, bitorder="little")[:, :n].astype(bool)
+
+
 def bitflip_descent(poly: IsingPolynomial, start: int) -> tuple[int, int]:
     """Best-improvement single bit-flip descent from a configuration mask.
 
     At each step flips the coordinate with the most negative energy
     change (lowest index on ties) until no flip strictly decreases the
     value.  Returns the endpoint and the number of flips taken.
+
+    The (term, qubit) incidence is built once, term-major in
+    ``poly.terms`` order; ``bincount`` accumulates each qubit's change
+    in that order, term by term.
     """
     n = poly.num_qubits
-    keys = list(poly.terms.keys())
-    coeffs = [poly.terms[s] for s in keys]
+    keys = np.array(list(poly.terms), dtype=np.uint64)
+    coeffs = np.array(list(poly.terms.values()))
+    term_idx, qubit_idx = np.nonzero(mask_bits(keys, n))
     mask = start
-    chi = [1.0 if (s & mask).bit_count() % 2 == 0 else -1.0 for s in keys]
+    chi = np.where(np.bitwise_count(keys & np.uint64(mask)) % 2 == 0, 1.0, -1.0)
     steps = 0
-    while True:
-        deltas = [0.0] * n
-        for t, s in enumerate(keys):
-            if s == 0:
-                continue
-            contrib = -2.0 * coeffs[t] * chi[t]
-            rem = s
-            while rem:
-                q = (rem & -rem).bit_length() - 1
-                deltas[q] += contrib
-                rem &= rem - 1
-        best_q = -1
-        best_delta = 0.0
-        for q in range(n):
-            if deltas[q] < best_delta:
-                best_delta = deltas[q]
-                best_q = q
-        if best_q < 0:
-            return mask, steps
+    while n:
+        contrib = -2.0 * coeffs * chi
+        deltas = np.bincount(qubit_idx, weights=contrib[term_idx], minlength=n)
+        best_q = int(np.argmin(deltas))
+        if not deltas[best_q] < 0.0:
+            break
         mask ^= 1 << best_q
-        bit = 1 << best_q
-        for t, s in enumerate(keys):
-            if s & bit:
-                chi[t] = -chi[t]
+        chi[term_idx[qubit_idx == best_q]] *= -1.0
         steps += 1
+    return mask, steps
 
 
 def basin_agreement(

@@ -1,10 +1,15 @@
 import json
+import math
+import re
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tbe import certify, hubo_from_json
-from tbe.cli import main
+from tbe import certify, evaluate_cfn, hubo_from_json, parse_cfn
+from tbe.cli import _true_optimum, main
 from helpers import random_cfn
 from tbe.cfn import serialize_cfn
 
@@ -251,3 +256,95 @@ def test_custom_assignment_file(tmp_path):
     assert main(
         ["compile", "--input", str(cfn_path), "--kmax", "1", "--assignment", f"custom:{maps}"]
     ) == 3
+
+
+# --- exact CFN optimum (the corollary check's enumeration) ---------------
+
+
+def _brute_optimum(cfn):
+    best, best_assignment = math.inf, ()
+    for assignment in product(*(range(1, v.cardinality + 1) for v in cfn.variables)):
+        value = evaluate_cfn(cfn, assignment)
+        if value < best:
+            best, best_assignment = value, assignment
+    return best, best_assignment
+
+
+# a few exact values plant ties; general floats exercise rounding order
+_COST = st.one_of(
+    st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+    st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _cfn_docs(draw):
+    cards = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    n = len(cards)
+    unary = [
+        {"var": i, "costs": draw(st.lists(_COST, min_size=c, max_size=c))}
+        for i, c in enumerate(cards)
+        if draw(st.booleans())
+    ]
+    all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = draw(st.permutations(all_pairs))[: draw(st.integers(0, len(all_pairs)))]
+    pairwise = [
+        {"vars": [i, j], "costs": draw(st.lists(_COST, min_size=cards[i] * cards[j],
+                                                max_size=cards[i] * cards[j]))}
+        for i, j in pairs
+    ]
+    return {
+        "variables": [{"cardinality": c} for c in cards],
+        "unary": unary,
+        "pairwise": pairwise,
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cfn_docs())
+def test_true_optimum_matches_enumeration_exactly(doc):
+    cfn = parse_cfn(json.dumps(doc))
+    value, assignment = _true_optimum(cfn)
+    want_value, want_assignment = _brute_optimum(cfn)
+    assert value == want_value
+    assert assignment == want_assignment
+    assert evaluate_cfn(cfn, assignment) == value
+
+
+def test_true_optimum_first_of_planted_ties():
+    doc = {
+        "variables": [{"cardinality": 3}, {"cardinality": 2}],
+        "pairwise": [{"vars": [0, 1], "costs": [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]}],
+    }
+    assert _true_optimum(parse_cfn(json.dumps(doc))) == (0.0, (1, 2))
+
+
+def test_true_optimum_cap():
+    at_cap = parse_cfn(json.dumps({"variables": [{"cardinality": 32}] * 4}))
+    assert _true_optimum(at_cap) == (0.0, (1, 1, 1, 1))
+    over = parse_cfn(json.dumps({"variables": [{"cardinality": 32}] * 4 + [{"cardinality": 2}]}))
+    assert _true_optimum(over) is None
+
+
+# --- malformed HUBO-JSON exits 3 and names the field ---------------------
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"num_qubits": 2}, "terms"),
+        ([{"qubits": [0], "coeff": 1.0}], "top-level value"),
+        ({"num_qubits": 2, "terms": [{"qubits": [1], "coeff": 1.0}, {"qubits": [-1], "coeff": 1.0}]},
+         r"terms\[1\].qubits: qubit -1 is outside"),
+        ({"num_qubits": 2, "terms": [{"qubits": [0, 0], "coeff": 1.0}]},
+         r"terms\[0\].qubits: qubit 0 is repeated"),
+        ({"num_qubits": 2, "terms": [{"qubits": [0, 2], "coeff": 1.0}]},
+         r"terms\[0\].qubits: qubit 2 is outside"),
+    ],
+    ids=["missing-terms", "top-level-list", "negative-qubit", "repeated-qubit", "qubit-out-of-range"],
+)
+def test_solve_rejects_malformed_hubo(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.hubo.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--hubo", str(path)]) == 3
+    assert re.search(message, capsys.readouterr().err)

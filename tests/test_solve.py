@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,17 +8,22 @@ from tbe import (
     CapacityError,
     Fallback,
     IsingPolynomial,
+    bitflip_descent,
     build_layout,
     center,
     certify,
     decode_and_refine,
     encode,
     evaluate_cfn,
+    parse_cfn,
     quadratize,
     solve,
     truncate,
 )
+from tbe.solve import _metropolis
 from helpers import all_assignments, random_cfn, random_polynomial
+
+DEMO = Path(__file__).resolve().parent.parent / "demos" / "data" / "two_card32.json"
 
 
 def test_exhaustive_single_spin():
@@ -138,3 +145,89 @@ def test_refine_requires_full_polynomial():
     result = solve(truncated, "exhaustive")
     with pytest.raises(ValueError, match="full encoded polynomial"):
         decode_and_refine(result, layout, cfn, refine=True)
+
+
+# Pinned kernel outputs.  Annealed energies are running sums of flip
+# deltas, so these values fix the RNG stream (start masks, one
+# permutation per sweep, one uniform per restart and active coordinate)
+# and the rounding of every delta, not only the state reached.
+
+
+def _demo_polynomials():
+    cfn = center(parse_cfn(DEMO.read_bytes()))
+    full = encode(cfn, build_layout(cfn, unused_policy=Fallback()))
+    return full, truncate(full, 3)
+
+
+@pytest.mark.parametrize(
+    "restarts, sweeps, want",
+    [
+        (
+            8,
+            50,
+            [(779, -0.24562805485769473), (779, -0.24562805485769384), (779, -0.24562805485769618)],
+        ),
+        (
+            4,
+            10,
+            [(816, -0.2222009131780629), (714, -0.22022785386332386), (811, -0.21927772300350373)],
+        ),
+    ],
+)
+def test_metropolis_golden_on_demo(restarts, sweeps, want):
+    _, truncated = _demo_polynomials()
+    params = AnnealParams(restarts=restarts, sweeps=sweeps)
+    assert [_metropolis(truncated, params, seed) for seed in range(3)] == want
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "cooling, want",
+    [
+        # the temperature is exactly 0 from the second sweep on
+        (0.0, [(779, -0.2456280548576937), (816, -0.22220091317806287), (843, -0.2398048358656812)]),
+        # the temperature alternates sign, and at a negative one every
+        # proposal is accepted
+        (-1.0, [(816, -0.2222009131780629), (717, -0.13616769730003037), (845, -0.11058577126274108)]),
+    ],
+)
+def test_metropolis_golden_at_non_positive_temperature(cooling, want):
+    _, truncated = _demo_polynomials()
+    params = AnnealParams(restarts=4, sweeps=3, cooling=cooling)
+    assert [_metropolis(truncated, params, seed) for seed in range(3)] == want
+
+
+def test_metropolis_golden_with_idle_qubits():
+    # qubits 3 and 7 appear in no term: they draw no uniforms and keep
+    # their random start values
+    rng = np.random.default_rng(7)
+    pool = [m for m in range(1, 1 << 8) if not m & 0b10001000 and m.bit_count() <= 3]
+    chosen = rng.choice(len(pool), 12, replace=False)
+    poly = IsingPolynomial(8, {pool[k]: round(float(rng.normal()), 3) for k in chosen})
+    params = AnnealParams(restarts=4, sweeps=2)
+    got = [_metropolis(poly, params, seed) for seed in range(3)]
+    assert got == [(194, -8.923), (128, -8.225000000000001), (66, -8.923)]
+
+
+@pytest.mark.parametrize(
+    "start, full_end, trunc_end",
+    [
+        (0, (784, 3), (816, 4)),
+        (682, (682, 0), (714, 2)),
+        (1023, (750, 3), (714, 5)),
+        (357, (779, 6), (779, 6)),
+        (409, (779, 4), (779, 4)),
+    ],
+)
+def test_bitflip_descent_golden_on_demo(start, full_end, trunc_end):
+    full, truncated = _demo_polynomials()
+    assert bitflip_descent(full, start) == full_end
+    assert bitflip_descent(truncated, start) == trunc_end
+
+
+def test_bitflip_descent_lowest_index_on_tied_deltas():
+    # from all-plus, flipping either spin gains 6; after one flip the
+    # other no longer helps, so the tie rule decides the endpoint
+    poly = IsingPolynomial(2, {0b01: 1.0, 0b10: 1.0, 0b11: 2.0})
+    assert bitflip_descent(poly, 0) == (0b01, 1)
+    assert bitflip_descent(IsingPolynomial(0, {0: 1.0}), 0) == (0, 0)
