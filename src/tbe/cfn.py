@@ -149,7 +149,7 @@ def parse_cfn(data: bytes | str) -> Cfn:
         if not isinstance(entry, dict) or "cardinality" not in entry:
             raise CfnFormatError(f"variables[{k}] must be an object with a cardinality")
         card = entry["cardinality"]
-        if not isinstance(card, int) or isinstance(card, bool) or card < 1:
+        if not _is_index(card) or card < 1:
             raise CfnFormatError(f"variables[{k}].cardinality must be a positive integer")
         name = entry.get("name", f"v{k}")
         if not isinstance(name, str):
@@ -158,12 +158,18 @@ def parse_cfn(data: bytes | str) -> Cfn:
     n = len(variables)
 
     unary = [tuple(0.0 for _ in range(v.cardinality)) for v in variables]
+    given = set()
     for k, entry in enumerate(doc.get("unary", [])):
         if not isinstance(entry, dict) or "var" not in entry or "costs" not in entry:
             raise CfnFormatError(f"unary[{k}] must be an object with var and costs")
         var = entry["var"]
-        if not isinstance(var, int) or not (0 <= var < n):
+        if not _is_index(var):
+            raise CfnFormatError(f"unary[{k}].var must be an integer variable index")
+        if not 0 <= var < n:
             raise CfnFormatError(f"unary[{k}].var out of range")
+        if var in given:
+            raise CfnFormatError(f"unary[{k}].var: variable {var} already has a unary table")
+        given.add(var)
         costs = _float_list(entry["costs"], f"unary[{k}].costs")
         unary[var] = costs
 
@@ -172,12 +178,16 @@ def parse_cfn(data: bytes | str) -> Cfn:
         if not isinstance(entry, dict) or "vars" not in entry or "costs" not in entry:
             raise CfnFormatError(f"pairwise[{k}] must be an object with vars and costs")
         pair = entry["vars"]
-        if (not isinstance(pair, list)) or len(pair) != 2 or not all(isinstance(x, int) for x in pair):
+        if (not isinstance(pair, list)) or len(pair) != 2 or not all(_is_index(x) for x in pair):
             raise CfnFormatError(f"pairwise[{k}].vars must be a pair of variable indices")
         costs = _float_list(entry["costs"], f"pairwise[{k}].costs")
         pairwise.append(PairwiseTable(i=pair[0], j=pair[1], costs=costs))
 
     return Cfn(variables=tuple(variables), unary_tables=tuple(unary), pairwise_tables=tuple(pairwise))
+
+
+def _is_index(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _float_list(values, where: str) -> tuple[float, ...]:

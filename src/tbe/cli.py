@@ -23,7 +23,7 @@ import numpy as np
 from .cfn import Cfn, center, parse_cfn
 from .encoding import Fallback, Penalty, build_layout, encode, k_full
 from .errors import CapacityError, CfnFormatError
-from .polynomial import hubo_from_json, hubo_to_json, mask_to_string
+from .polynomial import hubo_from_json, hubo_to_json, mask_to_string, qubit_mask
 from .quadratization import quadratize, qubo_json
 from .solve import AnnealParams, decode_and_refine, solve, solve_result_json
 from .spectrum import spectrum_csv, table_spectrum
@@ -135,13 +135,20 @@ def _parse_policy(text: str) -> Fallback | Penalty:
     if text == "fallback":
         return Fallback()
     if text.startswith("fallback:"):
-        return Fallback(choice=int(text.split(":", 1)[1]))
+        try:
+            choice = int(text.split(":", 1)[1])
+        except ValueError:
+            raise CfnFormatError(f"--unused {text!r}: the fallback choice must be an integer") from None
+        return Fallback(choice=choice)
     if text == "penalty":
         return Penalty()
     if text.startswith("penalty:"):
-        weight = float(text.split(":", 1)[1])
-        if weight < 0:
-            raise CfnFormatError("penalty weight must be >= 0")
+        try:
+            weight = float(text.split(":", 1)[1])
+        except ValueError:
+            raise CfnFormatError(f"--unused {text!r}: the penalty weight must be a number") from None
+        if not (math.isfinite(weight) and weight >= 0):
+            raise CfnFormatError(f"--unused {text!r}: the penalty weight must be finite and >= 0")
         return Penalty(weight=weight)
     raise CfnFormatError(f"unknown unused-bitstring policy {text!r}")
 
@@ -151,8 +158,11 @@ def _parse_strategy(text: str):
         return text
     if text.startswith("custom:"):
         path = text.split(":", 1)[1]
-        with open(path, "r", encoding="utf-8") as fh:
-            maps = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                maps = json.load(fh)
+        except OSError as exc:
+            raise OSError(f"--assignment: cannot read custom map file {path!r}: {exc.strerror or exc}") from exc
         if not isinstance(maps, list):
             raise CfnFormatError("custom assignment file must hold a list of per-variable maps")
         return [[int(b) for b in m] for m in maps]
@@ -353,6 +363,10 @@ def run_verify(args) -> int:
 
 
 def _anneal_params(args) -> AnnealParams:
+    if args.cooling is not None and not 0.0 < args.cooling <= 1.0:
+        raise CfnFormatError(f"--cooling must be in (0, 1], got {args.cooling!r}")
+    if args.t0 is not None and not (math.isfinite(args.t0) and args.t0 > 0):
+        raise CfnFormatError(f"--t0 must be a finite number > 0, got {args.t0!r}")
     return AnnealParams(
         restarts=args.restarts if args.restarts is not None else AnnealParams.restarts,
         sweeps=args.sweeps if args.sweeps is not None else AnnealParams.sweeps,
@@ -384,10 +398,8 @@ def run_ensemble(args) -> int:
         cutoff = int(doc["k_max"])
         family = doc.get("family", "gaussian")
         profile: dict[int, float] = {}
-        for entry in doc["modes"]:
-            mask = 0
-            for q in entry["qubits"]:
-                mask |= 1 << int(q)
+        for k, entry in enumerate(doc["modes"]):
+            mask = qubit_mask(entry["qubits"], n, f"modes[{k}].qubits")
             profile[mask] = profile.get(mask, 0.0) + float(entry["pi"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CfnFormatError(f"bad ensemble profile: {exc}") from exc

@@ -154,18 +154,30 @@ def evaluate_ising(poly: IsingPolynomial, spins: Sequence[int]) -> float:
 
 
 def _canonical_order(terms: Mapping[int, float]) -> tuple[int, ...]:
-    return tuple(sorted(terms, key=lambda s: (s.bit_count(), _qubits(s))))
+    """Keys sorted by (degree, ascending qubit list), with no tuple per key.
+
+    Within one degree, a smaller qubit list is a larger bit-reversed
+    mask: the first qubit where two lists differ is the highest bit where
+    their reversals differ, and only the smaller list has it.  So one
+    integer key, degree times 2^width minus the reversal, gives the order.
+    """
+    width = max((s.bit_length() for s in terms), default=0)
+    fmt = f"0{width}b"
+
+    def key(s: int) -> int:
+        return (s.bit_count() << width) - int(format(s, fmt)[::-1], 2)
+
+    return tuple(sorted(terms, key=key))
 
 
-def _qubits(mask: int) -> tuple[int, ...]:
+def qubits_of(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
     out = []
-    q = 0
     while mask:
-        if mask & 1:
-            out.append(q)
-        mask >>= 1
-        q += 1
-    return tuple(out)
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -206,14 +218,24 @@ class BinaryPolynomial:
 
 
 def hubo_to_json(poly: IsingPolynomial) -> str:
-    """Serialize to HUBO-JSON: terms sorted by (degree, qubit list)."""
-    doc = {
-        "num_qubits": poly.num_qubits,
-        "terms": [
-            {"qubits": list(_qubits(s)), "coeff": c} for s, c in poly.sorted_terms()
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Serialize to HUBO-JSON: terms sorted by (degree, qubit list).
+
+    Writes the text ``json.dumps(doc, indent=2) + "\n"`` would give for
+    the document ``{"num_qubits": n, "terms": [{"qubits": [...],
+    "coeff": c}, ...]}``, but directly: with an indent, ``json`` always
+    falls back to its pure-Python encoder, which is the slow part of a
+    multi-megabyte export.  Coefficients are formatted as ``json`` does.
+    """
+    items = []
+    for s, c in poly.sorted_terms():
+        coeff = float.__repr__(c) if type(c) is float else json.dumps(c)
+        qubits = ",\n        ".join(map(str, qubits_of(s)))
+        qubits = f"[\n        {qubits}\n      ]" if s else "[]"
+        items.append(f'    {{\n      "qubits": {qubits},\n      "coeff": {coeff}\n    }}')
+    head = f'{{\n  "num_qubits": {json.dumps(poly.num_qubits)},\n  "terms": '
+    if not items:
+        return head + "[]\n}\n"
+    return head + "[\n" + ",\n".join(items) + "\n  ]\n}\n"
 
 
 def hubo_from_json(data: bytes | str) -> IsingPolynomial:
@@ -242,21 +264,30 @@ def hubo_from_json(data: bytes | str) -> IsingPolynomial:
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict) or "qubits" not in entry or "coeff" not in entry:
             raise CfnFormatError(f"terms[{k}] must be an object with qubits and coeff")
-        qubits = entry["qubits"]
-        if not isinstance(qubits, list) or not all(_is_int(q) for q in qubits):
-            raise CfnFormatError(f"terms[{k}].qubits must be a list of qubit indices")
-        mask = 0
-        for q in qubits:
-            if not 0 <= q < n:
-                raise CfnFormatError(f"terms[{k}].qubits: qubit {q} is outside [0, {n})")
-            if (mask >> q) & 1:
-                raise CfnFormatError(f"terms[{k}].qubits: qubit {q} is repeated")
-            mask |= 1 << q
+        mask = qubit_mask(entry["qubits"], n, f"terms[{k}].qubits")
         coeff = _finite_float(entry["coeff"])
         if coeff is None:
             raise CfnFormatError(f"terms[{k}].coeff must be a finite number")
         terms[mask] = terms.get(mask, 0.0) + coeff
     return IsingPolynomial(n, terms)
+
+
+def qubit_mask(qubits, n: int, where: str) -> int:
+    """Mask of a JSON qubit list.
+
+    Raises CfnFormatError naming ``where`` unless ``qubits`` is a list
+    of integers (not booleans) in ``[0, n)`` with none repeated.
+    """
+    if not isinstance(qubits, list) or not all(_is_int(q) for q in qubits):
+        raise CfnFormatError(f"{where} must be a list of qubit indices")
+    mask = 0
+    for q in qubits:
+        if not 0 <= q < n:
+            raise CfnFormatError(f"{where}: qubit {q} is outside [0, {n})")
+        if (mask >> q) & 1:
+            raise CfnFormatError(f"{where}: qubit {q} is repeated")
+        mask |= 1 << q
+    return mask
 
 
 def _is_int(value) -> bool:
@@ -278,6 +309,6 @@ def hubo_to_text(poly: IsingPolynomial) -> str:
     constant term has an empty qubit list."""
     lines = []
     for s, c in poly.sorted_terms():
-        qubits = " ".join(str(q) for q in _qubits(s))
+        qubits = " ".join(map(str, qubits_of(s)))
         lines.append(f"{c!r} {qubits}".rstrip())
     return "\n".join(lines) + "\n"

@@ -5,19 +5,25 @@ has the classic penalty gadget
 M * (b_i b_j - 2 b_i y - 2 b_j y + 3 y), which is zero exactly when
 the ancilla agrees with the product and at least M otherwise.  Pairs
 are chosen greedily by frequency across the remaining high-degree
-monomials; the penalty weight is recomputed at each substitution from
-the current l1 coefficient norm, which keeps every intermediate model
-min-equivalent to its predecessor.
+monomials (Boros & Gruber's greedy pair substitution).  The pair
+counts are kept incrementally in a lazy max-heap, so a substitution
+costs work in proportion to the monomials it rewrites, not a recount
+of every pair.  The penalty weight comes from the l1 norm of the cost
+coefficients, which substitution never changes, so it is computed
+once; it keeps every intermediate model min-equivalent to its
+predecessor.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from .errors import CapacityError
-from .polynomial import MAX_QUBITS, BinaryPolynomial, IsingPolynomial
+from .polynomial import MAX_QUBITS, BinaryPolynomial, IsingPolynomial, qubits_of
 from .walsh import leakage_transform, to_01_basis
 
 __all__ = ["QuboModel", "quadratize", "resolve_ancillas", "qubo_json"]
@@ -83,51 +89,70 @@ def quadratize(poly: IsingPolynomial, max_ancillas: int = 4096) -> QuboModel:
     over ancilla values equals the input value, attained exactly where
     each ancilla equals its parents' product.
 
+    Each substitution takes the variable pair held by the most
+    monomials of degree > 2, ties going to the smallest ``(i, j)``.
+    The pair counts are built once and then kept up to date: a
+    substitution touches only the monomials holding its pair, and a
+    lazy max-heap keyed ``(-count, i, j)`` finds the next pair, its
+    stale entries dropped when they reach the top.
+
     The penalty weight is 1 plus twice the l1 norm of the cost
-    coefficients at substitution time, measured over the transformed
-    cost polynomial alone: substitution only merges coefficients, so
-    this norm never grows, and one inconsistent ancilla already costs
-    more than any value swing the cost part can produce.  (Folding the
-    gadget terms themselves into the norm would inflate the weight
-    geometrically per ancilla and wreck float precision.)
+    coefficients, over the transformed cost polynomial alone.  A
+    substitution renames monomials to keys holding the fresh ancilla, so
+    no two cost terms ever merge and the norm never changes: it is
+    computed once, at the first substitution.  One inconsistent ancilla
+    then costs more than any value swing the cost part can produce.
+    (Folding the gadget terms themselves into the norm would inflate the
+    weight geometrically per ancilla and wreck float precision.)
     """
     base = to_01_basis(poly)
-    cost = dict(base.terms)
-    gadgets: dict[int, float] = {}
+    # cost monomials by position; a substitution renames keys in place,
+    # so the final terms keep the input's order
+    keys = list(base.terms)
     n = poly.num_qubits
-    next_var = n
+    # pair -> positions of the degree > 2 monomials holding it; the
+    # pair's count is the size of its set
+    holders: dict[tuple[int, int], set[int]] = {}
+    for pos, s in enumerate(keys):
+        if s.bit_count() > 2:
+            for pair in combinations(qubits_of(s), 2):
+                holders.setdefault(pair, set()).add(pos)
+    heap = [(-len(h), *pair) for pair, h in holders.items()]
+    heapq.heapify(heap)
+    gadgets: dict[int, float] = {}
     ancilla_defs: list[tuple[int, tuple[int, int]]] = []
-    max_penalty = 0.0
+    penalty = 0.0
 
-    while True:
-        high = [s for s in cost if s.bit_count() > 2]
-        if not high:
-            break
-        counts: dict[tuple[int, int], int] = {}
-        for s in high:
-            qubits = [q for q in range(next_var) if (s >> q) & 1]
-            for a in range(len(qubits)):
-                for b in range(a + 1, len(qubits)):
-                    pair = (qubits[a], qubits[b])
-                    counts[pair] = counts.get(pair, 0) + 1
-        top = max(counts.values())
-        i, j = min(p for p, c in counts.items() if c == top)
-
+    while heap:
+        neg_count, i, j = heap[0]
+        if len(holders.get((i, j), ())) != -neg_count:
+            heapq.heappop(heap)
+            continue
         if len(ancilla_defs) >= max_ancillas:
             raise CapacityError(f"ancilla budget {max_ancillas} exceeded")
-        penalty = 1.0 + 2.0 * sum(abs(c) for s, c in cost.items() if s)
-        max_penalty = max(max_penalty, penalty)
-        y = next_var
-        next_var += 1
+        if not ancilla_defs:
+            penalty = 1.0 + 2.0 * sum(abs(c) for s, c in base.terms.items() if s)
+        y = n + len(ancilla_defs)
         ancilla_defs.append((y, (i, j)))
 
         pair_mask = (1 << i) | (1 << j)
-        replaced: dict[int, float] = {}
-        for s, c in cost.items():
-            if s.bit_count() > 2 and s & pair_mask == pair_mask:
-                s = (s & ~pair_mask) | (1 << y)
-            replaced[s] = replaced.get(s, 0.0) + c
-        cost = replaced
+        changed = set()
+        for pos in list(holders[(i, j)]):
+            s = keys[pos]
+            for pair in combinations(qubits_of(s), 2):
+                holders[pair].discard(pos)
+                changed.add(pair)
+            s = (s & ~pair_mask) | (1 << y)
+            keys[pos] = s
+            if s.bit_count() > 2:
+                for pair in combinations(qubits_of(s), 2):
+                    holders.setdefault(pair, set()).add(pos)
+                    changed.add(pair)
+        for pair in changed:
+            if holders[pair]:
+                heapq.heappush(heap, (-len(holders[pair]), *pair))
+            else:
+                del holders[pair]
         for key, coeff in (
             (pair_mask, penalty),
             ((1 << i) | (1 << y), -2.0 * penalty),
@@ -136,7 +161,7 @@ def quadratize(poly: IsingPolynomial, max_ancillas: int = 4096) -> QuboModel:
         ):
             gadgets[key] = gadgets.get(key, 0.0) + coeff
 
-    terms = dict(cost)
+    terms = dict(zip(keys, base.terms.values()))
     for s, c in gadgets.items():
         terms[s] = terms.get(s, 0.0) + c
     return QuboModel(
@@ -144,7 +169,7 @@ def quadratize(poly: IsingPolynomial, max_ancillas: int = 4096) -> QuboModel:
         num_ancilla_qubits=len(ancilla_defs),
         terms=terms,
         ancilla_defs=tuple(ancilla_defs),
-        penalty_weight=max_penalty,
+        penalty_weight=penalty,
     )
 
 

@@ -12,6 +12,8 @@ import numpy as np
 
 from tbe import Cfn, EncodingLayout, IsingPolynomial, PairwiseTable, Penalty, VariableSpec
 from tbe.encoding import default_penalty_weight
+from tbe.quadratization import QuboModel
+from tbe.walsh import to_01_basis
 
 
 def random_cfn(rng: np.random.Generator, max_vars: int = 3, max_card: int = 8,
@@ -124,3 +126,56 @@ def all_assignments(cfn: Cfn):
     from itertools import product
 
     return product(*(range(1, v.cardinality + 1) for v in cfn.variables))
+
+
+def qubit_list(mask: int) -> list[int]:
+    """Set bits of ``mask`` by a plain scan, lowest first."""
+    return [q for q in range(mask.bit_length()) if (mask >> q) & 1]
+
+
+def reference_quadratize(poly: IsingPolynomial) -> QuboModel:
+    """Greedy pair substitution that recounts every pair of every
+    degree > 2 monomial before each substitution and re-adds the cost
+    polynomial term by term: the most frequent pair wins, ties going to
+    the smallest (i, j), and the penalty is recomputed from the current
+    cost l1 norm each time."""
+    cost = dict(to_01_basis(poly).terms)
+    gadgets: dict[int, float] = {}
+    n = poly.num_qubits
+    ancilla_defs = []
+    max_penalty = 0.0
+    while True:
+        counts: dict[tuple[int, int], int] = {}
+        for s in cost:
+            if s.bit_count() > 2:
+                qubits = qubit_list(s)
+                for a in range(len(qubits)):
+                    for b in range(a + 1, len(qubits)):
+                        pair = (qubits[a], qubits[b])
+                        counts[pair] = counts.get(pair, 0) + 1
+        if not counts:
+            break
+        top = max(counts.values())
+        i, j = min(p for p, c in counts.items() if c == top)
+        penalty = 1.0 + 2.0 * sum(abs(c) for s, c in cost.items() if s)
+        max_penalty = max(max_penalty, penalty)
+        y = n + len(ancilla_defs)
+        ancilla_defs.append((y, (i, j)))
+        pair_mask = (1 << i) | (1 << j)
+        replaced: dict[int, float] = {}
+        for s, c in cost.items():
+            if s.bit_count() > 2 and s & pair_mask == pair_mask:
+                s = (s & ~pair_mask) | (1 << y)
+            replaced[s] = replaced.get(s, 0.0) + c
+        cost = replaced
+        for key, coeff in (
+            (pair_mask, penalty),
+            ((1 << i) | (1 << y), -2.0 * penalty),
+            ((1 << j) | (1 << y), -2.0 * penalty),
+            (1 << y, 3.0 * penalty),
+        ):
+            gadgets[key] = gadgets.get(key, 0.0) + coeff
+    terms = dict(cost)
+    for s, c in gadgets.items():
+        terms[s] = terms.get(s, 0.0) + c
+    return QuboModel(n, len(ancilla_defs), terms, tuple(ancilla_defs), max_penalty)

@@ -204,3 +204,21 @@ def test_centering_idempotent():
 def test_cardinality_one_variable_allowed():
     cfn = Cfn((VariableSpec("const", 1), VariableSpec("x", 2)), ((5.0,), (0.0, 1.0)), ())
     assert evaluate_cfn(cfn, [1, 2]) == 6.0
+
+
+@pytest.mark.parametrize(
+    "doc, fragment",
+    [
+        ('{"variables": [{"cardinality": 2}, {"cardinality": 2}],'
+         ' "unary": [{"var": true, "costs": [1, 2]}]}', r"unary\[0\]\.var must be an integer"),
+        ('{"variables": [{"cardinality": 2}, {"cardinality": 2}],'
+         ' "pairwise": [{"vars": [false, true], "costs": [1, 2, 3, 4]}]}', r"pairwise\[0\]\.vars"),
+        ('{"variables": [{"cardinality": 2}],'
+         ' "unary": [{"var": 0, "costs": [1, 2]}, {"var": 0, "costs": [3, 4]}]}',
+         r"unary\[1\]\.var: variable 0 already has a unary table"),
+    ],
+    ids=["bool-unary-var", "bool-pairwise-vars", "repeated-unary-var"],
+)
+def test_parse_rejects_bool_indices_and_repeated_unary(doc, fragment):
+    with pytest.raises(CfnFormatError, match=fragment):
+        parse_cfn(doc)

@@ -348,3 +348,69 @@ def test_solve_rejects_malformed_hubo(tmp_path, capsys, doc, message):
     path.write_text(json.dumps(doc))
     assert main(["solve", "--hubo", str(path)]) == 3
     assert re.search(message, capsys.readouterr().err)
+
+
+# --- anneal knobs, ensemble modes and policy strings at the CLI ----------
+
+
+def _write_hubo(tmp_path):
+    path = tmp_path / "p.hubo.json"
+    path.write_text(json.dumps({"num_qubits": 2, "terms": [{"qubits": [0, 1], "coeff": 1.0}]}))
+    return path
+
+
+def _short_anneal(command, cfn_path, tmp_path):
+    if command == "compile":
+        argv = ["compile", "--input", str(cfn_path), "--kmax", "2", "--solve", "anneal"]
+    else:
+        argv = ["solve", "--hubo", str(_write_hubo(tmp_path)), "--method", "anneal"]
+    return argv + ["--restarts", "2", "--sweeps", "5"]
+
+
+@pytest.mark.parametrize("command", ["compile", "solve"])
+@pytest.mark.parametrize("value", ["0", "-0.5", "1.5", "nan"])
+def test_cooling_outside_unit_interval_exits_3(small_input, tmp_path, capsys, command, value):
+    assert main(_short_anneal(command, small_input, tmp_path) + ["--cooling", value]) == 3
+    assert "--cooling" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["compile", "solve"])
+@pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
+def test_t0_not_finite_positive_exits_3(small_input, tmp_path, capsys, command, value):
+    assert main(_short_anneal(command, small_input, tmp_path) + ["--t0", value]) == 3
+    assert "--t0" in capsys.readouterr().err
+
+
+def test_anneal_knobs_at_their_limits_accepted(tmp_path):
+    assert main(_short_anneal("solve", None, tmp_path) + ["--cooling", "1", "--t0", "1e-300"]) == 0
+
+
+@pytest.mark.parametrize(
+    "qubits, message",
+    [
+        ([0, 0], r"modes\[1\]\.qubits: qubit 0 is repeated"),
+        ([-1], r"modes\[1\]\.qubits: qubit -1 is outside \[0, 3\)"),
+        ([3], r"modes\[1\]\.qubits: qubit 3 is outside \[0, 3\)"),
+        ([True], r"modes\[1\]\.qubits must be a list of qubit indices"),
+    ],
+    ids=["repeated", "negative", "out-of-range", "bool"],
+)
+def test_ensemble_rejects_malformed_mode_qubits(tmp_path, capsys, qubits, message):
+    profile = tmp_path / "profile.json"
+    modes = [{"qubits": [1, 2], "pi": 1.0}, {"qubits": qubits, "pi": 1.0}]
+    profile.write_text(json.dumps({"n": 3, "k_max": 1, "modes": modes}))
+    assert main(["ensemble", "--profile", str(profile), "--trials", "10"]) == 3
+    assert re.search(message, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("policy", ["fallback:x", "penalty:x", "penalty:nan", "penalty:-1"])
+def test_malformed_unused_policy_exits_3(small_input, capsys, policy):
+    assert main(["spectrum", "--input", str(small_input), "--unused", policy]) == 3
+    assert "--unused" in capsys.readouterr().err
+
+
+def test_missing_custom_map_file_names_assignment(small_input, tmp_path, capsys):
+    missing = tmp_path / "no-such-maps.json"
+    assert main(["spectrum", "--input", str(small_input), "--assignment", f"custom:{missing}"]) == 1
+    err = capsys.readouterr().err
+    assert "--assignment" in err and "no-such-maps.json" in err

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tbe import (
     BinaryPolynomial,
@@ -13,7 +17,7 @@ from tbe import (
     mask_to_string,
     spins_to_mask,
 )
-from helpers import naive_eval, random_polynomial
+from helpers import naive_eval, qubit_list, random_polynomial
 
 
 def test_empty_polynomial_evaluates_to_zero():
@@ -123,3 +127,70 @@ def test_binary_polynomial_evaluation():
 def test_variance_sums_squared_nonconstant_couplings():
     poly = IsingPolynomial(3, {0: 9.0, 1: 2.0, 0b110: -3.0})
     assert poly.variance() == pytest.approx(4.0 + 9.0)
+
+
+# --- direct HUBO-JSON writer and the canonical term order ----------------
+
+
+def _reference_order(terms):
+    return tuple(sorted(terms, key=lambda s: (s.bit_count(), qubit_list(s))))
+
+
+def _dumps_reference(poly):
+    doc = {
+        "num_qubits": poly.num_qubits,
+        "terms": [{"qubits": qubit_list(s), "coeff": poly.terms[s]} for s in _reference_order(poly.terms)],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@st.composite
+def _spin_polynomials(draw):
+    n = draw(st.integers(0, 64))
+    masks = st.integers(0, (1 << n) - 1)
+    floats = st.floats(-1e6, 1e6).filter(lambda c: abs(c) > 1e-6)
+    exact = st.sampled_from([1, -7, 12345, 0.1, -1e-5, 1.0000000000000002, 123456.789])
+    return IsingPolynomial(n, draw(st.dictionaries(masks, floats | exact, max_size=40)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spin_polynomials())
+def test_hubo_to_json_matches_json_dumps(poly):
+    assert hubo_to_json(poly) == _dumps_reference(poly)
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [
+        IsingPolynomial(0, {}),
+        IsingPolynomial(5, {}),
+        IsingPolynomial(3, {0: 2.5}),
+        IsingPolynomial(3, {0: 4, 0b101: -3, 0b10: 1}),
+        IsingPolynomial(64, {1 << 63: 1e-300, (1 << 63) | 1: 1e-300 * 3.0, 0: 0.1 + 0.2}),
+    ],
+    ids=["empty-no-qubits", "empty", "constant-only", "int-coefficients", "wide-and-tiny"],
+)
+def test_hubo_to_json_matches_json_dumps_edge_cases(poly):
+    assert hubo_to_json(poly) == _dumps_reference(poly)
+
+
+def test_hubo_to_json_formats_negative_zero_as_json_does():
+    # the constructor prunes zero couplings, so place -0.0 afterwards to
+    # pin the formatter itself
+    poly = IsingPolynomial(2, {0b11: 1.0})
+    poly.terms[0] = -0.0
+    poly.terms[0b1] = float("-0.0")
+    assert '"coeff": -0.0' in hubo_to_json(poly)
+    assert hubo_to_json(poly) == _dumps_reference(poly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 130).flatmap(
+    lambda n: st.sets(st.integers(0, (1 << n) - 1), max_size=60).map(lambda ks: (n, ks))))
+def test_term_order_is_degree_then_qubit_list(case):
+    n, keys = case
+    want = _reference_order(keys)
+    terms = {s: 1.0 for s in keys}
+    assert BinaryPolynomial(n, terms).term_order == want
+    if n <= 64:
+        assert IsingPolynomial(n, terms).term_order == want

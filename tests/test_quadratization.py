@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tbe import CapacityError, IsingPolynomial, quadratize, qubo_json, resolve_ancillas, truncate
-from helpers import random_polynomial
+from helpers import random_polynomial, reference_quadratize
 
 
 def _min_over_ancillas(model, original_bits):
@@ -109,3 +111,57 @@ def test_qubo_json_shape():
     assert doc["ancillas"][0]["parents"] == [0, 1]
     assert all(set(e) == {"i", "coeff"} for e in doc["linear"])
     assert all(set(e) == {"i", "j", "coeff"} for e in doc["quadratic"])
+
+
+# --- incremental greedy against the recount-everything reference ---------
+
+_COUPLING = st.one_of(
+    st.sampled_from([-1.0, 0.5, 1.0, 3.0]),
+    st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _polynomials(draw):
+    n = draw(st.integers(3, 10))
+    max_degree = draw(st.integers(2, min(7, n)))
+    masks = st.integers(0, (1 << n) - 1).filter(lambda s: s.bit_count() <= max_degree)
+    return IsingPolynomial(n, draw(st.dictionaries(masks, _COUPLING, max_size=40)))
+
+
+def _same_model(got, want):
+    assert got.num_ancilla_qubits == want.num_ancilla_qubits
+    assert got.ancilla_defs == want.ancilla_defs
+    assert got.penalty_weight.hex() == want.penalty_weight.hex()
+    assert list(got.terms) == list(want.terms)
+    assert [c.hex() for c in got.terms.values()] == [c.hex() for c in want.terms.values()]
+    assert qubo_json(got) == qubo_json(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polynomials())
+def test_quadratize_matches_reference_greedy(poly):
+    _same_model(quadratize(poly), reference_quadratize(poly))
+
+
+@pytest.mark.parametrize(
+    "masks",
+    [
+        # (0, 1) and (2, 3) both held twice: the smaller pair goes first
+        [0b000111, 0b001011, 0b011100, 0b101100],
+        # the same tie listed in the other order
+        [0b101100, 0b011100, 0b001011, 0b000111],
+        # every pair of a degree-6 monomial tied at one
+        [0b111111],
+        # overlapping quartics: six substitutions, several of them on tied counts
+        [0b0001111, 0b0011011, 0b0110011, 0b1100011, 0b1000111],
+    ],
+    ids=["two-way-tie", "two-way-tie-reversed", "all-pairs-tied", "overlapping-quartics"],
+)
+def test_quadratize_exact_count_ties(masks):
+    n = max(masks).bit_length()
+    poly = IsingPolynomial(n, {s: 1.0 + k for k, s in enumerate(masks)})
+    model = quadratize(poly)
+    _same_model(model, reference_quadratize(poly))
+    assert model.ancilla_defs[0] == (n, (0, 1))
+
