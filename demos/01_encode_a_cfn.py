@@ -16,7 +16,6 @@ from tbe import (
     PairwiseTable,
     VariableSpec,
     build_layout,
-    center,
     encode,
     evaluate_cfn,
     spin_image,
@@ -34,9 +33,8 @@ cfn = Cfn(
     ),
 )
 
-centered = center(cfn)
-layout = build_layout(centered, strategy="binary")
-poly = encode(centered, layout)
+layout = build_layout(cfn, strategy="binary")
+poly = encode(cfn, layout)
 
 print("register widths:", layout.register_widths)
 print("total spins:", layout.total_qubits)

@@ -5,7 +5,8 @@ The choice-to-bitstring assignment is a free parameter of the encoding
 and it moves spectral mass between degrees.  Two smooth pair potentials
 on 32-valued variables make the point in opposite directions:
 
-* (x - y)^2 is affine in the choice index once centered, and the plain
+* (x - y)^2 is affine in the choice index once the encoder moves its
+  marginals x^2 and y^2 onto the registers, and the plain
   binary code makes the index itself a degree-1 polynomial of the bits,
   so every coupling lands at degree <= 2 exactly;
 * a Gaussian well is far from index-affine, and there the Gray code
@@ -18,7 +19,7 @@ ever assembled.
 
 import numpy as np
 
-from tbe import Cfn, PairwiseTable, VariableSpec, build_layout, center, table_spectrum
+from tbe import Cfn, PairwiseTable, VariableSpec, build_layout, table_spectrum
 
 x = np.linspace(-1, 1, 32)
 potentials = {
@@ -27,12 +28,10 @@ potentials = {
 }
 
 for name, grid in potentials.items():
-    cfn = center(
-        Cfn(
-            variables=(VariableSpec("a", 32), VariableSpec("b", 32)),
-            unary_tables=(tuple([0.0] * 32), tuple([0.0] * 32)),
-            pairwise_tables=(PairwiseTable(0, 1, tuple(float(v) for v in grid.reshape(-1))),),
-        )
+    cfn = Cfn(
+        variables=(VariableSpec("a", 32), VariableSpec("b", 32)),
+        unary_tables=(tuple([0.0] * 32), tuple([0.0] * 32)),
+        pairwise_tables=(PairwiseTable(0, 1, tuple(float(v) for v in grid.reshape(-1))),),
     )
     print(f"\n=== {name}")
     for strategy in ("binary", "gray"):
@@ -51,12 +50,10 @@ for name, grid in potentials.items():
 
 print("\nkept power at a degree-2 cutoff (higher is better for a QUBO target):")
 for name, grid in potentials.items():
-    cfn = center(
-        Cfn(
-            variables=(VariableSpec("a", 32), VariableSpec("b", 32)),
-            unary_tables=(tuple([0.0] * 32), tuple([0.0] * 32)),
-            pairwise_tables=(PairwiseTable(0, 1, tuple(float(v) for v in grid.reshape(-1))),),
-        )
+    cfn = Cfn(
+        variables=(VariableSpec("a", 32), VariableSpec("b", 32)),
+        unary_tables=(tuple([0.0] * 32), tuple([0.0] * 32)),
+        pairwise_tables=(PairwiseTable(0, 1, tuple(float(v) for v in grid.reshape(-1))),),
     )
     parts = []
     for strategy in ("binary", "gray"):

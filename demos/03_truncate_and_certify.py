@@ -11,10 +11,10 @@ enumerated maximum.
 import numpy as np
 
 from tbe import certificate_json, certify, noise_floor_ok, parse_cfn, residual
-from tbe import build_layout, center, encode
+from tbe import build_layout, encode
 from tbe.verify import dense_values
 
-cfn = center(parse_cfn(open("demos/data/two_card32.json", "rb").read()))
+cfn = parse_cfn(open("demos/data/two_card32.json", "rb").read())
 layout = build_layout(cfn)
 poly = encode(cfn, layout)
 print("encoded:", poly.num_terms(), "terms, degree", poly.degree, "on", poly.num_qubits, "spins")

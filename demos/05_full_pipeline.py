@@ -12,7 +12,6 @@ The equivalent command line is:
 from tbe import (
     AnnealParams,
     build_layout,
-    center,
     certify,
     decode_and_refine,
     encode,
@@ -24,8 +23,7 @@ from tbe import (
     truncate,
 )
 
-original = parse_cfn(open("demos/data/two_card32.json", "rb").read())
-cfn = center(original)
+cfn = parse_cfn(open("demos/data/two_card32.json", "rb").read())
 layout = build_layout(cfn, strategy="gray")
 full = encode(cfn, layout)
 print("exact encoding:", full.num_terms(), "terms, degree", full.degree,
@@ -44,7 +42,7 @@ model = quadratize(truncated)
 print("quadratized:", model.num_ancilla_qubits, "ancillas, penalty", round(model.penalty_weight, 2))
 
 result = solve(model, method="anneal", seed=11, anneal=AnnealParams(restarts=16, sweeps=400))
-result = decode_and_refine(result, layout, original, full_poly=full, refine=True)
+result = decode_and_refine(result, layout, cfn, full_poly=full, refine=True)
 print("\nsolved (annealing over", result.num_qubits, "variables):")
 print("  truncated-model value:", round(result.best_value, 4))
 print("  decoded assignment:", list(result.decoded_assignment),
@@ -54,7 +52,7 @@ print("  after descent on the full encoding:", round(result.refined_cfn_value, 4
       f"({result.refine_steps} flips)")
 
 best = min(
-    evaluate_cfn(original, [i, j])
+    evaluate_cfn(cfn, [i, j])
     for i in range(1, 33)
     for j in range(1, 33)
 )

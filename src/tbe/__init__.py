@@ -1,20 +1,19 @@
 """Compile discrete cost function networks into degree-truncated
 spin-basis polynomials with certified truncation error.
 
-The pipeline: parse and center a CFN, lay out binary registers,
-encode cost tables into exact Ising couplings, inspect the per-degree
-spectral profile, truncate at a chosen degree with an l1/l2 error
+The pipeline: parse a CFN, lay out binary registers, encode each cost
+table's Walsh transform into exact Ising couplings (absorbing
+interaction marginals on the way), inspect the per-degree spectral
+profile, truncate at a chosen degree with an l1/l2 error
 certificate, optionally quadratize, solve, decode and refine.  The
 ``verify`` module provides brute-force and Monte-Carlo ground truth
 for every guarantee the truncation makes.
 """
 
 from .cfn import (
-    CenteredCfn,
     Cfn,
     PairwiseTable,
     VariableSpec,
-    center,
     evaluate_cfn,
     parse_cfn,
     serialize_cfn,

@@ -1,4 +1,4 @@
-"""Cost function network model, validation, centering and JSON I/O.
+"""Cost function network model, validation and JSON I/O.
 
 A CFN is a set of discrete variables with tabulated unary costs and
 pairwise interaction costs.  Choice indices are 1-based in the public
@@ -13,25 +13,26 @@ The canonical file format (CFN-JSON) is::
     }
 
 Missing unary entries are treated as all-zero tables; a missing
-pairwise entry means no interaction between that pair.
+pairwise entry means no interaction between that pair.  Tables are
+kept as given: the encoder moves interaction marginals onto the
+registers itself (``encoding.walsh_blocks``).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CfnFormatError
+from .polynomial import is_int
 
 __all__ = [
     "VariableSpec",
     "PairwiseTable",
     "Cfn",
-    "CenteredCfn",
     "parse_cfn",
     "serialize_cfn",
-    "center",
     "evaluate_cfn",
 ]
 
@@ -82,13 +83,6 @@ class Cfn:
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple((t.i, t.j) for t in self.pairwise_tables)
-
-
-@dataclass(frozen=True)
-class CenteredCfn(Cfn):
-    """A Cfn whose pairwise tables have (numerically) zero marginals."""
-
-    centering_applied: bool = field(default=True)
 
 
 def _validate(variables, unary_tables, pairwise_tables) -> None:
@@ -149,7 +143,7 @@ def parse_cfn(data: bytes | str) -> Cfn:
         if not isinstance(entry, dict) or "cardinality" not in entry:
             raise CfnFormatError(f"variables[{k}] must be an object with a cardinality")
         card = entry["cardinality"]
-        if not _is_index(card) or card < 1:
+        if not is_int(card) or card < 1:
             raise CfnFormatError(f"variables[{k}].cardinality must be a positive integer")
         name = entry.get("name", f"v{k}")
         if not isinstance(name, str):
@@ -163,7 +157,7 @@ def parse_cfn(data: bytes | str) -> Cfn:
         if not isinstance(entry, dict) or "var" not in entry or "costs" not in entry:
             raise CfnFormatError(f"unary[{k}] must be an object with var and costs")
         var = entry["var"]
-        if not _is_index(var):
+        if not is_int(var):
             raise CfnFormatError(f"unary[{k}].var must be an integer variable index")
         if not 0 <= var < n:
             raise CfnFormatError(f"unary[{k}].var out of range")
@@ -178,16 +172,12 @@ def parse_cfn(data: bytes | str) -> Cfn:
         if not isinstance(entry, dict) or "vars" not in entry or "costs" not in entry:
             raise CfnFormatError(f"pairwise[{k}] must be an object with vars and costs")
         pair = entry["vars"]
-        if (not isinstance(pair, list)) or len(pair) != 2 or not all(_is_index(x) for x in pair):
+        if (not isinstance(pair, list)) or len(pair) != 2 or not all(is_int(x) for x in pair):
             raise CfnFormatError(f"pairwise[{k}].vars must be a pair of variable indices")
         costs = _float_list(entry["costs"], f"pairwise[{k}].costs")
         pairwise.append(PairwiseTable(i=pair[0], j=pair[1], costs=costs))
 
     return Cfn(variables=tuple(variables), unary_tables=tuple(unary), pairwise_tables=tuple(pairwise))
-
-
-def _is_index(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _float_list(values, where: str) -> tuple[float, ...]:
@@ -214,44 +204,6 @@ def serialize_cfn(cfn: Cfn) -> str:
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def center(cfn: Cfn) -> CenteredCfn:
-    """Absorb pairwise-table marginals into the unary tables.
-
-    For each pairwise table the centered row means go to the unary
-    table of the row variable, the centered column means to the column
-    variable, and the grand mean is added (as a constant) to the unary
-    table of the lower-index variable of the pair.  The total cost at
-    every configuration is unchanged; the resulting pairwise tables
-    have zero row and column sums.
-    """
-    unary = [list(t) for t in cfn.unary_tables]
-    new_pairwise = []
-    for t in cfn.pairwise_tables:
-        di = cfn.cardinality(t.i)
-        dj = cfn.cardinality(t.j)
-        rows = [t.costs[r * dj : (r + 1) * dj] for r in range(di)]
-        row_means = [sum(row) / dj for row in rows]
-        col_means = [sum(rows[r][c] for r in range(di)) / di for c in range(dj)]
-        grand = sum(row_means) / di
-        centered = tuple(
-            rows[r][c] - row_means[r] - col_means[c] + grand
-            for r in range(di)
-            for c in range(dj)
-        )
-        # centered marginals plus the grand mean, which lands on the
-        # lower-index variable of the pair (always t.i)
-        for r in range(di):
-            unary[t.i][r] += row_means[r]
-        for c in range(dj):
-            unary[t.j][c] += col_means[c] - grand
-        new_pairwise.append(PairwiseTable(i=t.i, j=t.j, costs=centered))
-    return CenteredCfn(
-        variables=cfn.variables,
-        unary_tables=tuple(tuple(t) for t in unary),
-        pairwise_tables=tuple(new_pairwise),
-    )
 
 
 def evaluate_cfn(cfn: Cfn, assignment: list[int] | tuple[int, ...]) -> float:

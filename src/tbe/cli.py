@@ -15,15 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
-from .cfn import Cfn, center, parse_cfn
-from .encoding import Fallback, Penalty, build_layout, encode, k_full
+from .cfn import Cfn, parse_cfn
+from .encoding import EncodingLayout, Fallback, Penalty, build_layout, encode, k_full
 from .errors import CapacityError, CfnFormatError
-from .polynomial import hubo_from_json, hubo_to_json, mask_to_string, qubit_mask
+from .polynomial import hubo_from_json, hubo_to_json, is_int, mask_to_string, qubit_mask
 from .quadratization import quadratize, qubo_json
 from .solve import AnnealParams, decode_and_refine, solve, solve_result_json
 from .spectrum import spectrum_csv, table_spectrum
@@ -67,8 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
             default="fallback",
             help="unused-bitstring policy: fallback[:CHOICE] or penalty[:WEIGHT]",
         )
-        p.add_argument("--no-center", action="store_true", help="skip marginal absorption")
-        p.add_argument("--threads", type=int, default=None, help="worker cap (informational)")
 
     c = sub.add_parser("compile", help="run the full compilation pipeline")
     add_common(c)
@@ -104,7 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--sweeps", type=int, default=None)
     s.add_argument("--t0", type=float, default=None)
     s.add_argument("--cooling", type=float, default=None)
-    s.add_argument("--threads", type=int, default=None)
     s.add_argument("--out", default=None, help="result JSON path")
 
     e = sub.add_parser("ensemble", help="Monte-Carlo checks for a variance profile")
@@ -112,7 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--trials", type=int, default=10000)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--coordinate", type=int, default=0)
-    e.add_argument("--threads", type=int, default=None)
     e.add_argument("--out", default=None, help="report JSON path")
 
     sp = sub.add_parser("spectrum", help="emit the per-degree spectral profile")
@@ -120,15 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
 
     return parser
-
-
-def _resolve_threads(value: int | None) -> int:
-    if value is None:
-        env = os.environ.get("TBE_THREADS")
-        value = int(env) if env else 1
-    if value < 1:
-        raise CfnFormatError("--threads must be >= 1")
-    return value
 
 
 def _parse_policy(text: str) -> Fallback | Penalty:
@@ -163,9 +149,15 @@ def _parse_strategy(text: str):
                 maps = json.load(fh)
         except OSError as exc:
             raise OSError(f"--assignment: cannot read custom map file {path!r}: {exc.strerror or exc}") from exc
-        if not isinstance(maps, list):
-            raise CfnFormatError("custom assignment file must hold a list of per-variable maps")
-        return [[int(b) for b in m] for m in maps]
+        except ValueError as exc:
+            raise CfnFormatError(f"--assignment: custom map file {path!r} is not valid JSON: {exc}") from None
+        if not isinstance(maps, list) or not all(
+            isinstance(m, list) and all(is_int(b) for b in m) for m in maps
+        ):
+            raise CfnFormatError(
+                f"--assignment: custom map file {path!r} must hold a list of per-variable lists of integer bitstrings"
+            )
+        return maps
     raise CfnFormatError(f"unknown assignment strategy {text!r}")
 
 
@@ -179,11 +171,9 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _prepare(args) -> tuple[Cfn, Cfn, object]:
-    original = _load_cfn(args.input)
-    working = original if args.no_center else center(original)
-    layout = build_layout(working, _parse_strategy(args.assignment), _parse_policy(args.unused))
-    return original, working, layout
+def _prepare(args) -> tuple[Cfn, EncodingLayout]:
+    cfn = _load_cfn(args.input)
+    return cfn, build_layout(cfn, _parse_strategy(args.assignment), _parse_policy(args.unused))
 
 
 def _true_optimum(cfn: Cfn) -> tuple[float, tuple[int, ...]] | None:
@@ -218,12 +208,10 @@ def _true_optimum(cfn: Cfn) -> tuple[float, tuple[int, ...]] | None:
 
 
 def run_pipeline(args) -> int:
-    _resolve_threads(args.threads)
     if args.kmax < 1:
         raise CfnFormatError("--kmax must be >= 1")
-    original, working, layout = _prepare(args)
-    full = encode(working, layout)
-    profile = table_spectrum(working, layout)
+    cfn, layout = _prepare(args)
+    full = encode(cfn, layout)
     cert = certify(full, args.kmax)
     weak_ok, strong_ok = noise_floor_ok(cert, args.weak_threshold, args.strong_threshold)
     noise_ok = weak_ok and strong_ok
@@ -245,10 +233,10 @@ def run_pipeline(args) -> int:
         params = _anneal_params(args)
         target = qubo if qubo is not None else truncated
         result = solve(target, method=args.solve, seed=args.seed, anneal=params)
-        result = decode_and_refine(result, layout, original, full_poly=full, refine=args.refine)
+        result = decode_and_refine(result, layout, cfn, full_poly=full, refine=args.refine)
         solve_block = json.loads(solve_result_json(result))
         if args.solve == "exhaustive" and all(result.decoded_valid):
-            opt = _true_optimum(original)
+            opt = _true_optimum(cfn)
             if opt is not None:
                 best_value, best_assignment = opt
                 achieved = result.cfn_value
@@ -269,7 +257,6 @@ def run_pipeline(args) -> int:
             "k_max": args.kmax,
             "assignment": args.assignment,
             "unused": args.unused,
-            "center": not args.no_center,
             "quadratize": args.quadratize,
             "solve": args.solve,
             "seed": args.seed,
@@ -277,9 +264,9 @@ def run_pipeline(args) -> int:
             "weak_threshold": args.weak_threshold,
             "strong_threshold": args.strong_threshold,
         },
-        "num_variables": working.num_variables,
+        "num_variables": cfn.num_variables,
         "num_qubits": layout.total_qubits,
-        "k_full": k_full(working, layout),
+        "k_full": k_full(cfn, layout),
         "encoded": {"num_terms": full.num_terms(), "degree": full.degree},
         "noise_floor": {
             "weak_ratio": cert.weak_noise_floor_ratio,
@@ -309,7 +296,7 @@ def run_pipeline(args) -> int:
     if args.out_qubo and qubo is not None:
         _write(args.out_qubo, qubo_json(qubo))
     if args.out_spectrum:
-        _write(args.out_spectrum, spectrum_csv(profile))
+        _write(args.out_spectrum, spectrum_csv(table_spectrum(cfn, layout)))
     if args.out_cert:
         _write(args.out_cert, certificate_json(cert))
     if args.out_report:
@@ -321,11 +308,10 @@ def run_pipeline(args) -> int:
 
 
 def run_verify(args) -> int:
-    _resolve_threads(args.threads)
     if args.kmax < 1:
         raise CfnFormatError("--kmax must be >= 1")
-    _, working, layout = _prepare(args)
-    full = encode(working, layout)
+    cfn, layout = _prepare(args)
+    full = encode(cfn, layout)
     report = check_preservation(full, args.kmax)
     doc = {
         "num_qubits": report.num_qubits,
@@ -376,7 +362,6 @@ def _anneal_params(args) -> AnnealParams:
 
 
 def run_solve(args) -> int:
-    _resolve_threads(args.threads)
     with open(args.hubo, "rb") as fh:
         poly = hubo_from_json(fh.read())
     params = _anneal_params(args)
@@ -390,7 +375,6 @@ def run_solve(args) -> int:
 
 
 def run_ensemble(args) -> int:
-    _resolve_threads(args.threads)
     with open(args.profile, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     try:
@@ -453,10 +437,8 @@ def run_ensemble(args) -> int:
 
 
 def run_spectrum(args) -> int:
-    _resolve_threads(args.threads)
-    _, working, layout = _prepare(args)
-    profile = table_spectrum(working, layout)
-    text = spectrum_csv(profile)
+    cfn, layout = _prepare(args)
+    text = spectrum_csv(table_spectrum(cfn, layout))
     if args.out:
         _write(args.out, text)
     else:

@@ -12,11 +12,11 @@ Registers whose cardinality is not a power of two leave unused
 bitstrings.  Two policies are supported: ``Fallback`` gives unused
 patterns the cost of a designated choice (so decoding them is
 harmless), ``Penalty`` charges a constant weight on unused patterns
-and leaves interactions at zero there.  Fallback extension reintroduces
-nonzero marginals into the extended interaction grids; those marginals
-are absorbed into the effective register tables before transforming,
-which keeps interaction couplings supported on exactly two registers
-and makes the per-table spectral decomposition exact.
+and leaves interactions at zero there.  The marginals of each
+(extended) interaction grid are absorbed into the register tables
+before transforming, which keeps interaction couplings supported on
+exactly two registers and makes the per-table spectral decomposition
+exact; ``walsh_blocks`` is the one place these transforms are taken.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ __all__ = [
     "default_penalty_weight",
     "bitstring_indicator",
     "indicator_expansion",
-    "extended_register_tables",
+    "walsh_blocks",
     "encode",
     "decode",
     "spin_image",
@@ -232,19 +232,27 @@ def indicator_expansion(layout: EncodingLayout, var: int, choice: int) -> IsingP
     return bitstring_indicator(layout.register_widths[var], layout.assignments[var][choice - 1])
 
 
-def extended_register_tables(
+def walsh_blocks(
     cfn: Cfn, layout: EncodingLayout
 ) -> tuple[float, list[np.ndarray], list[tuple[int, int, np.ndarray]]]:
-    """Policy-extended tables with interaction marginals absorbed.
+    """Each cost table's Walsh coefficients on its own registers.
 
-    Returns ``(constant, unary, pairwise)`` where ``unary[i]`` is the
-    effective register-i table over all 2^width bitstrings and each
-    pairwise entry ``(i, j, grid)`` is a flat array over the joint
-    sub-hypercube (register-i qubits are the low bits of the index)
-    with exactly zero marginal sums.  Row/column means of the extended
-    interaction grids are moved into the unary tables and the grand
-    means into the constant, so summing the three parts reproduces the
-    extended cost at every bitstring pattern, valid or not.
+    Returns ``(constant, registers, interactions)``:
+
+    * ``registers[i][t - 1]`` is the coupling on the nonempty local
+      qubit subset ``t`` of register i;
+    * each ``(i, j, coeffs)`` in ``interactions`` holds
+      ``coeffs[tj - 1, ti - 1]``, the coupling on local subset ``ti`` of
+      register i times local subset ``tj`` of register j, both nonempty;
+    * ``constant`` is the coupling on the empty subset.
+
+    Tables are first extended over unused bitstrings by the layout's
+    policy.  Each interaction grid then gives its row and column means
+    to the two register tables and its grand mean to the constant, so
+    its marginal modes vanish (up to roundoff) and are left out; each
+    register table's mean is folded into the constant.  The blocks
+    together reproduce the extended cost at every bitstring pattern,
+    valid or not.
     """
     policy = layout.unused_policy
     penalty_weight = None
@@ -259,22 +267,22 @@ def extended_register_tables(
             lookup[bits] = c0
         choice_of.append(lookup)
 
-    unary: list[np.ndarray] = []
+    tables: list[np.ndarray] = []
     for i in range(cfn.num_variables):
         table = np.asarray(cfn.unary_tables[i], dtype=float)
         lookup = choice_of[i]
         if penalty_weight is None:
             fb = layout.fallback_choice(i) - 1
             idx = np.where(lookup >= 0, lookup, fb)
-            unary.append(table[idx])
+            tables.append(table[idx])
         else:
             ext = np.full(lookup.size, penalty_weight, dtype=float)
             valid = lookup >= 0
             ext[valid] = table[lookup[valid]]
-            unary.append(ext)
+            tables.append(ext)
 
     constant = 0.0
-    pairwise: list[tuple[int, int, np.ndarray]] = []
+    interactions: list[tuple[int, int, np.ndarray]] = []
     for t in cfn.pairwise_tables:
         di = cfn.cardinality(t.i)
         dj = cfn.cardinality(t.j)
@@ -294,59 +302,48 @@ def extended_register_tables(
             vi = lookup_i >= 0
             vj = lookup_j >= 0
             grid[np.ix_(vi, vj)] = base[np.ix_(lookup_i[vi], lookup_j[vj])]
-        # absorb marginals so the remaining grid has zero row/column sums
         row_means = grid.mean(axis=1)  # function of the register-i bitstring
         col_means = grid.mean(axis=0)
         grand = float(grid.mean())
         grid = grid - row_means[:, None] - col_means[None, :] + grand
-        unary[t.i] = unary[t.i] + (row_means - grand)
-        unary[t.j] = unary[t.j] + (col_means - grand)
+        tables[t.i] = tables[t.i] + (row_means - grand)
+        tables[t.j] = tables[t.j] + (col_means - grand)
         constant += grand
-        # flatten with register-i bits low: joint index r_i | (r_j << wi)
-        pairwise.append((t.i, t.j, grid.T.reshape(-1)))
-    return constant, unary, pairwise
+        # transform with register-i bits low: joint index ti | (tj << wi)
+        coeffs = fwht(grid.T.reshape(-1)).reshape(1 << wj, 1 << wi)
+        interactions.append((t.i, t.j, coeffs[1:, 1:]))
+
+    registers: list[np.ndarray] = []
+    for table in tables:
+        coeffs = fwht(table)
+        constant += float(coeffs[0])
+        registers.append(coeffs[1:])
+    return constant, registers, interactions
 
 
 def encode(cfn: Cfn, layout: EncodingLayout) -> IsingPolynomial:
     """Compile a CFN into its exact spin-basis HUBO.
 
-    Couplings come straight from Walsh transforms of the effective
-    register tables: single-register subsets from the unary tables,
-    two-register subsets (both parts nonempty) from the interaction
-    grids, nothing else.  The constant term is stored.
+    The couplings are the per-table Walsh blocks of ``walsh_blocks``
+    placed at their registers' offsets; exact zeros are dropped.  The
+    constant term is stored.
     """
     n = layout.total_qubits
     if n > MAX_QUBITS:
         raise CapacityError(f"{n} qubits exceed the {MAX_QUBITS}-qubit bitmask capacity")
-    constant, unary, pairwise = extended_register_tables(cfn, layout)
+    constant, registers, interactions = walsh_blocks(cfn, layout)
     terms: dict[int, float] = {0: constant}
-
-    for i, table in enumerate(unary):
-        coeffs = fwht(table)
-        offset = layout.register_offsets[i]
-        terms[0] += float(coeffs[0])
-        for local in range(1, coeffs.size):
-            c = float(coeffs[local])
+    for offset, coeffs in zip(layout.register_offsets, registers):
+        for t, c in enumerate(coeffs.tolist(), 1):
             if c != 0.0:
-                key = local << offset
-                terms[key] = terms.get(key, 0.0) + c
-
-    for i, j, grid in pairwise:
-        wi = layout.register_widths[i]
+                terms[t << offset] = c
+    for i, j, coeffs in interactions:
         off_i = layout.register_offsets[i]
         off_j = layout.register_offsets[j]
-        low = (1 << wi) - 1
-        coeffs = fwht(grid)
-        for joint in range(coeffs.size):
-            ti = joint & low
-            tj = joint >> wi
-            if ti == 0 or tj == 0:
-                continue  # marginal modes were absorbed; anything left is roundoff
-            c = float(coeffs[joint])
-            if c != 0.0:
-                key = (ti << off_i) | (tj << off_j)
-                terms[key] = terms.get(key, 0.0) + c
-
+        for tj, row in enumerate(coeffs.tolist(), 1):
+            for ti, c in enumerate(row, 1):
+                if c != 0.0:
+                    terms[(ti << off_i) | (tj << off_j)] = c
     return IsingPolynomial(n, terms)
 
 

@@ -253,7 +253,7 @@ def hubo_from_json(data: bytes | str) -> IsingPolynomial:
     if not isinstance(doc, dict):
         raise CfnFormatError("top-level value must be an object")
     n = doc.get("num_qubits")
-    if not _is_int(n) or n < 0:
+    if not is_int(n) or n < 0:
         raise CfnFormatError("num_qubits must be a non-negative integer")
     if n > MAX_QUBITS:
         raise CapacityError(f"num_qubits {n} exceeds the {MAX_QUBITS}-qubit bitmask capacity")
@@ -278,7 +278,7 @@ def qubit_mask(qubits, n: int, where: str) -> int:
     Raises CfnFormatError naming ``where`` unless ``qubits`` is a list
     of integers (not booleans) in ``[0, n)`` with none repeated.
     """
-    if not isinstance(qubits, list) or not all(_is_int(q) for q in qubits):
+    if not isinstance(qubits, list) or not all(is_int(q) for q in qubits):
         raise CfnFormatError(f"{where} must be a list of qubit indices")
     mask = 0
     for q in qubits:
@@ -290,7 +290,8 @@ def qubit_mask(qubits, n: int, where: str) -> int:
     return mask
 
 
-def _is_int(value) -> bool:
+def is_int(value) -> bool:
+    """An int that is not a bool, as JSON readers must check."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 

@@ -11,13 +11,11 @@ can be computed from small per-table transforms without assembling the
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .cfn import Cfn
-from .encoding import EncodingLayout, extended_register_tables, k_full
+from .encoding import EncodingLayout, k_full, walsh_blocks
 from .polynomial import IsingPolynomial
-from .walsh import fwht
 
 __all__ = ["SpectralProfile", "table_spectrum", "profile_of_polynomial", "spectrum_csv"]
 
@@ -44,74 +42,44 @@ class SpectralProfile:
         """Total power at degrees 1..k_max (the constant never counts)."""
         return float(sum(self.per_degree_power[1 : k_max + 1]))
 
-    def cumulative_above(self, k_max: int) -> float:
-        return float(sum(self.per_degree_power[k_max + 1 :]))
-
-    def omitted_mode_count(self, k_max: int) -> int:
-        """Number of hypercube modes of degree above k_max."""
-        n = self.num_qubits
-        kept = sum(math.comb(n, k) for k in range(0, min(k_max, n) + 1))
-        return (1 << n) - kept
-
     def unary_power(self, k: int) -> float:
         return float(sum(t[k] for t in self.per_table_unary))
 
     def pairwise_power(self, k: int) -> float:
         return float(sum(t[2][k] for t in self.per_table_pairwise))
 
-    def weak_ratio(self, k_max: int) -> float | None:
-        """Omitted over kept power; None when nothing is kept."""
-        above = self.cumulative_above(k_max)
-        if above == 0.0:
-            return 0.0
-        below = self.cumulative_below(k_max)
-        return above / below if below > 0.0 else None
-
-    def strong_margin(self, k_max: int) -> float | None:
-        """Weak ratio divided by k_max / n; None when undefined."""
-        ratio = self.weak_ratio(k_max)
-        if ratio is None or self.num_qubits == 0:
-            return None
-        return ratio * self.num_qubits / k_max
-
 
 def table_spectrum(cfn: Cfn, layout: EncodingLayout) -> SpectralProfile:
-    """Spectral profile straight from the per-register cost tables.
+    """Spectral profile straight from the per-table Walsh blocks.
 
-    Transforms each effective register table and each zero-marginal
-    interaction grid on its own sub-hypercube and bins the squared
-    coefficients by degree (interaction modes by the sum of the two
-    register-local degrees, both nonzero).
+    Bins the squared coefficients of each block of ``walsh_blocks`` by
+    degree (interaction modes by the sum of the two register-local
+    degrees, both nonzero).  No global mask is formed, so this works
+    past the encoder's qubit cap.
     """
     top = k_full(cfn, layout)
-    constant, unary, pairwise = extended_register_tables(cfn, layout)
+    constant, registers, interactions = walsh_blocks(cfn, layout)
 
+    # c**2 (libm pow) and c * c can differ in the last bit; the CSV keeps
+    # the pow rounding so its bytes stay those of earlier releases
     unary_profiles = []
-    total_constant = constant
-    for i, table in enumerate(unary):
-        coeffs = fwht(table)
+    for coeffs in registers:
         bins = [0.0] * (top + 1)
-        for t in range(1, coeffs.size):
-            bins[t.bit_count()] += float(coeffs[t]) ** 2
-        total_constant += float(coeffs[0])
+        for t, c in enumerate(coeffs.tolist(), 1):
+            bins[t.bit_count()] += c**2
         unary_profiles.append(tuple(bins))
 
     pairwise_profiles = []
-    for i, j, grid in pairwise:
-        wi = layout.register_widths[i]
-        low = (1 << wi) - 1
-        coeffs = fwht(grid)
+    for i, j, coeffs in interactions:
         bins = [0.0] * (top + 1)
-        for joint in range(coeffs.size):
-            ti = joint & low
-            tj = joint >> wi
-            if ti == 0 or tj == 0:
-                continue
-            bins[ti.bit_count() + tj.bit_count()] += float(coeffs[joint]) ** 2
+        for tj, row in enumerate(coeffs.tolist(), 1):
+            dj = tj.bit_count()
+            for ti, c in enumerate(row, 1):
+                bins[ti.bit_count() + dj] += c**2
         pairwise_profiles.append((i, j, tuple(bins)))
 
     global_bins = [0.0] * (top + 1)
-    global_bins[0] = total_constant**2
+    global_bins[0] = constant**2
     for bins in unary_profiles:
         for k in range(1, top + 1):
             global_bins[k] += bins[k]

@@ -16,7 +16,6 @@ from tbe import (
     IsingPolynomial,
     bitflip_variance_check,
     build_layout,
-    center,
     certify,
     check_preservation,
     degree_uniform_profile,
@@ -59,16 +58,15 @@ def _encoded_instances(count: int, seed: int):
         cfn = random_cfn(rng, max_vars=3, max_card=8, edge_prob=0.8)
         strategy = "gray" if idx % 3 == 1 else "binary"
         policy = Penalty() if idx % 4 == 3 else Fallback()
-        centered = center(cfn)
-        layout = build_layout(centered, strategy=strategy, unused_policy=policy)
-        yield cfn, centered, layout
+        layout = build_layout(cfn, strategy=strategy, unused_policy=policy)
+        yield cfn, layout
 
 
 def test_criterion_01_encoding_exactness():
     start = time.monotonic()
     worst = 0.0
-    for cfn, centered, layout in _encoded_instances(200, seed=101):
-        poly = encode(centered, layout)
+    for cfn, layout in _encoded_instances(200, seed=101):
+        poly = encode(cfn, layout)
         values = dense_values(poly)
         for assignment in all_assignments(cfn):
             assignment = list(assignment)
@@ -86,11 +84,11 @@ def test_criterion_01_encoding_exactness():
 def test_criterion_02_walsh_identification():
     start = time.monotonic()
     worst = 0.0
-    for cfn, centered, layout in _encoded_instances(200, seed=101):
+    for cfn, layout in _encoded_instances(200, seed=101):
         if layout.total_qubits > 14:
             continue
-        poly = encode(centered, layout)
-        truth = assemble_truth_table(centered, layout)
+        poly = encode(cfn, layout)
+        truth = assemble_truth_table(cfn, layout)
         coeffs = fwht(truth)
         for mask in range(coeffs.size):
             worst = max(worst, abs(poly.terms.get(mask, 0.0) - float(coeffs[mask])))
@@ -256,9 +254,9 @@ def test_criterion_07_spectral_leakage():
 
 def test_criterion_08_additive_spectral_decomposition():
     ok = True
-    for _, centered, layout in _encoded_instances(200, seed=101):
-        poly = encode(centered, layout)
-        profile = table_spectrum(centered, layout)
+    for cfn, layout in _encoded_instances(200, seed=101):
+        poly = encode(cfn, layout)
+        profile = table_spectrum(cfn, layout)
         binned = profile_of_polynomial(poly)
         top = profile.max_degree
         for k in range(1, top + 1):

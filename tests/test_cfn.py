@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ from tbe import (
     CfnFormatError,
     PairwiseTable,
     VariableSpec,
-    center,
     evaluate_cfn,
     parse_cfn,
     serialize_cfn,
@@ -121,84 +119,6 @@ def test_evaluate_rejects_out_of_range_choice():
         evaluate_cfn(cfn, [3])
     with pytest.raises(ValueError, match="out of range"):
         evaluate_cfn(cfn, [0])
-
-
-def test_center_constant_table():
-    cfn = Cfn(
-        (VariableSpec("x", 2), VariableSpec("y", 2)),
-        ((0.0, 0.0), (0.0, 0.0)),
-        (PairwiseTable(0, 1, (1.0, 1.0, 1.0, 1.0)),),
-    )
-    centered = center(cfn)
-    assert centered.pairwise_tables[0].costs == (0.0, 0.0, 0.0, 0.0)
-    assert centered.unary_tables[0] == (1.0, 1.0)
-    assert centered.unary_tables[1] == (0.0, 0.0)
-
-
-def test_center_leaves_zero_marginal_table_alone():
-    cfn = Cfn(
-        (VariableSpec("x", 2), VariableSpec("y", 2)),
-        ((0.0, 0.0), (0.0, 0.0)),
-        (PairwiseTable(0, 1, (1.0, -1.0, -1.0, 1.0)),),
-    )
-    centered = center(cfn)
-    assert centered.pairwise_tables[0].costs == (1.0, -1.0, -1.0, 1.0)
-    assert centered.unary_tables == ((0.0, 0.0), (0.0, 0.0))
-
-
-def test_center_random_4x4_table():
-    rng = np.random.default_rng(7)
-    costs = tuple(float(x) for x in rng.normal(size=16))
-    cfn = Cfn(
-        (VariableSpec("x", 4), VariableSpec("y", 4)),
-        (tuple(float(x) for x in rng.normal(size=4)), tuple(float(x) for x in rng.normal(size=4))),
-        (PairwiseTable(0, 1, costs),),
-    )
-    centered = center(cfn)
-    table = np.array(centered.pairwise_tables[0].costs).reshape(4, 4)
-    assert np.abs(table.sum(axis=0)).max() <= 1e-12
-    assert np.abs(table.sum(axis=1)).max() <= 1e-12
-    for assignment in itertools.product(range(1, 5), repeat=2):
-        before = evaluate_cfn(cfn, list(assignment))
-        after = evaluate_cfn(centered, list(assignment))
-        assert after == pytest.approx(before, abs=1e-12, rel=1e-12)
-
-
-def test_center_marginal_sums_within_tolerance():
-    rng = np.random.default_rng(21)
-    for _ in range(25):
-        cfn = random_cfn(rng, max_vars=3, max_card=6, edge_prob=1.0)
-        centered = center(cfn)
-        for t in centered.pairwise_tables:
-            di = centered.cardinality(t.i)
-            dj = centered.cardinality(t.j)
-            table = np.array(t.costs).reshape(di, dj)
-            tol = 1e-9 * max(1.0, np.abs(table).max())
-            assert np.abs(table.sum(axis=0)).max() <= tol
-            assert np.abs(table.sum(axis=1)).max() <= tol
-
-
-def test_centering_identity_exhaustive():
-    rng = np.random.default_rng(3)
-    for _ in range(30):
-        cfn = random_cfn(rng, max_vars=3, max_card=4, edge_prob=0.7)
-        centered = center(cfn)
-        for assignment in all_assignments(cfn):
-            before = evaluate_cfn(cfn, list(assignment))
-            after = evaluate_cfn(centered, list(assignment))
-            assert abs(after - before) <= 1e-9 * (1 + abs(before))
-
-
-def test_centering_idempotent():
-    rng = np.random.default_rng(17)
-    for _ in range(10):
-        cfn = random_cfn(rng, max_vars=3, max_card=5, edge_prob=1.0)
-        once = center(cfn)
-        twice = center(once)
-        for a, b in zip(once.unary_tables, twice.unary_tables):
-            assert np.abs(np.array(a) - np.array(b)).max() <= 1e-12
-        for a, b in zip(once.pairwise_tables, twice.pairwise_tables):
-            assert np.abs(np.array(a.costs) - np.array(b.costs)).max() <= 1e-12
 
 
 def test_cardinality_one_variable_allowed():

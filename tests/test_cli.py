@@ -8,9 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tbe import certify, evaluate_cfn, hubo_from_json, parse_cfn
+from tbe import (
+    Cfn,
+    PairwiseTable,
+    Penalty,
+    VariableSpec,
+    build_layout,
+    certify,
+    dense_values,
+    evaluate_cfn,
+    hubo_from_json,
+    parse_cfn,
+)
 from tbe.cli import _true_optimum, main
-from helpers import random_cfn
+from helpers import assemble_truth_table, random_cfn
 from tbe.cfn import serialize_cfn
 
 
@@ -222,13 +233,6 @@ def test_spectrum_subcommand_stdout(small_input, capsys):
     assert out.startswith("k,P_k,P_k_unary,P_k_pairwise")
 
 
-def test_threads_env_fallback(small_input, tmp_path, monkeypatch):
-    monkeypatch.setenv("TBE_THREADS", "2")
-    assert main(["spectrum", "--input", str(small_input), "--out", str(tmp_path / "s.csv")]) == 0
-    monkeypatch.setenv("TBE_THREADS", "0")
-    assert main(["spectrum", "--input", str(small_input), "--out", str(tmp_path / "s.csv")]) == 3
-
-
 def test_gray_and_penalty_options(small_input, tmp_path):
     report = tmp_path / "r.json"
     assert main(
@@ -414,3 +418,65 @@ def test_missing_custom_map_file_names_assignment(small_input, tmp_path, capsys)
     assert main(["spectrum", "--input", str(small_input), "--assignment", f"custom:{missing}"]) == 1
     err = capsys.readouterr().err
     assert "--assignment" in err and "no-such-maps.json" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[5]", '[["a", "b", "c"]]', "not json", "[[false, true, 2]]", "[[0, 1.5, 2]]"],
+    ids=["map-not-a-list", "strings", "not-json", "bools", "float"],
+)
+def test_malformed_custom_map_file_exits_3(tmp_path, capsys, text):
+    cfn_path = tmp_path / "cfn.json"
+    cfn_path.write_text(json.dumps({"variables": [{"cardinality": 3}]}))
+    maps = tmp_path / "maps.json"
+    maps.write_text(text)
+    assert main(["spectrum", "--input", str(cfn_path), "--assignment", f"custom:{maps}"]) == 3
+    assert "--assignment" in capsys.readouterr().err
+
+
+def test_compile_computes_the_spectrum_only_when_asked(small_input, tmp_path, monkeypatch):
+    def unwanted(*args):
+        raise AssertionError("table_spectrum called without --out-spectrum")
+
+    monkeypatch.setattr("tbe.cli.table_spectrum", unwanted)
+    assert main(["compile", "--input", str(small_input), "--kmax", "2", "--solve", "exhaustive",
+                 "--out-report", str(tmp_path / "r.json")]) == 0
+
+
+def test_spectrum_beyond_the_encoder_qubit_cap(tmp_path, capsys):
+    # a 40-variable chain of cardinality 4 is 80 qubits: over the 64-qubit
+    # cap of compile and verify, but the spectrum never forms a global mask
+    rng = np.random.default_rng(80)
+    doc = {
+        "variables": [{"cardinality": 4}] * 40,
+        "unary": [{"var": i, "costs": rng.normal(size=4).tolist()} for i in range(40)],
+        "pairwise": [{"vars": [i, i + 1], "costs": rng.normal(size=16).tolist()} for i in range(39)],
+    }
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    assert main(["spectrum", "--input", str(path)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "k,P_k,P_k_unary,P_k_pairwise" and len(rows) == 6  # degrees 0..4
+    assert main(["compile", "--input", str(path), "--kmax", "2"]) == 4
+
+
+def test_penalty_hubo_is_the_zero_extended_raw_cfn(tmp_path):
+    # unused patterns cost the penalty weight on their register and
+    # nothing in the interactions, exactly as the raw tables extend
+    rng = np.random.default_rng(356)
+    cards = [3, 5, 6]
+    variables = tuple(VariableSpec(f"v{i}", c) for i, c in enumerate(cards))
+    unary = tuple(tuple(rng.normal(size=c).tolist()) for c in cards)
+    pairs = tuple(
+        PairwiseTable(i, j, tuple(rng.normal(size=cards[i] * cards[j]).tolist()))
+        for i, j in ((0, 1), (0, 2), (1, 2))
+    )
+    cfn = Cfn(variables, unary, pairs)
+    path = tmp_path / "cfn.json"
+    path.write_text(serialize_cfn(cfn))
+    hubo = tmp_path / "hubo.json"
+    assert main(["compile", "--input", str(path), "--kmax", "2", "--unused", "penalty",
+                 "--out-hubo", str(hubo)]) == 0
+    poly = hubo_from_json(hubo.read_bytes())
+    truth = assemble_truth_table(cfn, build_layout(cfn, unused_policy=Penalty()))
+    assert np.abs(dense_values(poly) - truth).max() <= 1e-9

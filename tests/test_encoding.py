@@ -11,7 +11,6 @@ from tbe import (
     Penalty,
     VariableSpec,
     build_layout,
-    center,
     decode,
     encode,
     evaluate_cfn,
@@ -130,7 +129,7 @@ def test_encode_single_binary_variable_closed_form():
 
 def test_encode_two_card32_degree_is_ten():
     rng = np.random.default_rng(2)
-    cfn = center(_cfn_of_cards([32, 32], rng))
+    cfn = _cfn_of_cards([32, 32], rng)
     layout = build_layout(cfn)
     poly = encode(cfn, layout)
     assert k_full(cfn, layout) == 10
@@ -142,9 +141,8 @@ def test_encode_matches_cfn_exhaustively(policy):
     rng = np.random.default_rng(13)
     cards = [2, 3, 4]
     cfn = _cfn_of_cards(cards, rng)
-    centered = center(cfn)
-    layout = build_layout(centered, unused_policy=policy)
-    poly = encode(centered, layout)
+    layout = build_layout(cfn, unused_policy=policy)
+    poly = encode(cfn, layout)
     for assignment in all_assignments(cfn):
         assignment = list(assignment)
         want = evaluate_cfn(cfn, assignment)
@@ -176,7 +174,7 @@ def _product_disjoint(a: IsingPolynomial, b: IsingPolynomial, n: int) -> IsingPo
 def test_encode_equals_symbolic_indicator_expansion():
     rng = np.random.default_rng(19)
     cards = [2, 4]
-    cfn = center(_cfn_of_cards(cards, rng))
+    cfn = _cfn_of_cards(cards, rng)
     layout = build_layout(cfn)
     n = layout.total_qubits
     poly = encode(cfn, layout)
@@ -205,7 +203,7 @@ def test_encode_equals_symbolic_indicator_expansion():
 def test_degree_caps():
     rng = np.random.default_rng(4)
     for _ in range(10):
-        cfn = center(random_cfn(rng, max_vars=3, max_card=8))
+        cfn = random_cfn(rng, max_vars=3, max_card=8)
         layout = build_layout(cfn)
         poly = encode(cfn, layout)
         assert poly.degree <= max(k_full(cfn, layout), 0)
@@ -221,37 +219,38 @@ def test_degree_caps():
                 assert s.bit_count() <= max_width
 
 
+def _zero_marginal_pairwise_cfn(cards, rng):
+    """Zero unary tables and one double-centred random interaction table."""
+    table = rng.normal(size=(cards[0], cards[1]))
+    table = table - table.mean(axis=1, keepdims=True) - table.mean(axis=0, keepdims=True) + table.mean()
+    return Cfn(
+        tuple(VariableSpec(f"v{i}", c) for i, c in enumerate(cards)),
+        tuple(tuple(0.0 for _ in range(c)) for c in cards),
+        (PairwiseTable(0, 1, tuple(table.reshape(-1).tolist())),),
+    )
+
+
 @pytest.mark.parametrize("policy", [Fallback(), Penalty()])
 def test_centered_pairwise_only_has_no_single_register_mass(policy):
     # power-of-two cardinalities: extension cannot disturb the zero marginals
     rng = np.random.default_rng(6)
     cards = [4, 8]
-    cfn = center(_cfn_of_cards(cards, rng))
-    stripped = Cfn(
-        cfn.variables,
-        tuple(tuple(0.0 for _ in range(c)) for c in cards),
-        cfn.pairwise_tables,
-    )
+    stripped = _zero_marginal_pairwise_cfn(cards, rng)
     layout = build_layout(stripped, unused_policy=policy)
     poly = encode(stripped, layout)
     for i in range(2):
         reg = layout.register_mask(i)
         for s in poly.terms:
             if s and s & ~reg == 0:
-                pytest.fail(f"single-register coupling {s:#x} from centered pairwise table")
+                pytest.fail(f"single-register coupling {s:#x} from a zero-marginal pairwise table")
 
 
 def test_penalty_zero_extension_keeps_pairwise_two_register_even_odd_cards():
     # non-power-of-two cardinalities under the penalty policy: interactions
-    # are extended by zero, so centered marginals survive extension
+    # are extended by zero, so zero marginals survive extension
     rng = np.random.default_rng(8)
     cards = [3, 5]
-    cfn = center(_cfn_of_cards(cards, rng))
-    stripped = Cfn(
-        cfn.variables,
-        tuple(tuple(0.0 for _ in range(c)) for c in cards),
-        cfn.pairwise_tables,
-    )
+    stripped = _zero_marginal_pairwise_cfn(cards, rng)
     layout = build_layout(stripped, unused_policy=Penalty(weight=0.0))
     poly = encode(stripped, layout)
     for i in range(2):
