@@ -22,12 +22,13 @@ import numpy as np
 from .cfn import Cfn, parse_cfn
 from .encoding import EncodingLayout, Fallback, Penalty, build_layout, encode, k_full
 from .errors import CapacityError, CfnFormatError
-from .polynomial import hubo_from_json, hubo_to_json, is_int, mask_to_string, qubit_mask
+from .polynomial import finite_float, hubo_from_json, hubo_to_json, is_int, mask_to_string, qubit_mask
 from .quadratization import quadratize, qubo_json
 from .solve import AnnealParams, decode_and_refine, solve, solve_result_json
 from .spectrum import spectrum_csv, table_spectrum
 from .truncation import certificate_json, certify, noise_floor_ok, truncate
 from .verify import (
+    FAMILIES,
     EnsembleSpec,
     bitflip_variance_check,
     check_preservation,
@@ -375,18 +376,34 @@ def run_solve(args) -> int:
 
 
 def run_ensemble(args) -> int:
-    with open(args.profile, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    try:
-        n = int(doc["n"])
-        cutoff = int(doc["k_max"])
-        family = doc.get("family", "gaussian")
-        profile: dict[int, float] = {}
-        for k, entry in enumerate(doc["modes"]):
-            mask = qubit_mask(entry["qubits"], n, f"modes[{k}].qubits")
-            profile[mask] = profile.get(mask, 0.0) + float(entry["pi"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CfnFormatError(f"bad ensemble profile: {exc}") from exc
+    with open(args.profile, "rb") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise CfnFormatError(f"--profile {args.profile!r} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise CfnFormatError(f"--profile {args.profile!r} must hold a JSON object")
+    n = doc.get("n")
+    if not is_int(n) or n < 0:
+        raise CfnFormatError(f"n must be an integer >= 0, got {n!r}")
+    cutoff = doc.get("k_max")
+    if not is_int(cutoff) or cutoff < 1:
+        raise CfnFormatError(f"k_max must be an integer >= 1, got {cutoff!r}")
+    family = doc.get("family", "gaussian")
+    if family not in FAMILIES:
+        raise CfnFormatError(f"family must be one of {', '.join(FAMILIES)}, got {family!r}")
+    modes = doc.get("modes")
+    if not isinstance(modes, list) or not modes:
+        raise CfnFormatError("modes must be a non-empty list")
+    profile: dict[int, float] = {}
+    for k, entry in enumerate(modes):
+        if not isinstance(entry, dict):
+            raise CfnFormatError(f"modes[{k}] must be an object with qubits and pi")
+        mask = qubit_mask(entry.get("qubits"), n, f"modes[{k}].qubits")
+        pi = finite_float(entry.get("pi"))
+        if pi is None or pi < 0:
+            raise CfnFormatError(f"modes[{k}].pi must be a finite number >= 0, got {entry.get('pi')!r}")
+        profile[mask] = profile.get(mask, 0.0) + pi
     spec = EnsembleSpec(
         variance_profile=profile, family=family, trials=args.trials, rng_seed=args.seed
     )

@@ -27,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .cfn import Cfn
-from .errors import CapacityError, CfnFormatError
-from .polynomial import MAX_QUBITS, IsingPolynomial
+from .errors import CfnFormatError
+from .polynomial import IsingPolynomial
 from .walsh import fwht
 
 __all__ = [
@@ -124,11 +124,6 @@ class EncodingLayout:
 
     def register_mask(self, var: int) -> int:
         return ((1 << self.register_widths[var]) - 1) << self.register_offsets[var]
-
-    def sigma(self, var: int, choice: int, subset: int) -> int:
-        """Product of the choice's spin signs over a local qubit subset."""
-        bits = self.assignments[var][choice - 1]
-        return -1 if (bits & subset).bit_count() % 2 else 1
 
 
 def _binary_assignment(card: int) -> tuple[int, ...]:
@@ -328,9 +323,6 @@ def encode(cfn: Cfn, layout: EncodingLayout) -> IsingPolynomial:
     placed at their registers' offsets; exact zeros are dropped.  The
     constant term is stored.
     """
-    n = layout.total_qubits
-    if n > MAX_QUBITS:
-        raise CapacityError(f"{n} qubits exceed the {MAX_QUBITS}-qubit bitmask capacity")
     constant, registers, interactions = walsh_blocks(cfn, layout)
     terms: dict[int, float] = {0: constant}
     for offset, coeffs in zip(layout.register_offsets, registers):
@@ -344,7 +336,7 @@ def encode(cfn: Cfn, layout: EncodingLayout) -> IsingPolynomial:
             for ti, c in enumerate(row, 1):
                 if c != 0.0:
                     terms[(ti << off_i) | (tj << off_j)] = c
-    return IsingPolynomial(n, terms)
+    return IsingPolynomial(layout.total_qubits, terms)
 
 
 def spin_image(layout: EncodingLayout, assignment: Sequence[int]) -> int:

@@ -6,10 +6,10 @@ passed around as masks, with bit ``q`` set when spin ``q`` equals -1
 (so mask 0 is the all-plus configuration).  This matches the bit/spin
 convention ``z = 1 - 2b`` used by the encoder.
 
-``IsingPolynomial`` is capped at 64 variables so every subset fits a
-machine word; this is a documented desk-scale limit, not a silent
-truncation.  ``BinaryPolynomial`` (the 0/1-variable form used during
-quadratization, where ancilla counts can exceed 64) has no such cap.
+Keys are Python ints, so no polynomial here has a qubit cap.  The
+64-qubit cap belongs to the kernels that pack keys into ``uint64``
+words (``verify.word_capacity``) and to ``hubo_from_json``, the input
+of ``tbe solve``, whose every method is bounded by such a word.
 """
 
 from __future__ import annotations
@@ -79,14 +79,12 @@ class IsingPolynomial:
     terms: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not (0 <= self.num_qubits <= MAX_QUBITS):
-            raise CapacityError(
-                f"num_qubits {self.num_qubits} exceeds the {MAX_QUBITS}-qubit bitmask capacity"
-            )
-        limit = 1 << self.num_qubits
+        n = self.num_qubits
+        if n < 0:
+            raise ValueError(f"num_qubits {n} is negative")
         for s, c in self.terms.items():
-            if not (0 <= s < limit):
-                raise ValueError(f"term key {s:#x} references qubits outside [0, {self.num_qubits})")
+            if s < 0 or s.bit_length() > n:
+                raise ValueError(f"term key {s:#x} references qubits outside [0, {n})")
             if not math.isfinite(c):
                 raise ValueError("non-finite coupling")
         object.__setattr__(self, "terms", _pruned(self.terms))
@@ -256,7 +254,7 @@ def hubo_from_json(data: bytes | str) -> IsingPolynomial:
     if not is_int(n) or n < 0:
         raise CfnFormatError("num_qubits must be a non-negative integer")
     if n > MAX_QUBITS:
-        raise CapacityError(f"num_qubits {n} exceeds the {MAX_QUBITS}-qubit bitmask capacity")
+        raise CapacityError(f"num_qubits {n} exceeds the {MAX_QUBITS}-qubit word of the solve kernels")
     entries = doc.get("terms")
     if not isinstance(entries, list):
         raise CfnFormatError("missing field: terms (a list of term objects)")
@@ -265,7 +263,7 @@ def hubo_from_json(data: bytes | str) -> IsingPolynomial:
         if not isinstance(entry, dict) or "qubits" not in entry or "coeff" not in entry:
             raise CfnFormatError(f"terms[{k}] must be an object with qubits and coeff")
         mask = qubit_mask(entry["qubits"], n, f"terms[{k}].qubits")
-        coeff = _finite_float(entry["coeff"])
+        coeff = finite_float(entry["coeff"])
         if coeff is None:
             raise CfnFormatError(f"terms[{k}].coeff must be a finite number")
         terms[mask] = terms.get(mask, 0.0) + coeff
@@ -295,7 +293,9 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _finite_float(value) -> float | None:
+def finite_float(value) -> float | None:
+    """``value`` as a float if it is a finite JSON number (not a
+    boolean), else None."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return None
     try:

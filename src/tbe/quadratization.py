@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .errors import CapacityError
-from .polynomial import MAX_QUBITS, BinaryPolynomial, IsingPolynomial, qubits_of
+from .polynomial import BinaryPolynomial, IsingPolynomial, qubits_of
 from .walsh import leakage_transform, to_01_basis
 
 __all__ = ["QuboModel", "quadratize", "resolve_ancillas", "qubo_json"]
@@ -57,16 +57,9 @@ class QuboModel:
     def num_vars(self) -> int:
         return self.num_original_qubits + self.num_ancilla_qubits
 
-    def as_binary_polynomial(self) -> BinaryPolynomial:
-        return BinaryPolynomial(self.num_vars, dict(self.terms))
-
     def to_ising(self) -> IsingPolynomial:
         """Spin-basis view over originals plus ancillas."""
-        if self.num_vars > MAX_QUBITS:
-            raise CapacityError(
-                f"{self.num_vars} combined variables exceed the {MAX_QUBITS}-qubit spin view"
-            )
-        return leakage_transform(self.as_binary_polynomial())
+        return leakage_transform(BinaryPolynomial(self.num_vars, dict(self.terms)))
 
     @cached_property
     def term_order(self) -> tuple[int, ...]:

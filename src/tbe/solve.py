@@ -3,7 +3,8 @@
 Exhaustive solving enumerates every configuration (capped at 24
 qubits) and is exact; annealing runs restarts of single-flip
 Metropolis with a geometric temperature schedule, vectorized across
-restarts in lockstep so results are deterministic for a given seed.
+restarts in lockstep so results are deterministic for a given seed
+(its masks are uint64 words, so it is capped at 64 qubits).
 Solutions are decoded back to CFN assignments, re-scored against the
 true cost tables, and optionally refined by bit-flip descent on the
 full (untruncated) encoding.
@@ -18,10 +19,9 @@ import numpy as np
 
 from .cfn import Cfn, evaluate_cfn
 from .encoding import EncodingLayout, decode
-from .errors import CapacityError
 from .polynomial import IsingPolynomial, mask_to_string
 from .quadratization import QuboModel
-from .verify import MAX_ENUM_QUBITS, bitflip_descent, dense_values, mask_bits
+from .verify import bitflip_descent, dense_values, mask_bits, random_masks
 
 __all__ = ["AnnealParams", "SolveResult", "solve", "decode_and_refine", "solve_result_json"]
 
@@ -70,12 +70,6 @@ class SolveResult:
     refine_steps: int | None = None
 
 
-def _as_polynomial(target: IsingPolynomial | QuboModel) -> tuple[IsingPolynomial, int]:
-    if isinstance(target, QuboModel):
-        return target.to_ising(), target.num_original_qubits
-    return target, target.num_qubits
-
-
 def solve(
     target: IsingPolynomial | QuboModel,
     method: str = "exhaustive",
@@ -88,12 +82,11 @@ def solve(
     ties).  Annealing returns the best state seen across restarts;
     identical seeds give identical results.
     """
-    poly, num_original = _as_polynomial(target)
+    if isinstance(target, QuboModel):
+        poly, num_original = target.to_ising(), target.num_original_qubits
+    else:
+        poly, num_original = target, target.num_qubits
     if method == "exhaustive":
-        if poly.num_qubits > MAX_ENUM_QUBITS:
-            raise CapacityError(
-                f"exhaustive solve over {poly.num_qubits} qubits exceeds the 2^{MAX_ENUM_QUBITS} cap"
-            )
         values = dense_values(poly)
         vmin = float(values.min())
         best = int(np.flatnonzero(values == vmin).min())
@@ -140,6 +133,7 @@ def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple
         return 0, constant
     rng = np.random.default_rng(seed)
     restarts = params.restarts
+    masks = random_masks(rng, n, restarts)
     t0 = params.initial_temperature
     if t0 is None:
         t0 = float(np.sum(np.abs(coeffs)))
@@ -152,7 +146,6 @@ def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple
     # commutes with rounding
     flip_gain = [-2.0 * coeffs[idx] for idx in per_coord]
     active = incidence.any(axis=0)
-    masks = rng.integers(0, (1 << n) - 1, size=restarts, dtype=np.uint64, endpoint=True)
     overlap = np.bitwise_count(masks[:, None] & key_arr[None, :]).astype(np.int64)
     chi = np.where(overlap % 2 == 0, 1.0, -1.0)
     energy = chi @ coeffs + constant

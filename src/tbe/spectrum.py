@@ -54,8 +54,7 @@ def table_spectrum(cfn: Cfn, layout: EncodingLayout) -> SpectralProfile:
 
     Bins the squared coefficients of each block of ``walsh_blocks`` by
     degree (interaction modes by the sum of the two register-local
-    degrees, both nonzero).  No global mask is formed, so this works
-    past the encoder's qubit cap.
+    degrees, both nonzero).  No global mask is formed.
     """
     top = k_full(cfn, layout)
     constant, registers, interactions = walsh_blocks(cfn, layout)
@@ -80,10 +79,7 @@ def table_spectrum(cfn: Cfn, layout: EncodingLayout) -> SpectralProfile:
 
     global_bins = [0.0] * (top + 1)
     global_bins[0] = constant**2
-    for bins in unary_profiles:
-        for k in range(1, top + 1):
-            global_bins[k] += bins[k]
-    for _, _, bins in pairwise_profiles:
+    for bins in unary_profiles + [bins for _, _, bins in pairwise_profiles]:
         for k in range(1, top + 1):
             global_bins[k] += bins[k]
 

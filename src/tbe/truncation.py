@@ -81,8 +81,6 @@ def certify(poly: IsingPolynomial, k_max: int) -> TruncationCertificate:
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if not poly.terms:
-        raise ValueError("cannot certify an empty polynomial")
     n = poly.num_qubits
     epsilon = 0.0
     power_above = 0.0

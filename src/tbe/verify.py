@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError
-from .polynomial import IsingPolynomial
+from .polynomial import MAX_QUBITS, IsingPolynomial
 from .truncation import certify, truncate
-from .walsh import dense_coefficients, synthesize_values
+from .walsh import synthesize_values
 
 __all__ = [
     "TIE_RADIUS",
@@ -87,12 +87,16 @@ class LandscapeReport:
 
 
 def dense_values(poly: IsingPolynomial) -> np.ndarray:
-    """Value of the polynomial at every configuration mask."""
+    """Value of the polynomial at every configuration mask; every
+    enumeration goes through here, so this holds the one 2^24 cap."""
     if poly.num_qubits > MAX_ENUM_QUBITS:
         raise CapacityError(
             f"enumeration over {poly.num_qubits} qubits exceeds the 2^{MAX_ENUM_QUBITS} cap"
         )
-    return synthesize_values(dense_coefficients(poly))
+    coeffs = np.zeros(1 << poly.num_qubits)
+    for s, c in poly.terms.items():
+        coeffs[s] = c
+    return synthesize_values(coeffs)
 
 
 def _argmin_set(values: np.ndarray) -> tuple[float, np.ndarray]:
@@ -272,6 +276,22 @@ def check_preservation(full: IsingPolynomial, k_max: int) -> LandscapeReport:
     )
 
 
+def word_capacity(n: int) -> None:
+    """The one 64-qubit check: the anneal and refine kernels and the
+    random starting masks hold masks in ``uint64`` words."""
+    if n > MAX_QUBITS:
+        raise CapacityError(
+            f"{n} qubits exceed the {MAX_QUBITS}-qubit word of the anneal and refine kernels"
+        )
+
+
+def random_masks(rng: np.random.Generator, n: int, size: int | None = None):
+    """Uniform ``uint64`` masks over ``n`` qubits; below 64 qubits the
+    same draws as ``rng.integers(0, 1 << n, size)``."""
+    word_capacity(n)
+    return rng.integers(0, (1 << n) - 1, size=size, dtype=np.uint64, endpoint=True)
+
+
 def mask_bits(masks: np.ndarray, n: int) -> np.ndarray:
     """Boolean (len(masks) x n) matrix of the low ``n`` bits of uint64
     masks: entry (t, q) is bit q of ``masks[t]``."""
@@ -291,6 +311,7 @@ def bitflip_descent(poly: IsingPolynomial, start: int) -> tuple[int, int]:
     in that order, term by term.
     """
     n = poly.num_qubits
+    word_capacity(n)
     keys = np.array(list(poly.terms), dtype=np.uint64)
     coeffs = np.array(list(poly.terms.values()))
     term_idx, qubit_idx = np.nonzero(mask_bits(keys, n))
@@ -319,7 +340,7 @@ def basin_agreement(
     rng = np.random.default_rng(seed)
     hits = 0
     for _ in range(samples):
-        start = int(rng.integers(0, 1 << full.num_qubits))
+        start = int(random_masks(rng, full.num_qubits))
         if bitflip_descent(full, start)[0] == bitflip_descent(trunc, start)[0]:
             hits += 1
     return hits / samples
@@ -330,6 +351,7 @@ def basin_agreement(
 
 
 _FOURTH_MOMENT = {"gaussian": 3.0, "rademacher": 1.0, "uniform": 1.8}
+FAMILIES = tuple(_FOURTH_MOMENT)
 
 
 @dataclass(frozen=True)
@@ -620,7 +642,7 @@ def sign_preservation_rate(
     modes = kept + omitted
     rng = np.random.default_rng(spec.rng_seed)
     if at_mask is None:
-        at_mask = int(rng.integers(0, 1 << n)) if n else 0
+        at_mask = int(random_masks(rng, n)) if n else 0
     variances = np.array([spec.variance_profile[s] for s in modes])
     draws = _draw(rng, spec.family, variances, spec.trials)
     chi = _chi_at(modes, at_mask)

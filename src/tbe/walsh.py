@@ -21,7 +21,6 @@ from .polynomial import BinaryPolynomial, IsingPolynomial
 __all__ = [
     "fwht",
     "synthesize_values",
-    "dense_coefficients",
     "leakage_transform",
     "to_01_basis",
     "discrete_derivative",
@@ -66,16 +65,6 @@ def fwht(values, normalize: bool = True) -> np.ndarray:
 def synthesize_values(coefficients) -> np.ndarray:
     """Inverse of ``fwht``: pointwise values from a coefficient table."""
     return fwht(coefficients, normalize=False)
-
-
-def dense_coefficients(poly: IsingPolynomial) -> np.ndarray:
-    """Expand a sparse polynomial into a full 2^n coefficient table."""
-    if poly.num_qubits > 24:
-        raise CapacityError(f"dense table for {poly.num_qubits} qubits exceeds the 2^24 cap")
-    out = np.zeros(1 << poly.num_qubits)
-    for s, c in poly.terms.items():
-        out[s] = c
-    return out
 
 
 def leakage_transform(poly01: BinaryPolynomial) -> IsingPolynomial:
@@ -144,7 +133,6 @@ def pointwise_derivative_values(values: np.ndarray, subset: int) -> np.ndarray:
         if rem & 1:
             step = 1 << q
             idx = np.arange(size)
-            hi = (idx & step).astype(bool)
             plus = out[idx & ~step]
             minus = out[idx | step]
             out = (plus - minus) / 2.0

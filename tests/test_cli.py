@@ -161,11 +161,33 @@ def test_parse_error_exit_code(tmp_path):
     assert main(["compile", "--input", str(missing_kmax), "--kmax", "0"]) == 3
 
 
-def test_capacity_exit_code(tmp_path):
-    doc = {"variables": [{"name": f"v{i}", "cardinality": 256} for i in range(9)]}
+def test_capacity_exit_code(tmp_path, capsys):
+    # 18 variables of cardinality 16 are 72 qubits: compile runs, but the
+    # uint64 anneal kernel and the 2^24 enumeration refuse them
+    rng = np.random.default_rng(72)
+    doc = {
+        "variables": [{"cardinality": 16}] * 18,
+        "unary": [{"var": i, "costs": rng.normal(size=16).tolist()} for i in range(18)],
+        "pairwise": [{"vars": [i, i + 1], "costs": rng.normal(size=256).tolist()} for i in range(17)],
+    }
     path = tmp_path / "big.json"
     path.write_text(json.dumps(doc))
-    assert main(["compile", "--input", str(path), "--kmax", "2"]) == 4
+    base = ["--input", str(path), "--kmax", "2"]
+    assert main(["compile", *base]) == 0
+    capsys.readouterr()
+    assert main(["compile", *base, "--solve", "anneal", "--restarts", "2", "--sweeps", "2"]) == 4
+    assert "64-qubit" in capsys.readouterr().err
+    assert main(["verify", *base]) == 4
+    assert "2^24" in capsys.readouterr().err
+
+
+def test_zero_cost_cfn_compiles_and_verifies(tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"variables": [{"cardinality": 2}, {"cardinality": 3}]}))
+    cert = tmp_path / "cert.json"
+    assert main(["compile", "--input", str(path), "--kmax", "2", "--out-cert", str(cert)]) == 0
+    assert json.loads(cert.read_text())["epsilon"] == 0.0
+    assert main(["verify", "--input", str(path), "--kmax", "2", "--out-report", str(tmp_path / "v.json")]) == 0
 
 
 def test_missing_file_exit_code(tmp_path):
@@ -407,6 +429,55 @@ def test_ensemble_rejects_malformed_mode_qubits(tmp_path, capsys, qubits, messag
     assert re.search(message, capsys.readouterr().err)
 
 
+_PROFILE = {"n": 3, "k_max": 1, "family": "gaussian",
+            "modes": [{"qubits": [0], "pi": 1.0}, {"qubits": [1, 2], "pi": 0.5}]}
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("n", 5.5, r"\bn must"),
+        ("n", "6", r"\bn must"),
+        ("n", True, r"\bn must"),
+        ("n", -1, r"\bn must"),
+        ("k_max", 1.9, "k_max must"),
+        ("k_max", 0, "k_max must"),
+        ("family", "cauchy", "family must"),
+        ("family", ["gaussian"], "family must"),
+        ("modes", [], "modes must"),
+        ("modes", [5], r"modes\[0\] must"),
+        ("pi", float("nan"), r"modes\[1\]\.pi must"),
+        ("pi", -0.5, r"modes\[1\]\.pi must"),
+        ("pi", "0.5", r"modes\[1\]\.pi must"),
+        ("pi", 10**400, r"modes\[1\]\.pi must"),
+        (None, "{not json", "--profile"),
+        (None, "[]", "--profile"),
+    ],
+    ids=["n-float", "n-string", "n-bool", "n-negative", "k_max-float", "k_max-zero",
+         "family-unknown", "family-list", "modes-empty", "mode-not-object", "pi-nan",
+         "pi-negative", "pi-string", "pi-overflow", "not-json", "not-object"],
+)
+def test_ensemble_rejects_malformed_profile_fields(tmp_path, capsys, field, value, message):
+    doc = json.loads(json.dumps(_PROFILE))
+    if field == "pi":
+        doc["modes"][1]["pi"] = value
+    elif field is not None:
+        doc[field] = value
+    profile = tmp_path / "profile.json"
+    profile.write_text(value if field is None else json.dumps(doc))
+    assert main(["ensemble", "--profile", str(profile), "--trials", "10"]) == 3
+    assert re.search(message, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("n, code", [(64, 0), (65, 4)])
+def test_ensemble_random_start_at_and_past_64_qubits(tmp_path, n, code):
+    # the random starting mask is a uint64 word: 64 qubits fit, 65 do not
+    doc = {"n": n, "k_max": 1, "modes": [{"qubits": [n - 1], "pi": 1.0}, {"qubits": [0, n - 1], "pi": 0.1}]}
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(doc))
+    assert main(["ensemble", "--profile", str(profile), "--trials", "10"]) == code
+
+
 @pytest.mark.parametrize("policy", ["fallback:x", "penalty:x", "penalty:nan", "penalty:-1"])
 def test_malformed_unused_policy_exits_3(small_input, capsys, policy):
     assert main(["spectrum", "--input", str(small_input), "--unused", policy]) == 3
@@ -443,9 +514,9 @@ def test_compile_computes_the_spectrum_only_when_asked(small_input, tmp_path, mo
                  "--out-report", str(tmp_path / "r.json")]) == 0
 
 
-def test_spectrum_beyond_the_encoder_qubit_cap(tmp_path, capsys):
-    # a 40-variable chain of cardinality 4 is 80 qubits: over the 64-qubit
-    # cap of compile and verify, but the spectrum never forms a global mask
+def test_compile_and_spectrum_past_64_qubits(tmp_path, capsys):
+    # a 40-variable chain of cardinality 4 is 80 qubits: past the 64-qubit
+    # word of the anneal and refine kernels, which compile never runs
     rng = np.random.default_rng(80)
     doc = {
         "variables": [{"cardinality": 4}] * 40,
@@ -457,7 +528,23 @@ def test_spectrum_beyond_the_encoder_qubit_cap(tmp_path, capsys):
     assert main(["spectrum", "--input", str(path)]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert rows[0] == "k,P_k,P_k_unary,P_k_pairwise" and len(rows) == 6  # degrees 0..4
-    assert main(["compile", "--input", str(path), "--kmax", "2"]) == 4
+    out = {name: tmp_path / name for name in ("hubo", "trunc", "qubo", "spectrum", "cert", "report")}
+    argv = ["compile", "--input", str(path), "--kmax", "2", "--quadratize"]
+    for name, target in out.items():
+        argv += [f"--out-{name}", str(target)]
+    assert main(argv) == 0
+    assert all(target.exists() for target in out.values())
+    # HUBO-JSON input is capped at 64 qubits, so read the terms directly
+    hubo = json.loads(out["hubo"].read_text())
+    assert hubo["num_qubits"] == 80
+    full = [(t["qubits"], t["coeff"]) for t in hubo["terms"]]
+    mass = [0.0] * 5
+    for qubits, c in full:
+        mass[len(qubits)] += c * c
+    spectrum = [float(row.split(",")[1]) for row in out["spectrum"].read_text().splitlines()[1:]]
+    assert spectrum == pytest.approx(mass, rel=1e-12)
+    trunc = [(t["qubits"], t["coeff"]) for t in json.loads(out["trunc"].read_text())["terms"]]
+    assert trunc == [(q, c) for q, c in full if len(q) <= 2]
 
 
 def test_penalty_hubo_is_the_zero_extended_raw_cfn(tmp_path):

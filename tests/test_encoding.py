@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from tbe import (
-    CapacityError,
     Cfn,
     CfnFormatError,
     Fallback,
@@ -19,7 +18,7 @@ from tbe import (
     spin_image,
 )
 from tbe.encoding import bitstring_indicator, default_penalty_weight
-from helpers import all_assignments, random_cfn
+from helpers import all_assignments, naive_eval, random_cfn
 
 
 def _cfn_of_cards(cards, rng=None, edge_prob=1.0):
@@ -258,12 +257,19 @@ def test_penalty_zero_extension_keeps_pairwise_two_register_even_odd_cards():
         assert not any(s and s & ~reg == 0 for s in poly.terms)
 
 
-def test_encode_rejects_too_many_qubits():
-    cards = [256] * 9  # 72 qubits
-    cfn = _cfn_of_cards(cards)
+def test_encode_past_64_qubits_is_exact():
+    # masks are Python ints, so encode has no qubit cap
+    rng = np.random.default_rng(72)
+    cards = [int(c) for c in rng.integers(3, 10, size=24)]
+    cfn = _cfn_of_cards(cards, rng, edge_prob=0.1)
     layout = build_layout(cfn)
-    with pytest.raises(CapacityError, match="64"):
-        encode(cfn, layout)
+    assert layout.total_qubits > 64
+    poly = encode(cfn, layout)
+    for _ in range(20):
+        assignment = [int(rng.integers(1, c + 1)) for c in cards]
+        want = evaluate_cfn(cfn, assignment)
+        got = naive_eval(poly, spin_image(layout, assignment))
+        assert abs(got - want) <= 1e-9 * (1 + abs(want))
 
 
 def test_decode_binary_register():

@@ -17,6 +17,8 @@ from tbe import (
     mask_to_string,
     spins_to_mask,
 )
+from tbe.solve import AnnealParams, _metropolis
+from tbe.verify import bitflip_descent
 from helpers import naive_eval, qubit_list, random_polynomial
 
 
@@ -72,9 +74,19 @@ def test_degree_of_constant_polynomial_is_zero():
 
 
 def test_qubit_cap_enforced():
+    # keys are Python ints, so the polynomial itself has no qubit cap;
+    # the 64-qubit cap sits in the uint64 word kernels
+    wide = IsingPolynomial(65, {(1 << 64) | 1: 1.0, 1 << 63: -0.5})
+    with pytest.raises(ValueError, match="outside"):
+        IsingPolynomial(65, {1 << 65: 1.0})
     with pytest.raises(CapacityError, match="64"):
-        IsingPolynomial(65, {})
-    IsingPolynomial(64, {(1 << 63): 1.0})  # boundary is fine
+        bitflip_descent(wide, 0)
+    with pytest.raises(CapacityError, match="64"):
+        _metropolis(wide, AnnealParams(restarts=2, sweeps=1), 0)
+    at_cap = IsingPolynomial(64, {(1 << 63) | 1: 1.0, 1 << 63: 0.5})  # boundary is fine
+    assert bitflip_descent(at_cap, 0) == (1 << 63, 1)
+    mask, value = _metropolis(at_cap, AnnealParams(restarts=2, sweeps=20), 0)
+    assert (mask & (1 << 63 | 1), value) == (1 << 63, -1.5)  # the idle qubits keep their random start
 
 
 def test_term_key_out_of_range_rejected():

@@ -115,8 +115,10 @@ def test_certify_validates_inputs():
     poly = IsingPolynomial(3, {1: 1.0})
     with pytest.raises(ValueError, match="k_max"):
         certify(poly, 0)
-    with pytest.raises(ValueError, match="empty"):
-        certify(IsingPolynomial(3, {}), 2)
+    zero = certify(IsingPolynomial(3, {}), 2)  # the zero polynomial omits nothing
+    assert (zero.epsilon, zero.l2_residual, zero.omitted_nonzero) == (0.0, 0.0, 0)
+    assert (zero.weak_noise_floor_ratio, zero.strong_noise_floor_margin) == (0.0, 0.0)
+    assert zero.common_sign_saturation
     with pytest.raises(ValueError, match="k_max"):
         truncate(poly, 0)
 

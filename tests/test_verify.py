@@ -18,6 +18,7 @@ from tbe import (
     profile_with_margin,
     sign_preservation_rate,
 )
+from tbe.verify import random_masks
 from helpers import naive_eval, random_polynomial
 
 
@@ -139,6 +140,25 @@ def test_basin_agreement_reports_fraction():
     assert frac == 1.0  # no truncation, identical descent
     frac2 = basin_agreement(poly, 1, samples=16, seed=1)
     assert 0.0 <= frac2 <= 1.0
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("n", [5, 20, 40, 63])
+def test_random_masks_draw_as_the_int64_draw_did(n, seed):
+    old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert int(random_masks(new, n)) == int(old.integers(0, 1 << n))
+    assert new.random() == old.random()  # the stream moved on by as much
+
+
+def test_random_starts_at_and_past_64_qubits():
+    poly = IsingPolynomial(64, {(1 << 63) | 1: 1.0, 1 << 63: 0.5, 0b110: -0.25})
+    assert basin_agreement(poly, 2, samples=4, seed=0) == 1.0
+    spec = EnsembleSpec(variance_profile={1 << 63: 1.0, (1 << 63) | 1: 0.1}, trials=50)
+    assert 0.0 <= sign_preservation_rate(spec, 64, 1).rate <= 1.0
+    with pytest.raises(CapacityError, match="64"):
+        basin_agreement(IsingPolynomial(65, poly.terms), 2, samples=4)
+    with pytest.raises(CapacityError, match="64"):
+        sign_preservation_rate(spec, 65, 1)
 
 
 # ---------------------------------------------------------------------------
