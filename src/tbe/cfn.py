@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CfnFormatError
-from .polynomial import is_int
+from .polynomial import finite_float, is_int
 
 __all__ = [
     "VariableSpec",
@@ -183,12 +183,10 @@ def parse_cfn(data: bytes | str) -> Cfn:
 def _float_list(values, where: str) -> tuple[float, ...]:
     if not isinstance(values, list):
         raise CfnFormatError(f"{where} must be a list of numbers")
-    out = []
-    for x in values:
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise CfnFormatError(f"{where} must contain only numbers")
-        out.append(float(x))
-    return tuple(out)
+    out = tuple(finite_float(x) for x in values)
+    if None in out:
+        raise CfnFormatError(f"{where} must contain only finite numbers")
+    return out
 
 
 def serialize_cfn(cfn: Cfn) -> str:
@@ -203,7 +201,7 @@ def serialize_cfn(cfn: Cfn) -> str:
             for t in sorted(cfn.pairwise_tables, key=lambda t: (t.i, t.j))
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def evaluate_cfn(cfn: Cfn, assignment: list[int] | tuple[int, ...]) -> float:

@@ -301,11 +301,16 @@ def run_pipeline(args) -> int:
     if args.out_cert:
         _write(args.out_cert, certificate_json(cert))
     if args.out_report:
-        _write(args.out_report, json.dumps(report, indent=2) + "\n")
+        _write(args.out_report, json.dumps(report, indent=2, allow_nan=False) + "\n")
 
     if args.strict and not noise_ok:
         return EXIT_NOISE_FLOOR
     return EXIT_OK
+
+
+def _finite_or_none(value: float | None) -> float | None:
+    """JSON has no infinity, so an infinite gap, barrier or margin is written as null."""
+    return value if value is not None and math.isfinite(value) else None
 
 
 def run_verify(args) -> int:
@@ -320,9 +325,10 @@ def run_verify(args) -> int:
         "epsilon": report.epsilon,
         "global_min_value": report.global_min_value,
         "global_argmin": [mask_to_string(m, report.num_qubits) for m in report.global_argmin],
-        "energy_gap": report.energy_gap if math.isfinite(report.energy_gap) else None,
+        "energy_gap": _finite_or_none(report.energy_gap),
         "basin_barriers": {
-            mask_to_string(m, report.num_qubits): b for m, b in sorted(report.basin_barrier_at.items())
+            mask_to_string(m, report.num_qubits): _finite_or_none(b)
+            for m, b in sorted(report.basin_barrier_at.items())
         },
         "truncated_min_value": report.truncated_min_value,
         "truncated_argmin": [mask_to_string(m, report.num_qubits) for m in report.truncated_argmin],
@@ -333,13 +339,13 @@ def run_verify(args) -> int:
                 "claim": v.claim,
                 "precondition_held": v.precondition_held,
                 "asserted": v.asserted,
-                "margin": v.margin,
+                "margin": _finite_or_none(v.margin),
                 "details": v.details,
             }
             for v in report.verdicts
         ],
     }
-    text = json.dumps(doc, indent=2) + "\n"
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     if args.out_report:
         _write(args.out_report, text)
     else:
@@ -445,7 +451,7 @@ def run_ensemble(args) -> int:
             "rate": sign.rate,
         },
     }
-    text = json.dumps(out, indent=2) + "\n"
+    text = json.dumps(out, indent=2, allow_nan=False) + "\n"
     if args.out:
         _write(args.out, text)
     else:

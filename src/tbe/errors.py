@@ -11,7 +11,7 @@ class CfnFormatError(ValueError):
 class CapacityError(ValueError):
     """Raised when an instance exceeds a documented size cap.
 
-    Caps are explicit (64 qubits for uint64 masks, 2^24 states for
-    exhaustive enumeration, 26 coordinates per Walsh transform) rather
-    than silent truncation points.
+    Caps are explicit (2^24 states for exhaustive enumeration, 26
+    coordinates per Walsh transform, the ancilla budget of
+    quadratization) rather than silent truncation points.
     """

@@ -6,10 +6,9 @@ passed around as masks, with bit ``q`` set when spin ``q`` equals -1
 (so mask 0 is the all-plus configuration).  This matches the bit/spin
 convention ``z = 1 - 2b`` used by the encoder.
 
-Keys are Python ints, so no polynomial here has a qubit cap.  The
-64-qubit cap belongs to the kernels that pack keys into ``uint64``
-words (``verify.word_capacity``) and to ``hubo_from_json``, the input
-of ``tbe solve``, whose every method is bounded by such a word.
+Keys and configuration masks are Python ints everywhere, so nothing
+here has a qubit cap; the one qubit limit in the package is the 2^24
+states of exhaustive enumeration (``verify.dense_values``).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
-from .errors import CapacityError, CfnFormatError
+from .errors import CfnFormatError
 
 __all__ = [
     "IsingPolynomial",
@@ -34,7 +33,6 @@ __all__ = [
     "hubo_to_text",
 ]
 
-MAX_QUBITS = 64
 RELATIVE_PRUNE_TOL = 1e-14
 
 
@@ -226,7 +224,7 @@ def hubo_to_json(poly: IsingPolynomial) -> str:
     """
     items = []
     for s, c in poly.sorted_terms():
-        coeff = float.__repr__(c) if type(c) is float else json.dumps(c)
+        coeff = float.__repr__(c) if type(c) is float else json.dumps(c, allow_nan=False)
         qubits = ",\n        ".join(map(str, qubits_of(s)))
         qubits = f"[\n        {qubits}\n      ]" if s else "[]"
         items.append(f'    {{\n      "qubits": {qubits},\n      "coeff": {coeff}\n    }}')
@@ -253,8 +251,6 @@ def hubo_from_json(data: bytes | str) -> IsingPolynomial:
     n = doc.get("num_qubits")
     if not is_int(n) or n < 0:
         raise CfnFormatError("num_qubits must be a non-negative integer")
-    if n > MAX_QUBITS:
-        raise CapacityError(f"num_qubits {n} exceeds the {MAX_QUBITS}-qubit word of the solve kernels")
     entries = doc.get("terms")
     if not isinstance(entries, list):
         raise CfnFormatError("missing field: terms (a list of term objects)")

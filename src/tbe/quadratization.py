@@ -200,4 +200,4 @@ def qubo_json(model: QuboModel) -> str:
         "ancillas": [{"index": a, "parents": [p, q]} for a, (p, q) in model.ancilla_defs],
         "penalty": model.penalty_weight,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"

@@ -3,11 +3,11 @@
 Exhaustive solving enumerates every configuration (capped at 24
 qubits) and is exact; annealing runs restarts of single-flip
 Metropolis with a geometric temperature schedule, vectorized across
-restarts in lockstep so results are deterministic for a given seed
-(its masks are uint64 words, so it is capped at 64 qubits).
+restarts in lockstep so results are deterministic for a given seed.
 Solutions are decoded back to CFN assignments, re-scored against the
 true cost tables, and optionally refined by bit-flip descent on the
-full (untruncated) encoding.
+full (untruncated) encoding.  Configuration masks are Python ints, so
+neither annealing nor refinement has a qubit cap.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .cfn import Cfn, evaluate_cfn
 from .encoding import EncodingLayout, decode
 from .polynomial import IsingPolynomial, mask_to_string
 from .quadratization import QuboModel
-from .verify import bitflip_descent, dense_values, mask_bits, random_masks
+from .verify import bitflip_descent, dense_values, mask_bits, pack_masks, random_masks
 
 __all__ = ["AnnealParams", "SolveResult", "solve", "decode_and_refine", "solve_result_json"]
 
@@ -139,18 +139,18 @@ def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple
         t0 = float(np.sum(np.abs(coeffs)))
     t0 = max(t0, 1e-12)
 
-    key_arr = np.array(keys, dtype=np.uint64)
-    incidence = mask_bits(key_arr, n)
+    incidence = mask_bits(keys, n)
     per_coord = [np.flatnonzero(incidence[:, q]) for q in range(n)]
     # -2 * (c @ chi) == (-2 c) @ chi exactly: scaling by a power of two
     # commutes with rounding
     flip_gain = [-2.0 * coeffs[idx] for idx in per_coord]
     active = incidence.any(axis=0)
-    overlap = np.bitwise_count(masks[:, None] & key_arr[None, :]).astype(np.int64)
-    chi = np.where(overlap % 2 == 0, 1.0, -1.0)
+    start_bits = mask_bits(masks, n)
+    # a float product of 0/1 matrices counts overlaps exactly (each is <= n)
+    chi = np.where((start_bits.astype(float) @ incidence.astype(float).T) % 2, -1.0, 1.0)
     energy = chi @ coeffs + constant
     chi_t = np.ascontiguousarray(chi.T)
-    spins = mask_bits(masks, n).T.copy()
+    spins = start_bits.T.copy()
 
     best_energy = energy.copy()
     best_spins = spins.copy()
@@ -181,10 +181,9 @@ def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple
                         np.copyto(best_energy, energy, where=improved)
                         np.copyto(best_spins, spins, where=improved)
             temperature *= params.cooling
-    shifts = np.arange(n, dtype=np.uint64)[:, None]
-    best_masks = np.bitwise_or.reduce(best_spins.astype(np.uint64) << shifts, axis=0)
-    pick = np.lexsort((best_masks, best_energy))[0]
-    return int(best_masks[pick]), float(best_energy[pick])
+    best_masks = pack_masks(best_spins.T)
+    pick = min(range(restarts), key=lambda r: (best_energy[r], best_masks[r]))
+    return best_masks[pick], float(best_energy[pick])
 
 
 def decode_and_refine(
@@ -258,4 +257,4 @@ def solve_result_json(result: SolveResult) -> str:
         "refined_cfn_value": result.refined_cfn_value,
         "refine_steps": result.refine_steps,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"

@@ -145,7 +145,7 @@ def certificate_json(cert: TruncationCertificate) -> str:
         "strong_margin": cert.strong_noise_floor_margin,
         "common_sign_saturation": cert.common_sign_saturation,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def noise_floor_ok(

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError
-from .polynomial import MAX_QUBITS, IsingPolynomial
+from .polynomial import IsingPolynomial
 from .truncation import certify, truncate
 from .walsh import synthesize_values
 
@@ -276,27 +276,31 @@ def check_preservation(full: IsingPolynomial, k_max: int) -> LandscapeReport:
     )
 
 
-def word_capacity(n: int) -> None:
-    """The one 64-qubit check: the anneal and refine kernels and the
-    random starting masks hold masks in ``uint64`` words."""
-    if n > MAX_QUBITS:
-        raise CapacityError(
-            f"{n} qubits exceed the {MAX_QUBITS}-qubit word of the anneal and refine kernels"
-        )
-
-
 def random_masks(rng: np.random.Generator, n: int, size: int | None = None):
-    """Uniform ``uint64`` masks over ``n`` qubits; below 64 qubits the
-    same draws as ``rng.integers(0, 1 << n, size)``."""
-    word_capacity(n)
-    return rng.integers(0, (1 << n) - 1, size=size, dtype=np.uint64, endpoint=True)
+    """Uniform masks over ``n`` qubits as Python ints (a list when ``size``
+    is given), drawn a 64-bit word at a time from the low word; up to 64
+    qubits that is the one draw ``rng.integers(0, 1 << n, size)`` makes."""
+    masks = [0] * (1 if size is None else size)
+    for low in range(0, n, 64):
+        words = rng.integers(0, (1 << min(64, n - low)) - 1, size=size, dtype=np.uint64, endpoint=True)
+        masks = [m | w << low for m, w in zip(masks, np.ravel(words).tolist())]
+    return masks[0] if size is None else masks
 
 
-def mask_bits(masks: np.ndarray, n: int) -> np.ndarray:
-    """Boolean (len(masks) x n) matrix of the low ``n`` bits of uint64
-    masks: entry (t, q) is bit q of ``masks[t]``."""
-    octets = masks.astype("<u8").view(np.uint8).reshape(-1, 8)
-    return np.unpackbits(octets, axis=1, bitorder="little")[:, :n].astype(bool)
+def mask_bits(masks, n: int) -> np.ndarray:
+    """Boolean (len(masks) x n) matrix of a sequence of masks below
+    ``2^n``: entry (t, q) is bit q of ``masks[t]``."""
+    width = (n + 7) // 8
+    octets = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    octets = octets.reshape(len(masks), width)
+    return np.unpackbits(octets, axis=1, count=n, bitorder="little").view(bool)
+
+
+def pack_masks(bits: np.ndarray) -> list[int]:
+    """The masks whose bits are the rows of a boolean matrix; the
+    inverse of ``mask_bits``."""
+    octets = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in octets]
 
 
 def bitflip_descent(poly: IsingPolynomial, start: int) -> tuple[int, int]:
@@ -311,12 +315,13 @@ def bitflip_descent(poly: IsingPolynomial, start: int) -> tuple[int, int]:
     in that order, term by term.
     """
     n = poly.num_qubits
-    word_capacity(n)
-    keys = np.array(list(poly.terms), dtype=np.uint64)
+    if start < 0 or start.bit_length() > n:
+        raise ValueError("configuration mask out of range")
     coeffs = np.array(list(poly.terms.values()))
-    term_idx, qubit_idx = np.nonzero(mask_bits(keys, n))
+    incidence = mask_bits(list(poly.terms), n)
+    term_idx, qubit_idx = np.nonzero(incidence)
     mask = start
-    chi = np.where(np.bitwise_count(keys & np.uint64(mask)) % 2 == 0, 1.0, -1.0)
+    chi = np.where(np.count_nonzero(incidence & mask_bits([start], n), axis=1) % 2, -1.0, 1.0)
     steps = 0
     while n:
         contrib = -2.0 * coeffs * chi
@@ -337,12 +342,8 @@ def basin_agreement(
     the full and truncated landscapes.  Reported as a diagnostic only;
     no threshold is attached."""
     trunc = truncate(full, k_max)
-    rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(samples):
-        start = int(random_masks(rng, full.num_qubits))
-        if bitflip_descent(full, start)[0] == bitflip_descent(trunc, start)[0]:
-            hits += 1
+    starts = random_masks(np.random.default_rng(seed), full.num_qubits, samples)
+    hits = sum(bitflip_descent(full, s)[0] == bitflip_descent(trunc, s)[0] for s in starts)
     return hits / samples
 
 
@@ -642,7 +643,7 @@ def sign_preservation_rate(
     modes = kept + omitted
     rng = np.random.default_rng(spec.rng_seed)
     if at_mask is None:
-        at_mask = int(random_masks(rng, n)) if n else 0
+        at_mask = random_masks(rng, n)
     variances = np.array([spec.variance_profile[s] for s in modes])
     draws = _draw(rng, spec.family, variances, spec.trials)
     chi = _chi_at(modes, at_mask)

@@ -64,6 +64,18 @@ def test_parse_missing_unary_is_zero():
             "i < j",
         ),
         ('{"variables": [{"cardinality": 2}], "unary": [{"var": 0, "costs": [1, null]}]}', "numbers"),
+        # an integer too large for a float is out of range, not a traceback
+        pytest.param(
+            '{"variables": [{"cardinality": 2}], "unary": [{"var": 0, "costs": [0, 1%s]}]}' % ("0" * 400),
+            r"unary\[0\]\.costs must contain only finite numbers",
+            id="unary-cost-past-float-range",
+        ),
+        pytest.param(
+            '{"variables": [{"cardinality": 1}, {"cardinality": 1}],'
+            ' "pairwise": [{"vars": [0, 1], "costs": [-1%s]}]}' % ("0" * 400),
+            r"pairwise\[0\]\.costs must contain only finite numbers",
+            id="pairwise-cost-past-float-range",
+        ),
         ("not json", "invalid JSON"),
     ],
 )

@@ -162,8 +162,8 @@ def test_parse_error_exit_code(tmp_path):
 
 
 def test_capacity_exit_code(tmp_path, capsys):
-    # 18 variables of cardinality 16 are 72 qubits: compile runs, but the
-    # uint64 anneal kernel and the 2^24 enumeration refuse them
+    # 18 variables of cardinality 16 are 72 qubits: compile and anneal
+    # run, and only the 2^24 enumeration refuses them
     rng = np.random.default_rng(72)
     doc = {
         "variables": [{"cardinality": 16}] * 18,
@@ -175,8 +175,9 @@ def test_capacity_exit_code(tmp_path, capsys):
     base = ["--input", str(path), "--kmax", "2"]
     assert main(["compile", *base]) == 0
     capsys.readouterr()
-    assert main(["compile", *base, "--solve", "anneal", "--restarts", "2", "--sweeps", "2"]) == 4
-    assert "64-qubit" in capsys.readouterr().err
+    assert main(["compile", *base, "--solve", "anneal", "--restarts", "2", "--sweeps", "2"]) == 0
+    assert main(["compile", *base, "--solve", "exhaustive"]) == 4
+    assert "2^24" in capsys.readouterr().err
     assert main(["verify", *base]) == 4
     assert "2^24" in capsys.readouterr().err
 
@@ -188,6 +189,25 @@ def test_zero_cost_cfn_compiles_and_verifies(tmp_path):
     assert main(["compile", "--input", str(path), "--kmax", "2", "--out-cert", str(cert)]) == 0
     assert json.loads(cert.read_text())["epsilon"] == 0.0
     assert main(["verify", "--input", str(path), "--kmax", "2", "--out-report", str(tmp_path / "v.json")]) == 0
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("cards", [[2, 3], [1, 1]], ids=["all-zero", "zero-qubit"])
+def test_verify_report_is_strict_json(tmp_path, cards):
+    # a constant landscape has an infinite energy gap, so its margins and,
+    # with no qubit to flip, its barriers are written as null
+    path = tmp_path / "cfn.json"
+    path.write_text(json.dumps({"variables": [{"cardinality": c} for c in cards]}))
+    report = tmp_path / "verify.json"
+    assert main(["verify", "--input", str(path), "--kmax", "2", "--out-report", str(report)]) == 0
+    doc = json.loads(report.read_text(), parse_constant=_reject_constant)
+    margins = {claim["claim"]: claim["margin"] for claim in doc["claims"]}
+    assert doc["energy_gap"] is None and margins["optimum_preservation"] is None
+    if cards == [1, 1]:
+        assert doc["basin_barriers"] == {"": None} and margins["basin_preservation"] is None
 
 
 def test_missing_file_exit_code(tmp_path):
@@ -469,13 +489,13 @@ def test_ensemble_rejects_malformed_profile_fields(tmp_path, capsys, field, valu
     assert re.search(message, capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("n, code", [(64, 0), (65, 4)])
-def test_ensemble_random_start_at_and_past_64_qubits(tmp_path, n, code):
-    # the random starting mask is a uint64 word: 64 qubits fit, 65 do not
+@pytest.mark.parametrize("n", [64, 65])
+def test_ensemble_random_start_at_and_past_64_qubits(tmp_path, n):
+    # the random starting mask is a Python int drawn a 64-bit word at a time
     doc = {"n": n, "k_max": 1, "modes": [{"qubits": [n - 1], "pi": 1.0}, {"qubits": [0, n - 1], "pi": 0.1}]}
     profile = tmp_path / "profile.json"
     profile.write_text(json.dumps(doc))
-    assert main(["ensemble", "--profile", str(profile), "--trials", "10"]) == code
+    assert main(["ensemble", "--profile", str(profile), "--trials", "10"]) == 0
 
 
 @pytest.mark.parametrize("policy", ["fallback:x", "penalty:x", "penalty:nan", "penalty:-1"])
@@ -514,9 +534,8 @@ def test_compile_computes_the_spectrum_only_when_asked(small_input, tmp_path, mo
                  "--out-report", str(tmp_path / "r.json")]) == 0
 
 
-def test_compile_and_spectrum_past_64_qubits(tmp_path, capsys):
-    # a 40-variable chain of cardinality 4 is 80 qubits: past the 64-qubit
-    # word of the anneal and refine kernels, which compile never runs
+def _chain80(tmp_path):
+    """A 40-variable chain of cardinality 4: 80 qubits."""
     rng = np.random.default_rng(80)
     doc = {
         "variables": [{"cardinality": 4}] * 40,
@@ -525,6 +544,11 @@ def test_compile_and_spectrum_past_64_qubits(tmp_path, capsys):
     }
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+def test_compile_and_spectrum_past_64_qubits(tmp_path, capsys):
+    path = _chain80(tmp_path)
     assert main(["spectrum", "--input", str(path)]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert rows[0] == "k,P_k,P_k_unary,P_k_pairwise" and len(rows) == 6  # degrees 0..4
@@ -534,17 +558,36 @@ def test_compile_and_spectrum_past_64_qubits(tmp_path, capsys):
         argv += [f"--out-{name}", str(target)]
     assert main(argv) == 0
     assert all(target.exists() for target in out.values())
-    # HUBO-JSON input is capped at 64 qubits, so read the terms directly
-    hubo = json.loads(out["hubo"].read_text())
-    assert hubo["num_qubits"] == 80
-    full = [(t["qubits"], t["coeff"]) for t in hubo["terms"]]
+    hubo = hubo_from_json(out["hubo"].read_text())
+    assert hubo.num_qubits == 80
     mass = [0.0] * 5
-    for qubits, c in full:
-        mass[len(qubits)] += c * c
+    for s, c in hubo.sorted_terms():
+        mass[s.bit_count()] += c * c
     spectrum = [float(row.split(",")[1]) for row in out["spectrum"].read_text().splitlines()[1:]]
     assert spectrum == pytest.approx(mass, rel=1e-12)
-    trunc = [(t["qubits"], t["coeff"]) for t in json.loads(out["trunc"].read_text())["terms"]]
-    assert trunc == [(q, c) for q, c in full if len(q) <= 2]
+    trunc = hubo_from_json(out["trunc"].read_text())
+    assert list(trunc.terms.items()) == [(s, c) for s, c in hubo.terms.items() if s.bit_count() <= 2]
+
+
+def test_hubo_json_and_solve_past_64_qubits(tmp_path, capsys):
+    path = _chain80(tmp_path)
+    trunc = tmp_path / "trunc.json"
+    assert main(["compile", "--input", str(path), "--kmax", "2", "--out-trunc", str(trunc)]) == 0
+    assert hubo_from_json(trunc.read_text()).num_qubits == 80
+    knobs = ["--restarts", "4", "--sweeps", "20"]
+    result = tmp_path / "result.json"
+    assert main(["solve", "--hubo", str(trunc), "--method", "anneal", *knobs, "--out", str(result)]) == 0
+    assert json.loads(result.read_text())["num_qubits"] == 80
+    reports = [tmp_path / "r1.json", tmp_path / "r2.json"]
+    for report in reports:
+        argv = ["compile", "--input", str(path), "--kmax", "2", "--solve", "anneal", "--refine", *knobs]
+        assert main([*argv, "--out-report", str(report)]) == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+    solved = json.loads(reports[0].read_text())["solve"]
+    assert solved["refined_cfn_value"] <= solved["cfn_value"]
+    capsys.readouterr()
+    assert main(["solve", "--hubo", str(trunc), "--method", "exhaustive"]) == 4
+    assert "2^24" in capsys.readouterr().err
 
 
 def test_penalty_hubo_is_the_zero_extended_raw_cfn(tmp_path):

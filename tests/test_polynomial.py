@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from tbe import (
     BinaryPolynomial,
-    CapacityError,
     IsingPolynomial,
     evaluate_ising,
     hubo_from_json,
@@ -74,18 +73,17 @@ def test_degree_of_constant_polynomial_is_zero():
 
 
 def test_qubit_cap_enforced():
-    # keys are Python ints, so the polynomial itself has no qubit cap;
-    # the 64-qubit cap sits in the uint64 word kernels
+    # keys and configuration masks are Python ints, so the only qubit
+    # bound on a polynomial and its kernels is its own num_qubits
     wide = IsingPolynomial(65, {(1 << 64) | 1: 1.0, 1 << 63: -0.5})
     with pytest.raises(ValueError, match="outside"):
         IsingPolynomial(65, {1 << 65: 1.0})
-    with pytest.raises(CapacityError, match="64"):
-        bitflip_descent(wide, 0)
-    with pytest.raises(CapacityError, match="64"):
-        _metropolis(wide, AnnealParams(restarts=2, sweeps=1), 0)
-    at_cap = IsingPolynomial(64, {(1 << 63) | 1: 1.0, 1 << 63: 0.5})  # boundary is fine
-    assert bitflip_descent(at_cap, 0) == (1 << 63, 1)
-    mask, value = _metropolis(at_cap, AnnealParams(restarts=2, sweeps=20), 0)
+    assert bitflip_descent(wide, 0) == (1, 1)  # flips qubit 0, the lowest of two tied gains
+    mask, value = _metropolis(wide, AnnealParams(restarts=2, sweeps=20), 0)
+    assert value == -1.5 and mask & (1 << 64 | 1 << 63 | 1) in (1, 1 << 64)
+    at_64 = IsingPolynomial(64, {(1 << 63) | 1: 1.0, 1 << 63: 0.5})
+    assert bitflip_descent(at_64, 0) == (1 << 63, 1)
+    mask, value = _metropolis(at_64, AnnealParams(restarts=2, sweeps=20), 0)
     assert (mask & (1 << 63 | 1), value) == (1 << 63, -1.5)  # the idle qubits keep their random start
 
 
@@ -204,5 +202,4 @@ def test_term_order_is_degree_then_qubit_list(case):
     want = _reference_order(keys)
     terms = {s: 1.0 for s in keys}
     assert BinaryPolynomial(n, terms).term_order == want
-    if n <= 64:
-        assert IsingPolynomial(n, terms).term_order == want
+    assert IsingPolynomial(n, terms).term_order == want

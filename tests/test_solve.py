@@ -207,6 +207,13 @@ def test_metropolis_golden_with_idle_qubits():
     assert got == [(194, -8.923), (128, -8.225000000000001), (66, -8.923)]
 
 
+def test_metropolis_ties_go_to_the_lowest_mask():
+    # both aligned states reach -1; restarts ending in either must pick all-plus
+    poly = IsingPolynomial(2, {0b11: -1.0})
+    params = AnnealParams(restarts=8, sweeps=5)
+    assert [_metropolis(poly, params, seed) for seed in range(5)] == [(0, -1.0)] * 5
+
+
 @pytest.mark.parametrize(
     "start, full_end, trunc_end",
     [

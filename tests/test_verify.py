@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tbe import (
     CapacityError,
@@ -18,7 +20,7 @@ from tbe import (
     profile_with_margin,
     sign_preservation_rate,
 )
-from tbe.verify import random_masks
+from tbe.verify import mask_bits, pack_masks, random_masks
 from helpers import naive_eval, random_polynomial
 
 
@@ -143,11 +145,55 @@ def test_basin_agreement_reports_fraction():
 
 
 @pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("n", [5, 20, 40, 63])
+@pytest.mark.parametrize("n", [0, 5, 20, 40, 63, 64])
 def test_random_masks_draw_as_the_int64_draw_did(n, seed):
     old, new = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert int(random_masks(new, n)) == int(old.integers(0, 1 << n))
+    if n < 64:
+        want = old.integers(0, 1 << n)
+    else:  # past int64, the old draw was one uint64 word
+        want = old.integers(0, (1 << 64) - 1, dtype=np.uint64, endpoint=True)
+    assert random_masks(new, n) == int(want)
     assert new.random() == old.random()  # the stream moved on by as much
+
+
+@pytest.mark.parametrize("n", [65, 128, 200])
+def test_random_masks_past_64_qubits_extend_the_low_word(n):
+    low, wide = np.random.default_rng(3), np.random.default_rng(3)
+    words = random_masks(low, 64, 5)
+    masks = random_masks(wide, n, 5)
+    assert [m & ((1 << 64) - 1) for m in masks] == words
+    assert all(0 <= m < 1 << n for m in masks)
+    assert len({m >> 64 for m in masks}) > 1  # the high words are drawn too
+
+
+_masks_over_n_qubits = st.integers(0, 200).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_masks_over_n_qubits)
+def test_mask_bits_and_pack_masks_round_trip(case):
+    n, masks = case
+    bits = mask_bits(masks, n)
+    assert bits.shape == (len(masks), n) and bits.dtype == bool
+    assert [[(m >> q) & 1 == 1 for q in range(n)] for m in masks] == bits.tolist()
+    assert pack_masks(bits) == masks
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10), st.integers(0, 2**32 - 1))
+def test_bitflip_descent_past_64_qubits_is_the_shifted_descent(n, seed):
+    rng = np.random.default_rng(seed)
+    poly = random_polynomial(rng, n, 3 * n + 1)
+    start = int(rng.integers(0, 1 << n))
+    end, steps = bitflip_descent(poly, start)
+    assert bitflip_descent(poly.shifted(70, n + 70), start << 70) == (end << 70, steps)
+
+
+def test_bitflip_descent_rejects_a_start_past_its_qubits():
+    with pytest.raises(ValueError, match="out of range"):
+        bitflip_descent(IsingPolynomial(3, {1: 1.0}), 1 << 3)
 
 
 def test_random_starts_at_and_past_64_qubits():
@@ -155,10 +201,9 @@ def test_random_starts_at_and_past_64_qubits():
     assert basin_agreement(poly, 2, samples=4, seed=0) == 1.0
     spec = EnsembleSpec(variance_profile={1 << 63: 1.0, (1 << 63) | 1: 0.1}, trials=50)
     assert 0.0 <= sign_preservation_rate(spec, 64, 1).rate <= 1.0
-    with pytest.raises(CapacityError, match="64"):
-        basin_agreement(IsingPolynomial(65, poly.terms), 2, samples=4)
-    with pytest.raises(CapacityError, match="64"):
-        sign_preservation_rate(spec, 65, 1)
+    # masks are Python ints, so the same calls run past the old 64-bit word
+    assert basin_agreement(IsingPolynomial(65, poly.terms), 2, samples=4) == 1.0
+    assert 0.0 <= sign_preservation_rate(spec, 65, 1).rate <= 1.0
 
 
 # ---------------------------------------------------------------------------
