@@ -34,13 +34,9 @@ from .errors import CapacityError, CfnFormatError
 from .polynomial import (
     BinaryPolynomial,
     IsingPolynomial,
-    evaluate_ising,
     hubo_from_json,
     hubo_to_json,
-    hubo_to_text,
-    mask_to_spins,
     mask_to_string,
-    spins_to_mask,
 )
 from .quadratization import QuboModel, quadratize, qubo_json, resolve_ancillas
 from .solve import AnnealParams, SolveResult, decode_and_refine, solve

@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .cfn import Cfn, parse_cfn
 from .encoding import EncodingLayout, Fallback, Penalty, build_layout, encode, k_full
 from .errors import CapacityError, CfnFormatError
 from .polynomial import finite_float, hubo_from_json, hubo_to_json, is_int, mask_to_string, qubit_mask
-from .quadratization import quadratize, qubo_json
+from .quadratization import quadratize, qubo_json, resolve_ancillas
 from .solve import AnnealParams, decode_and_refine, solve, solve_result_json
 from .spectrum import spectrum_csv, table_spectrum
 from .truncation import certificate_json, certify, noise_floor_ok, truncate
@@ -232,11 +233,18 @@ def run_pipeline(args) -> int:
     corollary_block = None
     if args.solve:
         params = _anneal_params(args)
-        target = qubo if qubo is not None else truncated
+        exhaustive = args.solve == "exhaustive"
+        target = qubo if qubo is not None and not exhaustive else truncated
         result = solve(target, method=args.solve, seed=args.seed, anneal=params)
+        if qubo is not None and exhaustive:
+            # the QUBO's minimum over its ancillas is the truncation's,
+            # reached where each ancilla is its parents' product
+            result = replace(
+                result, num_qubits=qubo.num_vars, best_spin=resolve_ancillas(qubo, result.best_spin)
+            )
         result = decode_and_refine(result, layout, cfn, full_poly=full, refine=args.refine)
         solve_block = json.loads(solve_result_json(result))
-        if args.solve == "exhaustive" and all(result.decoded_valid):
+        if exhaustive and all(result.decoded_valid):
             opt = _true_optimum(cfn)
             if opt is not None:
                 best_value, best_assignment = opt
@@ -360,6 +368,10 @@ def _anneal_params(args) -> AnnealParams:
         raise CfnFormatError(f"--cooling must be in (0, 1], got {args.cooling!r}")
     if args.t0 is not None and not (math.isfinite(args.t0) and args.t0 > 0):
         raise CfnFormatError(f"--t0 must be a finite number > 0, got {args.t0!r}")
+    if args.restarts is not None and args.restarts < 1:
+        raise CfnFormatError(f"--restarts must be >= 1, got {args.restarts!r}")
+    if args.sweeps is not None and args.sweeps < 0:
+        raise CfnFormatError(f"--sweeps must be >= 0, got {args.sweeps!r}")
     return AnnealParams(
         restarts=args.restarts if args.restarts is not None else AnnealParams.restarts,
         sweeps=args.sweeps if args.sweeps is not None else AnnealParams.sweeps,

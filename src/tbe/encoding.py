@@ -78,15 +78,13 @@ class EncodingLayout:
     """Register geometry plus the choice-to-bitstring maps.
 
     ``assignments[i][c-1]`` is the bitstring (as an int, bit q = qubit
-    q of the register) encoding choice c of variable i;
-    ``sign_vectors[i][c-1]`` is the corresponding +/-1 spin pattern.
+    q of the register) encoding choice c of variable i.
     """
 
     register_widths: tuple[int, ...]
     register_offsets: tuple[int, ...]
     total_qubits: int
     assignments: tuple[tuple[int, ...], ...]
-    sign_vectors: tuple[tuple[tuple[int, ...], ...], ...]
     unused_policy: Fallback | Penalty
 
     def __post_init__(self) -> None:
@@ -100,11 +98,6 @@ class EncodingLayout:
                 if bits in seen:
                     raise CfnFormatError(f"non-injective custom map for variable {i}")
                 seen.add(bits)
-                signs = self.sign_vectors[i][c]
-                if len(signs) != width or any(
-                    signs[q] != 1 - 2 * ((bits >> q) & 1) for q in range(width)
-                ):
-                    raise CfnFormatError(f"sign vector mismatch for variable {i} choice {c + 1}")
 
     @property
     def num_variables(self) -> int:
@@ -176,19 +169,11 @@ def build_layout(
                 raise CfnFormatError(
                     f"fallback choice {unused_policy.choice} out of range for variable {i}"
                 )
-    signs = tuple(
-        tuple(
-            tuple(1 - 2 * ((bits >> q) & 1) for q in range(widths[i]))
-            for bits in assignments[i]
-        )
-        for i in range(cfn.num_variables)
-    )
     return EncodingLayout(
         register_widths=tuple(widths),
         register_offsets=tuple(offsets),
         total_qubits=total,
         assignments=tuple(assignments),
-        sign_vectors=signs,
         unused_policy=unused_policy,
     )
 
@@ -250,53 +235,30 @@ def walsh_blocks(
     valid or not.
     """
     policy = layout.unused_policy
-    penalty_weight = None
     if isinstance(policy, Penalty):
-        penalty_weight = policy.weight if policy.weight is not None else default_penalty_weight(cfn)
+        pad = policy.weight if policy.weight is not None else default_penalty_weight(cfn)
+    else:
+        pad = 0.0  # never read: Fallback sends unused bitstrings to a choice
 
-    # choice lookup per register: bitstring -> 0-based choice, or -1 for unused
-    choice_of: list[np.ndarray] = []
+    # per register, bitstring -> row of its padded table: the 0-based
+    # choice, else the fallback choice or, under Penalty, the pad row
+    rows: list[np.ndarray] = []
     for i in range(cfn.num_variables):
-        lookup = np.full(1 << layout.register_widths[i], -1, dtype=np.int64)
-        for c0, bits in enumerate(layout.assignments[i]):
-            lookup[bits] = c0
-        choice_of.append(lookup)
+        card = layout.cardinality(i)
+        fill = card if isinstance(policy, Penalty) else layout.fallback_choice(i) - 1
+        lookup = np.full(1 << layout.register_widths[i], fill)
+        lookup[list(layout.assignments[i])] = np.arange(card)
+        rows.append(lookup)
 
-    tables: list[np.ndarray] = []
-    for i in range(cfn.num_variables):
-        table = np.asarray(cfn.unary_tables[i], dtype=float)
-        lookup = choice_of[i]
-        if penalty_weight is None:
-            fb = layout.fallback_choice(i) - 1
-            idx = np.where(lookup >= 0, lookup, fb)
-            tables.append(table[idx])
-        else:
-            ext = np.full(lookup.size, penalty_weight, dtype=float)
-            valid = lookup >= 0
-            ext[valid] = table[lookup[valid]]
-            tables.append(ext)
-
+    tables = [np.append(np.asarray(t, dtype=float), pad)[r] for t, r in zip(cfn.unary_tables, rows)]
     constant = 0.0
     interactions: list[tuple[int, int, np.ndarray]] = []
     for t in cfn.pairwise_tables:
         di = cfn.cardinality(t.i)
         dj = cfn.cardinality(t.j)
-        wi = layout.register_widths[t.i]
-        wj = layout.register_widths[t.j]
-        base = np.asarray(t.costs, dtype=float).reshape(di, dj)
-        lookup_i = choice_of[t.i]
-        lookup_j = choice_of[t.j]
-        if penalty_weight is None:
-            fi = layout.fallback_choice(t.i) - 1
-            fj = layout.fallback_choice(t.j) - 1
-            rows = np.where(lookup_i >= 0, lookup_i, fi)
-            cols = np.where(lookup_j >= 0, lookup_j, fj)
-            grid = base[np.ix_(rows, cols)]
-        else:
-            grid = np.zeros((1 << wi, 1 << wj))
-            vi = lookup_i >= 0
-            vj = lookup_j >= 0
-            grid[np.ix_(vi, vj)] = base[np.ix_(lookup_i[vi], lookup_j[vj])]
+        padded = np.zeros((di + 1, dj + 1))
+        padded[:di, :dj] = np.asarray(t.costs, dtype=float).reshape(di, dj)
+        grid = padded[np.ix_(rows[t.i], rows[t.j])]
         row_means = grid.mean(axis=1)  # function of the register-i bitstring
         col_means = grid.mean(axis=0)
         grand = float(grid.mean())
@@ -305,7 +267,7 @@ def walsh_blocks(
         tables[t.j] = tables[t.j] + (col_means - grand)
         constant += grand
         # transform with register-i bits low: joint index ti | (tj << wi)
-        coeffs = fwht(grid.T.reshape(-1)).reshape(1 << wj, 1 << wi)
+        coeffs = fwht(grid.T.reshape(-1)).reshape(grid.shape[::-1])
         interactions.append((t.i, t.j, coeffs[1:, 1:]))
 
     registers: list[np.ndarray] = []
@@ -351,23 +313,14 @@ def spin_image(layout: EncodingLayout, assignment: Sequence[int]) -> int:
     return mask
 
 
-def decode(layout: EncodingLayout, z: Sequence[int] | int) -> tuple[list[int], list[bool]]:
-    """Recover the choice assignment from a spin configuration.
+def decode(layout: EncodingLayout, mask: int) -> tuple[list[int], list[bool]]:
+    """Recover the choice assignment from a configuration mask.
 
-    Accepts a +/-1 spin vector or a configuration mask.  Registers
-    landing on unused bitstrings are flagged invalid and resolved by
-    the layout's policy: Fallback substitutes its designated choice;
-    Penalty substitutes the valid bitstring at smallest Hamming
-    distance (ties broken by lowest choice index).
+    Registers landing on unused bitstrings are flagged invalid and
+    resolved by the layout's policy: Fallback substitutes its
+    designated choice; Penalty substitutes the valid bitstring at
+    smallest Hamming distance (ties broken by lowest choice index).
     """
-    if isinstance(z, int):
-        mask = z
-    else:
-        if len(z) != layout.total_qubits:
-            raise ValueError(f"spin vector length {len(z)} != {layout.total_qubits}")
-        from .polynomial import spins_to_mask
-
-        mask = spins_to_mask(z)
     assignment: list[int] = []
     valid: list[bool] = []
     for i in range(layout.num_variables):

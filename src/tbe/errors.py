@@ -12,6 +12,6 @@ class CapacityError(ValueError):
     """Raised when an instance exceeds a documented size cap.
 
     Caps are explicit (2^24 states for exhaustive enumeration, 26
-    coordinates per Walsh transform, the ancilla budget of
-    quadratization) rather than silent truncation points.
+    coordinates per Walsh transform, 16 per smoothness scan) rather
+    than silent truncation points.
     """

@@ -17,38 +17,19 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from .errors import CfnFormatError
 
 __all__ = [
     "IsingPolynomial",
     "BinaryPolynomial",
-    "evaluate_ising",
-    "spins_to_mask",
-    "mask_to_spins",
     "mask_to_string",
     "hubo_to_json",
     "hubo_from_json",
-    "hubo_to_text",
 ]
 
 RELATIVE_PRUNE_TOL = 1e-14
-
-
-def spins_to_mask(spins: Sequence[int]) -> int:
-    """Pack a +/-1 spin vector into a mask (bit set where spin is -1)."""
-    mask = 0
-    for q, z in enumerate(spins):
-        if z == -1:
-            mask |= 1 << q
-        elif z != 1:
-            raise ValueError(f"spin value {z!r} at position {q} is not +1/-1")
-    return mask
-
-
-def mask_to_spins(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(-1 if (mask >> q) & 1 else 1 for q in range(n))
 
 
 def mask_to_string(mask: int, n: int) -> str:
@@ -121,11 +102,6 @@ class IsingPolynomial:
             total += c if (s & mask).bit_count() % 2 == 0 else -c
         return total
 
-    def evaluate(self, spins: Sequence[int]) -> float:
-        if len(spins) != self.num_qubits:
-            raise ValueError(f"spin vector length {len(spins)} != {self.num_qubits}")
-        return self.evaluate_mask(spins_to_mask(spins))
-
     def shifted(self, offset: int, num_qubits: int) -> "IsingPolynomial":
         """Re-index all variables by ``offset`` into a wider space."""
         return IsingPolynomial(num_qubits, {s << offset: c for s, c in self.terms.items()})
@@ -142,11 +118,6 @@ class IsingPolynomial:
         """Variance over the uniform hypercube: sum of squared
         non-constant couplings."""
         return sum(c * c for s, c in self.terms.items() if s != 0)
-
-
-def evaluate_ising(poly: IsingPolynomial, spins: Sequence[int]) -> float:
-    """Value of the polynomial at a +/-1 spin vector."""
-    return poly.evaluate(spins)
 
 
 def _canonical_order(terms: Mapping[int, float]) -> tuple[int, ...]:
@@ -300,12 +271,3 @@ def finite_float(value) -> float | None:
         return None
     return out if math.isfinite(out) else None
 
-
-def hubo_to_text(poly: IsingPolynomial) -> str:
-    """Plain-text form: one term per line, ``coeff q1 q2 ... qk``; the
-    constant term has an empty qubit list."""
-    lines = []
-    for s, c in poly.sorted_terms():
-        qubits = " ".join(map(str, qubits_of(s)))
-        lines.append(f"{c!r} {qubits}".rstrip())
-    return "\n".join(lines) + "\n"

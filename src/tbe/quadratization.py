@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .errors import CapacityError
 from .polynomial import BinaryPolynomial, IsingPolynomial, qubits_of
 from .walsh import leakage_transform, to_01_basis
 
@@ -74,7 +73,7 @@ class QuboModel:
         return total
 
 
-def quadratize(poly: IsingPolynomial, max_ancillas: int = 4096) -> QuboModel:
+def quadratize(poly: IsingPolynomial) -> QuboModel:
     """Reduce a spin polynomial to a quadratic 0/1 model.
 
     Degree <= 2 inputs pass through with zero ancillas.  For every
@@ -97,6 +96,11 @@ def quadratize(poly: IsingPolynomial, max_ancillas: int = 4096) -> QuboModel:
     then costs more than any value swing the cost part can produce.
     (Folding the gadget terms themselves into the norm would inflate the
     weight geometrically per ancilla and wreck float precision.)
+
+    The ancillas need no budget: a substitution lowers by one the degree
+    of every monomial holding its pair, and at least one such monomial
+    has degree > 2, so there are at most as many ancillas as the sum of
+    (degree - 2) over the input's monomials of degree > 2.
     """
     base = to_01_basis(poly)
     # cost monomials by position; a substitution renames keys in place,
@@ -121,8 +125,6 @@ def quadratize(poly: IsingPolynomial, max_ancillas: int = 4096) -> QuboModel:
         if len(holders.get((i, j), ())) != -neg_count:
             heapq.heappop(heap)
             continue
-        if len(ancilla_defs) >= max_ancillas:
-            raise CapacityError(f"ancilla budget {max_ancillas} exceeded")
         if not ancilla_defs:
             penalty = 1.0 + 2.0 * sum(abs(c) for s, c in base.terms.items() if s)
         y = n + len(ancilla_defs)

@@ -2,6 +2,7 @@ import json
 import math
 import re
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -429,6 +430,14 @@ def test_t0_not_finite_positive_exits_3(small_input, tmp_path, capsys, command, 
 
 def test_anneal_knobs_at_their_limits_accepted(tmp_path):
     assert main(_short_anneal("solve", None, tmp_path) + ["--cooling", "1", "--t0", "1e-300"]) == 0
+    assert main(_short_anneal("solve", None, tmp_path) + ["--restarts", "1", "--sweeps", "0"]) == 0
+
+
+@pytest.mark.parametrize("command", ["compile", "solve"])
+@pytest.mark.parametrize("flag, value", [("--restarts", "0"), ("--restarts", "-1"), ("--sweeps", "-1")])
+def test_restarts_and_sweeps_out_of_range_exit_3(small_input, tmp_path, capsys, command, flag, value):
+    assert main(_short_anneal(command, small_input, tmp_path) + [flag, value]) == 3
+    assert flag in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -610,3 +619,25 @@ def test_penalty_hubo_is_the_zero_extended_raw_cfn(tmp_path):
     poly = hubo_from_json(hubo.read_bytes())
     truth = assemble_truth_table(cfn, build_layout(cfn, unused_policy=Penalty()))
     assert np.abs(dense_values(poly) - truth).max() <= 1e-9
+
+
+def test_quadratized_exhaustive_solve_enumerates_the_original_qubits(tmp_path):
+    # the demo's QUBO has 31 qubits, past the 2^24 enumeration cap; the
+    # truncation's 10 are enumerated and the ancillas set to products
+    demo = Path(__file__).resolve().parent.parent / "demos" / "data" / "two_card32.json"
+    base = ["compile", "--input", str(demo), "--kmax", "3", "--solve", "exhaustive"]
+    plain, quad, qubo = tmp_path / "plain.json", tmp_path / "quad.json", tmp_path / "qubo.json"
+    assert main(base + ["--out-report", str(plain)]) == 0
+    assert main(base + ["--quadratize", "--out-report", str(quad), "--out-qubo", str(qubo)]) == 0
+    plain, quad = json.loads(plain.read_text()), json.loads(quad.read_text())
+    assert quad["solve"]["num_qubits"] == 10 + quad["quadratization"]["num_ancillas"] == 31
+    assert quad["solve"]["num_original_qubits"] == 10
+    assert quad["solve"]["decoded_assignment"] == [12, 25]
+    for key in ("best_value", "cfn_value"):
+        assert quad["solve"][key] == plain["solve"][key]
+    assert quad["corollary_check"] == plain["corollary_check"]
+    spins = quad["solve"]["best_spin"]
+    assert spins[:10] == plain["solve"]["best_spin"]
+    for ancilla in json.loads(qubo.read_text())["ancillas"]:
+        p, q = ancilla["parents"]
+        assert (spins[ancilla["index"]] == "-") == (spins[p] == spins[q] == "-")

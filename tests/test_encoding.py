@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tbe import (
     Cfn,
@@ -15,10 +17,12 @@ from tbe import (
     evaluate_cfn,
     indicator_expansion,
     k_full,
+    mask_to_string,
     spin_image,
 )
 from tbe.encoding import bitstring_indicator, default_penalty_weight
-from helpers import all_assignments, naive_eval, random_cfn
+from tbe.verify import dense_values
+from helpers import all_assignments, assemble_truth_table, naive_eval, random_cfn
 
 
 def _cfn_of_cards(cards, rng=None, edge_prob=1.0):
@@ -56,8 +60,8 @@ def test_standard_binary_assignment_card3():
     layout = build_layout(_cfn_of_cards([3]))
     assert layout.assignments[0] == (0b00, 0b01, 0b10)
     # bit order is q=0 first: choice 2 -> bits (1, 0), choice 3 -> (0, 1)
-    assert layout.sign_vectors[0][1] == (-1, 1)
-    assert layout.sign_vectors[0][2] == (1, -1)
+    assert mask_to_string(spin_image(layout, [2]), 2) == "-+"
+    assert mask_to_string(spin_image(layout, [3]), 2) == "+-"
     assert layout.num_unused(0) == 1
 
 
@@ -274,7 +278,7 @@ def test_encode_past_64_qubits_is_exact():
 
 def test_decode_binary_register():
     layout = build_layout(_cfn_of_cards([2]))
-    assignment, valid = decode(layout, [1])
+    assignment, valid = decode(layout, 0)
     assert assignment == [1] and valid == [True]
 
 
@@ -305,12 +309,6 @@ def test_decode_round_trip_every_choice():
         assert all(valid)
 
 
-def test_decode_accepts_spin_vector():
-    layout = build_layout(_cfn_of_cards([2, 2]))
-    assignment, valid = decode(layout, [-1, 1])
-    assert assignment == [2, 1]
-
-
 def test_default_penalty_weight_covers_value_range():
     rng = np.random.default_rng(10)
     cfn = random_cfn(rng, max_vars=3, max_card=4, edge_prob=1.0)
@@ -328,4 +326,51 @@ def test_cardinality_one_register_has_zero_width():
         assignment = list(assignment)
         assert poly.evaluate_mask(spin_image(layout, assignment)) == pytest.approx(
             evaluate_cfn(cfn, assignment)
+        )
+
+
+@st.composite
+def _policy_layouts(draw):
+    """A CFN of 1-3 variables with cardinalities 1-9 (so width-0
+    registers too), laid out by binary, gray or a random injective map
+    under every form of both unused policies."""
+    cards = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cfn = _cfn_of_cards(cards, rng, edge_prob=draw(st.sampled_from([0.0, 0.5, 1.0])))
+    strategy = draw(st.sampled_from(["binary", "gray", "custom"]))
+    if strategy == "custom":
+        strategy = [
+            draw(st.permutations(range(1 << max(c - 1, 0).bit_length())))[:c] for c in cards
+        ]
+    policy = draw(
+        st.one_of(
+            st.just(Fallback()),
+            st.integers(1, min(cards)).map(lambda c: Fallback(choice=c)),
+            st.just(Penalty()),
+            st.floats(0.0, 100.0).map(lambda w: Penalty(weight=w)),
+        )
+    )
+    return cfn, build_layout(cfn, strategy, policy)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_policy_layouts())
+def test_encoding_is_the_policy_extended_table_everywhere(case):
+    # every configuration, unused bitstrings included, under any fill
+    # choice or weight
+    cfn, layout = case
+    got = dense_values(encode(cfn, layout))
+    want = assemble_truth_table(cfn, layout)
+    scale = 1.0 + float(np.max(np.abs(want)))
+    assert np.max(np.abs(got - want)) <= 1e-9 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(_policy_layouts())
+def test_decode_inverts_spin_image(case):
+    cfn, layout = case
+    for assignment in all_assignments(cfn):
+        assert decode(layout, spin_image(layout, assignment)) == (
+            list(assignment),
+            [True] * cfn.num_variables,
         )

@@ -8,13 +8,9 @@ from hypothesis import strategies as st
 from tbe import (
     BinaryPolynomial,
     IsingPolynomial,
-    evaluate_ising,
     hubo_from_json,
     hubo_to_json,
-    hubo_to_text,
-    mask_to_spins,
     mask_to_string,
-    spins_to_mask,
 )
 from tbe.solve import AnnealParams, _metropolis
 from tbe.verify import bitflip_descent
@@ -23,12 +19,12 @@ from helpers import naive_eval, qubit_list, random_polynomial
 
 def test_empty_polynomial_evaluates_to_zero():
     poly = IsingPolynomial(3, {})
-    assert evaluate_ising(poly, [1, -1, 1]) == 0.0
+    assert poly.evaluate_mask(0b010) == 0.0
 
 
 def test_two_term_evaluation():
     poly = IsingPolynomial(3, {0: 1.0, 0b11: 2.0})
-    assert evaluate_ising(poly, [-1, -1, -1]) == 3.0
+    assert poly.evaluate_mask(0b111) == 3.0
 
 
 def test_random_evaluation_matches_naive_products():
@@ -39,25 +35,13 @@ def test_random_evaluation_matches_naive_products():
         mask = int(rng.integers(0, 1 << n))
         got = poly.evaluate_mask(mask)
         assert got == pytest.approx(naive_eval(poly, mask), rel=1e-12, abs=1e-12)
-        assert evaluate_ising(poly, list(mask_to_spins(mask, n))) == pytest.approx(got)
 
 
 def test_spin_mask_round_trip():
-    spins = (1, -1, -1, 1, -1)
-    mask = spins_to_mask(spins)
-    assert mask == 0b10110
-    assert mask_to_spins(mask, 5) == spins
-    assert mask_to_string(mask, 5) == "+--+-"
-
-
-def test_bad_spin_value_rejected():
-    with pytest.raises(ValueError, match="not \\+1/-1"):
-        spins_to_mask([1, 0])
-
-
-def test_length_mismatch_rejected():
-    with pytest.raises(ValueError, match="length"):
-        IsingPolynomial(3, {1: 1.0}).evaluate([1, 1])
+    # bit q set means spin q is -1; the string shows qubit 0 first
+    assert mask_to_string(0b10110, 5) == "+--+-"
+    assert mask_to_string(0, 3) == "+++"
+    assert mask_to_string(0, 0) == ""
 
 
 def test_degree_and_pruning():
@@ -118,13 +102,6 @@ def test_hubo_json_term_order_is_degree_then_lexicographic():
     poly = IsingPolynomial(3, {0b111: 1.0, 0b1: 2.0, 0: 3.0, 0b110: 4.0})
     doc = json.loads(hubo_to_json(poly))
     assert [entry["qubits"] for entry in doc["terms"]] == [[], [0], [1, 2], [0, 1, 2]]
-
-
-def test_hubo_text_form():
-    poly = IsingPolynomial(2, {0: 1.5, 0b11: -2.0})
-    lines = hubo_to_text(poly).splitlines()
-    assert lines[0] == "1.5"
-    assert lines[1] == "-2.0 0 1"
 
 
 def test_binary_polynomial_evaluation():

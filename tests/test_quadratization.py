@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tbe import CapacityError, IsingPolynomial, quadratize, qubo_json, resolve_ancillas, truncate
+from tbe import IsingPolynomial, quadratize, qubo_json, resolve_ancillas, truncate
 from helpers import random_polynomial, reference_quadratize
 
 
@@ -76,13 +76,6 @@ def test_deterministic_pair_selection():
     rng = np.random.default_rng(49)
     poly = random_polynomial(rng, 8, 20, max_degree=5)
     assert quadratize(poly).ancilla_defs == quadratize(poly).ancilla_defs
-
-
-def test_ancilla_budget_enforced():
-    rng = np.random.default_rng(50)
-    poly = random_polynomial(rng, 10, 40, max_degree=6)
-    with pytest.raises(CapacityError, match="budget"):
-        quadratize(poly, max_ancillas=1)
 
 
 def test_to_ising_view_matches_bits():
