@@ -209,9 +209,15 @@ def _true_optimum(cfn: Cfn) -> tuple[float, tuple[int, ...]] | None:
     return float(values.flat[best]), tuple(int(c) + 1 for c in np.unravel_index(best, cards))
 
 
+def _check_seed(args) -> None:
+    if args.seed < 0:
+        raise CfnFormatError(f"--seed must be >= 0, got {args.seed!r}")
+
+
 def run_pipeline(args) -> int:
     if args.kmax < 1:
         raise CfnFormatError("--kmax must be >= 1")
+    _check_seed(args)
     cfn, layout = _prepare(args)
     full = encode(cfn, layout)
     cert = certify(full, args.kmax)
@@ -381,6 +387,7 @@ def _anneal_params(args) -> AnnealParams:
 
 
 def run_solve(args) -> int:
+    _check_seed(args)
     with open(args.hubo, "rb") as fh:
         poly = hubo_from_json(fh.read())
     params = _anneal_params(args)
@@ -394,6 +401,9 @@ def run_solve(args) -> int:
 
 
 def run_ensemble(args) -> int:
+    _check_seed(args)
+    if args.trials < 1:
+        raise CfnFormatError(f"--trials must be >= 1, got {args.trials!r}")
     with open(args.profile, "rb") as fh:
         try:
             doc = json.load(fh)
@@ -404,6 +414,8 @@ def run_ensemble(args) -> int:
     n = doc.get("n")
     if not is_int(n) or n < 0:
         raise CfnFormatError(f"n must be an integer >= 0, got {n!r}")
+    if not 0 <= args.coordinate < n:
+        raise CfnFormatError(f"--coordinate must be in [0, {n}), got {args.coordinate!r}")
     cutoff = doc.get("k_max")
     if not is_int(cutoff) or cutoff < 1:
         raise CfnFormatError(f"k_max must be an integer >= 1, got {cutoff!r}")

@@ -1,9 +1,14 @@
 """Desk-scale minimization of spin polynomials and quadratic models.
 
 Exhaustive solving enumerates every configuration (capped at 24
-qubits) and is exact; annealing runs restarts of single-flip
-Metropolis with a geometric temperature schedule, vectorized across
-restarts in lockstep so results are deterministic for a given seed.
+qubits) and is exact; annealing runs restarts of colour-class
+Metropolis with a geometric temperature schedule: qubits that share no
+term form a class, and a sweep visits the classes in a random order,
+proposing a flip of every qubit of a class in one step.  Restarts run
+in lockstep, so results are deterministic for a given seed; the RNG
+stream is the start masks, then per sweep one permutation of the
+classes and one uniform per restart for each qubit that appears in a
+term, in class order.
 Solutions are decoded back to CFN assignments, re-scored against the
 true cost tables, and optionally refined by bit-flip descent on the
 full (untruncated) encoding.  Configuration masks are Python ints, so
@@ -113,16 +118,57 @@ def solve(
     )
 
 
-def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple[int, float]:
-    """Lockstep single-flip Metropolis over all restarts.
+def _colour_classes(incidence: np.ndarray) -> list[np.ndarray]:
+    """Independent sets of the qubit graph, in colour order.
 
-    Per sweep the RNG yields one permutation of the coordinates, then
-    one uniform per restart for each coordinate that appears in a term,
-    in permutation order; drawing them as one block gives the same
-    stream.  Term characters are held term-major (terms x restarts) and
-    spins as a boolean (qubits x restarts) array: a proposal gathers its
-    coordinate's rows once, negates the accepted restarts' columns in
-    place and writes the rows back; the best masks are packed once, at
+    Two qubits are adjacent when they share a term (a column pair of
+    the terms x qubits ``incidence`` with a common row).  DSATUR colours
+    the qubits that appear in some term: it repeatedly takes the
+    uncoloured qubit whose neighbours show the most distinct colours
+    (then the highest degree, then the lowest index) and gives it the
+    lowest colour none of them has.  Qubits in no term get no class.
+    Each class lists its qubits in increasing order.
+    """
+    n = incidence.shape[1]
+    neighbours = [np.flatnonzero(incidence[incidence[:, q]].any(axis=0)) for q in range(n)]
+    neighbours = [nb[nb != q] for q, nb in enumerate(neighbours)]
+    degree = np.array([nb.size for nb in neighbours], dtype=np.int64)
+    saturation = np.zeros(n, dtype=np.int64)
+    # seen[q, c]: some neighbour of q has colour c; a qubit never needs
+    # a colour above its degree
+    seen = np.zeros((n, int(degree.max()) + 1), dtype=bool)
+    colour = np.full(n, -1)
+    pending = incidence.any(axis=0)
+    for _ in range(int(np.count_nonzero(pending))):
+        # degree < n + 1 breaks saturation ties; argmax takes the first,
+        # so the lowest index, of what is still tied
+        q = int(np.argmax(np.where(pending, saturation * (n + 1) + degree, -1)))
+        c = int(np.argmin(seen[q]))
+        colour[q] = c
+        pending[q] = False
+        fresh = neighbours[q][~seen[neighbours[q], c]]
+        seen[fresh, c] = True
+        saturation[fresh] += 1
+    return [np.flatnonzero(colour == c) for c in range(int(colour.max(initial=-1)) + 1)]
+
+
+def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple[int, float]:
+    """Lockstep colour-class Metropolis over all restarts.
+
+    The qubits that appear in a term are split once into colour
+    classes (``_colour_classes``); qubits of one class share no term,
+    so their flip deltas are independent and a whole class is proposed,
+    accepted and flipped in one step.  The RNG yields the start masks,
+    then per sweep one permutation of the classes (the visiting order)
+    and one uniform per restart for each active qubit, in class order
+    (classes by colour, qubits ascending within a class), drawn as one
+    block.  Term characters are held term-major (terms x restarts) and
+    spins as a boolean (active qubits x restarts) array in class order,
+    so a class's spins are a contiguous slice; a step gathers the
+    class's term rows once (disjoint, since its qubits share no term),
+    takes every delta as one gain-matrix product, negates the accepted
+    entries and writes the rows back.  The energy and the best states
+    are updated after each class; the best masks are packed once, at
     the end.
     """
     n = poly.num_qubits
@@ -140,31 +186,40 @@ def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple
     t0 = max(t0, 1e-12)
 
     incidence = mask_bits(keys, n)
-    per_coord = [np.flatnonzero(incidence[:, q]) for q in range(n)]
-    # -2 * (c @ chi) == (-2 c) @ chi exactly: scaling by a power of two
-    # commutes with rounding
-    flip_gain = [-2.0 * coeffs[idx] for idx in per_coord]
-    active = incidence.any(axis=0)
+    classes = _colour_classes(incidence)
+    qubit_order = np.concatenate(classes)
+    steps = []
+    lo = 0
+    for members in classes:
+        per_qubit = [np.flatnonzero(incidence[:, q]) for q in members]
+        rows = np.concatenate(per_qubit)
+        owner = np.repeat(np.arange(members.size), [idx.size for idx in per_qubit])
+        # flipping member i negates its terms, so gain[i] holds -2 c over
+        # the rows of member i and zero over the rows of the others
+        gain = np.zeros((members.size, rows.size))
+        gain[owner, np.arange(rows.size)] = -2.0 * coeffs[rows]
+        steps.append((rows, gain, owner, lo, lo + members.size))
+        lo += members.size
     start_bits = mask_bits(masks, n)
     # a float product of 0/1 matrices counts overlaps exactly (each is <= n)
     chi = np.where((start_bits.astype(float) @ incidence.astype(float).T) % 2, -1.0, 1.0)
     energy = chi @ coeffs + constant
     chi_t = np.ascontiguousarray(chi.T)
-    spins = start_bits.T.copy()
+    spins = start_bits.T[qubit_order]
 
     best_energy = energy.copy()
     best_spins = spins.copy()
     temperature = t0
     with np.errstate(over="ignore", under="ignore"):
         for _ in range(params.sweeps):
-            order = rng.permutation(n)
-            order = order[active[order]]
-            uniforms = rng.random((order.size, restarts))
+            order = rng.permutation(len(steps))
+            uniforms = rng.random((qubit_order.size, restarts))
             neg_t = -temperature
-            for q, u in zip(order.tolist(), uniforms):
-                idx = per_coord[q]
-                sub = chi_t.take(idx, axis=0)
-                delta = flip_gain[q] @ sub
+            for c in order.tolist():
+                rows, gain, owner, lo, hi = steps[c]
+                sub = chi_t.take(rows, axis=0)
+                delta = gain @ sub
+                u = uniforms[lo:hi]
                 if neg_t < 0.0:
                     # u < 1, so at a positive temperature this already
                     # accepts every delta <= 0
@@ -172,16 +227,18 @@ def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple
                 else:
                     accept = (delta <= 0.0) | (u < np.exp(np.minimum(delta / neg_t, 0.0)))
                 if np.count_nonzero(accept):
-                    sub *= np.where(accept, -1.0, 1.0)
-                    chi_t[idx] = sub
-                    spins[q] ^= accept
-                    np.add(energy, delta, out=energy, where=accept)
+                    sub *= np.where(accept, -1.0, 1.0).take(owner, axis=0)
+                    chi_t[rows] = sub
+                    spins[lo:hi] ^= accept
+                    energy += np.add.reduce(delta, axis=0, where=accept)
                     improved = energy < best_energy
                     if np.count_nonzero(improved):
                         np.copyto(best_energy, energy, where=improved)
                         np.copyto(best_spins, spins, where=improved)
             temperature *= params.cooling
-    best_masks = pack_masks(best_spins.T)
+    # idle qubits keep their start values
+    start_bits[:, qubit_order] = best_spins.T
+    best_masks = pack_masks(start_bits)
     pick = min(range(restarts), key=lambda r: (best_energy[r], best_masks[r]))
     return best_masks[pick], float(best_energy[pick])
 

@@ -576,11 +576,14 @@ def bitflip_variance_check(
     energy change when ``coordinate`` flips, and compares against four
     times the summed variances of kept modes containing it.  Also
     verifies the analytic coordinate-averaged cap: mean variance over
-    coordinates never exceeds 4 * k_max * (kept power) / n.
+    coordinates never exceeds 4 * k_max * (kept power) / n.  A
+    ``coordinate`` outside ``[0, n)`` is a ValueError.
     """
     kept, _ = spec.split(k_max)
     if n is None:
         n = max((s.bit_length() for s in spec.variance_profile), default=0)
+    if not 0 <= coordinate < n:
+        raise ValueError(f"coordinate {coordinate} is outside [0, {n})")
     bit = 1 << coordinate
     touching = [s for s in kept if s & bit]
     target = 4.0 * sum(spec.variance_profile[s] for s in touching)

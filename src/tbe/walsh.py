@@ -51,10 +51,11 @@ def fwht(values, normalize: bool = True) -> np.ndarray:
     h = 1
     while h < size:
         out = out.reshape(-1, 2, h)
-        a = out[:, 0, :].copy()
-        b = out[:, 1, :].copy()
-        out[:, 0, :] = a + b
-        out[:, 1, :] = a - b
+        a = out[:, 0, :]
+        b = out[:, 1, :]
+        total = a + b
+        np.subtract(a, b, out=b)
+        a[...] = total
         h *= 2
     out = out.reshape(size)
     if normalize:

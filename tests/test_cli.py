@@ -498,6 +498,42 @@ def test_ensemble_rejects_malformed_profile_fields(tmp_path, capsys, field, valu
     assert re.search(message, capsys.readouterr().err)
 
 
+def _ensemble_argv(tmp_path):
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(_PROFILE))
+    return ["ensemble", "--profile", str(profile), "--trials", "10"]
+
+
+@pytest.mark.parametrize("value", ["3", "7", "-1"])
+def test_ensemble_coordinate_outside_the_profile_exits_3(tmp_path, capsys, value):
+    assert main(_ensemble_argv(tmp_path) + ["--coordinate", value]) == 3
+    assert re.search(r"--coordinate must be in \[0, 3\)", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("compile", "--seed", "-1"),
+        ("solve", "--seed", "-1"),
+        ("ensemble", "--seed", "-1"),
+        ("ensemble", "--trials", "0"),
+        ("ensemble", "--trials", "-5"),
+    ],
+)
+def test_seed_and_trials_out_of_range_exit_3(small_input, tmp_path, capsys, command, flag, value):
+    if command == "ensemble":
+        argv = _ensemble_argv(tmp_path)
+    else:
+        argv = _short_anneal(command, small_input, tmp_path)
+    assert main(argv + [flag, value]) == 3
+    assert flag in capsys.readouterr().err
+
+
+def test_ensemble_flags_at_their_limits_accepted(tmp_path):
+    argv = _ensemble_argv(tmp_path)
+    assert main(argv + ["--coordinate", "2", "--seed", "0", "--trials", "1"]) == 0
+
+
 @pytest.mark.parametrize("n", [64, 65])
 def test_ensemble_random_start_at_and_past_64_qubits(tmp_path, n):
     # the random starting mask is a Python int drawn a 64-bit word at a time

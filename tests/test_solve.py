@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tbe import (
     AnnealParams,
@@ -19,7 +21,8 @@ from tbe import (
     solve,
     truncate,
 )
-from tbe.solve import _metropolis
+from tbe.solve import _colour_classes, _metropolis
+from tbe.verify import mask_bits
 from helpers import all_assignments, random_cfn, random_polynomial
 
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "data" / "two_card32.json"
@@ -146,9 +149,10 @@ def test_refine_requires_full_polynomial():
 
 
 # Pinned kernel outputs.  Annealed energies are running sums of flip
-# deltas, so these values fix the RNG stream (start masks, one
-# permutation per sweep, one uniform per restart and active coordinate)
-# and the rounding of every delta, not only the state reached.
+# deltas, so these values fix the RNG stream (start masks, then per
+# sweep one permutation of the colour classes and one uniform per
+# restart and active qubit), the colouring and the rounding of every
+# delta, not only the state reached.
 
 
 def _demo_polynomials():
@@ -163,12 +167,12 @@ def _demo_polynomials():
         (
             8,
             50,
-            [(779, -0.24562805485769545), (779, -0.2456280548576956), (779, -0.24562805485769842)],
+            [(779, -0.24562805485769482), (779, -0.24562805485769723), (779, -0.24562805485769737)],
         ),
         (
             4,
             10,
-            [(816, -0.22220091317806265), (714, -0.2202278538633233), (811, -0.21927772300350412)],
+            [(843, -0.23980483586568038), (783, -0.20766704420918844), (842, -0.23574529715726034)],
         ),
     ],
 )
@@ -183,10 +187,10 @@ def test_metropolis_golden_on_demo(restarts, sweeps, want):
     "cooling, want",
     [
         # the temperature is exactly 0 from the second sweep on
-        (0.0, [(779, -0.24562805485769326), (816, -0.2222009131780619), (843, -0.23980483586568066)]),
+        (0.0, [(779, -0.24562805485769326), (779, -0.24562805485769407), (816, -0.22220091317806237)]),
         # the temperature alternates sign, and at a negative one every
         # proposal is accepted
-        (-1.0, [(816, -0.22220091317806265), (717, -0.13616769730003037), (845, -0.11058577126274058)]),
+        (-1.0, [(784, -0.20887175671435448), (685, -0.17234394763237423), (750, -0.16282939405301478)]),
     ],
 )
 def test_metropolis_golden_at_non_positive_temperature(cooling, want):
@@ -204,7 +208,47 @@ def test_metropolis_golden_with_idle_qubits():
     poly = IsingPolynomial(8, {pool[k]: round(float(rng.normal()), 3) for k in chosen})
     params = AnnealParams(restarts=4, sweeps=2)
     got = [_metropolis(poly, params, seed) for seed in range(3)]
-    assert got == [(194, -8.923), (128, -8.225000000000001), (66, -8.923)]
+    assert got == [(149, -5.145000000000002), (128, -8.225000000000001), (66, -8.923)]
+
+
+def _sparse_polynomial(n: int, seed: int) -> IsingPolynomial:
+    """Up to 2n terms of degree <= 4 that leave a random set of qubits idle."""
+    rng = np.random.default_rng(seed)
+    idle = int(rng.integers(0, 1 << n))
+    pool = [m for m in range(1, 1 << n) if not m & idle and m.bit_count() <= 4]
+    if not pool:
+        return IsingPolynomial(n, {0: 1.0})
+    chosen = rng.choice(len(pool), min(len(pool), 2 * n), replace=False)
+    terms = {pool[k]: float(rng.normal()) for k in chosen}
+    terms[0] = float(rng.normal())
+    return IsingPolynomial(n, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_colour_classes_partition_the_active_qubits_into_independent_sets(n, seed):
+    poly = _sparse_polynomial(n, seed)
+    keys = [s for s in poly.terms if s]
+    classes = _colour_classes(mask_bits(keys, n))
+    active = [q for q in range(n) if any(s >> q & 1 for s in keys)]
+    assert sorted(q for members in classes for q in members.tolist()) == active
+    for members in classes:
+        assert members.size and members.tolist() == sorted(members.tolist())
+        class_mask = sum(1 << q for q in members.tolist())
+        assert all((s & class_mask).bit_count() <= 1 for s in keys)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.sampled_from([0.999, 0.0, -1.0]))
+def test_metropolis_value_is_the_value_of_its_mask(n, seed, cooling):
+    # the energy is a running sum of whole-class deltas; it must still
+    # be the polynomial's value at the returned mask
+    poly = _sparse_polynomial(n, seed)
+    mask, value = _metropolis(poly, AnnealParams(restarts=4, sweeps=20, cooling=cooling), seed)
+    assert 0 <= mask < 1 << n
+    scale = sum(abs(c) for c in poly.terms.values())
+    assert abs(value - poly.evaluate_mask(mask)) <= 1e-9 * scale
 
 
 def test_metropolis_ties_go_to_the_lowest_mask():

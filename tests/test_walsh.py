@@ -56,6 +56,30 @@ def test_fwht_parseval():
     assert np.sum(coeffs**2) == pytest.approx(np.mean(values**2), rel=1e-9)
 
 
+def _copy_butterfly(values: np.ndarray) -> np.ndarray:
+    """Unnormalized butterfly that copies both halves before each level."""
+    out = np.array(values, dtype=float)
+    h = 1
+    while h < out.size:
+        out = out.reshape(-1, 2, h)
+        a = out[:, 0, :].copy()
+        b = out[:, 1, :].copy()
+        out[:, 0, :] = a + b
+        out[:, 1, :] = a - b
+        h *= 2
+    return out.reshape(-1)
+
+
+@pytest.mark.parametrize("dim", range(13))
+def test_fwht_matches_the_copy_based_butterfly_bitwise(dim):
+    values = np.random.default_rng(dim).normal(size=1 << dim)
+    before = values.tobytes()
+    want = _copy_butterfly(values)
+    assert fwht(values, normalize=False).tobytes() == want.tobytes()
+    assert fwht(values).tobytes() == (want / values.size).tobytes()
+    assert values.tobytes() == before
+
+
 def test_fwht_rejects_bad_lengths():
     with pytest.raises(ValueError, match="power of two"):
         fwht([1.0, 2.0, 3.0])
