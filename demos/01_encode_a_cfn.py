@@ -42,7 +42,7 @@ print("encoded terms:", poly.num_terms(), "max degree:", poly.degree)
 
 print("\ncouplings by degree:")
 by_degree = {}
-for mask, coeff in poly.sorted_terms():
+for mask, coeff in poly.terms.items():
     by_degree.setdefault(mask.bit_count(), []).append(coeff)
 for degree in sorted(by_degree):
     coeffs = by_degree[degree]

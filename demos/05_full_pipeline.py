@@ -42,7 +42,7 @@ model = quadratize(truncated)
 print("quadratized:", model.num_ancilla_qubits, "ancillas, penalty", round(model.penalty_weight, 2))
 
 result = solve(model, method="anneal", seed=11, anneal=AnnealParams(restarts=16, sweeps=400))
-result = decode_and_refine(result, layout, cfn, full_poly=full, refine=True)
+result = decode_and_refine(result, layout, cfn, full_poly=full)
 print("\nsolved (annealing over", result.num_qubits, "variables):")
 print("  truncated-model value:", round(result.best_value, 4))
 print("  decoded assignment:", list(result.decoded_assignment),

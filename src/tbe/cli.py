@@ -217,6 +217,9 @@ def _check_seed(args) -> None:
 def run_pipeline(args) -> int:
     if args.kmax < 1:
         raise CfnFormatError("--kmax must be >= 1")
+    for flag, value in (("--weak-threshold", args.weak_threshold), ("--strong-threshold", args.strong_threshold)):
+        if not (math.isfinite(value) and value >= 0):
+            raise CfnFormatError(f"{flag} must be a finite number >= 0, got {value!r}")
     _check_seed(args)
     cfn, layout = _prepare(args)
     full = encode(cfn, layout)
@@ -248,7 +251,7 @@ def run_pipeline(args) -> int:
             result = replace(
                 result, num_qubits=qubo.num_vars, best_spin=resolve_ancillas(qubo, result.best_spin)
             )
-        result = decode_and_refine(result, layout, cfn, full_poly=full, refine=args.refine)
+        result = decode_and_refine(result, layout, cfn, full_poly=full if args.refine else None)
         solve_block = json.loads(solve_result_json(result))
         if exhaustive and all(result.decoded_valid):
             opt = _true_optimum(cfn)

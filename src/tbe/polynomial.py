@@ -4,7 +4,9 @@ Monomials are keyed by subset bitmasks: bit ``q`` of a key means the
 monomial contains variable ``q``.  Spin configurations are likewise
 passed around as masks, with bit ``q`` set when spin ``q`` equals -1
 (so mask 0 is the all-plus configuration).  This matches the bit/spin
-convention ``z = 1 - 2b`` used by the encoder.
+convention ``z = 1 - 2b`` used by the encoder.  A spin polynomial
+stores its terms in canonical (degree, qubit list) order, the order
+HUBO-JSON is written in.
 
 Keys and configuration masks are Python ints everywhere, so nothing
 here has a qubit cap; the one qubit limit in the package is the 2^24
@@ -50,8 +52,11 @@ class IsingPolynomial:
     """A real polynomial in +/-1 spin variables, stored sparsely.
 
     ``terms`` maps subset masks to coupling values; zero couplings
-    (below 1e-14 of the largest magnitude) are dropped at construction.
-    Instances are immutable and safe to share.
+    (below 1e-14 of the largest magnitude) are dropped at construction,
+    and the rest are stored in canonical order, by (degree, qubit list).
+    Every reduction over the terms walks that order, so floating-point
+    sums are reproducible run to run.  Instances are immutable and safe
+    to share.
     """
 
     num_qubits: int
@@ -66,12 +71,13 @@ class IsingPolynomial:
                 raise ValueError(f"term key {s:#x} references qubits outside [0, {n})")
             if not math.isfinite(c):
                 raise ValueError("non-finite coupling")
-        object.__setattr__(self, "terms", _pruned(self.terms))
+        terms = _pruned(self.terms)
+        object.__setattr__(self, "terms", {s: terms[s] for s in _canonical_order(terms)})
 
     @property
     def degree(self) -> int:
         """Largest monomial size among stored terms (0 for constants)."""
-        return max((s.bit_count() for s in self.terms), default=0)
+        return next(reversed(self.terms), 0).bit_count()
 
     @property
     def constant(self) -> float:
@@ -80,25 +86,11 @@ class IsingPolynomial:
     def num_terms(self) -> int:
         return len(self.terms)
 
-    @cached_property
-    def term_order(self) -> tuple[int, ...]:
-        """Term keys ordered by (degree, qubit list), sorted once per
-        instance; the canonical iteration order used by evaluation,
-        certification and serialization so floating-point reductions
-        are reproducible."""
-        return _canonical_order(self.terms)
-
-    def sorted_terms(self) -> Iterator[tuple[int, float]]:
-        """(key, coupling) pairs in ``term_order``."""
-        terms = self.terms
-        for s in self.term_order:
-            yield s, terms[s]
-
     def evaluate_mask(self, mask: int) -> float:
         if not (0 <= mask < (1 << self.num_qubits)):
             raise ValueError("configuration mask out of range")
         total = 0.0
-        for s, c in self.sorted_terms():
+        for s, c in self.terms.items():
             total += c if (s & mask).bit_count() % 2 == 0 else -c
         return total
 
@@ -165,6 +157,7 @@ class BinaryPolynomial:
     def degree(self) -> int:
         return max((s.bit_count() for s in self.terms), default=0)
 
+    # terms keep insertion order, in which quadratize sums its penalty
     @cached_property
     def term_order(self) -> tuple[int, ...]:
         return _canonical_order(self.terms)
@@ -185,7 +178,7 @@ class BinaryPolynomial:
 
 
 def hubo_to_json(poly: IsingPolynomial) -> str:
-    """Serialize to HUBO-JSON: terms sorted by (degree, qubit list).
+    """Serialize to HUBO-JSON, terms in their stored (canonical) order.
 
     Writes the text ``json.dumps(doc, indent=2) + "\n"`` would give for
     the document ``{"num_qubits": n, "terms": [{"qubits": [...],
@@ -194,7 +187,7 @@ def hubo_to_json(poly: IsingPolynomial) -> str:
     multi-megabyte export.  Coefficients are formatted as ``json`` does.
     """
     items = []
-    for s, c in poly.sorted_terms():
+    for s, c in poly.terms.items():
         coeff = float.__repr__(c) if type(c) is float else json.dumps(c, allow_nan=False)
         qubits = ",\n        ".join(map(str, qubits_of(s)))
         qubits = f"[\n        {qubits}\n      ]" if s else "[]"

@@ -19,7 +19,6 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 from .polynomial import BinaryPolynomial, IsingPolynomial, qubits_of
@@ -33,9 +32,10 @@ class QuboModel:
     """A degree <= 2 polynomial over original variables plus ancillas.
 
     Terms are stored in the 0/1 basis over the combined variable space
-    (originals first).  Each ancilla records the variable pair whose
-    product it stands for; parents always precede their ancilla, so
-    ancilla values can be resolved left to right.
+    (originals first), ordered by (degree, mask), the order ``qubo_json``
+    writes.  Each ancilla records the variable pair whose product it
+    stands for; parents always precede their ancilla, so ancilla values
+    can be resolved left to right.
     """
 
     num_original_qubits: int
@@ -51,6 +51,8 @@ class QuboModel:
         for a, (p, q) in self.ancilla_defs:
             if p >= a or q >= a:
                 raise ValueError("ancilla parents must precede the ancilla")
+        terms = sorted(self.terms.items(), key=lambda item: (item[0].bit_count(), item[0]))
+        object.__setattr__(self, "terms", dict(terms))
 
     @property
     def num_vars(self) -> int:
@@ -60,16 +62,11 @@ class QuboModel:
         """Spin-basis view over originals plus ancillas."""
         return leakage_transform(BinaryPolynomial(self.num_vars, dict(self.terms)))
 
-    @cached_property
-    def term_order(self) -> tuple[int, ...]:
-        """Term keys ordered by (degree, mask), sorted once per instance."""
-        return tuple(sorted(self.terms, key=lambda s: (s.bit_count(), s)))
-
     def evaluate_bits(self, bits: int) -> float:
         total = 0.0
-        for s in self.term_order:
+        for s, c in self.terms.items():
             if s & ~bits == 0:
-                total += self.terms[s]
+                total += c
         return total
 
 
@@ -182,8 +179,7 @@ def qubo_json(model: QuboModel) -> str:
     linear = []
     quadratic = []
     constant = 0.0
-    for s in model.term_order:
-        c = model.terms[s]
+    for s, c in model.terms.items():
         k = s.bit_count()
         if k == 0:
             constant = c

@@ -172,7 +172,7 @@ def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple
     the end.
     """
     n = poly.num_qubits
-    keys = [s for s, _ in poly.sorted_terms() if s != 0]
+    keys = [s for s in poly.terms if s != 0]
     coeffs = np.array([poly.terms[s] for s in keys])
     constant = poly.constant
     if n == 0 or not keys:
@@ -248,9 +248,9 @@ def decode_and_refine(
     layout: EncodingLayout,
     cfn: Cfn,
     full_poly: IsingPolynomial | None = None,
-    refine: bool = False,
 ) -> SolveResult:
-    """Decode a solve result against its CFN and optionally refine.
+    """Decode a solve result against its CFN, and refine it when the
+    full encoding ``full_poly`` is given.
 
     Refinement runs bit-flip descent on the full encoding starting
     from the solved configuration, then re-decodes; the reported
@@ -265,10 +265,8 @@ def decode_and_refine(
         decoded_valid=tuple(valid),
         cfn_value=value,
     )
-    if not refine:
-        return out
     if full_poly is None:
-        raise ValueError("refinement requires the full encoded polynomial")
+        return out
     end_mask, steps = bitflip_descent(full_poly, orig_mask)
     r_assignment, r_valid = decode(layout, end_mask)
     r_value = evaluate_cfn(cfn, r_assignment)

@@ -94,7 +94,7 @@ def table_spectrum(cfn: Cfn, layout: EncodingLayout) -> SpectralProfile:
 def profile_of_polynomial(poly: IsingPolynomial) -> tuple[float, ...]:
     """Degree-binned squared couplings of an explicit polynomial."""
     bins = [0.0] * (poly.degree + 1)
-    for s, c in poly.sorted_terms():
+    for s, c in poly.terms.items():
         bins[s.bit_count()] += c * c
     return tuple(bins)
 

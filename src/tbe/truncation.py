@@ -76,8 +76,7 @@ def residual(poly: IsingPolynomial, k_max: int) -> IsingPolynomial:
 def certify(poly: IsingPolynomial, k_max: int) -> TruncationCertificate:
     """Certificate for truncating ``poly`` at ``k_max``.
 
-    Single pass over the stored terms, in canonical order so the
-    floating-point sums are reproducible run to run.
+    Single pass over the stored terms, in their (canonical) order.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -88,7 +87,7 @@ def certify(poly: IsingPolynomial, k_max: int) -> TruncationCertificate:
     omitted = 0
     saw_positive = False
     saw_negative = False
-    for s, c in poly.sorted_terms():
+    for s, c in poly.terms.items():
         k = s.bit_count()
         if k == 0:
             continue

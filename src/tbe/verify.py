@@ -116,18 +116,14 @@ def _barrier(values: np.ndarray, mask: int, n: int) -> float:
     return float(min(values[mask ^ (1 << i)] - here for i in range(n)))
 
 
-def enumerate_landscape(poly: IsingPolynomial, points: tuple[int, ...] | None = None) -> LandscapeReport:
-    """Exact minimum set, energy gap, and basin barriers.
-
-    Barriers are reported at every global minimizer plus any extra
-    requested ``points``.
-    """
+def enumerate_landscape(poly: IsingPolynomial) -> LandscapeReport:
+    """Exact minimum set, energy gap, and the basin barrier at every
+    global minimizer."""
     values = dense_values(poly)
     n = poly.num_qubits
     vmin, argmin = _argmin_set(values)
     gap = _energy_gap(values, vmin)
-    wanted = list(argmin) + [p for p in (points or ()) if p not in set(argmin)]
-    barriers = {int(m): _barrier(values, int(m), n) for m in wanted}
+    barriers = {int(m): _barrier(values, int(m), n) for m in argmin}
     return LandscapeReport(
         num_qubits=n,
         global_min_value=vmin,
@@ -310,9 +306,8 @@ def bitflip_descent(poly: IsingPolynomial, start: int) -> tuple[int, int]:
     change (lowest index on ties) until no flip strictly decreases the
     value.  Returns the endpoint and the number of flips taken.
 
-    The (term, qubit) incidence is built once, term-major in
-    ``poly.terms`` order; ``bincount`` accumulates each qubit's change
-    in that order, term by term.
+    The (term, qubit) incidence is built once, term-major;
+    ``bincount`` accumulates each qubit's change term by term.
     """
     n = poly.num_qubits
     if start < 0 or start.bit_length() > n:
@@ -362,16 +357,13 @@ class EnsembleSpec:
 
     ``variance_profile`` maps subset masks to variances; ``family``
     selects the draw distribution (gaussian, rademacher or uniform,
-    all scaled to the requested variance).  ``fourth_moment_bound`` is
-    the analytic ratio E[c^4] / variance^2 for the family, recorded so
-    reports can check it empirically.
+    all scaled to the requested variance).
     """
 
     variance_profile: dict[int, float]
     family: str = "gaussian"
     trials: int = 1000
     rng_seed: int = 0
-    fourth_moment_bound: float | None = None
 
     def __post_init__(self) -> None:
         if self.family not in _FOURTH_MOMENT:
@@ -383,8 +375,6 @@ class EnsembleSpec:
                 raise ValueError(f"negative variance for mode {s:#x}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.fourth_moment_bound is None:
-            object.__setattr__(self, "fourth_moment_bound", _FOURTH_MOMENT[self.family])
 
     def split(self, k_max: int) -> tuple[list[int], list[int]]:
         """(kept, omitted) mode masks relative to a cutoff."""
@@ -403,35 +393,24 @@ def degree_uniform_profile(n: int, per_degree: dict[int, float]) -> dict[int, fl
     return profile
 
 
-def profile_with_margin(
-    n: int,
-    k_max: int,
-    margin: float,
-    kept_total: float = 1.0,
-    kept_degree: int | None = None,
-    omitted_degree: int | None = None,
-) -> dict[int, float]:
+def profile_with_margin(n: int, k_max: int, margin: float) -> dict[int, float]:
     """Profile whose omitted/kept power ratio hits ``margin * k_max / n``.
 
-    Spreads ``kept_total`` uniformly over one kept degree and the
-    matching omitted mass over one omitted degree.  ``margin`` of zero
+    Spreads a kept power of 1 uniformly over degree ``k_max`` and the
+    matching omitted mass over degree ``k_max + 1``.  ``margin`` of zero
     produces a pure low-degree profile.
     """
-    if kept_degree is None:
-        kept_degree = min(k_max, n)
-    if omitted_degree is None:
-        omitted_degree = min(k_max + 1, n)
-    if not (1 <= kept_degree <= k_max < omitted_degree <= n):
+    if not 1 <= k_max < n:
         raise ValueError("degrees incompatible with cutoff")
-    omitted_total = margin * (k_max / n) * kept_total
+    omitted_total = margin * (k_max / n)
     profile = {}
-    kept_count = math.comb(n, kept_degree)
-    omitted_count = math.comb(n, omitted_degree)
+    kept_count = math.comb(n, k_max)
+    omitted_count = math.comb(n, k_max + 1)
     for mask in range(1, 1 << n):
         k = mask.bit_count()
-        if k == kept_degree:
-            profile[mask] = kept_total / kept_count
-        elif k == omitted_degree and omitted_total > 0:
+        if k == k_max:
+            profile[mask] = 1.0 / kept_count
+        elif k == k_max + 1 and omitted_total > 0:
             profile[mask] = omitted_total / omitted_count
     return profile
 
@@ -477,10 +456,9 @@ class MomentReport:
     fourth_moment_ok: bool
 
 
-def ensemble_residual_check(
-    spec: EnsembleSpec, n: int, k_max: int, at_mask: int = 0
-) -> MomentReport:
-    """Draw omitted couplings and check the residual's moments.
+def ensemble_residual_check(spec: EnsembleSpec, n: int, k_max: int) -> MomentReport:
+    """Draw omitted couplings and check the residual's moments at the
+    all-plus configuration (mask 0), where every character is 1.
 
     The sample variance must match the summed mode variances within
     five standard errors.  When no single mode carries more than 1% of
@@ -494,8 +472,7 @@ def ensemble_residual_check(
     if omitted:
         variances = np.array([spec.variance_profile[s] for s in omitted])
         draws = _draw(rng, spec.family, variances, spec.trials)
-        chi = _chi_at(omitted, at_mask)
-        samples = draws @ chi
+        samples = draws @ np.ones(len(omitted))
         max_ratio = float(variances.max() / target) if target > 0 else 0.0
     else:
         draws = np.zeros((spec.trials, 0))
@@ -519,7 +496,7 @@ def ensemble_residual_check(
     skew_ok = (abs(skew) < 0.1 + 5.0 * skew_se) if gate else None
     kurt_ok = (abs(kurt) < 0.1 + 5.0 * kurt_se) if gate else None
 
-    bound = float(spec.fourth_moment_bound or 0.0)
+    bound = _FOURTH_MOMENT[spec.family]
     ratio = 0.0
     if omitted and target > 0:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -567,21 +544,18 @@ class BitflipVarianceReport:
     avg_bound_ok: bool
 
 
-def bitflip_variance_check(
-    spec: EnsembleSpec, k_max: int, coordinate: int, n: int | None = None, at_mask: int = 0
-) -> BitflipVarianceReport:
+def bitflip_variance_check(spec: EnsembleSpec, k_max: int, coordinate: int, n: int) -> BitflipVarianceReport:
     """Check the bit-flip difference variance of the kept landscape.
 
     Draws kept couplings, measures the empirical variance of the
-    energy change when ``coordinate`` flips, and compares against four
-    times the summed variances of kept modes containing it.  Also
+    energy change when ``coordinate`` flips at the all-plus
+    configuration (mask 0), and compares against four times the
+    summed variances of kept modes containing it.  Also
     verifies the analytic coordinate-averaged cap: mean variance over
     coordinates never exceeds 4 * k_max * (kept power) / n.  A
     ``coordinate`` outside ``[0, n)`` is a ValueError.
     """
     kept, _ = spec.split(k_max)
-    if n is None:
-        n = max((s.bit_length() for s in spec.variance_profile), default=0)
     if not 0 <= coordinate < n:
         raise ValueError(f"coordinate {coordinate} is outside [0, {n})")
     bit = 1 << coordinate
@@ -592,8 +566,7 @@ def bitflip_variance_check(
     if touching:
         variances = np.array([spec.variance_profile[s] for s in touching])
         draws = _draw(rng, spec.family, variances, spec.trials)
-        chi = _chi_at(touching, at_mask)
-        samples = -2.0 * (draws @ chi)
+        samples = -2.0 * (draws @ np.ones(len(touching)))
     else:
         samples = np.zeros(spec.trials)
     var = float(samples.var(ddof=1)) if spec.trials > 1 else 0.0
@@ -632,11 +605,10 @@ class SignRateReport:
     rate: float
 
 
-def sign_preservation_rate(
-    spec: EnsembleSpec, n: int, k_max: int, at_mask: int | None = None
-) -> SignRateReport:
+def sign_preservation_rate(spec: EnsembleSpec, n: int, k_max: int) -> SignRateReport:
     """Fraction of (trial, coordinate) pairs where the full and
-    truncated bit-flip energy differences point the same way.
+    truncated bit-flip energy differences point the same way, at one
+    configuration drawn uniformly from the spec's RNG stream.
 
     Differences are compared through their nonnegativity, so a zero
     truncated difference counts as an uphill (rejected) move; against
@@ -645,8 +617,7 @@ def sign_preservation_rate(
     kept, omitted = spec.split(k_max)
     modes = kept + omitted
     rng = np.random.default_rng(spec.rng_seed)
-    if at_mask is None:
-        at_mask = random_masks(rng, n)
+    at_mask = random_masks(rng, n)
     variances = np.array([spec.variance_profile[s] for s in modes])
     draws = _draw(rng, spec.family, variances, spec.trials)
     chi = _chi_at(modes, at_mask)

@@ -95,7 +95,7 @@ def to_01_basis(poly: IsingPolynomial) -> BinaryPolynomial:
     """Inverse substitution z = 1 - 2b; round trip with
     ``leakage_transform`` is the identity."""
     terms: dict[int, float] = {}
-    for s, c in poly.sorted_terms():
+    for s, c in poly.terms.items():
         t = s
         while True:
             k = t.bit_count()

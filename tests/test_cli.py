@@ -414,6 +414,22 @@ def _short_anneal(command, cfn_path, tmp_path):
     return argv + ["--restarts", "2", "--sweeps", "5"]
 
 
+@pytest.mark.parametrize("flag", ["--weak-threshold", "--strong-threshold"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.1"])
+def test_threshold_not_finite_or_negative_exits_3_before_any_artifact(small_input, tmp_path, capsys, flag, value):
+    cert, report = tmp_path / "cert.json", tmp_path / "report.json"
+    argv = ["compile", "--input", str(small_input), "--kmax", "2", "--out-cert", str(cert), "--out-report", str(report)]
+    assert main(argv + [f"{flag}={value}"]) == 3
+    assert flag in capsys.readouterr().err
+    assert not cert.exists() and not report.exists()
+
+
+@pytest.mark.parametrize("flag", ["--weak-threshold", "--strong-threshold"])
+@pytest.mark.parametrize("value", ["0", "1e300"])
+def test_threshold_limits_accepted(small_input, flag, value):
+    assert main(["compile", "--input", str(small_input), "--kmax", "2", flag, value]) == 0
+
+
 @pytest.mark.parametrize("command", ["compile", "solve"])
 @pytest.mark.parametrize("value", ["0", "-0.5", "1.5", "nan"])
 def test_cooling_outside_unit_interval_exits_3(small_input, tmp_path, capsys, command, value):
@@ -606,7 +622,7 @@ def test_compile_and_spectrum_past_64_qubits(tmp_path, capsys):
     hubo = hubo_from_json(out["hubo"].read_text())
     assert hubo.num_qubits == 80
     mass = [0.0] * 5
-    for s, c in hubo.sorted_terms():
+    for s, c in hubo.terms.items():
         mass[s.bit_count()] += c * c
     spectrum = [float(row.split(",")[1]) for row in out["spectrum"].read_text().splitlines()[1:]]
     assert spectrum == pytest.approx(mass, rel=1e-12)

@@ -13,6 +13,7 @@ from tbe import (
     mask_to_string,
 )
 from tbe.solve import AnnealParams, _metropolis
+from tbe.truncation import residual, truncate
 from tbe.verify import bitflip_descent
 from helpers import naive_eval, qubit_list, random_polynomial
 
@@ -162,21 +163,36 @@ def test_hubo_to_json_matches_json_dumps_edge_cases(poly):
 
 
 def test_hubo_to_json_formats_negative_zero_as_json_does():
-    # the constructor prunes zero couplings, so place -0.0 afterwards to
-    # pin the formatter itself
-    poly = IsingPolynomial(2, {0b11: 1.0})
+    # the constructor prunes zero couplings, so overwrite held values
+    # with -0.0 afterwards to pin the formatter itself
+    poly = IsingPolynomial(2, {0b11: 1.0, 0b1: 1.0, 0: 1.0})
     poly.terms[0] = -0.0
     poly.terms[0b1] = float("-0.0")
     assert '"coeff": -0.0' in hubo_to_json(poly)
     assert hubo_to_json(poly) == _dumps_reference(poly)
 
 
+def _assert_canonical(poly):
+    assert tuple(poly.terms) == _reference_order(poly.terms)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 130).flatmap(
-    lambda n: st.sets(st.integers(0, (1 << n) - 1), max_size=60).map(lambda ks: (n, ks))))
-def test_term_order_is_degree_then_qubit_list(case):
+    lambda n: st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=60).map(lambda ks: (n, ks))),
+    st.data())
+def test_term_order_is_degree_then_qubit_list(case, data):
     n, keys = case
     want = _reference_order(keys)
-    terms = {s: 1.0 for s in keys}
-    assert BinaryPolynomial(n, terms).term_order == want
-    assert IsingPolynomial(n, terms).term_order == want
+    assert BinaryPolynomial(n, {s: 1.0 for s in keys}).term_order == want
+    # a spin polynomial stores its terms canonically, whatever order they were built in
+    shuffled = data.draw(st.permutations(keys))
+    for order in (keys, shuffled, want[::-1]):
+        assert tuple(IsingPolynomial(n, {s: 1.0 for s in order}).terms) == want
+    poly = IsingPolynomial(n, {s: 1.0 + q for q, s in enumerate(shuffled)})
+    for k in (1, 2, 3):
+        _assert_canonical(truncate(poly, k))
+        _assert_canonical(residual(poly, k))
+    _assert_canonical(poly.shifted(3, n + 3))
+    _assert_canonical(poly + IsingPolynomial(n, {s ^ (n > 0): 0.5 for s in shuffled}))
+    doc = {"num_qubits": n, "terms": [{"qubits": qubit_list(s), "coeff": 2.0} for s in shuffled]}
+    assert tuple(hubo_from_json(json.dumps(doc)).terms) == want

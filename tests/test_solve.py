@@ -109,7 +109,7 @@ def test_decode_and_refine_passthrough():
 def test_refinement_noop_at_local_minimum():
     cfn, layout, full, _ = _pipeline_pieces(64)
     result = solve(full, "exhaustive")  # solve the full encoding: already optimal
-    out = decode_and_refine(result, layout, cfn, full_poly=full, refine=True)
+    out = decode_and_refine(result, layout, cfn, full_poly=full)
     assert out.refine_steps == 0
     assert out.refined_cfn_value == out.cfn_value
 
@@ -119,7 +119,7 @@ def test_refinement_never_worse_across_seeds():
     params = AnnealParams(restarts=2, sweeps=40)
     for seed in range(50):
         result = solve(truncated, "anneal", seed=seed, anneal=params)
-        out = decode_and_refine(result, layout, cfn, full_poly=full, refine=True)
+        out = decode_and_refine(result, layout, cfn, full_poly=full)
         assert out.refined_cfn_value <= out.cfn_value + 1e-12
 
 
@@ -139,13 +139,6 @@ def test_end_to_end_value_bound_when_valid():
         assert out.cfn_value <= true_opt + 2 * eps + 1e-9
         checked += 1
     assert checked > 0
-
-
-def test_refine_requires_full_polynomial():
-    cfn, layout, full, truncated = _pipeline_pieces(87)
-    result = solve(truncated, "exhaustive")
-    with pytest.raises(ValueError, match="full encoded polynomial"):
-        decode_and_refine(result, layout, cfn, refine=True)
 
 
 # Pinned kernel outputs.  Annealed energies are running sums of flip
