@@ -283,21 +283,26 @@ def encode(cfn: Cfn, layout: EncodingLayout) -> IsingPolynomial:
 
     The couplings are the per-table Walsh blocks of ``walsh_blocks``
     placed at their registers' offsets; exact zeros are dropped.  The
-    constant term is stored.
+    constant term is stored.  Keys are built a block at a time: each
+    register's local subsets, shifted to its offset, form one list, and
+    a block's nonzero entries (``np.flatnonzero``) index into the lists
+    of its one or two registers.
     """
     constant, registers, interactions = walsh_blocks(cfn, layout)
+    # local[i][t - 1]: the mask of nonempty local subset t of register i
+    local = [
+        [t << offset for t in range(1, 1 << width)]
+        for width, offset in zip(layout.register_widths, layout.register_offsets)
+    ]
     terms: dict[int, float] = {0: constant}
-    for offset, coeffs in zip(layout.register_offsets, registers):
-        for t, c in enumerate(coeffs.tolist(), 1):
-            if c != 0.0:
-                terms[t << offset] = c
+    for masks, coeffs in zip(local, registers):
+        nonzero = np.flatnonzero(coeffs)
+        terms.update(zip(map(masks.__getitem__, nonzero.tolist()), coeffs[nonzero].tolist()))
     for i, j, coeffs in interactions:
-        off_i = layout.register_offsets[i]
-        off_j = layout.register_offsets[j]
-        for tj, row in enumerate(coeffs.tolist(), 1):
-            for ti, c in enumerate(row, 1):
-                if c != 0.0:
-                    terms[(ti << off_i) | (tj << off_j)] = c
+        nonzero = np.flatnonzero(coeffs)
+        tj, ti = np.divmod(nonzero, coeffs.shape[1])
+        keys = map(int.__or__, map(local[i].__getitem__, ti.tolist()), map(local[j].__getitem__, tj.tolist()))
+        terms.update(zip(keys, coeffs.reshape(-1)[nonzero].tolist()))
     return IsingPolynomial(layout.total_qubits, terms)
 
 

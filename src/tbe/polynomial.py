@@ -5,8 +5,8 @@ monomial contains variable ``q``.  Spin configurations are likewise
 passed around as masks, with bit ``q`` set when spin ``q`` equals -1
 (so mask 0 is the all-plus configuration).  This matches the bit/spin
 convention ``z = 1 - 2b`` used by the encoder.  A spin polynomial
-stores its terms in canonical (degree, qubit list) order, the order
-HUBO-JSON is written in.
+stores its terms, read-only, in canonical (degree, qubit list) order,
+the order HUBO-JSON is written in.
 
 Keys and configuration masks are Python ints everywhere, so nothing
 here has a qubit cap; the one qubit limit in the package is the 2^24
@@ -19,7 +19,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Mapping
+from itertools import repeat
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import CfnFormatError
 
@@ -33,18 +37,20 @@ __all__ = [
 
 RELATIVE_PRUNE_TOL = 1e-14
 
+# per byte value: its bits reversed (bit 0 to bit 7), and its popcount
+_REVERSED_BYTE = np.array([int(f"{v:08b}"[::-1], 2) for v in range(256)], dtype=np.uint8)
+_BYTE_DEGREE = np.array([v.bit_count() for v in range(256)], dtype=np.uint8)
+_NON_FINITE = frozenset({"nan", "inf", "-inf"})
+
 
 def mask_to_string(mask: int, n: int) -> str:
     """Render a spin configuration as a '+'/'-' string, qubit 0 first."""
     return "".join("-" if (mask >> q) & 1 else "+" for q in range(n))
 
 
-def _pruned(terms: Mapping[int, float]) -> dict[int, float]:
-    if not terms:
-        return {}
-    peak = max(abs(c) for c in terms.values())
-    tol = RELATIVE_PRUNE_TOL * peak
-    return {s: c for s, c in terms.items() if abs(c) > tol}
+def _significant(magnitudes: np.ndarray) -> np.ndarray:
+    """Which magnitudes exceed 1e-14 of the largest."""
+    return magnitudes > RELATIVE_PRUNE_TOL * magnitudes.max(initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -53,26 +59,36 @@ class IsingPolynomial:
 
     ``terms`` maps subset masks to coupling values; zero couplings
     (below 1e-14 of the largest magnitude) are dropped at construction,
-    and the rest are stored in canonical order, by (degree, qubit list).
-    Every reduction over the terms walks that order, so floating-point
-    sums are reproducible run to run.  Instances are immutable and safe
-    to share.
+    and the rest are stored in canonical order, by (degree, qubit list),
+    in a read-only mapping.  Every reduction over the terms walks that
+    order, so floating-point sums are reproducible run to run.  The
+    stored values are the caller's own objects.  Instances are immutable
+    and safe to share.
     """
 
     num_qubits: int
-    terms: dict[int, float] = field(default_factory=dict)
+    terms: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         n = self.num_qubits
         if n < 0:
             raise ValueError(f"num_qubits {n} is negative")
-        for s, c in self.terms.items():
-            if s < 0 or s.bit_length() > n:
-                raise ValueError(f"term key {s:#x} references qubits outside [0, {n})")
-            if not math.isfinite(c):
-                raise ValueError("non-finite coupling")
-        terms = _pruned(self.terms)
-        object.__setattr__(self, "terms", {s: terms[s] for s in _canonical_order(terms)})
+        keys = list(self.terms)
+        values = list(self.terms.values())
+        if keys and (min(keys) < 0 or max(keys).bit_length() > n):
+            s = next(s for s in keys if s < 0 or s.bit_length() > n)
+            raise ValueError(f"term key {s:#x} references qubits outside [0, {n})")
+        magnitudes = np.abs(np.fromiter(values, float, len(values)))
+        if not np.isfinite(magnitudes).all():
+            raise ValueError("non-finite coupling")
+        order = _canonical_order(keys)
+        order = order[_significant(magnitudes)[order]].tolist()
+        terms = dict(zip(map(keys.__getitem__, order), map(values.__getitem__, order)))
+        object.__setattr__(self, "terms", MappingProxyType(terms))
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled; rebuild from a plain dict
+        return type(self), (self.num_qubits, dict(self.terms))
 
     @property
     def degree(self) -> int:
@@ -112,21 +128,34 @@ class IsingPolynomial:
         return sum(c * c for s, c in self.terms.items() if s != 0)
 
 
-def _canonical_order(terms: Mapping[int, float]) -> tuple[int, ...]:
-    """Keys sorted by (degree, ascending qubit list), with no tuple per key.
+def mask_octets(masks: Sequence[int], width: int) -> np.ndarray:
+    """(len(masks) x width) uint8 matrix of masks below ``2^(8 width)``:
+    row t is ``masks[t]`` in little-endian bytes, so column b holds
+    qubits 8b to 8b + 7."""
+    data = b"".join(map(int.to_bytes, masks, repeat(width), repeat("little")))
+    return np.frombuffer(data, dtype=np.uint8).reshape(len(masks), width)
 
-    Within one degree, a smaller qubit list is a larger bit-reversed
-    mask: the first qubit where two lists differ is the highest bit where
-    their reversals differ, and only the smaller list has it.  So one
-    integer key, degree times 2^width minus the reversal, gives the order.
+
+def _canonical_order(keys: Sequence[int]) -> np.ndarray:
+    """Positions that sort ``keys`` by (degree, ascending qubit list):
+    one ``np.lexsort`` over byte columns, at any width.
+
+    Each key is written in little-endian bytes and each byte goes
+    through a bit-reversal table, so qubit 0 is the most significant bit
+    of column 0 and the columns, first to last, spell the key's bit
+    reversal.  Within one degree a smaller qubit list is a larger
+    reversal: the first qubit where two lists differ is the highest bit
+    where their reversals differ, and only the smaller list has it.  So
+    the sort keys are the degree (summed from a popcount table), then
+    the complemented columns, first to last.  Memory is one byte per
+    key and byte column; no per-bit matrix is unpacked.
     """
-    width = max((s.bit_length() for s in terms), default=0)
-    fmt = f"0{width}b"
-
-    def key(s: int) -> int:
-        return (s.bit_count() << width) - int(format(s, fmt)[::-1], 2)
-
-    return tuple(sorted(terms, key=key))
+    if not keys:
+        return np.zeros(0, dtype=np.intp)
+    octets = mask_octets(keys, (max(keys).bit_length() + 7) // 8)
+    degree = _BYTE_DEGREE[octets].sum(axis=1, dtype=np.int64)
+    columns = ~_REVERSED_BYTE[octets]
+    return np.lexsort((*columns.T[::-1], degree))
 
 
 def qubits_of(mask: int) -> list[int]:
@@ -151,7 +180,10 @@ class BinaryPolynomial:
         for s in self.terms:
             if not (0 <= s < limit):
                 raise ValueError(f"term key {s:#x} references variables outside [0, {self.num_vars})")
-        object.__setattr__(self, "terms", _pruned(self.terms))
+        values = list(self.terms.values())
+        keep = _significant(np.abs(np.fromiter(values, float, len(values)))).tolist()
+        terms = {s: c for (s, c), k in zip(self.terms.items(), keep) if k}
+        object.__setattr__(self, "terms", terms)
 
     @property
     def degree(self) -> int:
@@ -160,7 +192,8 @@ class BinaryPolynomial:
     # terms keep insertion order, in which quadratize sums its penalty
     @cached_property
     def term_order(self) -> tuple[int, ...]:
-        return _canonical_order(self.terms)
+        keys = list(self.terms)
+        return tuple(map(keys.__getitem__, _canonical_order(keys).tolist()))
 
     def sorted_terms(self) -> Iterator[tuple[int, float]]:
         terms = self.terms
@@ -184,18 +217,61 @@ def hubo_to_json(poly: IsingPolynomial) -> str:
     the document ``{"num_qubits": n, "terms": [{"qubits": [...],
     "coeff": c}, ...]}``, but directly: with an indent, ``json`` always
     falls back to its pure-Python encoder, which is the slow part of a
-    multi-megabyte export.  Coefficients are formatted as ``json`` does.
+    multi-megabyte export.  Qubit lists come from byte tables
+    (``_qubit_lists``); coefficients are formatted as ``json`` does
+    (``json_numbers``).
     """
-    items = []
-    for s, c in poly.terms.items():
-        coeff = float.__repr__(c) if type(c) is float else json.dumps(c, allow_nan=False)
-        qubits = ",\n        ".join(map(str, qubits_of(s)))
-        qubits = f"[\n        {qubits}\n      ]" if s else "[]"
-        items.append(f'    {{\n      "qubits": {qubits},\n      "coeff": {coeff}\n    }}')
-    head = f'{{\n  "num_qubits": {json.dumps(poly.num_qubits)},\n  "terms": '
-    if not items:
-        return head + "[]\n}\n"
-    return head + "[\n" + ",\n".join(items) + "\n  ]\n}\n"
+    # every index follows its separator, so q[1:] cuts the leading comma
+    items = [
+        f'    {{\n      "qubits": [{q[1:]}\n      ],\n      "coeff": {c}\n    }}' if q
+        else f'    {{\n      "qubits": [],\n      "coeff": {c}\n    }}'
+        for q, c in zip(_qubit_lists(poly), json_numbers(poly.terms.values()))
+    ]
+    return f'{{\n  "num_qubits": {json.dumps(poly.num_qubits)},\n  "terms": {json_array(items)}\n}}\n'
+
+
+def _qubit_lists(poly: IsingPolynomial) -> list[str]:
+    """Each term's qubit indices as indented HUBO-JSON text, every index
+    after its comma, assembled a byte column of the keys at a time.
+
+    Byte position b has a 256-entry table, built once per call, of the
+    text of qubits 8b to 8b + 7 for each byte value; a key gathers one
+    entry per nonzero byte.
+    """
+    keys = list(poly.terms)
+    octets = mask_octets(keys, (poly.num_qubits + 7) // 8)
+    texts = np.full(len(keys), "", dtype=object)
+    for b, column in enumerate(octets.T):
+        pieces = [f",\n        {8 * b + q}" for q in range(8)]
+        table = np.array(
+            ["".join(p for q, p in enumerate(pieces) if v >> q & 1) for v in range(256)], dtype=object
+        )
+        rows = np.flatnonzero(column)
+        texts[rows] += table[column[rows]]
+    return texts.tolist()
+
+
+def json_array(items: list[str]) -> str:
+    """A top-level field's list, as ``json.dumps(indent=2)`` writes it
+    around items already indented to depth 2."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+def json_numbers(values: Iterable) -> list[str]:
+    """Each value as ``json.dumps(value, allow_nan=False)`` writes it,
+    raising ``ValueError`` on a non-finite one as ``json`` does.
+
+    ``json`` formats a float with ``float.__repr__``, so a list of
+    finite floats (the usual case) takes one ``map``.
+    """
+    values = list(values)
+    try:
+        texts = list(map(float.__repr__, values))
+    except TypeError:  # an int among them
+        texts = None
+    if texts is None or not _NON_FINITE.isdisjoint(texts):
+        texts = [json.dumps(c, allow_nan=False) for c in values]
+    return texts
 
 
 def hubo_from_json(data: bytes | str) -> IsingPolynomial:

@@ -17,11 +17,12 @@ predecessor.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 from itertools import combinations
+from types import MappingProxyType
+from typing import Mapping
 
-from .polynomial import BinaryPolynomial, IsingPolynomial, qubits_of
+from .polynomial import BinaryPolynomial, IsingPolynomial, json_array, json_numbers, qubits_of
 from .walsh import leakage_transform, to_01_basis
 
 __all__ = ["QuboModel", "quadratize", "resolve_ancillas", "qubo_json"]
@@ -33,14 +34,14 @@ class QuboModel:
 
     Terms are stored in the 0/1 basis over the combined variable space
     (originals first), ordered by (degree, mask), the order ``qubo_json``
-    writes.  Each ancilla records the variable pair whose product it
-    stands for; parents always precede their ancilla, so ancilla values
-    can be resolved left to right.
+    writes, in a read-only mapping.  Each ancilla records the variable
+    pair whose product it stands for; parents always precede their
+    ancilla, so ancilla values can be resolved left to right.
     """
 
     num_original_qubits: int
     num_ancilla_qubits: int
-    terms: dict[int, float]
+    terms: Mapping[int, float]
     ancilla_defs: tuple[tuple[int, tuple[int, int]], ...]
     penalty_weight: float
 
@@ -52,7 +53,13 @@ class QuboModel:
             if p >= a or q >= a:
                 raise ValueError("ancilla parents must precede the ancilla")
         terms = sorted(self.terms.items(), key=lambda item: (item[0].bit_count(), item[0]))
-        object.__setattr__(self, "terms", dict(terms))
+        object.__setattr__(self, "terms", MappingProxyType(dict(terms)))
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled; rebuild from a plain dict
+        terms = dict(self.terms)
+        return type(self), (self.num_original_qubits, self.num_ancilla_qubits, terms,
+                            self.ancilla_defs, self.penalty_weight)
 
     @property
     def num_vars(self) -> int:
@@ -176,26 +183,40 @@ def resolve_ancillas(model: QuboModel, original_bits: int) -> int:
 
 
 def qubo_json(model: QuboModel) -> str:
+    """Serialize to QUBO-JSON: the constant, the linear and quadratic
+    couplings in stored order, the ancilla definitions and the penalty.
+
+    Writes the text ``json.dumps(doc, indent=2, allow_nan=False) + "\n"``
+    would give for the document ``{"num_qubits", "num_ancillas",
+    "constant", "linear": [{"i", "coeff"}, ...], "quadratic": [{"i",
+    "j", "coeff"}, ...], "ancillas": [{"index", "parents"}, ...],
+    "penalty"}``, but directly, as ``hubo_to_json`` does.  An absent
+    constant is written ``0.0``.
+    """
+    constant = "0.0"
     linear = []
     quadratic = []
-    constant = 0.0
-    for s, c in model.terms.items():
+    for s, c in zip(model.terms, json_numbers(model.terms.values())):
         k = s.bit_count()
         if k == 0:
             constant = c
         elif k == 1:
-            linear.append({"i": s.bit_length() - 1, "coeff": c})
+            linear.append(f'    {{\n      "i": {s.bit_length() - 1},\n      "coeff": {c}\n    }}')
         else:
             lo = (s & -s).bit_length() - 1
             hi = s.bit_length() - 1
-            quadratic.append({"i": lo, "j": hi, "coeff": c})
-    doc = {
-        "num_qubits": model.num_original_qubits,
-        "num_ancillas": model.num_ancilla_qubits,
-        "constant": constant,
-        "linear": linear,
-        "quadratic": quadratic,
-        "ancillas": [{"index": a, "parents": [p, q]} for a, (p, q) in model.ancilla_defs],
-        "penalty": model.penalty_weight,
-    }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+            quadratic.append(f'    {{\n      "i": {lo},\n      "j": {hi},\n      "coeff": {c}\n    }}')
+    ancillas = [
+        f'    {{\n      "index": {a},\n      "parents": [\n        {p},\n        {q}\n      ]\n    }}'
+        for a, (p, q) in model.ancilla_defs
+    ]
+    (penalty,) = json_numbers([model.penalty_weight])
+    return (
+        f'{{\n  "num_qubits": {model.num_original_qubits},\n'
+        f'  "num_ancillas": {model.num_ancilla_qubits},\n'
+        f'  "constant": {constant},\n'
+        f'  "linear": {json_array(linear)},\n'
+        f'  "quadratic": {json_array(quadratic)},\n'
+        f'  "ancillas": {json_array(ancillas)},\n'
+        f'  "penalty": {penalty}\n}}\n'
+    )

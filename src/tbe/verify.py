@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError
-from .polynomial import IsingPolynomial
+from .polynomial import IsingPolynomial, mask_octets
 from .truncation import certify, truncate
 from .walsh import synthesize_values
 
@@ -286,9 +286,7 @@ def random_masks(rng: np.random.Generator, n: int, size: int | None = None):
 def mask_bits(masks, n: int) -> np.ndarray:
     """Boolean (len(masks) x n) matrix of a sequence of masks below
     ``2^n``: entry (t, q) is bit q of ``masks[t]``."""
-    width = (n + 7) // 8
-    octets = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
-    octets = octets.reshape(len(masks), width)
+    octets = mask_octets(masks, (n + 7) // 8)
     return np.unpackbits(octets, axis=1, count=n, bitorder="little").view(bool)
 
 

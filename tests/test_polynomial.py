@@ -1,4 +1,7 @@
+import copy
 import json
+import pickle
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -82,6 +85,45 @@ def test_non_finite_coupling_rejected():
         IsingPolynomial(2, {1: float("nan")})
 
 
+@pytest.mark.parametrize(
+    "n, terms, message",
+    [
+        (3, {0b1: 1.0, -1: 2.0}, "term key -0x1 references qubits outside [0, 3)"),
+        (3, {0b1: 1.0, 0b1000: 2.0}, "term key 0x8 references qubits outside [0, 3)"),
+        (130, {1 << 129: 1.0, 1 << 130: 2.0}, f"term key {1 << 130:#x} references qubits outside [0, 130)"),
+        # several bad keys: the first in insertion order is named, whichever is largest or smallest
+        (3, {0b1: 1.0, 0b10000: 2.0, -5: 3.0, 0b1000: 4.0}, "term key 0x10 references qubits outside [0, 3)"),
+        (3, {-1: 1.0, 0b1000: 2.0, -5: 3.0}, "term key -0x1 references qubits outside [0, 3)"),
+        (3, {0b10: 1.0, 0b1: float("nan")}, "non-finite coupling"),
+        (3, {0b10: float("inf"), 0b1: 1.0}, "non-finite coupling"),
+        (3, {0b10: 1.0, 0: float("-inf")}, "non-finite coupling"),
+    ],
+    ids=["negative", "past-n", "past-n-wide", "first-of-several", "first-negative", "nan", "inf", "-inf"],
+)
+def test_construction_errors_name_the_first_bad_key(n, terms, message):
+    with pytest.raises(ValueError) as info:
+        IsingPolynomial(n, terms)
+    assert str(info.value) == message
+
+
+def test_terms_are_read_only():
+    poly = IsingPolynomial(3, {0b11: 1.0, 0: 2.0})
+    with pytest.raises(TypeError):
+        poly.terms[0b100] = 1.0
+    with pytest.raises(TypeError):
+        poly.terms[0] = 5.0
+    with pytest.raises(TypeError):
+        del poly.terms[0]
+    assert tuple(poly.terms) == (0, 0b11)
+
+
+def test_polynomial_pickles_and_copies():
+    poly = IsingPolynomial(70, {1 << 69: 2.0, 0b11: 1.0, 0: 0.5})
+    for again in (pickle.loads(pickle.dumps(poly)), copy.deepcopy(poly), copy.copy(poly)):
+        assert again == poly
+        assert tuple(again.terms.items()) == tuple(poly.terms.items())
+
+
 def test_addition_merges_terms():
     a = IsingPolynomial(2, {1: 1.0, 3: 2.0})
     b = IsingPolynomial(2, {1: -1.0, 2: 4.0})
@@ -134,7 +176,7 @@ def _dumps_reference(poly):
 
 @st.composite
 def _spin_polynomials(draw):
-    n = draw(st.integers(0, 64))
+    n = draw(st.integers(0, 130))
     masks = st.integers(0, (1 << n) - 1)
     floats = st.floats(-1e6, 1e6).filter(lambda c: abs(c) > 1e-6)
     exact = st.sampled_from([1, -7, 12345, 0.1, -1e-5, 1.0000000000000002, 123456.789])
@@ -163,11 +205,10 @@ def test_hubo_to_json_matches_json_dumps_edge_cases(poly):
 
 
 def test_hubo_to_json_formats_negative_zero_as_json_does():
-    # the constructor prunes zero couplings, so overwrite held values
-    # with -0.0 afterwards to pin the formatter itself
-    poly = IsingPolynomial(2, {0b11: 1.0, 0b1: 1.0, 0: 1.0})
-    poly.terms[0] = -0.0
-    poly.terms[0b1] = float("-0.0")
+    # the constructor prunes zero couplings, so swap in -0.0 values
+    # afterwards, in canonical order, to pin the formatter itself
+    poly = IsingPolynomial(2, {0b11: 1.0})
+    object.__setattr__(poly, "terms", MappingProxyType({0: -0.0, 0b1: float("-0.0"), 0b11: 1.0}))
     assert '"coeff": -0.0' in hubo_to_json(poly)
     assert hubo_to_json(poly) == _dumps_reference(poly)
 

@@ -1,11 +1,13 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tbe import IsingPolynomial, quadratize, qubo_json, resolve_ancillas, truncate
+from tbe.quadratization import QuboModel
 from helpers import random_polynomial, reference_quadratize
 
 
@@ -87,6 +89,16 @@ def test_to_ising_view_matches_bits():
         assert ising.evaluate_mask(bits) == pytest.approx(model.evaluate_bits(bits), abs=1e-9)
 
 
+def test_qubo_terms_are_read_only():
+    model = quadratize(IsingPolynomial(3, {0b111: 1.0, 0b1: 0.5}))
+    with pytest.raises(TypeError):
+        model.terms[0b1] = 2.0
+    with pytest.raises(TypeError):
+        model.terms[1 << 5] = 2.0
+    again = pickle.loads(pickle.dumps(model))
+    assert again == model and list(again.terms) == list(model.terms)
+
+
 def test_qubo_json_shape():
     poly = IsingPolynomial(3, {0b111: 1.0, 0b1: 0.5})
     doc = json.loads(qubo_json(quadratize(poly)))
@@ -104,6 +116,84 @@ def test_qubo_json_shape():
     assert doc["ancillas"][0]["parents"] == [0, 1]
     assert all(set(e) == {"i", "coeff"} for e in doc["linear"])
     assert all(set(e) == {"i", "j", "coeff"} for e in doc["quadratic"])
+
+
+# --- the direct QUBO-JSON writer against json.dumps ---------------------
+
+
+def _qubo_json_reference(model):
+    linear = []
+    quadratic = []
+    constant = 0.0
+    for s, c in model.terms.items():
+        k = s.bit_count()
+        if k == 0:
+            constant = c
+        elif k == 1:
+            linear.append({"i": s.bit_length() - 1, "coeff": c})
+        else:
+            lo = (s & -s).bit_length() - 1
+            hi = s.bit_length() - 1
+            quadratic.append({"i": lo, "j": hi, "coeff": c})
+    doc = {
+        "num_qubits": model.num_original_qubits,
+        "num_ancillas": model.num_ancilla_qubits,
+        "constant": constant,
+        "linear": linear,
+        "quadratic": quadratic,
+        "ancillas": [{"index": a, "parents": [p, q]} for a, (p, q) in model.ancilla_defs],
+        "penalty": model.penalty_weight,
+    }
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+_JSON_COEFF = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(10**20), 10**20),
+    st.sampled_from([0.0, -0.0, 1, -3, 0.1, 1e-300]),
+)
+
+
+@st.composite
+def _qubo_models(draw):
+    n = draw(st.integers(0, 9))
+    ancilla_defs = []
+    for y in range(n, n + (draw(st.integers(0, 4)) if n >= 2 else 0)):
+        p = draw(st.integers(0, y - 2))
+        ancilla_defs.append((y, (p, draw(st.integers(p + 1, y - 1)))))
+    total = n + len(ancilla_defs)
+    masks = st.integers(0, (1 << total) - 1).filter(lambda s: s.bit_count() <= 2)
+    terms = draw(st.dictionaries(masks, _JSON_COEFF, max_size=30))
+    penalty = draw(st.floats(0.0, 1e12) | st.just(0.0))
+    return QuboModel(n, len(ancilla_defs), terms, tuple(ancilla_defs), penalty)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_qubo_models())
+@example(QuboModel(0, 0, {}, (), 0.0))  # no terms, no ancillas
+@example(QuboModel(3, 0, {0b11: 2.0, 0b101: -0.0}, (), 0.0))  # no constant, no linear terms
+@example(QuboModel(3, 0, {0: 7, 0b1: -0.0, 0b100: 3}, (), 0.0))  # no quadratic terms; ints
+@example(QuboModel(2, 1, {0b101: -0.0, 0b10: 1, 0: -0.0}, ((2, (0, 1)),), 5.0))
+def test_qubo_json_matches_json_dumps(model):
+    assert qubo_json(model) == _qubo_json_reference(model)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.dictionaries(st.integers(0, (1 << n) - 1), _JSON_COEFF.filter(lambda c: abs(c) < 1e100),
+                                max_size=40))))
+def test_qubo_json_of_quadratized_polynomials_matches_json_dumps(case):
+    n, terms = case
+    model = quadratize(IsingPolynomial(n, terms))
+    assert qubo_json(model) == _qubo_json_reference(model)
+
+
+def test_qubo_json_rejects_a_non_finite_value_as_json_does():
+    for model in (QuboModel(2, 0, {0b1: float("inf")}, (), 0.0), QuboModel(2, 0, {0b1: 1.0}, (), float("nan"))):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _qubo_json_reference(model)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            qubo_json(model)
 
 
 # --- incremental greedy against the recount-everything reference ---------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tbe import IsingPolynomial, certify, noise_floor_ok, residual, truncate
 from tbe.truncation import certificate_json
@@ -168,3 +170,41 @@ def test_certificate_json_field_order():
         "strong_margin",
         "common_sign_saturation",
     ]
+
+
+# --- the certificate bound as a property ---------------------------------
+
+
+@st.composite
+def _cut_polynomials(draw):
+    """A polynomial of up to 12 qubits and a cut k in 1..4; half the
+    time every coupling above k shares one sign."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 4))
+    couplings = (st.floats(-100.0, 100.0) | st.floats(-1.0, 1.0)).filter(lambda c: abs(c) > 1e-3)
+    terms = draw(st.dictionaries(st.integers(0, (1 << n) - 1), couplings, max_size=40))
+    sign = draw(st.sampled_from([None, 1.0, -1.0]))
+    if sign is not None:
+        terms = {s: sign * abs(c) if s.bit_count() > k else c for s, c in terms.items()}
+    return IsingPolynomial(n, terms), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cut_polynomials(), st.data())
+def test_certificate_bounds_the_truncation_error(case, data):
+    poly, k = case
+    cert = certify(poly, k)
+    low = truncate(poly, k)
+    high = residual(poly, k)
+    roundoff = 1e-12 * sum(abs(c) for c in poly.terms.values())
+    masks = data.draw(st.lists(st.integers(0, (1 << poly.num_qubits) - 1), min_size=1, max_size=8))
+    for mask in [0, *masks]:
+        assert abs(poly.evaluate_mask(mask) - low.evaluate_mask(mask)) <= cert.epsilon + roundoff
+    omitted = [c for s, c in poly.terms.items() if s.bit_count() > k]
+    assert cert.common_sign_saturation == (all(c > 0 for c in omitted) or all(c < 0 for c in omitted))
+    if cert.common_sign_saturation:
+        # every omitted character is +1 at mask 0, so the bound is attained there
+        assert abs(high.evaluate_mask(0)) == cert.epsilon
+        assert abs(poly.evaluate_mask(0) - low.evaluate_mask(0)) == pytest.approx(cert.epsilon, abs=roundoff)
+    restored = low + high
+    assert tuple(restored.terms.items()) == tuple(poly.terms.items())
