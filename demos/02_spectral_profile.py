@@ -59,5 +59,5 @@ for name, grid in potentials.items():
     for strategy in ("binary", "gray"):
         profile = table_spectrum(cfn, build_layout(cfn, strategy=strategy))
         total = sum(profile.per_degree_power[1:])
-        parts.append(f"{strategy} {profile.cumulative_below(2) / total:6.1%}")
+        parts.append(f"{strategy} {sum(profile.per_degree_power[1:3]) / total:6.1%}")
     print(f"  {name:22} {'  '.join(parts)}")

@@ -40,7 +40,7 @@ from .polynomial import (
 )
 from .quadratization import QuboModel, quadratize, qubo_json, resolve_ancillas
 from .solve import AnnealParams, SolveResult, decode_and_refine, solve
-from .spectrum import SpectralProfile, profile_of_polynomial, spectrum_csv, table_spectrum
+from .spectrum import SpectralProfile, spectrum_csv, table_spectrum
 from .truncation import (
     TruncationCertificate,
     certificate_json,

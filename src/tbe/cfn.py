@@ -21,13 +21,13 @@ registers itself (``encoding.walsh_blocks``).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 from .errors import CfnFormatError
 from .polynomial import finite_float, is_int
 
 __all__ = [
+    "MAX_ABS_COST",
     "VariableSpec",
     "PairwiseTable",
     "Cfn",
@@ -35,6 +35,12 @@ __all__ = [
     "serialize_cfn",
     "evaluate_cfn",
 ]
+
+MAX_ABS_COST = 1e100
+"""Largest |cost|, B.  A coupling, penalty weight (policy or quadratization)
+or l1 norm derived from costs sums under 2^64 terms (the 2^24 enumerated
+states included), each under 2^64 B, so is under 2^128 B ~ 3.4e138; a squared
+sum (certificate, spectrum) is under 2^64 (2^128 B)^2 ~ 2e296 < 1.8e308."""
 
 
 @dataclass(frozen=True)
@@ -99,8 +105,8 @@ def _validate(variables, unary_tables, pairwise_tables) -> None:
                 f"{len(table)} entries, cardinality is {variables[k].cardinality}"
             )
         for x in table:
-            if not math.isfinite(x):
-                raise CfnFormatError(f"non-finite cost in unary table for var {k}")
+            if not abs(x) <= MAX_ABS_COST:  # also refuses NaN
+                raise CfnFormatError(f"unary table for var {k}: cost {x!r} is non-finite or |cost| > {MAX_ABS_COST:g}")
     seen_pairs = set()
     for t in pairwise_tables:
         if not (0 <= t.i < n) or not (0 <= t.j < n):
@@ -117,15 +123,18 @@ def _validate(variables, unary_tables, pairwise_tables) -> None:
                 f"{len(t.costs)} entries, expected {expected}"
             )
         for x in t.costs:
-            if not math.isfinite(x):
-                raise CfnFormatError(f"non-finite cost in pairwise table ({t.i}, {t.j})")
+            if not abs(x) <= MAX_ABS_COST:
+                raise CfnFormatError(
+                    f"pairwise table ({t.i}, {t.j}): cost {x!r} is non-finite or |cost| > {MAX_ABS_COST:g}"
+                )
 
 
 def parse_cfn(data: bytes | str) -> Cfn:
     """Parse CFN-JSON into a validated Cfn.
 
     Raises CfnFormatError naming the offending field on any schema
-    violation, shape mismatch, duplicate pair or non-finite cost.
+    violation, shape mismatch, duplicate pair, or a cost that is not
+    finite or exceeds ``MAX_ABS_COST`` in magnitude.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")

@@ -20,7 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .cfn import Cfn, parse_cfn
+from .cfn import MAX_ABS_COST, Cfn, parse_cfn
 from .encoding import EncodingLayout, Fallback, Penalty, build_layout, encode, k_full
 from .errors import CapacityError, CfnFormatError
 from .polynomial import finite_float, hubo_from_json, hubo_to_json, is_int, mask_to_string, qubit_mask
@@ -135,8 +135,8 @@ def _parse_policy(text: str) -> Fallback | Penalty:
             weight = float(text.split(":", 1)[1])
         except ValueError:
             raise CfnFormatError(f"--unused {text!r}: the penalty weight must be a number") from None
-        if not (math.isfinite(weight) and weight >= 0):
-            raise CfnFormatError(f"--unused {text!r}: the penalty weight must be finite and >= 0")
+        if not 0 <= weight <= MAX_ABS_COST:  # a cost, under the same bound
+            raise CfnFormatError(f"--unused {text!r}: the penalty weight must be in [0, {MAX_ABS_COST:g}]")
         return Penalty(weight=weight)
     raise CfnFormatError(f"unknown unused-bitstring policy {text!r}")
 

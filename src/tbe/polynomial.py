@@ -6,7 +6,8 @@ passed around as masks, with bit ``q`` set when spin ``q`` equals -1
 (so mask 0 is the all-plus configuration).  This matches the bit/spin
 convention ``z = 1 - 2b`` used by the encoder.  A spin polynomial
 stores its terms, read-only, in canonical (degree, qubit list) order,
-the order HUBO-JSON is written in.
+the order HUBO-JSON is written in, and records where each degree
+starts, so a degree cut is a slice of the stored terms.
 
 Keys and configuration masks are Python ints everywhere, so nothing
 here has a qubit cap; the one qubit limit in the package is the 2^24
@@ -64,10 +65,15 @@ class IsingPolynomial:
     order, so floating-point sums are reproducible run to run.  The
     stored values are the caller's own objects.  Instances are immutable
     and safe to share.
+
+    ``degree_starts[d]`` is the stored position of the first term of
+    degree >= d, for d = 0 .. degree + 1, so the degree-d terms sit at
+    ``degree_starts[d]:degree_starts[d + 1]``.
     """
 
     num_qubits: int
     terms: Mapping[int, float] = field(default_factory=dict)
+    degree_starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.num_qubits
@@ -81,10 +87,14 @@ class IsingPolynomial:
         magnitudes = np.abs(np.fromiter(values, float, len(values)))
         if not np.isfinite(magnitudes).all():
             raise ValueError("non-finite coupling")
-        order = _canonical_order(keys)
-        order = order[_significant(magnitudes)[order]].tolist()
+        order, degrees = _canonical_order(keys)
+        order = order[_significant(magnitudes)[order]]
+        degrees = degrees[order]  # ascending
+        starts = np.searchsorted(degrees, np.arange(degrees.max(initial=0) + 2))
+        order = order.tolist()
         terms = dict(zip(map(keys.__getitem__, order), map(values.__getitem__, order)))
         object.__setattr__(self, "terms", MappingProxyType(terms))
+        object.__setattr__(self, "degree_starts", tuple(starts.tolist()))
 
     def __reduce__(self):
         # a mappingproxy cannot be pickled; rebuild from a plain dict
@@ -93,7 +103,7 @@ class IsingPolynomial:
     @property
     def degree(self) -> int:
         """Largest monomial size among stored terms (0 for constants)."""
-        return next(reversed(self.terms), 0).bit_count()
+        return len(self.degree_starts) - 2
 
     @property
     def constant(self) -> float:
@@ -122,11 +132,6 @@ class IsingPolynomial:
             out[s] = out.get(s, 0.0) + c
         return IsingPolynomial(self.num_qubits, out)
 
-    def variance(self) -> float:
-        """Variance over the uniform hypercube: sum of squared
-        non-constant couplings."""
-        return sum(c * c for s, c in self.terms.items() if s != 0)
-
 
 def mask_octets(masks: Sequence[int], width: int) -> np.ndarray:
     """(len(masks) x width) uint8 matrix of masks below ``2^(8 width)``:
@@ -136,9 +141,10 @@ def mask_octets(masks: Sequence[int], width: int) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8).reshape(len(masks), width)
 
 
-def _canonical_order(keys: Sequence[int]) -> np.ndarray:
-    """Positions that sort ``keys`` by (degree, ascending qubit list):
-    one ``np.lexsort`` over byte columns, at any width.
+def _canonical_order(keys: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Positions that sort ``keys`` by (degree, ascending qubit list),
+    and each key's degree: one ``np.lexsort`` over byte columns, at any
+    width.
 
     Each key is written in little-endian bytes and each byte goes
     through a bit-reversal table, so qubit 0 is the most significant bit
@@ -150,12 +156,10 @@ def _canonical_order(keys: Sequence[int]) -> np.ndarray:
     the complemented columns, first to last.  Memory is one byte per
     key and byte column; no per-bit matrix is unpacked.
     """
-    if not keys:
-        return np.zeros(0, dtype=np.intp)
-    octets = mask_octets(keys, (max(keys).bit_length() + 7) // 8)
+    octets = mask_octets(keys, (max(keys, default=0).bit_length() + 7) // 8)
     degree = _BYTE_DEGREE[octets].sum(axis=1, dtype=np.int64)
     columns = ~_REVERSED_BYTE[octets]
-    return np.lexsort((*columns.T[::-1], degree))
+    return np.lexsort((*columns.T[::-1], degree)), degree
 
 
 def qubits_of(mask: int) -> list[int]:
@@ -193,7 +197,7 @@ class BinaryPolynomial:
     @cached_property
     def term_order(self) -> tuple[int, ...]:
         keys = list(self.terms)
-        return tuple(map(keys.__getitem__, _canonical_order(keys).tolist()))
+        return tuple(map(keys.__getitem__, _canonical_order(keys)[0].tolist()))
 
     def sorted_terms(self) -> Iterator[tuple[int, float]]:
         terms = self.terms

@@ -6,18 +6,21 @@ interaction order.  Because unary couplings sit on single registers
 and interaction couplings on disjoint two-register subsets, the global
 profile is the exact sum of per-table profiles, so the whole spectrum
 can be computed from small per-table transforms without assembling the
-2^n polynomial.
+2^n polynomial: each block is binned by one ``np.bincount`` over the
+degrees of its local subsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cfn import Cfn
 from .encoding import EncodingLayout, k_full, walsh_blocks
-from .polynomial import IsingPolynomial
+from .walsh import squared_mass_by_degree, subset_degrees
 
-__all__ = ["SpectralProfile", "table_spectrum", "profile_of_polynomial", "spectrum_csv"]
+__all__ = ["SpectralProfile", "table_spectrum", "spectrum_csv"]
 
 
 @dataclass(frozen=True)
@@ -38,10 +41,6 @@ class SpectralProfile:
     def max_degree(self) -> int:
         return len(self.per_degree_power) - 1
 
-    def cumulative_below(self, k_max: int) -> float:
-        """Total power at degrees 1..k_max (the constant never counts)."""
-        return float(sum(self.per_degree_power[1 : k_max + 1]))
-
     def unary_power(self, k: int) -> float:
         return float(sum(t[k] for t in self.per_table_unary))
 
@@ -58,53 +57,30 @@ def table_spectrum(cfn: Cfn, layout: EncodingLayout) -> SpectralProfile:
     """
     top = k_full(cfn, layout)
     constant, registers, interactions = walsh_blocks(cfn, layout)
+    degrees = [subset_degrees(width)[1:] for width in layout.register_widths]
+    unary_profiles = [squared_mass_by_degree(coeffs, d, top) for d, coeffs in zip(degrees, registers)]
+    # interaction coeffs[tj - 1, ti - 1] has degree |ti| + |tj|
+    pairwise_profiles = [
+        (i, j, squared_mass_by_degree(coeffs, degrees[j][:, None] + degrees[i], top)) for i, j, coeffs in interactions
+    ]
 
-    # c**2 (libm pow) and c * c can differ in the last bit; the CSV keeps
-    # the pow rounding so its bytes stay those of earlier releases
-    unary_profiles = []
-    for coeffs in registers:
-        bins = [0.0] * (top + 1)
-        for t, c in enumerate(coeffs.tolist(), 1):
-            bins[t.bit_count()] += c**2
-        unary_profiles.append(tuple(bins))
-
-    pairwise_profiles = []
-    for i, j, coeffs in interactions:
-        bins = [0.0] * (top + 1)
-        for tj, row in enumerate(coeffs.tolist(), 1):
-            dj = tj.bit_count()
-            for ti, c in enumerate(row, 1):
-                bins[ti.bit_count() + dj] += c**2
-        pairwise_profiles.append((i, j, tuple(bins)))
-
-    global_bins = [0.0] * (top + 1)
-    global_bins[0] = constant**2
+    global_bins = np.zeros(top + 1)
     for bins in unary_profiles + [bins for _, _, bins in pairwise_profiles]:
-        for k in range(1, top + 1):
-            global_bins[k] += bins[k]
+        global_bins += bins
+    global_bins[0] = constant**2
 
     return SpectralProfile(
         num_qubits=layout.total_qubits,
-        per_degree_power=tuple(global_bins),
+        per_degree_power=tuple(global_bins.tolist()),
         per_table_unary=tuple(unary_profiles),
         per_table_pairwise=tuple(pairwise_profiles),
     )
 
 
-def profile_of_polynomial(poly: IsingPolynomial) -> tuple[float, ...]:
-    """Degree-binned squared couplings of an explicit polynomial."""
-    bins = [0.0] * (poly.degree + 1)
-    for s, c in poly.terms.items():
-        bins[s.bit_count()] += c * c
-    return tuple(bins)
-
-
 def spectrum_csv(profile: SpectralProfile) -> str:
     """CSV rendering: one row per degree with unary/pairwise split."""
     lines = ["k,P_k,P_k_unary,P_k_pairwise"]
-    for k in range(len(profile.per_degree_power)):
-        pk = profile.per_degree_power[k]
-        pu = profile.unary_power(k) if k >= 1 else 0.0
-        pp = profile.pairwise_power(k) if k >= 1 else 0.0
-        lines.append(f"{k},{pk:.17e},{pu:.17e},{pp:.17e}")
+    for k, pk in enumerate(profile.per_degree_power):
+        # no table has mass at degree 0, so its split reads 0.0 there
+        lines.append(f"{k},{pk:.17e},{profile.unary_power(k):.17e},{profile.pairwise_power(k):.17e}")
     return "\n".join(lines) + "\n"

@@ -6,6 +6,8 @@ exactly the Walsh basis.  The certificate bounds the worst-case
 pointwise deviation by the l1 norm of the dropped couplings, records
 the l2 (typical-amplitude) residual, and reports the noise-floor
 ratios used to judge whether the dropped mass is perturbative.
+The kept and dropped terms are a prefix and a suffix of the stored
+order (``IsingPolynomial.degree_starts``), so all of this is slices.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import islice
+
+import numpy as np
 
 from .polynomial import IsingPolynomial
 
@@ -54,53 +59,45 @@ class TruncationCertificate:
     common_sign_saturation: bool
 
 
+def _cut(poly: IsingPolynomial, k_max: int) -> int:
+    """Stored position of the first term above degree ``k_max``."""
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    return poly.degree_starts[min(k_max + 1, poly.degree + 1)]
+
+
 def truncate(poly: IsingPolynomial, k_max: int) -> IsingPolynomial:
     """Drop all monomials of degree above ``k_max``.
 
     Kept coefficients are carried over bit-identically.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    terms = {s: c for s, c in poly.terms.items() if s.bit_count() <= k_max}
-    return IsingPolynomial(poly.num_qubits, terms)
+    return IsingPolynomial(poly.num_qubits, dict(islice(poly.terms.items(), _cut(poly, k_max))))
 
 
 def residual(poly: IsingPolynomial, k_max: int) -> IsingPolynomial:
     """Exactly the dropped terms: truncate + residual == poly termwise."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    terms = {s: c for s, c in poly.terms.items() if s.bit_count() > k_max}
-    return IsingPolynomial(poly.num_qubits, terms)
+    return IsingPolynomial(poly.num_qubits, dict(islice(poly.terms.items(), _cut(poly, k_max), None)))
+
+
+def _sum_in_order(values: np.ndarray) -> float:
+    """Left-to-right sum from 0.0, as a loop adds (``np.sum`` pairs up)."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
 def certify(poly: IsingPolynomial, k_max: int) -> TruncationCertificate:
     """Certificate for truncating ``poly`` at ``k_max``.
 
-    Single pass over the stored terms, in their (canonical) order.
+    Kept non-constant and omitted couplings are two slices of the stored
+    coefficients; each sum runs in stored (canonical) order.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    cut = _cut(poly, k_max)
     n = poly.num_qubits
-    epsilon = 0.0
-    power_above = 0.0
-    power_below = 0.0
-    omitted = 0
-    saw_positive = False
-    saw_negative = False
-    for s, c in poly.terms.items():
-        k = s.bit_count()
-        if k == 0:
-            continue
-        if k <= k_max:
-            power_below += c * c
-        else:
-            epsilon += abs(c)
-            power_above += c * c
-            omitted += 1
-            if c > 0:
-                saw_positive = True
-            else:
-                saw_negative = True
+    coeffs = np.fromiter(poly.terms.values(), float, len(poly.terms))
+    kept = coeffs[poly.degree_starts[1] : cut]
+    omitted = coeffs[cut:]
+    power_below = _sum_in_order(kept * kept)
+    power_above = _sum_in_order(omitted * omitted)
+    epsilon = _sum_in_order(np.abs(omitted))
 
     kept_modes = sum(math.comb(n, k) for k in range(0, min(k_max, n) + 1))
     combinatorial = (1 << n) - kept_modes
@@ -111,10 +108,7 @@ def certify(poly: IsingPolynomial, k_max: int) -> TruncationCertificate:
         weak = power_above / power_below
     else:
         weak = None
-    if weak is None or n == 0:
-        strong: float | None = None
-    else:
-        strong = weak * n / k_max
+    strong = None if weak is None or n == 0 else weak * n / k_max
 
     return TruncationCertificate(
         k_max=k_max,
@@ -123,11 +117,11 @@ def certify(poly: IsingPolynomial, k_max: int) -> TruncationCertificate:
         l2_residual=math.sqrt(power_above),
         power_below=power_below,
         power_above=power_above,
-        omitted_nonzero=omitted,
+        omitted_nonzero=len(omitted),
         omitted_combinatorial=combinatorial,
         weak_noise_floor_ratio=weak,
         strong_noise_floor_margin=strong,
-        common_sign_saturation=not (saw_positive and saw_negative),
+        common_sign_saturation=not ((omitted > 0).any() and (omitted < 0).any()),
     )
 
 
@@ -157,10 +151,8 @@ def noise_floor_ok(
     A ratio of None (no kept power to compare against) fails unless
     nothing was omitted at all.
     """
-    weak = cert.weak_noise_floor_ratio
-    strong = cert.strong_noise_floor_margin
-    weak_ok = weak is not None and weak <= weak_threshold
-    strong_ok = strong is not None and strong <= strong_threshold
     if cert.power_above == 0.0:
         return True, True
-    return weak_ok, strong_ok
+    weak = cert.weak_noise_floor_ratio
+    strong = cert.strong_noise_floor_margin
+    return weak is not None and weak <= weak_threshold, strong is not None and strong <= strong_threshold

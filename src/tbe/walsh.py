@@ -27,6 +27,8 @@ __all__ = [
     "pointwise_derivative_values",
     "SmoothnessReport",
     "smoothness_report",
+    "subset_degrees",
+    "squared_mass_by_degree",
 ]
 
 MAX_TRANSFORM_DIM = 26
@@ -195,9 +197,7 @@ def smoothness_report(values) -> SmoothnessReport:
         raise CapacityError(f"smoothness scan over dimension {dim} exceeds cap 16")
 
     coeffs = fwht(table)
-    powers = [0.0] * (dim + 1)
-    for t in range(size):
-        powers[t.bit_count()] += float(coeffs[t]) ** 2
+    powers = squared_mass_by_degree(coeffs, subset_degrees(dim), dim)
 
     lipschitz = []
     rhs = []
@@ -233,3 +233,20 @@ def smoothness_report(values) -> SmoothnessReport:
         tail_bound=tuple(bound),
         geometric_ratio=geometric,
     )
+
+
+def subset_degrees(width: int) -> np.ndarray:
+    """Degree (popcount) of each subset mask 0 .. 2^width - 1."""
+    degrees = np.zeros(1 << width, dtype=np.intp)
+    for b in range(width):
+        degrees[1 << b : 2 << b] = degrees[: 1 << b] + 1
+    return degrees
+
+
+def squared_mass_by_degree(coeffs: np.ndarray, degrees: np.ndarray, top: int) -> tuple[float, ...]:
+    """Squared ``coeffs`` summed per degree 0 .. top, each bin added in
+    row-major order.  Squares are ``c**2`` (libm pow, which can differ
+    from ``c * c`` in the last bit), as the spectrum CSV always had."""
+    squares = [c**2 for c in coeffs.ravel().tolist()]
+    # astype: with no coefficients, bincount returns integer zeros
+    return tuple(np.bincount(degrees.ravel(), weights=squares, minlength=top + 1).astype(float).tolist())

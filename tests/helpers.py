@@ -40,6 +40,14 @@ def random_polynomial(rng: np.random.Generator, n: int, num_terms: int,
     return IsingPolynomial(n, terms)
 
 
+def degree_power(poly: IsingPolynomial) -> list[float]:
+    """Squared coupling mass at each degree 0 .. poly.degree, each a
+    slice of the stored terms delimited by ``degree_starts``."""
+    values = np.fromiter(poly.terms.values(), float, len(poly.terms))
+    starts = poly.degree_starts
+    return [float(np.sum(values[a:b] ** 2)) for a, b in zip(starts, starts[1:])]
+
+
 def naive_eval(poly: IsingPolynomial, mask: int) -> float:
     """Per-term product evaluation, no parity shortcut."""
     total = 0.0

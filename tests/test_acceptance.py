@@ -25,7 +25,6 @@ from tbe import (
     fwht,
     k_full,
     leakage_transform,
-    profile_of_polynomial,
     profile_with_margin,
     quadratize,
     residual,
@@ -39,7 +38,7 @@ from tbe.cli import main
 from tbe.polynomial import BinaryPolynomial
 from tbe.verify import dense_values
 from tbe.walsh import smoothness_report
-from helpers import all_assignments, assemble_truth_table, random_cfn, random_polynomial
+from helpers import all_assignments, assemble_truth_table, degree_power, random_cfn, random_polynomial
 
 from tbe import Fallback, Penalty
 
@@ -257,7 +256,7 @@ def test_criterion_08_additive_spectral_decomposition():
     for cfn, layout in _encoded_instances(200, seed=101):
         poly = encode(cfn, layout)
         profile = table_spectrum(cfn, layout)
-        binned = profile_of_polynomial(poly)
+        binned = degree_power(poly)
         top = profile.max_degree
         for k in range(1, top + 1):
             whole = binned[k] if k < len(binned) else 0.0

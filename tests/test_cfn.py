@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tbe import (
     Cfn,
@@ -12,6 +14,7 @@ from tbe import (
     parse_cfn,
     serialize_cfn,
 )
+from tbe.cfn import MAX_ABS_COST
 from helpers import all_assignments, naive_cfn_eval, random_cfn
 
 
@@ -99,6 +102,28 @@ def test_serialize_round_trip():
         cfn = random_cfn(rng, max_vars=3, max_card=5)
         again = parse_cfn(serialize_cfn(cfn))
         assert again == cfn
+
+
+@st.composite
+def _cfns(draw):
+    """A CFN of 1-4 variables, any names and costs within the bound,
+    pairwise tables in (i, j) order as ``serialize_cfn`` writes them."""
+    cards = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    costs = st.floats(-MAX_ABS_COST, MAX_ABS_COST)
+    variables = tuple(VariableSpec(draw(st.text(max_size=8)), c) for c in cards)
+    unary = tuple(tuple(draw(st.lists(costs, min_size=c, max_size=c))) for c in cards)
+    pairs = [(i, j) for i in range(len(cards)) for j in range(i + 1, len(cards)) if draw(st.booleans())]
+    pairwise = tuple(
+        PairwiseTable(i, j, tuple(draw(st.lists(costs, min_size=cards[i] * cards[j], max_size=cards[i] * cards[j]))))
+        for i, j in pairs
+    )
+    return Cfn(variables, unary, pairwise)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cfns())
+def test_serialize_then_parse_is_identity(cfn):
+    assert parse_cfn(serialize_cfn(cfn)) == cfn
 
 
 def test_evaluate_single_table_lookup():

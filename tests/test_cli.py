@@ -559,10 +559,43 @@ def test_ensemble_random_start_at_and_past_64_qubits(tmp_path, n):
     assert main(["ensemble", "--profile", str(profile), "--trials", "10"]) == 0
 
 
-@pytest.mark.parametrize("policy", ["fallback:x", "penalty:x", "penalty:nan", "penalty:-1"])
+@pytest.mark.parametrize("policy", ["fallback:x", "penalty:x", "penalty:nan", "penalty:-1", "penalty:1e305"])
 def test_malformed_unused_policy_exits_3(small_input, capsys, policy):
     assert main(["spectrum", "--input", str(small_input), "--unused", policy]) == 3
     assert "--unused" in capsys.readouterr().err
+
+
+def _costs_of_magnitude(tmp_path, cost):
+    doc = {
+        "variables": [{"cardinality": 4}] * 3,
+        "unary": [{"var": 0, "costs": [0.0, 1.0, -cost, cost]}],
+        "pairwise": [{"vars": [1, 2], "costs": [cost, -cost, -cost, cost] * 4}],
+    }
+    path = tmp_path / "costs.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("cost", [1e305, -1e308, 1.0000000000000002e100])
+def test_cost_past_the_bound_exits_3_naming_table_and_value(tmp_path, capsys, cost):
+    # squared sums of such costs overflowed, and the run exited 1
+    qubo = tmp_path / "qubo.json"
+    argv = ["compile", "--input", str(_costs_of_magnitude(tmp_path, cost)), "--kmax", "3", "--quadratize"]
+    assert main(argv + ["--out-qubo", str(qubo)]) == 3
+    err = capsys.readouterr().err
+    assert f"unary table for var 0: cost {-cost!r}" in err
+    assert not qubo.exists()
+
+
+def test_costs_at_the_bound_give_finite_artifacts(tmp_path):
+    path = _costs_of_magnitude(tmp_path, 1e100)
+    out = {name: tmp_path / name for name in ("hubo", "trunc", "qubo", "spectrum", "cert", "report")}
+    argv = ["compile", "--input", str(path), "--kmax", "2", "--quadratize", "--unused", "penalty"]
+    for name, target in out.items():
+        argv += [f"--out-{name}", str(target)]
+    assert main(argv) == 0
+    assert "inf" not in out["spectrum"].read_text()
+    assert all(math.isfinite(v) for v in json.loads(out["cert"].read_text()).values() if isinstance(v, float))
 
 
 def test_missing_custom_map_file_names_assignment(small_input, tmp_path, capsys):

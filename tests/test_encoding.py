@@ -19,10 +19,11 @@ from tbe import (
     k_full,
     mask_to_string,
     spin_image,
+    table_spectrum,
 )
 from tbe.encoding import bitstring_indicator, default_penalty_weight
 from tbe.verify import dense_values
-from helpers import all_assignments, assemble_truth_table, naive_eval, random_cfn
+from helpers import all_assignments, assemble_truth_table, degree_power, naive_eval, random_cfn
 
 
 def _cfn_of_cards(cards, rng=None, edge_prob=1.0):
@@ -363,6 +364,22 @@ def test_encoding_is_the_policy_extended_table_everywhere(case):
     want = assemble_truth_table(cfn, layout)
     scale = 1.0 + float(np.max(np.abs(want)))
     assert np.max(np.abs(got - want)) <= 1e-9 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(_policy_layouts())
+def test_spectrum_adds_up_over_tables(case):
+    # each degree's unary and pairwise bins, summed over the tables, are
+    # the squared mass the assembled polynomial stores at that degree
+    cfn, layout = case
+    profile = table_spectrum(cfn, layout)
+    # a width-0 register (cardinality 1) has no coefficients, and its bins are 0.0 all the same
+    assert all(type(v) is float for bins in profile.per_table_unary for v in bins)
+    mass = degree_power(encode(cfn, layout))
+    for k in range(1, profile.max_degree + 1):
+        whole = mass[k] if k < len(mass) else 0.0
+        parts = profile.unary_power(k) + profile.pairwise_power(k)
+        assert abs(whole - parts) <= 1e-9 * max(whole, parts, 1e-300)
 
 
 @settings(max_examples=60, deadline=None)

@@ -154,9 +154,15 @@ def test_binary_polynomial_evaluation():
     assert poly.evaluate_bits(0b111) == 3.0
 
 
-def test_variance_sums_squared_nonconstant_couplings():
-    poly = IsingPolynomial(3, {0: 9.0, 1: 2.0, 0b110: -3.0})
-    assert poly.variance() == pytest.approx(4.0 + 9.0)
+def test_degree_starts_bracket_each_degree():
+    poly = IsingPolynomial(4, {0b110: -3.0, 0: 9.0, 0b1111: 1e-20, 1: 2.0, 0b1011: 0.5})
+    # the pruned degree-4 term leaves degree 3 on top
+    assert poly.degree_starts == (0, 1, 2, 3, 4)
+    assert poly.degree == 3
+    values = list(poly.terms.values())
+    assert sum(c * c for c in values[poly.degree_starts[1] :]) == 4.0 + 9.0 + 0.25
+    assert IsingPolynomial(3, {}).degree_starts == (0, 0)
+    assert IsingPolynomial(0, {0: 1.5}).degree_starts == (0, 1)
 
 
 # --- direct HUBO-JSON writer and the canonical term order ----------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tbe import IsingPolynomial, certify, noise_floor_ok, residual, truncate
-from tbe.truncation import certificate_json
+from tbe.truncation import TruncationCertificate, certificate_json
 from tbe.verify import dense_values
 from helpers import random_polynomial
 
@@ -56,13 +56,18 @@ def test_truncation_orthogonal_to_residual():
     assert inner == 0.0
 
 
+def _variance(poly):
+    """Variance over the uniform hypercube: the squared non-constant couplings."""
+    return sum(c * c for s, c in poly.terms.items() if s != 0)
+
+
 def test_variance_splits_across_the_cut():
     rng = np.random.default_rng(31)
     poly = random_polynomial(rng, 10, 60)
     for k in range(1, 10):
         cert = certify(poly, k)
-        split = truncate(poly, k).variance() + cert.power_above
-        assert poly.variance() == pytest.approx(split, rel=1e-9)
+        split = _variance(truncate(poly, k)) + cert.power_above
+        assert _variance(poly) == pytest.approx(split, rel=1e-9)
 
 
 def test_certificate_arithmetic_example():
@@ -208,3 +213,70 @@ def test_certificate_bounds_the_truncation_error(case, data):
         assert abs(poly.evaluate_mask(0) - low.evaluate_mask(0)) == pytest.approx(cert.epsilon, abs=roundoff)
     restored = low + high
     assert tuple(restored.terms.items()) == tuple(poly.terms.items())
+
+
+# --- degree slices against the per-term loops they replace ---------------
+
+
+def _certify_by_loop(poly, k_max):
+    """The per-term certificate: one pass over the stored terms, testing
+    each term's degree, sums added in stored order."""
+    n = poly.num_qubits
+    epsilon = power_above = power_below = 0.0
+    omitted = 0
+    saw_positive = saw_negative = False
+    for s, c in poly.terms.items():
+        k = s.bit_count()
+        if k == 0:
+            continue
+        if k <= k_max:
+            power_below += c * c
+        else:
+            epsilon += abs(c)
+            power_above += c * c
+            omitted += 1
+            if c > 0:
+                saw_positive = True
+            else:
+                saw_negative = True
+    combinatorial = (1 << n) - sum(math.comb(n, k) for k in range(0, min(k_max, n) + 1))
+    if power_above == 0.0:
+        weak = 0.0
+    elif power_below > 0.0:
+        weak = power_above / power_below
+    else:
+        weak = None
+    strong = None if weak is None or n == 0 else weak * n / k_max
+    return TruncationCertificate(
+        k_max, n, epsilon, math.sqrt(power_above), power_below, power_above, omitted,
+        combinatorial, weak, strong, not (saw_positive and saw_negative),
+    )
+
+
+@st.composite
+def _wide_polynomials(draw):
+    """Up to 100 qubits, so keys cross 64 bits; low-degree keys as well
+    as uniform ones, and couplings below the 1e-14 prune among them."""
+    n = draw(st.integers(0, 100))
+    if n == 0:
+        masks = st.just(0)
+    else:
+        few = st.lists(st.integers(0, n - 1), max_size=5).map(lambda qs: sum(1 << q for q in set(qs)))
+        masks = st.integers(0, (1 << n) - 1) | few
+    couplings = st.floats(-1e6, 1e6) | st.sampled_from([1e-16, -3e-15, 1e-300, 0.0, -0.0])
+    return IsingPolynomial(n, draw(st.dictionaries(masks, couplings, max_size=60)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wide_polynomials())
+def test_degree_slices_match_per_term_filters(poly):
+    starts = poly.degree_starts
+    items = list(poly.terms.items())
+    assert len(starts) == poly.degree + 2
+    assert starts[0] == 0 and starts[-1] == len(items)
+    for d in range(poly.degree + 1):
+        assert all(s.bit_count() == d for s, _ in items[starts[d] : starts[d + 1]])
+    for k in range(1, poly.degree + 2):
+        assert list(truncate(poly, k).terms.items()) == [(s, c) for s, c in items if s.bit_count() <= k]
+        assert list(residual(poly, k).terms.items()) == [(s, c) for s, c in items if s.bit_count() > k]
+        assert certify(poly, k) == _certify_by_loop(poly, k)  # bit for bit, not approx

@@ -13,7 +13,7 @@ from tbe import (
     to_01_basis,
     truncate,
 )
-from tbe.walsh import pointwise_derivative_values
+from tbe.walsh import pointwise_derivative_values, squared_mass_by_degree, subset_degrees
 from helpers import naive_walsh, random_polynomial
 
 
@@ -240,3 +240,14 @@ def test_truncation_in_01_basis_leaks_into_kept_subsets():
                 leak = -leak
             diff = basis_route.terms.get(t, 0.0) - ising_route.terms.get(t, 0.0)
             assert diff == pytest.approx(-leak, abs=1e-12)
+
+
+def test_squared_mass_by_degree_bins_pow_squares_in_order():
+    # the spectrum has always squared with c**2 (libm pow); for these
+    # values pow and c * c round differently on common libms
+    a, b, c = 0.3624182010806754, 1.8871580461934296, -1.2291748224027053
+    coeffs = np.array([[a, b], [c, -2.5]])
+    got = squared_mass_by_degree(coeffs, np.array([[1, 2], [2, 3]]), 4)
+    assert got == (0.0, a**2, b**2 + c**2, 6.25, 0.0)
+    assert subset_degrees(3).tolist() == [0, 1, 1, 2, 1, 2, 2, 3]
+
