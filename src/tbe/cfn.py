@@ -23,8 +23,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CfnFormatError
-from .polynomial import finite_float, is_int
+from .polynomial import MAX_ABS_COST, is_int
 
 __all__ = [
     "MAX_ABS_COST",
@@ -35,13 +37,6 @@ __all__ = [
     "serialize_cfn",
     "evaluate_cfn",
 ]
-
-MAX_ABS_COST = 1e100
-"""Largest |cost|, B.  A coupling, penalty weight (policy or quadratization)
-or l1 norm derived from costs sums under 2^64 terms (the 2^24 enumerated
-states included), each under 2^64 B, so is under 2^128 B ~ 3.4e138; a squared
-sum (certificate, spectrum) is under 2^64 (2^128 B)^2 ~ 2e296 < 1.8e308."""
-
 
 @dataclass(frozen=True)
 class VariableSpec:
@@ -104,9 +99,9 @@ def _validate(variables, unary_tables, pairwise_tables) -> None:
                 f"table shape mismatch: unary table for var {k} has "
                 f"{len(table)} entries, cardinality is {variables[k].cardinality}"
             )
-        for x in table:
-            if not abs(x) <= MAX_ABS_COST:  # also refuses NaN
-                raise CfnFormatError(f"unary table for var {k}: cost {x!r} is non-finite or |cost| > {MAX_ABS_COST:g}")
+        x = _first_out_of_bound(table)
+        if x is not None:
+            raise CfnFormatError(f"unary table for var {k}: cost {x!r} is non-finite or |cost| > {MAX_ABS_COST:g}")
     seen_pairs = set()
     for t in pairwise_tables:
         if not (0 <= t.i < n) or not (0 <= t.j < n):
@@ -122,11 +117,20 @@ def _validate(variables, unary_tables, pairwise_tables) -> None:
                 f"table shape mismatch: pairwise table ({t.i}, {t.j}) has "
                 f"{len(t.costs)} entries, expected {expected}"
             )
-        for x in t.costs:
-            if not abs(x) <= MAX_ABS_COST:
-                raise CfnFormatError(
-                    f"pairwise table ({t.i}, {t.j}): cost {x!r} is non-finite or |cost| > {MAX_ABS_COST:g}"
-                )
+        x = _first_out_of_bound(t.costs)
+        if x is not None:
+            raise CfnFormatError(
+                f"pairwise table ({t.i}, {t.j}): cost {x!r} is non-finite or |cost| > {MAX_ABS_COST:g}"
+            )
+
+
+def _first_out_of_bound(costs):
+    """The first cost that is NaN or above ``MAX_ABS_COST`` in magnitude, else None."""
+    try:
+        bad = np.flatnonzero(~(np.abs(np.asarray(costs, dtype=float)) <= MAX_ABS_COST))
+    except OverflowError:  # an int past the float range, in a table built by hand
+        return next(x for x in costs if not abs(x) <= MAX_ABS_COST)
+    return costs[bad[0]] if bad.size else None
 
 
 def parse_cfn(data: bytes | str) -> Cfn:
@@ -192,10 +196,18 @@ def parse_cfn(data: bytes | str) -> Cfn:
 def _float_list(values, where: str) -> tuple[float, ...]:
     if not isinstance(values, list):
         raise CfnFormatError(f"{where} must be a list of numbers")
-    out = tuple(finite_float(x) for x in values)
-    if None in out:
+    # json gives exactly int or float for a number; a bool is neither
+    types = set(map(type, values))
+    costs = None
+    if types <= {float, int}:
+        try:
+            costs = np.array(values, dtype=float)
+        except OverflowError:  # an int past the float range
+            pass
+    if costs is None or not np.isfinite(costs).all():
         raise CfnFormatError(f"{where} must contain only finite numbers")
-    return out
+    # all floats: keep the parsed objects rather than make new ones
+    return tuple(values) if types <= {float} else tuple(costs.tolist())
 
 
 def serialize_cfn(cfn: Cfn) -> str:

@@ -17,6 +17,9 @@ and leaves interactions at zero there.  The marginals of each
 before transforming, which keeps interaction couplings supported on
 exactly two registers and makes the per-table spectral decomposition
 exact; ``walsh_blocks`` is the one place these transforms are taken.
+``encode`` places each block's couplings in the polynomial's stored
+arrays as rows of key bytes, without forming a Python-int key per
+coupling.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from .cfn import Cfn
 from .errors import CfnFormatError
-from .polynomial import IsingPolynomial
+from .polynomial import IsingPolynomial, mask_octets, octet_width
 from .walsh import fwht
 
 __all__ = [
@@ -283,27 +286,33 @@ def encode(cfn: Cfn, layout: EncodingLayout) -> IsingPolynomial:
 
     The couplings are the per-table Walsh blocks of ``walsh_blocks``
     placed at their registers' offsets; exact zeros are dropped.  The
-    constant term is stored.  Keys are built a block at a time: each
-    register's local subsets, shifted to its offset, form one list, and
-    a block's nonzero entries (``np.flatnonzero``) index into the lists
-    of its one or two registers.
+    constant term is stored.  Keys are built as byte rows, a block at a
+    time, and go to the polynomial's one sort
+    (``IsingPolynomial.from_octets``): each register has a table of the
+    key bytes of its local subsets, shifted to its offset; a register
+    block's rows are its table's rows at the block's nonzero entries,
+    and an interaction block's rows OR the rows of its two registers.
     """
     constant, registers, interactions = walsh_blocks(cfn, layout)
-    # local[i][t - 1]: the mask of nonempty local subset t of register i
-    local = [
-        [t << offset for t in range(1, 1 << width)]
-        for width, offset in zip(layout.register_widths, layout.register_offsets)
+    width = octet_width(layout.total_qubits)
+    # tables[i][t - 1]: the key bytes of nonempty local subset t of register i
+    tables = [
+        mask_octets([t << offset for t in range(1, 1 << w)], width)
+        for w, offset in zip(layout.register_widths, layout.register_offsets)
     ]
-    terms: dict[int, float] = {0: constant}
-    for masks, coeffs in zip(local, registers):
-        nonzero = np.flatnonzero(coeffs)
-        terms.update(zip(map(masks.__getitem__, nonzero.tolist()), coeffs[nonzero].tolist()))
-    for i, j, coeffs in interactions:
-        nonzero = np.flatnonzero(coeffs)
-        tj, ti = np.divmod(nonzero, coeffs.shape[1])
-        keys = map(int.__or__, map(local[i].__getitem__, ti.tolist()), map(local[j].__getitem__, tj.tolist()))
-        terms.update(zip(keys, coeffs.reshape(-1)[nonzero].tolist()))
-    return IsingPolynomial(layout.total_qubits, terms)
+    octets = [np.zeros((1, width), dtype=np.uint8)]
+    coeffs = [np.array([constant])]
+    for table, block in zip(tables, registers):
+        nonzero = np.flatnonzero(block)
+        octets.append(table[nonzero])
+        coeffs.append(block[nonzero])
+    for i, j, block in interactions:
+        flat = block.reshape(-1)
+        nonzero = np.flatnonzero(flat)
+        tj, ti = np.divmod(nonzero, block.shape[1])
+        octets.append(tables[i][ti] | tables[j][tj])
+        coeffs.append(flat[nonzero])
+    return IsingPolynomial.from_octets(layout.total_qubits, np.concatenate(octets), np.concatenate(coeffs))
 
 
 def spin_image(layout: EncodingLayout, assignment: Sequence[int]) -> int:
@@ -353,6 +362,5 @@ def decode(layout: EncodingLayout, mask: int) -> tuple[list[int], list[bool]]:
 def k_full(cfn: Cfn, layout: EncodingLayout) -> int:
     """Largest possible monomial degree of the exact encoding."""
     widths = layout.register_widths
-    if cfn.pairwise_tables:
-        return max(widths[t.i] + widths[t.j] for t in cfn.pairwise_tables)
-    return max(widths, default=0)
+    # a register in no interaction can still carry the widest block
+    return max([*(widths[t.i] + widths[t.j] for t in cfn.pairwise_tables), *widths], default=0)

@@ -4,22 +4,28 @@ Monomials are keyed by subset bitmasks: bit ``q`` of a key means the
 monomial contains variable ``q``.  Spin configurations are likewise
 passed around as masks, with bit ``q`` set when spin ``q`` equals -1
 (so mask 0 is the all-plus configuration).  This matches the bit/spin
-convention ``z = 1 - 2b`` used by the encoder.  A spin polynomial
-stores its terms, read-only, in canonical (degree, qubit list) order,
-the order HUBO-JSON is written in, and records where each degree
-starts, so a degree cut is a slice of the stored terms.
+convention ``z = 1 - 2b`` used by the encoder.
 
-Keys and configuration masks are Python ints everywhere, so nothing
-here has a qubit cap; the one qubit limit in the package is the 2^24
-states of exhaustive enumeration (``verify.dense_values``).
+A spin polynomial stores its terms as two read-only arrays in
+canonical (degree, qubit list) order, the order HUBO-JSON is written
+in: the keys as rows of little-endian bytes (``octets``) and the
+couplings as float64 (``coeffs``).  It records where each degree
+starts, so a degree cut is a slice of both.  The encoder builds the
+arrays directly; a ``{key: coupling}`` mapping is built only when a
+caller reads ``terms``.
+
+Keys and configuration masks are Python ints wherever they leave the
+arrays, so nothing here has a qubit cap; the one qubit limit in the
+package is the 2^24 states of exhaustive enumeration
+(``verify.dense_values``).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import FrozenInstanceError, dataclass, field
+from functools import cached_property, lru_cache
 from itertools import repeat
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -29,6 +35,7 @@ import numpy as np
 from .errors import CfnFormatError
 
 __all__ = [
+    "MAX_ABS_COST",
     "IsingPolynomial",
     "BinaryPolynomial",
     "mask_to_string",
@@ -37,6 +44,13 @@ __all__ = [
 ]
 
 RELATIVE_PRUNE_TOL = 1e-14
+
+MAX_ABS_COST = 1e100
+"""Largest |cost| of a CFN table and |coefficient| of a HUBO-JSON term, B.
+A coupling, penalty weight (policy or quadratization) or l1 norm derived
+from these sums under 2^64 terms (the 2^24 enumerated states included),
+each under 2^64 B, so is under 2^128 B ~ 3.4e138; a squared sum
+(certificate, spectrum) is under 2^64 (2^128 B)^2 ~ 2e296 < 1.8e308."""
 
 # per byte value: its bits reversed (bit 0 to bit 7), and its popcount
 _REVERSED_BYTE = np.array([int(f"{v:08b}"[::-1], 2) for v in range(256)], dtype=np.uint8)
@@ -54,51 +68,85 @@ def _significant(magnitudes: np.ndarray) -> np.ndarray:
     return magnitudes > RELATIVE_PRUNE_TOL * magnitudes.max(initial=0.0)
 
 
-@dataclass(frozen=True)
+def octet_width(num_qubits: int) -> int:
+    """Bytes per key over ``num_qubits`` qubits."""
+    return (num_qubits + 7) // 8
+
+
+def _outside(key: int, n: int) -> ValueError:
+    return ValueError(f"term key {key:#x} references qubits outside [0, {n})")
+
+
 class IsingPolynomial:
     """A real polynomial in +/-1 spin variables, stored sparsely.
 
-    ``terms`` maps subset masks to coupling values; zero couplings
-    (below 1e-14 of the largest magnitude) are dropped at construction,
-    and the rest are stored in canonical order, by (degree, qubit list),
-    in a read-only mapping.  Every reduction over the terms walks that
-    order, so floating-point sums are reproducible run to run.  The
-    stored values are the caller's own objects.  Instances are immutable
-    and safe to share.
+    Built from a ``{key: coupling}`` mapping, or from key bytes with
+    ``from_octets``.  Zero couplings (below 1e-14 of the largest
+    magnitude) are dropped, and the rest are stored in canonical order,
+    by (degree, qubit list):
 
-    ``degree_starts[d]`` is the stored position of the first term of
-    degree >= d, for d = 0 .. degree + 1, so the degree-d terms sit at
-    ``degree_starts[d]:degree_starts[d + 1]``.
+    * ``octets``: read-only (terms x ceil(n / 8)) uint8 matrix whose row
+      t holds the t-th key in little-endian bytes;
+    * ``coeffs``: read-only float64 couplings, row for row;
+    * ``degree_starts[d]``: the row of the first term of degree >= d,
+      for d = 0 .. degree + 1, so the degree-d terms are rows
+      ``degree_starts[d]:degree_starts[d + 1]``.
+
+    ``terms`` is the same content as a read-only ``{key: coupling}``
+    mapping in that order, built on first read.  Every reduction over
+    the terms walks the stored order, so floating-point sums are
+    reproducible run to run.  Instances are immutable and safe to share.
     """
 
     num_qubits: int
-    terms: Mapping[int, float] = field(default_factory=dict)
-    degree_starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    octets: np.ndarray
+    coeffs: np.ndarray
+    degree_starts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = self.num_qubits
-        if n < 0:
-            raise ValueError(f"num_qubits {n} is negative")
-        keys = list(self.terms)
-        values = list(self.terms.values())
-        if keys and (min(keys) < 0 or max(keys).bit_length() > n):
-            s = next(s for s in keys if s < 0 or s.bit_length() > n)
-            raise ValueError(f"term key {s:#x} references qubits outside [0, {n})")
-        magnitudes = np.abs(np.fromiter(values, float, len(values)))
-        if not np.isfinite(magnitudes).all():
-            raise ValueError("non-finite coupling")
-        order, degrees = _canonical_order(keys)
-        order = order[_significant(magnitudes)[order]]
-        degrees = degrees[order]  # ascending
-        starts = np.searchsorted(degrees, np.arange(degrees.max(initial=0) + 2))
-        order = order.tolist()
-        terms = dict(zip(map(keys.__getitem__, order), map(values.__getitem__, order)))
-        object.__setattr__(self, "terms", MappingProxyType(terms))
-        object.__setattr__(self, "degree_starts", tuple(starts.tolist()))
+    def __init__(self, num_qubits: int, terms: Mapping[int, float] | None = None) -> None:
+        if num_qubits < 0:
+            raise ValueError(f"num_qubits {num_qubits} is negative")
+        terms = {} if terms is None else terms
+        keys = list(terms)
+        if keys and (min(keys) < 0 or max(keys).bit_length() > num_qubits):
+            raise _outside(next(s for s in keys if s < 0 or s.bit_length() > num_qubits), num_qubits)
+        coeffs = np.fromiter(terms.values(), float, len(keys))
+        _canonicalize(self, num_qubits, mask_octets(keys, octet_width(num_qubits)), coeffs)
+
+    @classmethod
+    def from_octets(cls, num_qubits: int, octets: np.ndarray, coeffs: np.ndarray) -> "IsingPolynomial":
+        """The polynomial with distinct keys given as rows of
+        little-endian bytes (``ceil(num_qubits / 8)`` columns) and their
+        couplings, in any order."""
+        return _canonicalize(cls.__new__(cls), num_qubits, np.asarray(octets, np.uint8), np.asarray(coeffs, float))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        # a mappingproxy cannot be pickled; rebuild from a plain dict
-        return type(self), (self.num_qubits, dict(self.terms))
+        return _stored, (self.num_qubits, self.octets, self.coeffs, self.degree_starts)
+
+    def __eq__(self, other):
+        if not isinstance(other, IsingPolynomial):
+            return NotImplemented
+        return (
+            self.num_qubits == other.num_qubits
+            and np.array_equal(self.octets, other.octets)
+            and np.array_equal(self.coeffs, other.coeffs)
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"IsingPolynomial(num_qubits={self.num_qubits}, terms={dict(self.terms)!r})"
+
+    @cached_property
+    def terms(self) -> Mapping[int, float]:
+        """The stored terms as a read-only ``{key: coupling}`` mapping."""
+        return MappingProxyType(dict(zip(octet_keys(self.octets), self.coeffs.tolist())))
 
     @property
     def degree(self) -> int:
@@ -107,10 +155,24 @@ class IsingPolynomial:
 
     @property
     def constant(self) -> float:
-        return self.terms.get(0, 0.0)
+        return float(self.coeffs[0]) if self.degree_starts[1] else 0.0
 
     def num_terms(self) -> int:
-        return len(self.terms)
+        return len(self.coeffs)
+
+    def between_degrees(self, low: int, high: int) -> "IsingPolynomial":
+        """The stored terms of degree ``low`` to ``high`` (0 <= low):
+        a slice of the arrays, so nothing is sorted again and nothing
+        newly pruned, since a subset's largest magnitude is at most the
+        whole's."""
+        starts = self.degree_starts
+        top = len(starts) - 1
+        first = starts[min(low, top)]
+        stop = max(first, starts[min(high + 1, top)])
+        kept = [min(max(s, first), stop) - first for s in starts]
+        # the slice's degree is its highest nonempty one
+        degree = max((d for d in range(top) if kept[d] < kept[d + 1]), default=0)
+        return _stored(self.num_qubits, self.octets[first:stop], self.coeffs[first:stop], kept[: degree + 2])
 
     def evaluate_mask(self, mask: int) -> float:
         if not (0 <= mask < (1 << self.num_qubits)):
@@ -133,6 +195,66 @@ class IsingPolynomial:
         return IsingPolynomial(self.num_qubits, out)
 
 
+def _store(poly: IsingPolynomial, n: int, octets: np.ndarray, coeffs: np.ndarray, degree_starts) -> IsingPolynomial:
+    """Fill ``poly`` with arrays already in canonical form, read-only."""
+    octets.flags.writeable = False
+    coeffs.flags.writeable = False
+    poly.__dict__.update(num_qubits=n, octets=octets, coeffs=coeffs, degree_starts=tuple(degree_starts))
+    return poly
+
+
+def _stored(n: int, octets: np.ndarray, coeffs: np.ndarray, degree_starts) -> IsingPolynomial:
+    """A new polynomial over arrays already in canonical form."""
+    return _store(IsingPolynomial.__new__(IsingPolynomial), n, octets, coeffs, degree_starts)
+
+
+def _canonicalize(poly: IsingPolynomial, n: int, octets: np.ndarray, coeffs: np.ndarray) -> IsingPolynomial:
+    """Store distinct keys (rows of little-endian bytes) and their
+    couplings in ``poly``, in canonical form.
+
+    Checks that the keys lie in ``[0, 2^n)`` and the couplings are
+    finite, drops the insignificant couplings, sorts the rest
+    (``_canonical_order``) and records where each degree starts.
+    """
+    if n < 0:
+        raise ValueError(f"num_qubits {n} is negative")
+    if octets.ndim != 2 or octets.shape != (len(coeffs), octet_width(n)):
+        raise ValueError(f"key bytes of shape {octets.shape} do not match {len(coeffs)} couplings over {n} qubits")
+    if n % 8 and len(octets):
+        beyond = np.flatnonzero(octets[:, -1] >> (n % 8))
+        if beyond.size:
+            raise _outside(int.from_bytes(octets[beyond[0]].tobytes(), "little"), n)
+    magnitudes = np.abs(coeffs)
+    if not np.isfinite(magnitudes).all():
+        raise ValueError("non-finite coupling")
+    keep = _significant(magnitudes)
+    if not keep.all():
+        octets, coeffs = octets[keep], coeffs[keep]
+    order, degrees = _canonical_order(octets)
+    starts = np.searchsorted(degrees[order], np.arange(degrees.max(initial=0) + 2))
+    # fancy indexing copies, so the stored arrays never alias the caller's
+    return _store(poly, n, octets[order], coeffs[order], starts.tolist())
+
+
+def _canonical_order(octets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows that sort keys, given as rows of little-endian bytes, by
+    (degree, ascending qubit list), and each key's degree: one
+    ``np.lexsort`` over byte columns, at any width.
+
+    Each byte goes through a bit-reversal table, so qubit 0 is the most
+    significant bit of column 0 and the columns, first to last, spell
+    the key's bit reversal.  Within one degree a smaller qubit list is a
+    larger reversal: the first qubit where two lists differ is the
+    highest bit where their reversals differ, and only the smaller list
+    has it.  So the sort keys are the degree (summed from a popcount
+    table), then the complemented columns, first to last.  Memory is one
+    byte per key and byte column; no per-bit matrix is unpacked.
+    """
+    degrees = _BYTE_DEGREE[octets].sum(axis=1, dtype=np.int64)
+    columns = ~_REVERSED_BYTE[octets]
+    return np.lexsort((*columns.T[::-1], degrees)), degrees
+
+
 def mask_octets(masks: Sequence[int], width: int) -> np.ndarray:
     """(len(masks) x width) uint8 matrix of masks below ``2^(8 width)``:
     row t is ``masks[t]`` in little-endian bytes, so column b holds
@@ -141,25 +263,21 @@ def mask_octets(masks: Sequence[int], width: int) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8).reshape(len(masks), width)
 
 
-def _canonical_order(keys: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Positions that sort ``keys`` by (degree, ascending qubit list),
-    and each key's degree: one ``np.lexsort`` over byte columns, at any
-    width.
+def octet_words(octets: np.ndarray) -> np.ndarray:
+    """The keys of rows of at most 8 little-endian bytes, as uint64."""
+    padded = np.zeros((len(octets), 8), dtype=np.uint8)
+    padded[:, : octets.shape[1]] = octets
+    return padded.view("<u8").reshape(-1)
 
-    Each key is written in little-endian bytes and each byte goes
-    through a bit-reversal table, so qubit 0 is the most significant bit
-    of column 0 and the columns, first to last, spell the key's bit
-    reversal.  Within one degree a smaller qubit list is a larger
-    reversal: the first qubit where two lists differ is the highest bit
-    where their reversals differ, and only the smaller list has it.  So
-    the sort keys are the degree (summed from a popcount table), then
-    the complemented columns, first to last.  Memory is one byte per
-    key and byte column; no per-bit matrix is unpacked.
-    """
-    octets = mask_octets(keys, (max(keys, default=0).bit_length() + 7) // 8)
-    degree = _BYTE_DEGREE[octets].sum(axis=1, dtype=np.int64)
-    columns = ~_REVERSED_BYTE[octets]
-    return np.lexsort((*columns.T[::-1], degree)), degree
+
+def octet_keys(octets: np.ndarray) -> list[int]:
+    """The keys of rows of little-endian bytes, as Python ints; the
+    inverse of ``mask_octets``."""
+    width = octets.shape[1]
+    if width <= 8:
+        return octet_words(octets).tolist()
+    data = octets.tobytes()
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
 
 
 def qubits_of(mask: int) -> list[int]:
@@ -197,7 +315,8 @@ class BinaryPolynomial:
     @cached_property
     def term_order(self) -> tuple[int, ...]:
         keys = list(self.terms)
-        return tuple(map(keys.__getitem__, _canonical_order(keys)[0].tolist()))
+        order, _ = _canonical_order(mask_octets(keys, octet_width(max(keys, default=0).bit_length())))
+        return tuple(map(keys.__getitem__, order.tolist()))
 
     def sorted_terms(self) -> Iterator[tuple[int, float]]:
         terms = self.terms
@@ -221,38 +340,39 @@ def hubo_to_json(poly: IsingPolynomial) -> str:
     the document ``{"num_qubits": n, "terms": [{"qubits": [...],
     "coeff": c}, ...]}``, but directly: with an indent, ``json`` always
     falls back to its pure-Python encoder, which is the slow part of a
-    multi-megabyte export.  Qubit lists come from byte tables
-    (``_qubit_lists``); coefficients are formatted as ``json`` does
-    (``json_numbers``).
+    multi-megabyte export.  Qubit lists come from the stored key bytes
+    (``_qubit_lists``); each coupling is a finite float, which ``json``
+    formats with ``float.__repr__``.
     """
     # every index follows its separator, so q[1:] cuts the leading comma
     items = [
         f'    {{\n      "qubits": [{q[1:]}\n      ],\n      "coeff": {c}\n    }}' if q
         else f'    {{\n      "qubits": [],\n      "coeff": {c}\n    }}'
-        for q, c in zip(_qubit_lists(poly), json_numbers(poly.terms.values()))
+        for q, c in zip(_qubit_lists(poly.octets), map(float.__repr__, poly.coeffs.tolist()))
     ]
     return f'{{\n  "num_qubits": {json.dumps(poly.num_qubits)},\n  "terms": {json_array(items)}\n}}\n'
 
 
-def _qubit_lists(poly: IsingPolynomial) -> list[str]:
-    """Each term's qubit indices as indented HUBO-JSON text, every index
-    after its comma, assembled a byte column of the keys at a time.
-
-    Byte position b has a 256-entry table, built once per call, of the
-    text of qubits 8b to 8b + 7 for each byte value; a key gathers one
-    entry per nonzero byte.
-    """
-    keys = list(poly.terms)
-    octets = mask_octets(keys, (poly.num_qubits + 7) // 8)
-    texts = np.full(len(keys), "", dtype=object)
+def _qubit_lists(octets: np.ndarray) -> list[str]:
+    """Each key's qubit indices as indented HUBO-JSON text, every index
+    after its comma, assembled a byte column of the keys at a time: a
+    key gathers one ``_qubit_table`` entry per nonzero byte."""
+    texts = np.full(len(octets), "", dtype=object)
     for b, column in enumerate(octets.T):
-        pieces = [f",\n        {8 * b + q}" for q in range(8)]
-        table = np.array(
-            ["".join(p for q, p in enumerate(pieces) if v >> q & 1) for v in range(256)], dtype=object
-        )
         rows = np.flatnonzero(column)
-        texts[rows] += table[column[rows]]
+        texts[rows] += _qubit_table(b)[column[rows]]
     return texts.tolist()
+
+
+@lru_cache(maxsize=None)
+def _qubit_table(b: int) -> np.ndarray:
+    """Per byte value v at byte position b, the text of qubits 8b to
+    8b + 7 that v holds, ascending, each after its comma."""
+    table = [""] * 256
+    for v in range(1, 256):
+        low = (v & -v).bit_length() - 1
+        table[v] = f",\n        {8 * b + low}" + table[v & (v - 1)]
+    return np.array(table, dtype=object)
 
 
 def json_array(items: list[str]) -> str:
@@ -283,8 +403,10 @@ def hubo_from_json(data: bytes | str) -> IsingPolynomial:
 
     Raises CfnFormatError naming the field, and the term index, on
     invalid JSON, a missing or mistyped field, a non-finite coefficient,
-    or a qubit that is negative, out of range or repeated within its
-    term (z * z = 1, so a repeat cannot stand for a power).
+    a coefficient, or a running sum of a repeated monomial's, above
+    ``MAX_ABS_COST`` in magnitude, or a qubit that is negative, out of
+    range or repeated within its term (z * z = 1, so a repeat cannot
+    stand for a power).
     """
     try:
         doc = json.loads(data)
@@ -306,7 +428,15 @@ def hubo_from_json(data: bytes | str) -> IsingPolynomial:
         coeff = finite_float(entry["coeff"])
         if coeff is None:
             raise CfnFormatError(f"terms[{k}].coeff must be a finite number")
-        terms[mask] = terms.get(mask, 0.0) + coeff
+        if abs(coeff) > MAX_ABS_COST:
+            raise CfnFormatError(f"terms[{k}].coeff: {coeff!r} exceeds {MAX_ABS_COST:g} in magnitude")
+        total = terms.get(mask, 0.0) + coeff
+        if abs(total) > MAX_ABS_COST:
+            raise CfnFormatError(
+                f"terms[{k}].coeff: the repeated monomial's coefficients sum to {total!r}, "
+                f"which exceeds {MAX_ABS_COST:g} in magnitude"
+            )
+        terms[mask] = total
     return IsingPolynomial(n, terms)
 
 

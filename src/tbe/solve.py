@@ -26,7 +26,7 @@ from .cfn import Cfn, evaluate_cfn
 from .encoding import EncodingLayout, decode
 from .polynomial import IsingPolynomial, mask_to_string
 from .quadratization import QuboModel
-from .verify import bitflip_descent, dense_values, mask_bits, pack_masks, random_masks
+from .verify import bitflip_descent, dense_values, mask_bits, octet_bits, pack_masks, random_masks
 
 __all__ = ["AnnealParams", "SolveResult", "solve", "decode_and_refine", "solve_result_json"]
 
@@ -172,10 +172,12 @@ def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple
     the end.
     """
     n = poly.num_qubits
-    keys = [s for s in poly.terms if s != 0]
-    coeffs = np.array([poly.terms[s] for s in keys])
+    first = poly.degree_starts[1]
+    # a fresh, aligned copy: BLAS may sum the energy product differently
+    # over an array that starts mid-allocation
+    coeffs = poly.coeffs[first:].copy()
     constant = poly.constant
-    if n == 0 or not keys:
+    if n == 0 or not coeffs.size:
         return 0, constant
     rng = np.random.default_rng(seed)
     restarts = params.restarts
@@ -185,7 +187,7 @@ def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple
         t0 = float(np.sum(np.abs(coeffs)))
     t0 = max(t0, 1e-12)
 
-    incidence = mask_bits(keys, n)
+    incidence = octet_bits(poly.octets[first:], n)
     classes = _colour_classes(incidence)
     qubit_order = np.concatenate(classes)
     steps = []

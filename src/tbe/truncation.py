@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -59,24 +58,29 @@ class TruncationCertificate:
     common_sign_saturation: bool
 
 
-def _cut(poly: IsingPolynomial, k_max: int) -> int:
-    """Stored position of the first term above degree ``k_max``."""
+def _checked(k_max: int) -> int:
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    return poly.degree_starts[min(k_max + 1, poly.degree + 1)]
+    return k_max
+
+
+def _cut(poly: IsingPolynomial, k_max: int) -> int:
+    """Stored position of the first term above degree ``k_max``."""
+    return poly.degree_starts[min(_checked(k_max) + 1, poly.degree + 1)]
 
 
 def truncate(poly: IsingPolynomial, k_max: int) -> IsingPolynomial:
     """Drop all monomials of degree above ``k_max``.
 
-    Kept coefficients are carried over bit-identically.
+    The kept terms are a prefix of the stored arrays, so coefficients
+    are carried over bit-identically and nothing is sorted again.
     """
-    return IsingPolynomial(poly.num_qubits, dict(islice(poly.terms.items(), _cut(poly, k_max))))
+    return poly.between_degrees(0, _checked(k_max))
 
 
 def residual(poly: IsingPolynomial, k_max: int) -> IsingPolynomial:
     """Exactly the dropped terms: truncate + residual == poly termwise."""
-    return IsingPolynomial(poly.num_qubits, dict(islice(poly.terms.items(), _cut(poly, k_max), None)))
+    return poly.between_degrees(_checked(k_max) + 1, poly.degree)
 
 
 def _sum_in_order(values: np.ndarray) -> float:
@@ -92,7 +96,7 @@ def certify(poly: IsingPolynomial, k_max: int) -> TruncationCertificate:
     """
     cut = _cut(poly, k_max)
     n = poly.num_qubits
-    coeffs = np.fromiter(poly.terms.values(), float, len(poly.terms))
+    coeffs = poly.coeffs
     kept = coeffs[poly.degree_starts[1] : cut]
     omitted = coeffs[cut:]
     power_below = _sum_in_order(kept * kept)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError
-from .polynomial import IsingPolynomial, mask_octets
+from .polynomial import IsingPolynomial, mask_octets, octet_width, octet_words
 from .truncation import certify, truncate
 from .walsh import synthesize_values
 
@@ -94,8 +94,7 @@ def dense_values(poly: IsingPolynomial) -> np.ndarray:
             f"enumeration over {poly.num_qubits} qubits exceeds the 2^{MAX_ENUM_QUBITS} cap"
         )
     coeffs = np.zeros(1 << poly.num_qubits)
-    for s, c in poly.terms.items():
-        coeffs[s] = c
+    coeffs[octet_words(poly.octets)] = poly.coeffs
     return synthesize_values(coeffs)
 
 
@@ -286,7 +285,12 @@ def random_masks(rng: np.random.Generator, n: int, size: int | None = None):
 def mask_bits(masks, n: int) -> np.ndarray:
     """Boolean (len(masks) x n) matrix of a sequence of masks below
     ``2^n``: entry (t, q) is bit q of ``masks[t]``."""
-    octets = mask_octets(masks, (n + 7) // 8)
+    return octet_bits(mask_octets(masks, octet_width(n)), n)
+
+
+def octet_bits(octets: np.ndarray, n: int) -> np.ndarray:
+    """Boolean (rows x n) matrix of keys over ``n`` qubits given as rows
+    of little-endian bytes: entry (t, q) is bit q of key t."""
     return np.unpackbits(octets, axis=1, count=n, bitorder="little").view(bool)
 
 
@@ -310,8 +314,8 @@ def bitflip_descent(poly: IsingPolynomial, start: int) -> tuple[int, int]:
     n = poly.num_qubits
     if start < 0 or start.bit_length() > n:
         raise ValueError("configuration mask out of range")
-    coeffs = np.array(list(poly.terms.values()))
-    incidence = mask_bits(list(poly.terms), n)
+    coeffs = poly.coeffs
+    incidence = octet_bits(poly.octets, n)
     term_idx, qubit_idx = np.nonzero(incidence)
     mask = start
     chi = np.where(np.count_nonzero(incidence & mask_bits([start], n), axis=1) % 2, -1.0, 1.0)

@@ -397,6 +397,35 @@ def test_solve_rejects_malformed_hubo(tmp_path, capsys, doc, message):
     assert re.search(message, capsys.readouterr().err)
 
 
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [
+        ([1.0, 1e308, -1e308], r"terms\[1\]\.coeff: 1e\+308 exceeds 1e\+100 in magnitude"),
+        ([1.0, -1.5e100, 2.0], r"terms\[1\]\.coeff: -1\.5e\+100 exceeds 1e\+100 in magnitude"),
+        # the same monomial three times: the running sum crosses the bound
+        ([6e99, 6e99], r"terms\[1\]\.coeff: the repeated monomial's coefficients sum to 1\.2e\+100"),
+    ],
+    ids=["huge", "just-past-bound", "repeated-sum"],
+)
+def test_solve_rejects_hubo_coefficients_past_the_cost_bound(tmp_path, capsys, coeffs, message):
+    repeated = len(coeffs) == 2
+    terms = [{"qubits": [0, 1] if repeated else [k], "coeff": c} for k, c in enumerate(coeffs)]
+    path = tmp_path / "huge.hubo.json"
+    path.write_text(json.dumps({"num_qubits": 3, "terms": terms}))
+    assert main(["solve", "--hubo", str(path), "--method", "exhaustive"]) == 3
+    err = capsys.readouterr().err
+    assert re.search(message, err) and "Warning" not in err
+
+
+def test_solve_accepts_hubo_coefficients_at_the_cost_bound(tmp_path, capsys):
+    terms = [{"qubits": [0], "coeff": 1e100}, {"qubits": [1], "coeff": -1e100}, {"qubits": [2], "coeff": 5e99},
+             {"qubits": [2], "coeff": 5e99}]
+    path = tmp_path / "bound.hubo.json"
+    path.write_text(json.dumps({"num_qubits": 3, "terms": terms}))
+    assert main(["solve", "--hubo", str(path), "--method", "exhaustive"]) == 0
+    assert json.loads(capsys.readouterr().out)["best_value"] == pytest.approx(-3e100, rel=1e-12)
+
+
 # --- anneal knobs, ensemble modes and policy strings at the CLI ----------
 
 

@@ -21,7 +21,7 @@ from tbe import (
     spin_image,
     table_spectrum,
 )
-from tbe.encoding import bitstring_indicator, default_penalty_weight
+from tbe.encoding import bitstring_indicator, default_penalty_weight, walsh_blocks
 from tbe.verify import dense_values
 from helpers import all_assignments, assemble_truth_table, degree_power, naive_eval, random_cfn
 
@@ -277,6 +277,19 @@ def test_encode_past_64_qubits_is_exact():
         assert abs(got - want) <= 1e-9 * (1 + abs(want))
 
 
+def test_k_full_counts_a_register_in_no_interaction():
+    # v2's 4-qubit register carries degree-4 couplings of its own, above
+    # the 1 + 0 qubits of the one interaction
+    cfn = Cfn(
+        (VariableSpec("v0", 1), VariableSpec("v1", 2), VariableSpec("v2", 9)),
+        ((0.1,), (0.2, 0.3), (3.0, -1.0, 4.0, 1.0, -5.0, 9.0, 2.0, -6.0, 5.0)),
+        (PairwiseTable(0, 1, (0.5, 0.7)),),
+    )
+    layout = build_layout(cfn)
+    assert k_full(cfn, layout) == encode(cfn, layout).degree == 4
+    assert table_spectrum(cfn, layout).max_degree == 4
+
+
 def test_decode_binary_register():
     layout = build_layout(_cfn_of_cards([2]))
     assignment, valid = decode(layout, 0)
@@ -391,3 +404,29 @@ def test_decode_inverts_spin_image(case):
             list(assignment),
             [True] * cfn.num_variables,
         )
+
+
+def _encode_by_dict(cfn, layout):
+    """The encoding built one Python-int key at a time from the Walsh blocks."""
+    constant, registers, interactions = walsh_blocks(cfn, layout)
+    offsets = layout.register_offsets
+    terms = {0: constant}
+    for i, block in enumerate(registers):
+        for t, c in enumerate(block, start=1):
+            if c:
+                terms[t << offsets[i]] = float(c)
+    for i, j, block in interactions:
+        for (tj, ti), c in np.ndenumerate(block):
+            if c:
+                terms[(ti + 1) << offsets[i] | (tj + 1) << offsets[j]] = float(c)
+    return IsingPolynomial(layout.total_qubits, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_policy_layouts())
+def test_array_encoding_equals_the_dict_build(case):
+    cfn, layout = case
+    poly = encode(cfn, layout)
+    for again in (IsingPolynomial(poly.num_qubits, dict(poly.terms)), _encode_by_dict(cfn, layout)):
+        assert again == poly
+        assert again.degree_starts == poly.degree_starts

@@ -2,15 +2,18 @@
 
 Every artifact is meant to be byte-identical for the same input,
 config and seed, not only from rerun to rerun but across changes to
-the code.  These digests pin that for the demo input: a change that
-moves any byte here must re-pin them and say why in CHANGES.md.
+the code.  These digests pin that for the demo input (10 qubits, keys
+of 2 bytes) and for a seeded 70-qubit chain (keys of 9 bytes): a change
+that moves any byte here must re-pin them and say why in CHANGES.md.
 """
 
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from tbe import Cfn, PairwiseTable, VariableSpec, serialize_cfn
 from tbe.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,6 +31,17 @@ COMPILE_DIGESTS = {
 SPECTRUM_DIGEST = "794908a66790d9f01315ef01f2740e92ee61e8b2cefc59abb83bb5229e897225"
 VERIFY_DIGEST = "a6fb41be3283f45fc55e2c0f03752d45ff2938d3377053c4aaef7f4978dbaea2"
 
+# 14 variables of cardinality 32 in a chain: 14 registers of 5 qubits
+CHAIN = "chain70.json"
+CHAIN_DIGESTS = {
+    "hubo": "fc63f2c5f0cd31447109026eea917c9119903714d7f1b644aac821dd1595e5d7",
+    "trunc": "5fb5a4bacc762fa7b9b68795c78e585b0cf0e23a2fc342f600125b70b43a2645",
+    "qubo": "9a0a85b14e201992805a229899e7eb81c3bf57010ec9c265e66078319c01c374",
+    "spectrum": "e0abc50a5fa226385f44ddfe05f50bd630da3e22b6218e192e062ee380e3b726",
+    "cert": "585d1ea31d84909f6773fbc823c5c6cb8290d17772ff3edeb44aecc7a6f9df01",
+    "report": "945c6a1cddf25c354fb7d8cf8f296c5fc160e77572c1f090186f8b2efc917fde",
+}
+
 
 def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -38,13 +52,38 @@ def at_root(monkeypatch):
     monkeypatch.chdir(ROOT)
 
 
-def test_compile_quadratize_artifacts(at_root, tmp_path):
-    outs = {name: tmp_path / name for name in COMPILE_DIGESTS}
-    argv = ["compile", "--input", DEMO, "--kmax", "3", "--quadratize"]
+def compile_digests(source: str, out_dir: Path) -> dict[str, str]:
+    """Digests of the six artifacts of ``compile --kmax 3 --quadratize``."""
+    outs = {name: out_dir / name for name in COMPILE_DIGESTS}
+    argv = ["compile", "--input", source, "--kmax", "3", "--quadratize"]
     for name, path in outs.items():
         argv += [f"--out-{name}", str(path)]
     assert main(argv) == 0
-    assert {name: digest(path.read_bytes()) for name, path in outs.items()} == COMPILE_DIGESTS
+    return {name: digest(path.read_bytes()) for name, path in outs.items()}
+
+
+def chain_cfn(num_vars: int = 14, card: int = 32, seed: int = 70) -> Cfn:
+    """Seeded chain: costs rounded to 3 decimals, unaries in [0, 10),
+    neighbour tables standard normal."""
+    rng = np.random.default_rng(seed)
+    variables = tuple(VariableSpec(f"v{i}", card) for i in range(num_vars))
+    unary = tuple(tuple(np.round(rng.uniform(0, 10, card), 3).tolist()) for _ in range(num_vars))
+    pairs = tuple(
+        PairwiseTable(i, i + 1, tuple(np.round(rng.normal(size=card * card), 3).tolist()))
+        for i in range(num_vars - 1)
+    )
+    return Cfn(variables, unary, pairs)
+
+
+def test_compile_quadratize_artifacts(at_root, tmp_path):
+    assert compile_digests(DEMO, tmp_path) == COMPILE_DIGESTS
+
+
+def test_compile_quadratize_artifacts_past_64_qubits(monkeypatch, tmp_path):
+    # relative, because the report records the input path as given
+    monkeypatch.chdir(tmp_path)
+    Path(CHAIN).write_text(serialize_cfn(chain_cfn()), encoding="utf-8")
+    assert compile_digests(CHAIN, tmp_path) == CHAIN_DIGESTS
 
 
 def test_spectrum_stdout(at_root, capsys):

@@ -1,7 +1,6 @@
 import copy
 import json
 import pickle
-from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from tbe import (
     hubo_to_json,
     mask_to_string,
 )
+from tbe.polynomial import octet_width
 from tbe.solve import AnnealParams, _metropolis
 from tbe.truncation import residual, truncate
 from tbe.verify import bitflip_descent
@@ -210,11 +210,19 @@ def test_hubo_to_json_matches_json_dumps_edge_cases(poly):
     assert hubo_to_json(poly) == _dumps_reference(poly)
 
 
+def test_int_couplings_are_stored_as_float64():
+    poly = IsingPolynomial(3, {0: 4, 0b101: -3})
+    assert poly.coeffs.dtype == np.float64
+    assert [type(c) for c in poly.terms.values()] == [float, float]
+    assert poly.constant == 4.0 and type(poly.constant) is float
+    assert '"coeff": 4.0' in hubo_to_json(poly)
+
+
 def test_hubo_to_json_formats_negative_zero_as_json_does():
-    # the constructor prunes zero couplings, so swap in -0.0 values
+    # the constructor prunes zero couplings, so swap in -0.0 couplings
     # afterwards, in canonical order, to pin the formatter itself
-    poly = IsingPolynomial(2, {0b11: 1.0})
-    object.__setattr__(poly, "terms", MappingProxyType({0: -0.0, 0b1: float("-0.0"), 0b11: 1.0}))
+    poly = IsingPolynomial(2, {0: 1.0, 0b1: 1.0, 0b11: 1.0})
+    object.__setattr__(poly, "coeffs", np.array([-0.0, float("-0.0"), 1.0]))
     assert '"coeff": -0.0' in hubo_to_json(poly)
     assert hubo_to_json(poly) == _dumps_reference(poly)
 
@@ -243,3 +251,60 @@ def test_term_order_is_degree_then_qubit_list(case, data):
     _assert_canonical(poly + IsingPolynomial(n, {s ^ (n > 0): 0.5 for s in shuffled}))
     doc = {"num_qubits": n, "terms": [{"qubits": qubit_list(s), "coeff": 2.0} for s in shuffled]}
     assert tuple(hubo_from_json(json.dumps(doc)).terms) == want
+
+
+# --- the stored arrays ---------------------------------------------------
+
+
+@st.composite
+def _stored_polynomials(draw):
+    """Up to 130 qubits, so keys take more than 8 and more than 16
+    bytes; low-degree keys as well as uniform ones, and couplings below
+    the 1e-14 prune among them."""
+    n = draw(st.integers(0, 130))
+    if n == 0:
+        masks = st.just(0)
+    else:
+        few = st.lists(st.integers(0, n - 1), max_size=5).map(lambda qs: sum(1 << q for q in set(qs)))
+        masks = st.integers(0, (1 << n) - 1) | few
+    couplings = st.floats(-1e6, 1e6) | st.sampled_from([1e-16, -3e-15, 1e-300, 0.0, -0.0, 7])
+    return IsingPolynomial(n, draw(st.dictionaries(masks, couplings, max_size=60)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stored_polynomials())
+def test_stored_rows_are_the_terms(poly):
+    width = octet_width(poly.num_qubits)
+    items = list(poly.terms.items())
+    assert poly.octets.shape == (len(items), width) and poly.octets.dtype == np.uint8
+    assert poly.coeffs.shape == (len(items),) and poly.coeffs.dtype == np.float64
+    for t, (s, c) in enumerate(items):
+        assert poly.octets[t].tobytes() == s.to_bytes(width, "little")
+        assert poly.coeffs[t] == c and type(c) is float
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stored_polynomials())
+def test_sliced_cuts_equal_rebuilt_filters(poly):
+    n = poly.num_qubits
+    for k in range(1, poly.degree + 2):
+        for got, keep in ((truncate(poly, k), lambda s: s.bit_count() <= k),
+                          (residual(poly, k), lambda s: s.bit_count() > k)):
+            want = IsingPolynomial(n, {s: c for s, c in poly.terms.items() if keep(s)})
+            assert got == want
+            assert got.degree_starts == want.degree_starts
+            assert tuple(got.terms.items()) == tuple(want.terms.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_stored_polynomials())
+def test_pickled_polynomial_is_equal_and_read_only(poly):
+    for again in (pickle.loads(pickle.dumps(poly)), copy.deepcopy(poly)):
+        assert again == poly and again.degree_starts == poly.degree_starts
+        assert tuple(again.terms.items()) == tuple(poly.terms.items())
+        for stored in (again, poly):
+            assert not stored.octets.flags.writeable and not stored.coeffs.flags.writeable
+            with pytest.raises(TypeError):
+                stored.terms[0] = 1.0
+            with pytest.raises(AttributeError):
+                stored.num_qubits = 3
