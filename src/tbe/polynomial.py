@@ -63,7 +63,7 @@ def mask_to_string(mask: int, n: int) -> str:
     return "".join("-" if (mask >> q) & 1 else "+" for q in range(n))
 
 
-def _significant(magnitudes: np.ndarray) -> np.ndarray:
+def significant(magnitudes: np.ndarray) -> np.ndarray:
     """Which magnitudes exceed 1e-14 of the largest."""
     return magnitudes > RELATIVE_PRUNE_TOL * magnitudes.max(initial=0.0)
 
@@ -227,7 +227,7 @@ def _canonicalize(poly: IsingPolynomial, n: int, octets: np.ndarray, coeffs: np.
     magnitudes = np.abs(coeffs)
     if not np.isfinite(magnitudes).all():
         raise ValueError("non-finite coupling")
-    keep = _significant(magnitudes)
+    keep = significant(magnitudes)
     if not keep.all():
         octets, coeffs = octets[keep], coeffs[keep]
     order, degrees = _canonical_order(octets)
@@ -280,16 +280,6 @@ def octet_keys(octets: np.ndarray) -> list[int]:
     return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
 
 
-def qubits_of(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 @dataclass(frozen=True)
 class BinaryPolynomial:
     """A real polynomial in 0/1 variables, stored sparsely by mask."""
@@ -303,7 +293,7 @@ class BinaryPolynomial:
             if not (0 <= s < limit):
                 raise ValueError(f"term key {s:#x} references variables outside [0, {self.num_vars})")
         values = list(self.terms.values())
-        keep = _significant(np.abs(np.fromiter(values, float, len(values)))).tolist()
+        keep = significant(np.abs(np.fromiter(values, float, len(values)))).tolist()
         terms = {s: c for (s, c), k in zip(self.terms.items(), keep) if k}
         object.__setattr__(self, "terms", terms)
 
@@ -311,7 +301,8 @@ class BinaryPolynomial:
     def degree(self) -> int:
         return max((s.bit_count() for s in self.terms), default=0)
 
-    # terms keep insertion order, in which quadratize sums its penalty
+    # terms keep insertion order (to_01_basis: first appearance); this
+    # is the canonical one
     @cached_property
     def term_order(self) -> tuple[int, ...]:
         keys = list(self.terms)

@@ -5,25 +5,27 @@ has the classic penalty gadget
 M * (b_i b_j - 2 b_i y - 2 b_j y + 3 y), which is zero exactly when
 the ancilla agrees with the product and at least M otherwise.  Pairs
 are chosen greedily by frequency across the remaining high-degree
-monomials (Boros & Gruber's greedy pair substitution).  The pair
-counts are kept incrementally in a lazy max-heap, so a substitution
-costs work in proportion to the monomials it rewrites, not a recount
-of every pair.  The penalty weight comes from the l1 norm of the cost
-coefficients, which substitution never changes, so it is computed
-once; it keeps every intermediate model min-equivalent to its
+monomials (Boros & Gruber's greedy pair substitution).  The monomials
+of degree > 2 are rows of a 0/1 incidence matrix, and the pair counts
+a symmetric matrix kept exact from substitution to substitution: a
+substitution reads and rewrites only the rows holding its pair, and
+its count changes are three rows and columns of the matrix, so no
+pair is recounted.  The penalty weight comes from the l1 norm of the
+cost coefficients, which substitution never changes, so it is
+computed once; it keeps every intermediate model min-equivalent to its
 predecessor.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping
 
-from .polynomial import BinaryPolynomial, IsingPolynomial, json_array, json_numbers, qubits_of
-from .walsh import leakage_transform, to_01_basis
+import numpy as np
+
+from .polynomial import BinaryPolynomial, IsingPolynomial, json_array, json_numbers, octet_keys
+from .walsh import leakage_transform, to_01_arrays
 
 __all__ = ["QuboModel", "quadratize", "resolve_ancillas", "qubo_json"]
 
@@ -46,14 +48,14 @@ class QuboModel:
     penalty_weight: float
 
     def __post_init__(self) -> None:
-        for s in self.terms:
-            if s.bit_count() > 2:
-                raise ValueError("quadratized model contains a term of degree > 2")
+        # keys are distinct, so the sort never compares coefficients
+        terms = sorted(zip(map(int.bit_count, self.terms), self.terms, self.terms.values()))
+        if terms and terms[-1][0] > 2:
+            raise ValueError("quadratized model contains a term of degree > 2")
         for a, (p, q) in self.ancilla_defs:
             if p >= a or q >= a:
                 raise ValueError("ancilla parents must precede the ancilla")
-        terms = sorted(self.terms.items(), key=lambda item: (item[0].bit_count(), item[0]))
-        object.__setattr__(self, "terms", MappingProxyType(dict(terms)))
+        object.__setattr__(self, "terms", MappingProxyType({s: c for _, s, c in terms}))
 
     def __reduce__(self):
         # a mappingproxy cannot be pickled; rebuild from a plain dict
@@ -87,80 +89,55 @@ def quadratize(poly: IsingPolynomial) -> QuboModel:
 
     Each substitution takes the variable pair held by the most
     monomials of degree > 2, ties going to the smallest ``(i, j)``.
-    The pair counts are built once and then kept up to date: a
-    substitution touches only the monomials holding its pair, and a
-    lazy max-heap keyed ``(-count, i, j)`` finds the next pair, its
-    stale entries dropped when they reach the top.
+    Those monomials and their exact pair counts are matrices
+    (``_Incidence``), and a substitution reads and rewrites only the
+    monomials holding its pair.
 
     The penalty weight is 1 plus twice the l1 norm of the cost
-    coefficients, over the transformed cost polynomial alone.  A
-    substitution renames monomials to keys holding the fresh ancilla, so
-    no two cost terms ever merge and the norm never changes: it is
-    computed once, at the first substitution.  One inconsistent ancilla
-    then costs more than any value swing the cost part can produce.
-    (Folding the gadget terms themselves into the norm would inflate the
-    weight geometrically per ancilla and wreck float precision.)
+    coefficients, over the transformed cost polynomial alone, summed in
+    the order of ``to_01_arrays``.  A substitution renames monomials to
+    keys holding the fresh ancilla, so no two cost terms ever merge and
+    the norm never changes: it is computed once, at the first
+    substitution.  One inconsistent ancilla then costs more than any
+    value swing the cost part can produce.  (Folding the gadget terms
+    themselves into the norm would inflate the weight geometrically per
+    ancilla and wreck float precision.)
 
     The ancillas need no budget: a substitution lowers by one the degree
     of every monomial holding its pair, and at least one such monomial
     has degree > 2, so there are at most as many ancillas as the sum of
     (degree - 2) over the input's monomials of degree > 2.
     """
-    base = to_01_basis(poly)
-    # cost monomials by position; a substitution renames keys in place,
-    # so the final terms keep the input's order
-    keys = list(base.terms)
     n = poly.num_qubits
-    # pair -> positions of the degree > 2 monomials holding it; the
-    # pair's count is the size of its set
-    holders: dict[tuple[int, int], set[int]] = {}
-    for pos, s in enumerate(keys):
-        if s.bit_count() > 2:
-            for pair in combinations(qubits_of(s), 2):
-                holders.setdefault(pair, set()).add(pos)
-    heap = [(-len(h), *pair) for pair, h in holders.items()]
-    heapq.heapify(heap)
+    octets, coeffs = to_01_arrays(poly)
+    bits = np.unpackbits(octets, axis=1, count=n, bitorder="little").view(bool)
+    high = bits.sum(axis=1) > 2
+    incidence = _Incidence(bits[high])
     gadgets: dict[int, float] = {}
     ancilla_defs: list[tuple[int, tuple[int, int]]] = []
     penalty = 0.0
 
-    while heap:
-        neg_count, i, j = heap[0]
-        if len(holders.get((i, j), ())) != -neg_count:
-            heapq.heappop(heap)
-            continue
+    while (pair := incidence.top_pair()) is not None:
+        i, j = pair
         if not ancilla_defs:
-            penalty = 1.0 + 2.0 * sum(abs(c) for s, c in base.terms.items() if s)
+            penalty = 1.0 + 2.0 * sum(np.abs(coeffs[octets.any(axis=1)]).tolist())
         y = n + len(ancilla_defs)
         ancilla_defs.append((y, (i, j)))
-
-        pair_mask = (1 << i) | (1 << j)
-        changed = set()
-        for pos in list(holders[(i, j)]):
-            s = keys[pos]
-            for pair in combinations(qubits_of(s), 2):
-                holders[pair].discard(pos)
-                changed.add(pair)
-            s = (s & ~pair_mask) | (1 << y)
-            keys[pos] = s
-            if s.bit_count() > 2:
-                for pair in combinations(qubits_of(s), 2):
-                    holders.setdefault(pair, set()).add(pos)
-                    changed.add(pair)
-        for pair in changed:
-            if holders[pair]:
-                heapq.heappush(heap, (-len(holders[pair]), *pair))
-            else:
-                del holders[pair]
+        incidence.substitute(i, j, y)
         for key, coeff in (
-            (pair_mask, penalty),
+            ((1 << i) | (1 << j), penalty),
             ((1 << i) | (1 << y), -2.0 * penalty),
             ((1 << j) | (1 << y), -2.0 * penalty),
             (1 << y, 3.0 * penalty),
         ):
             gadgets[key] = gadgets.get(key, 0.0) + coeff
 
-    terms = dict(zip(keys, base.terms.values()))
+    # each monomial of degree > 2 ends as {c, y}, c < y; taken in key
+    # order, these reach QuboModel's sort already sorted
+    pairs = incidence.final_pairs()
+    order = np.lexsort(pairs.T)
+    terms = dict(zip(octet_keys(octets[~high]), coeffs[~high].tolist()))
+    terms.update(zip([(1 << c) | (1 << y) for c, y in pairs[order].tolist()], coeffs[high][order].tolist()))
     for s, c in gadgets.items():
         terms[s] = terms.get(s, 0.0) + c
     return QuboModel(
@@ -170,6 +147,96 @@ def quadratize(poly: IsingPolynomial) -> QuboModel:
         ancilla_defs=tuple(ancilla_defs),
         penalty_weight=penalty,
     )
+
+
+class _Incidence:
+    """The monomials of degree > 2 under greedy pair substitution.
+
+    ``rows`` is a boolean matrix, one row per monomial and one column per
+    variable, its ancilla columns growing by doubling.  A row that falls
+    to degree 2 stays as it is but leaves ``active``, so only rows of
+    degree > 2 are ever counted or rewritten.  ``counts[a, b]`` is the
+    number of active rows holding both a and b (zero on the diagonal);
+    ``row_max`` and ``row_argmax`` are each count row's largest entry
+    and the first column holding it.
+    """
+
+    def __init__(self, rows: np.ndarray) -> None:
+        count, n = rows.shape
+        width = max(8, 2 * n)
+        self.rows = np.zeros((count, width), bool)
+        self.rows[:, :n] = rows
+        self.active = np.ones(count, bool)
+        # float32 counts are exact below 2^24 rows and take the BLAS path
+        dense = rows.astype(np.float32)
+        self.counts = np.zeros((width, width), np.int64)
+        self.counts[:n, :n] = dense.T @ dense
+        np.fill_diagonal(self.counts, 0)
+        self.row_max = self.counts.max(axis=1)
+        self.row_argmax = self.counts.argmax(axis=1)
+
+    def top_pair(self) -> tuple[int, int] | None:
+        """The pair held most often, the smallest on a tie; None when no
+        pair is held.  That is the row-major ``argmax`` of ``counts``:
+        the first count row whose maximum is the largest, at that row's
+        first column holding it (i < j, since the counts are
+        symmetric)."""
+        i = int(self.row_max.argmax())
+        if self.row_max[i] == 0:
+            return None
+        return i, int(self.row_argmax[i])
+
+    def substitute(self, i: int, j: int, y: int) -> None:
+        """Replace the pair (i, j) by the fresh variable y in every
+        active row holding both.
+
+        Of a rewritten row's pairs, only those with i, j or y change: it
+        loses (i, j) and (i, c), (j, c) for each of its other variables
+        c, and if it stays above degree 2 it gains (y, c).  A row of
+        degree 3 falls to degree 2, {c, y}, and leaves ``active``."""
+        if y == self.rows.shape[1]:
+            self._grow()
+        rows = self.rows
+        hit = np.flatnonzero(rows[:, i] & rows[:, j] & self.active)
+        block = rows[hit, : y + 1]
+        block[:, i] = False
+        block[:, j] = False
+        stays = block.sum(axis=1) > 1
+        others = block.sum(axis=0, dtype=np.int64)
+        kept = block[stays].sum(axis=0, dtype=np.int64)
+        counts = self.counts[: y + 1, : y + 1]
+        for v in (i, j):
+            counts[v] -= others
+            counts[:, v] -= others
+        counts[y] += kept
+        counts[:, y] += kept
+        counts[i, j] -= len(hit)
+        counts[j, i] -= len(hit)
+
+        rows[hit, i] = False
+        rows[hit, j] = False
+        rows[hit, y] = True
+        self.active[hit[~stays]] = False
+
+        # the count rows that changed: i, j, y and every c beside them
+        touched = np.append(np.flatnonzero(others), (i, j, y))
+        part = self.counts[touched]
+        self.row_max[touched] = part.max(axis=1)
+        self.row_argmax[touched] = part.argmax(axis=1)
+
+    def final_pairs(self) -> np.ndarray:
+        """Each row's two variables, once no row is active."""
+        return (np.flatnonzero(self.rows) % self.rows.shape[1]).reshape(-1, 2)
+
+    def _grow(self) -> None:
+        count, width = self.rows.shape
+        rows = np.zeros((count, 2 * width), bool)
+        rows[:, :width] = self.rows
+        counts = np.zeros((2 * width, 2 * width), np.int64)
+        counts[:width, :width] = self.counts
+        self.rows, self.counts = rows, counts
+        self.row_max = np.concatenate([self.row_max, np.zeros(width, np.int64)])
+        self.row_argmax = np.concatenate([self.row_argmax, np.zeros(width, np.intp)])
 
 
 def resolve_ancillas(model: QuboModel, original_bits: int) -> int:

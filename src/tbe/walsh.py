@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .polynomial import BinaryPolynomial, IsingPolynomial
+from .polynomial import BinaryPolynomial, IsingPolynomial, octet_keys, octet_width, significant
 
 __all__ = [
     "fwht",
@@ -95,18 +95,82 @@ def leakage_transform(poly01: BinaryPolynomial) -> IsingPolynomial:
 
 def to_01_basis(poly: IsingPolynomial) -> BinaryPolynomial:
     """Inverse substitution z = 1 - 2b; round trip with
-    ``leakage_transform`` is the identity."""
-    terms: dict[int, float] = {}
-    for s, c in poly.terms.items():
-        t = s
-        while True:
-            k = t.bit_count()
-            coeff = c * ((-2.0) ** k)
-            terms[t] = terms.get(t, 0.0) + coeff
-            if t == 0:
-                break
-            t = (t - 1) & s
-    return BinaryPolynomial(poly.num_qubits, terms)
+    ``leakage_transform`` is the identity.  Terms are in the order of
+    ``to_01_arrays``."""
+    octets, coeffs = to_01_arrays(poly)
+    return BinaryPolynomial(poly.num_qubits, dict(zip(octet_keys(octets), coeffs.tolist())))
+
+
+def to_01_arrays(poly: IsingPolynomial) -> tuple[np.ndarray, np.ndarray]:
+    """The 0/1-basis terms of ``poly`` as distinct keys, in rows of
+    little-endian bytes, and their coefficients.
+
+    z = 1 - 2b turns the spin monomial c * z_S into the sum over the
+    subsets t of S of c * (-2)^|t| * b_t.  Each degree slice of the
+    stored terms expands into all its subsets at once
+    (``_subset_expansion``).  Keys are in order of first appearance:
+    stored term order, and within a term its subsets from S down to the
+    empty set, by descending mask (the walk ``t = (t - 1) & S``).  Each
+    key's contributions add in that same order: a slice's are added
+    onto the sums so far, one by one, by ``np.bincount``.  Coefficients
+    at most 1e-14 of the largest are dropped, as ``BinaryPolynomial``
+    does.
+    """
+    keys = np.zeros((0, octet_width(poly.num_qubits)), np.uint8)
+    sums = np.zeros(0)
+    starts = poly.degree_starts
+    for d, (a, b) in enumerate(zip(starts, starts[1:])):
+        subsets, contributions = _subset_expansion(poly.octets[a:b], poly.coeffs[a:b], d)
+        # the keys so far come first, so they keep their places
+        keys = np.concatenate([keys, subsets])
+        ids, first = _first_appearance_groups(keys)
+        sums = np.bincount(ids, weights=np.concatenate([sums, contributions]))
+        keys = keys[first]
+    keep = significant(np.abs(sums))
+    # astype: with no terms at all, bincount returns integers
+    return keys[keep], sums[keep].astype(float)
+
+
+def _subset_expansion(octets: np.ndarray, coeffs: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every subset of each degree-``d`` key, 2^d rows of key bytes per
+    key by descending mask, and ``coeff * (-2)^|subset|`` for each.
+
+    A subset's bytes are the OR of the one-hot byte rows of its qubits;
+    the subsets of a key's first b + 1 qubits are those of its first b
+    with and without qubit b."""
+    count, width = octets.shape
+    bits = np.unpackbits(octets, axis=1, bitorder="little").view(bool)
+    qubits = np.nonzero(bits)[1].reshape(count, d)
+    one_hot = np.zeros((count, d, width), np.uint8)
+    one_hot[np.arange(count)[:, None], np.arange(d), qubits >> 3] = 1 << (qubits & 7)
+    subsets = np.zeros((count, 1 << d, width), np.uint8)
+    for b in range(d):
+        np.bitwise_or(subsets[:, : 1 << b], one_hot[:, b, None], out=subsets[:, 1 << b : 2 << b])
+    scale = np.array([(-2.0) ** k for k in range(d + 1)])[subset_degrees(d)[::-1]]
+    return subsets[:, ::-1].reshape(count << d, width), (coeffs[:, None] * scale).reshape(-1)
+
+
+def _first_appearance_groups(octets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal rows: each row's group id, groups numbered in order of
+    first appearance, and the row where each group first appears.
+
+    The rows are read as 64-bit words (zero-padded, at least one) and
+    sorted with the stable ``np.lexsort``, so a group's first sorted row
+    is its first appearance."""
+    count, width = octets.shape
+    padded = np.zeros((count, 8 * max(1, -(-width // 8))), np.uint8)
+    padded[:, :width] = octets
+    words = padded.view("<u8")
+    order = np.lexsort(words.T)
+    ranked = words[order]
+    starts = np.ones(count, bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first = order[starts]
+    rank = np.empty(len(first), np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    ids = np.empty(count, np.intp)
+    ids[order] = rank[np.cumsum(starts) - 1]
+    return ids, np.sort(first)
 
 
 def discrete_derivative(poly: IsingPolynomial, subset: int) -> IsingPolynomial:

@@ -9,11 +9,11 @@ effective-table machinery.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
-from tbe import Cfn, EncodingLayout, IsingPolynomial, PairwiseTable, Penalty, VariableSpec
+from tbe import BinaryPolynomial, Cfn, EncodingLayout, IsingPolynomial, PairwiseTable, Penalty, VariableSpec
 from tbe.encoding import default_penalty_weight
 from tbe.quadratization import QuboModel
-from tbe.walsh import to_01_basis
 
 
 def random_cfn(rng: np.random.Generator, max_vars: int = 3, max_card: int = 8,
@@ -38,6 +38,21 @@ def random_polynomial(rng: np.random.Generator, n: int, num_terms: int,
     chosen = rng.choice(len(pool), size=num_terms, replace=False)
     terms = {pool[int(k)]: float(rng.normal()) for k in chosen}
     return IsingPolynomial(n, terms)
+
+
+@st.composite
+def sparse_polynomials(draw, couplings):
+    """Up to 40 terms of degree at most 7 on 0 to 130 qubits, so keys
+    take 0 to 17 bytes.  Their qubits come from a pool of at most 12,
+    so terms share subsets and pairs; an empty pool gives the empty and
+    constant-only polynomials."""
+    n = draw(st.integers(0, 130))
+    pool = draw(st.lists(st.integers(0, n - 1), min_size=min(n, 3), max_size=12, unique=True)) if n else []
+    if not pool:
+        return IsingPolynomial(n, draw(st.dictionaries(st.just(0), couplings)))
+    qubits = st.lists(st.sampled_from(pool), max_size=min(7, len(pool)), unique=True)
+    masks = qubits.map(lambda qs: sum(1 << q for q in qs))
+    return IsingPolynomial(n, draw(st.dictionaries(masks, couplings, min_size=1, max_size=40)))
 
 
 def degree_power(poly: IsingPolynomial) -> list[float]:
@@ -141,13 +156,28 @@ def qubit_list(mask: int) -> list[int]:
     return [q for q in range(mask.bit_length()) if (mask >> q) & 1]
 
 
+def reference_to_01_basis(poly: IsingPolynomial) -> BinaryPolynomial:
+    """z = 1 - 2b term by term: each spin term c * z_S adds
+    c * (-2)^|t| to the 0/1 term of every subset t of S, walked from S
+    down to the empty set by ``t = (t - 1) & S``, into a dict."""
+    terms: dict[int, float] = {}
+    for s, c in poly.terms.items():
+        t = s
+        while True:
+            terms[t] = terms.get(t, 0.0) + c * ((-2.0) ** t.bit_count())
+            if t == 0:
+                break
+            t = (t - 1) & s
+    return BinaryPolynomial(poly.num_qubits, terms)
+
+
 def reference_quadratize(poly: IsingPolynomial) -> QuboModel:
     """Greedy pair substitution that recounts every pair of every
     degree > 2 monomial before each substitution and re-adds the cost
     polynomial term by term: the most frequent pair wins, ties going to
     the smallest (i, j), and the penalty is recomputed from the current
     cost l1 norm each time."""
-    cost = dict(to_01_basis(poly).terms)
+    cost = dict(reference_to_01_basis(poly).terms)
     gadgets: dict[int, float] = {}
     n = poly.num_qubits
     ancilla_defs = []

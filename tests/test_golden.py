@@ -3,8 +3,11 @@
 Every artifact is meant to be byte-identical for the same input,
 config and seed, not only from rerun to rerun but across changes to
 the code.  These digests pin that for the demo input (10 qubits, keys
-of 2 bytes) and for a seeded 70-qubit chain (keys of 9 bytes): a change
-that moves any byte here must re-pin them and say why in CHANGES.md.
+of 2 bytes) and for a seeded 70-qubit chain (keys of 9 bytes), at
+``--kmax 3``, where every ancilla's parents are original qubits, and
+at a higher ``--kmax``, where many ancillas have an ancilla parent: a
+change that moves any byte here must re-pin them and say why in
+CHANGES.md.
 """
 
 import hashlib
@@ -28,6 +31,15 @@ COMPILE_DIGESTS = {
     "cert": "b0dd601aaed0d7f48796b6e97c157a10efc9cfe76a9b6eeb3930f6bfcca7f23f",
     "report": "c329c280d6a73ad2eb165ee2bbf481eaa0753ac64b6dc6c0f066a86ddbea6d5c",
 }
+# --kmax 5, where 30 of the 59 ancillas have an ancilla parent
+COMPILE_K5_DIGESTS = {
+    "hubo": "089145d4d55e95a2b4a0848e163c947ed9d46730ccd3a815f7b7503c1ae8ce6e",
+    "trunc": "6c596a625f825d24171703495f5ec0f0f8df725959d6ce7d6065bc399aff131a",
+    "qubo": "7f00741d1ca8851ac5dbd137ab8269998c9f8252fd508b36a45f068afd7d07fa",
+    "spectrum": "794908a66790d9f01315ef01f2740e92ee61e8b2cefc59abb83bb5229e897225",
+    "cert": "c3c4bdac5591d81c5441f5e46f27457d3be51cf02f3c9927b4db4d1db145a265",
+    "report": "cc14b690d9cbc81482ef3621f426f08a68f5eb5be21dbbb3d2ac09c51ab74e57",
+}
 SPECTRUM_DIGEST = "794908a66790d9f01315ef01f2740e92ee61e8b2cefc59abb83bb5229e897225"
 VERIFY_DIGEST = "a6fb41be3283f45fc55e2c0f03752d45ff2938d3377053c4aaef7f4978dbaea2"
 
@@ -41,6 +53,8 @@ CHAIN_DIGESTS = {
     "cert": "585d1ea31d84909f6773fbc823c5c6cb8290d17772ff3edeb44aecc7a6f9df01",
     "report": "945c6a1cddf25c354fb7d8cf8f296c5fc160e77572c1f090186f8b2efc917fde",
 }
+# the QUBO at --kmax 6, where 238 of the 379 ancillas have an ancilla parent
+CHAIN_K6_QUBO_DIGEST = "7ac086c6fada1a121d6b4984b9347550cf93d6a971e95efb8bf1f0fa8ad95a9a"
 
 
 def digest(data: bytes) -> str:
@@ -52,10 +66,10 @@ def at_root(monkeypatch):
     monkeypatch.chdir(ROOT)
 
 
-def compile_digests(source: str, out_dir: Path) -> dict[str, str]:
-    """Digests of the six artifacts of ``compile --kmax 3 --quadratize``."""
+def compile_digests(source: str, out_dir: Path, kmax: int = 3) -> dict[str, str]:
+    """Digests of the six artifacts of ``compile --kmax K --quadratize``."""
     outs = {name: out_dir / name for name in COMPILE_DIGESTS}
-    argv = ["compile", "--input", source, "--kmax", "3", "--quadratize"]
+    argv = ["compile", "--input", source, "--kmax", str(kmax), "--quadratize"]
     for name, path in outs.items():
         argv += [f"--out-{name}", str(path)]
     assert main(argv) == 0
@@ -84,6 +98,18 @@ def test_compile_quadratize_artifacts_past_64_qubits(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     Path(CHAIN).write_text(serialize_cfn(chain_cfn()), encoding="utf-8")
     assert compile_digests(CHAIN, tmp_path) == CHAIN_DIGESTS
+
+
+def test_compile_quadratize_artifacts_with_nested_ancillas(at_root, tmp_path):
+    assert compile_digests(DEMO, tmp_path, kmax=5) == COMPILE_K5_DIGESTS
+
+
+def test_qubo_past_64_qubits_with_nested_ancillas(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    Path(CHAIN).write_text(serialize_cfn(chain_cfn()), encoding="utf-8")
+    qubo = tmp_path / "qubo"
+    assert main(["compile", "--input", CHAIN, "--kmax", "6", "--quadratize", "--out-qubo", str(qubo)]) == 0
+    assert digest(qubo.read_bytes()) == CHAIN_K6_QUBO_DIGEST
 
 
 def test_spectrum_stdout(at_root, capsys):

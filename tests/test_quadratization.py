@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tbe import IsingPolynomial, quadratize, qubo_json, resolve_ancillas, truncate
 from tbe.quadratization import QuboModel
-from helpers import random_polynomial, reference_quadratize
+from helpers import random_polynomial, reference_quadratize, sparse_polynomials
 
 
 def _min_over_ancillas(model, original_bits):
@@ -222,8 +222,9 @@ def _same_model(got, want):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_polynomials())
+@given(_polynomials() | sparse_polynomials(_COUPLING))
 def test_quadratize_matches_reference_greedy(poly):
+    # the sparse draws have keys of up to 17 bytes and ancillas past qubit 64
     _same_model(quadratize(poly), reference_quadratize(poly))
 
 

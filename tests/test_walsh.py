@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tbe import (
     BinaryPolynomial,
@@ -14,7 +16,7 @@ from tbe import (
     truncate,
 )
 from tbe.walsh import pointwise_derivative_values, squared_mass_by_degree, subset_degrees
-from helpers import naive_walsh, random_polynomial
+from helpers import naive_walsh, random_polynomial, reference_to_01_basis, sparse_polynomials
 
 
 def test_fwht_two_point():
@@ -123,6 +125,20 @@ def test_to_01_round_trip():
     keys = set(poly.terms) | set(again.terms)
     for s in keys:
         assert again.terms.get(s, 0.0) == pytest.approx(poly.terms.get(s, 0.0), abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_polynomials(st.floats(-1e6, 1e6) | st.sampled_from([1.0, -1.0, 0.5, -2.0, 1e-300])))
+@example(IsingPolynomial(0, {}))
+@example(IsingPolynomial(130, {}))
+@example(IsingPolynomial(0, {0: 2.5}))
+@example(IsingPolynomial(70, {0: -1.0}))
+@example(IsingPolynomial(3, {0: -1.0, 0b1: 1.0}))  # the constants cancel to 0
+def test_to_01_basis_matches_the_reference_walk(poly):
+    got, want = to_01_basis(poly), reference_to_01_basis(poly)
+    assert got.num_vars == want.num_vars
+    assert list(got.terms) == list(want.terms)
+    assert [c.hex() for c in got.terms.values()] == [c.hex() for c in want.terms.values()]
 
 
 def test_to_01_inverse_of_leakage_example():
