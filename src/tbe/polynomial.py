@@ -28,7 +28,7 @@ from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property, lru_cache
 from itertools import repeat
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -73,11 +73,61 @@ def octet_width(num_qubits: int) -> int:
     return (num_qubits + 7) // 8
 
 
+def key_octets(keys: Sequence[int], n: int) -> np.ndarray:
+    """``mask_octets`` of keys over ``n`` qubits, raising ``ValueError``
+    naming the first key outside ``[0, 2^n)``."""
+    check_keys(keys, n)
+    return mask_octets(keys, octet_width(n))
+
+
+def check_keys(keys: Sequence[int], n: int) -> None:
+    """Raise ``ValueError`` naming the first key outside ``[0, 2^n)``."""
+    if keys and (min(keys) < 0 or max(keys).bit_length() > n):
+        raise _outside(next(s for s in keys if s < 0 or s.bit_length() > n), n)
+
+
 def _outside(key: int, n: int) -> ValueError:
     return ValueError(f"term key {key:#x} references qubits outside [0, {n})")
 
 
-class IsingPolynomial:
+class StoredTerms:
+    """Immutable terms in read-only arrays: keys in rows of little-endian
+    bytes (``octets``) and float64 ``coeffs``, row for row.  ``terms`` is
+    the same as a read-only ``{key: coefficient}`` mapping, built on first
+    read.  Fields are set once, by ``_set``; instances are equal when the
+    fields ``__reduce__`` rebuilds them from are."""
+
+    octets: np.ndarray
+    coeffs: np.ndarray
+    __hash__ = None
+
+    def _set(self, **fields):
+        fields["octets"].flags.writeable = False
+        fields["coeffs"].flags.writeable = False
+        self.__dict__.update(fields)
+        return self
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(self.__reduce__()[1], other.__reduce__()[1])
+        )
+
+    @cached_property
+    def terms(self) -> Mapping[int, float]:
+        """The stored terms as a read-only ``{key: coefficient}`` mapping."""
+        return MappingProxyType(dict(zip(octet_keys(self.octets), self.coeffs.tolist())))
+
+
+class IsingPolynomial(StoredTerms):
     """A real polynomial in +/-1 spin variables, stored sparsely.
 
     Built from a ``{key: coupling}`` mapping, or from key bytes with
@@ -93,7 +143,7 @@ class IsingPolynomial:
       ``degree_starts[d]:degree_starts[d + 1]``.
 
     ``terms`` is the same content as a read-only ``{key: coupling}``
-    mapping in that order, built on first read.  Every reduction over
+    mapping in that order (``StoredTerms``).  Every reduction over
     the terms walks the stored order, so floating-point sums are
     reproducible run to run.  Instances are immutable and safe to share.
     """
@@ -108,10 +158,8 @@ class IsingPolynomial:
             raise ValueError(f"num_qubits {num_qubits} is negative")
         terms = {} if terms is None else terms
         keys = list(terms)
-        if keys and (min(keys) < 0 or max(keys).bit_length() > num_qubits):
-            raise _outside(next(s for s in keys if s < 0 or s.bit_length() > num_qubits), num_qubits)
         coeffs = np.fromiter(terms.values(), float, len(keys))
-        _canonicalize(self, num_qubits, mask_octets(keys, octet_width(num_qubits)), coeffs)
+        _canonicalize(self, num_qubits, key_octets(keys, num_qubits), coeffs)
 
     @classmethod
     def from_octets(cls, num_qubits: int, octets: np.ndarray, coeffs: np.ndarray) -> "IsingPolynomial":
@@ -120,33 +168,11 @@ class IsingPolynomial:
         couplings, in any order."""
         return _canonicalize(cls.__new__(cls), num_qubits, np.asarray(octets, np.uint8), np.asarray(coeffs, float))
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __reduce__(self):
         return _stored, (self.num_qubits, self.octets, self.coeffs, self.degree_starts)
 
-    def __eq__(self, other):
-        if not isinstance(other, IsingPolynomial):
-            return NotImplemented
-        return (
-            self.num_qubits == other.num_qubits
-            and np.array_equal(self.octets, other.octets)
-            and np.array_equal(self.coeffs, other.coeffs)
-        )
-
-    __hash__ = None
-
     def __repr__(self) -> str:
         return f"IsingPolynomial(num_qubits={self.num_qubits}, terms={dict(self.terms)!r})"
-
-    @cached_property
-    def terms(self) -> Mapping[int, float]:
-        """The stored terms as a read-only ``{key: coupling}`` mapping."""
-        return MappingProxyType(dict(zip(octet_keys(self.octets), self.coeffs.tolist())))
 
     @property
     def degree(self) -> int:
@@ -195,17 +221,11 @@ class IsingPolynomial:
         return IsingPolynomial(self.num_qubits, out)
 
 
-def _store(poly: IsingPolynomial, n: int, octets: np.ndarray, coeffs: np.ndarray, degree_starts) -> IsingPolynomial:
-    """Fill ``poly`` with arrays already in canonical form, read-only."""
-    octets.flags.writeable = False
-    coeffs.flags.writeable = False
-    poly.__dict__.update(num_qubits=n, octets=octets, coeffs=coeffs, degree_starts=tuple(degree_starts))
-    return poly
-
-
 def _stored(n: int, octets: np.ndarray, coeffs: np.ndarray, degree_starts) -> IsingPolynomial:
     """A new polynomial over arrays already in canonical form."""
-    return _store(IsingPolynomial.__new__(IsingPolynomial), n, octets, coeffs, degree_starts)
+    return IsingPolynomial.__new__(IsingPolynomial)._set(
+        num_qubits=n, octets=octets, coeffs=coeffs, degree_starts=tuple(degree_starts)
+    )
 
 
 def _canonicalize(poly: IsingPolynomial, n: int, octets: np.ndarray, coeffs: np.ndarray) -> IsingPolynomial:
@@ -233,7 +253,7 @@ def _canonicalize(poly: IsingPolynomial, n: int, octets: np.ndarray, coeffs: np.
     order, degrees = _canonical_order(octets)
     starts = np.searchsorted(degrees[order], np.arange(degrees.max(initial=0) + 2))
     # fancy indexing copies, so the stored arrays never alias the caller's
-    return _store(poly, n, octets[order], coeffs[order], starts.tolist())
+    return poly._set(num_qubits=n, octets=octets[order], coeffs=coeffs[order], degree_starts=tuple(starts.tolist()))
 
 
 def _canonical_order(octets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -250,9 +270,14 @@ def _canonical_order(octets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     table), then the complemented columns, first to last.  Memory is one
     byte per key and byte column; no per-bit matrix is unpacked.
     """
-    degrees = _BYTE_DEGREE[octets].sum(axis=1, dtype=np.int64)
+    degrees = octet_degrees(octets)
     columns = ~_REVERSED_BYTE[octets]
     return np.lexsort((*columns.T[::-1], degrees)), degrees
+
+
+def octet_degrees(octets: np.ndarray) -> np.ndarray:
+    """The degree (popcount) of each key, given as a row of bytes."""
+    return _BYTE_DEGREE[octets].sum(axis=1, dtype=np.int64)
 
 
 def mask_octets(masks: Sequence[int], width: int) -> np.ndarray:
@@ -280,6 +305,30 @@ def octet_keys(octets: np.ndarray) -> list[int]:
     return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
 
 
+def first_appearance_groups(octets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal rows: each row's group id, groups numbered in order of
+    first appearance, and the row where each group first appears.
+
+    The rows are read as 64-bit words (zero-padded, at least one) and
+    sorted with the stable ``np.lexsort``, so a group's first sorted row
+    is its first appearance.  ``np.bincount`` over the ids then adds each
+    group's weights one by one, in row order."""
+    count, width = octets.shape
+    padded = np.zeros((count, 8 * max(1, -(-width // 8))), np.uint8)
+    padded[:, :width] = octets
+    words = padded.view("<u8")
+    order = np.lexsort(words.T)
+    ranked = words[order]
+    starts = np.ones(count, bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first = order[starts]
+    rank = np.empty(len(first), np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    ids = np.empty(count, np.intp)
+    ids[order] = rank[np.cumsum(starts) - 1]
+    return ids, np.sort(first)
+
+
 @dataclass(frozen=True)
 class BinaryPolynomial:
     """A real polynomial in 0/1 variables, stored sparsely by mask."""
@@ -288,10 +337,7 @@ class BinaryPolynomial:
     terms: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        limit = 1 << self.num_vars
-        for s in self.terms:
-            if not (0 <= s < limit):
-                raise ValueError(f"term key {s:#x} references variables outside [0, {self.num_vars})")
+        check_keys(list(self.terms), self.num_vars)
         values = list(self.terms.values())
         keep = significant(np.abs(np.fromiter(values, float, len(values)))).tolist()
         terms = {s: c for (s, c), k in zip(self.terms.items(), keep) if k}
@@ -301,24 +347,12 @@ class BinaryPolynomial:
     def degree(self) -> int:
         return max((s.bit_count() for s in self.terms), default=0)
 
-    # terms keep insertion order (to_01_basis: first appearance); this
-    # is the canonical one
-    @cached_property
-    def term_order(self) -> tuple[int, ...]:
-        keys = list(self.terms)
-        order, _ = _canonical_order(mask_octets(keys, octet_width(max(keys, default=0).bit_length())))
-        return tuple(map(keys.__getitem__, order.tolist()))
-
-    def sorted_terms(self) -> Iterator[tuple[int, float]]:
-        terms = self.terms
-        for s in self.term_order:
-            yield s, terms[s]
-
     def evaluate_bits(self, bits: int) -> float:
         """Value at the configuration whose set bits are the 1-valued
-        variables.  A monomial contributes unless it uses a 0 variable."""
+        variables, summed in stored order.  A monomial contributes unless
+        it uses a 0 variable."""
         total = 0.0
-        for s, c in self.sorted_terms():
+        for s, c in self.terms.items():
             if s & ~bits == 0:
                 total += c
         return total

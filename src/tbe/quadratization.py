@@ -18,50 +18,63 @@ predecessor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from .polynomial import BinaryPolynomial, IsingPolynomial, json_array, json_numbers, octet_keys
-from .walsh import leakage_transform, to_01_arrays
+from .polynomial import IsingPolynomial, StoredTerms, first_appearance_groups, json_array, json_numbers
+from .polynomial import key_octets, octet_degrees
+from .walsh import from_01_arrays, to_01_arrays
 
 __all__ = ["QuboModel", "quadratize", "resolve_ancillas", "qubo_json"]
 
 
-@dataclass(frozen=True)
-class QuboModel:
+class QuboModel(StoredTerms):
     """A degree <= 2 polynomial over original variables plus ancillas.
 
-    Terms are stored in the 0/1 basis over the combined variable space
-    (originals first), ordered by (degree, mask), the order ``qubo_json``
-    writes, in a read-only mapping.  Each ancilla records the variable
-    pair whose product it stands for; parents always precede their
-    ancilla, so ancilla values can be resolved left to right.
+    Terms are in the 0/1 basis over the combined variable space
+    (originals first), stored as read-only key bytes and float64
+    coefficients (``StoredTerms``) ordered by (degree, mask), the order
+    ``qubo_json`` writes.  Zero coefficients are kept.  Each ancilla
+    records the variable pair whose product it stands for; the k-th
+    ancilla is variable ``num_original_qubits + k`` and its parents
+    precede it, so ancilla values can be resolved left to right.
     """
 
     num_original_qubits: int
     num_ancilla_qubits: int
-    terms: Mapping[int, float]
     ancilla_defs: tuple[tuple[int, tuple[int, int]], ...]
     penalty_weight: float
 
-    def __post_init__(self) -> None:
-        # keys are distinct, so the sort never compares coefficients
-        terms = sorted(zip(map(int.bit_count, self.terms), self.terms, self.terms.values()))
-        if terms and terms[-1][0] > 2:
+    def __init__(self, num_original_qubits: int, num_ancilla_qubits: int, terms: Mapping[int, float],
+                 ancilla_defs: tuple[tuple[int, tuple[int, int]], ...], penalty_weight: float) -> None:
+        if num_ancilla_qubits != len(ancilla_defs):
+            raise ValueError(f"{num_ancilla_qubits} ancillas but {len(ancilla_defs)} definitions")
+        keys = list(terms)
+        octets = key_octets(keys, num_original_qubits + num_ancilla_qubits)
+        coeffs = np.fromiter(terms.values(), float, len(keys))
+        self._sort(num_original_qubits, tuple(ancilla_defs), penalty_weight, octets, coeffs)
+
+    def _sort(self, n: int, ancilla_defs, penalty_weight: float, octets: np.ndarray, coeffs: np.ndarray):
+        """Set the fields, the distinct keys (rows of little-endian bytes)
+        sorted by (degree, mask) with a ``np.lexsort`` over the byte
+        columns; returns self."""
+        degrees = octet_degrees(octets)
+        if degrees.max(initial=0) > 2:
             raise ValueError("quadratized model contains a term of degree > 2")
-        for a, (p, q) in self.ancilla_defs:
-            if p >= a or q >= a:
-                raise ValueError("ancilla parents must precede the ancilla")
-        object.__setattr__(self, "terms", MappingProxyType({s: c for _, s, c in terms}))
+        for k, (a, (p, q)) in enumerate(ancilla_defs):
+            if a != n + k or p >= a or q >= a:
+                raise ValueError(f"ancilla {k} must be variable {n + k}, after its parents: got {a} of {(p, q)}")
+        order = np.lexsort((*octets.T, degrees))
+        return self._set(num_original_qubits=n, num_ancilla_qubits=len(ancilla_defs), ancilla_defs=ancilla_defs,
+                         penalty_weight=penalty_weight, octets=octets[order], coeffs=np.asarray(coeffs, float)[order])
 
     def __reduce__(self):
-        # a mappingproxy cannot be pickled; rebuild from a plain dict
-        terms = dict(self.terms)
-        return type(self), (self.num_original_qubits, self.num_ancilla_qubits, terms,
-                            self.ancilla_defs, self.penalty_weight)
+        return _stored, (self.num_original_qubits, self.ancilla_defs, self.penalty_weight, self.octets, self.coeffs)
+
+    def __repr__(self) -> str:
+        return (f"QuboModel({self.num_original_qubits}, {self.num_ancilla_qubits}, {dict(self.terms)!r}, "
+                f"{self.ancilla_defs!r}, {self.penalty_weight!r})")
 
     @property
     def num_vars(self) -> int:
@@ -69,7 +82,7 @@ class QuboModel:
 
     def to_ising(self) -> IsingPolynomial:
         """Spin-basis view over originals plus ancillas."""
-        return leakage_transform(BinaryPolynomial(self.num_vars, dict(self.terms)))
+        return from_01_arrays(self.num_vars, self.octets, self.coeffs)
 
     def evaluate_bits(self, bits: int) -> float:
         total = 0.0
@@ -77,6 +90,11 @@ class QuboModel:
             if s & ~bits == 0:
                 total += c
         return total
+
+
+def _stored(*fields) -> QuboModel:
+    """A new model over ``QuboModel._sort``'s arguments."""
+    return QuboModel.__new__(QuboModel)._sort(*fields)
 
 
 def quadratize(poly: IsingPolynomial) -> QuboModel:
@@ -107,13 +125,15 @@ def quadratize(poly: IsingPolynomial) -> QuboModel:
     of every monomial holding its pair, and at least one such monomial
     has degree > 2, so there are at most as many ancillas as the sum of
     (degree - 2) over the input's monomials of degree > 2.
+
+    The gadget terms add up per key in ancilla order, and each sum adds
+    onto its key's cost term: cost + (g1 + g2 + ...).
     """
     n = poly.num_qubits
     octets, coeffs = to_01_arrays(poly)
     bits = np.unpackbits(octets, axis=1, count=n, bitorder="little").view(bool)
     high = bits.sum(axis=1) > 2
     incidence = _Incidence(bits[high])
-    gadgets: dict[int, float] = {}
     ancilla_defs: list[tuple[int, tuple[int, int]]] = []
     penalty = 0.0
 
@@ -124,29 +144,24 @@ def quadratize(poly: IsingPolynomial) -> QuboModel:
         y = n + len(ancilla_defs)
         ancilla_defs.append((y, (i, j)))
         incidence.substitute(i, j, y)
-        for key, coeff in (
-            ((1 << i) | (1 << j), penalty),
-            ((1 << i) | (1 << y), -2.0 * penalty),
-            ((1 << j) | (1 << y), -2.0 * penalty),
-            (1 << y, 3.0 * penalty),
-        ):
-            gadgets[key] = gadgets.get(key, 0.0) + coeff
 
-    # each monomial of degree > 2 ends as {c, y}, c < y; taken in key
-    # order, these reach QuboModel's sort already sorted
-    pairs = incidence.final_pairs()
-    order = np.lexsort(pairs.T)
-    terms = dict(zip(octet_keys(octets[~high]), coeffs[~high].tolist()))
-    terms.update(zip([(1 << c) | (1 << y) for c, y in pairs[order].tolist()], coeffs[high][order].tolist()))
-    for s, c in gadgets.items():
-        terms[s] = terms.get(s, 0.0) + c
-    return QuboModel(
-        num_original_qubits=n,
-        num_ancilla_qubits=len(ancilla_defs),
-        terms=terms,
-        ancilla_defs=tuple(ancilla_defs),
-        penalty_weight=penalty,
-    )
+    # each monomial of degree > 2 ends as {c, y}, in its row of the incidence
+    width = n + len(ancilla_defs)
+    cost = np.zeros((len(coeffs), width), bool)
+    cost[:, :n] = bits
+    cost[high] = incidence.rows[:, :width]
+    # per ancilla y with parents (i, j): {i, j}, {i, y}, {j, y} and {y, y} = {y}
+    y, i, j = np.array([(a, p, q) for a, (p, q) in ancilla_defs], np.intp).reshape(-1, 3).T
+    gadget = np.zeros((4 * len(y), width), bool)
+    gadget[np.arange(len(gadget)).repeat(2), np.stack([i, j, i, y, j, y, y, y], axis=1).ravel()] = True
+    cost, gadget = (np.packbits(rows, axis=1, bitorder="little") for rows in (cost, gadget))
+
+    ids, first = first_appearance_groups(gadget)
+    gadget_sums = np.bincount(ids, weights=np.tile([1.0, -2.0, -2.0, 3.0], len(y)) * penalty)
+    keys = np.concatenate([cost, gadget[first]])
+    ids, first = first_appearance_groups(keys)
+    sums = np.bincount(ids, weights=np.concatenate([coeffs, gadget_sums]))
+    return _stored(n, tuple(ancilla_defs), penalty, keys[first], sums)
 
 
 class _Incidence:
@@ -224,10 +239,6 @@ class _Incidence:
         self.row_max[touched] = part.max(axis=1)
         self.row_argmax[touched] = part.argmax(axis=1)
 
-    def final_pairs(self) -> np.ndarray:
-        """Each row's two variables, once no row is active."""
-        return (np.flatnonzero(self.rows) % self.rows.shape[1]).reshape(-1, 2)
-
     def _grow(self) -> None:
         count, width = self.rows.shape
         rows = np.zeros((count, 2 * width), bool)
@@ -258,21 +269,23 @@ def qubo_json(model: QuboModel) -> str:
     "constant", "linear": [{"i", "coeff"}, ...], "quadratic": [{"i",
     "j", "coeff"}, ...], "ancillas": [{"index", "parents"}, ...],
     "penalty"}``, but directly, as ``hubo_to_json`` does.  An absent
-    constant is written ``0.0``.
+    constant is written ``0.0``.  The key bytes' set bits, row by row,
+    are each linear term's ``i``, then each quadratic term's ``i`` and ``j``.
     """
-    constant = "0.0"
-    linear = []
-    quadratic = []
-    for s, c in zip(model.terms, json_numbers(model.terms.values())):
-        k = s.bit_count()
-        if k == 0:
-            constant = c
-        elif k == 1:
-            linear.append(f'    {{\n      "i": {s.bit_length() - 1},\n      "coeff": {c}\n    }}')
-        else:
-            lo = (s & -s).bit_length() - 1
-            hi = s.bit_length() - 1
-            quadratic.append(f'    {{\n      "i": {lo},\n      "j": {hi},\n      "coeff": {c}\n    }}')
+    bits = np.unpackbits(model.octets, axis=1, bitorder="little").view(bool)
+    constants, linears = np.searchsorted(bits.sum(axis=1), (1, 2)).tolist()
+    qubits = (np.flatnonzero(bits) % bits.shape[1]).tolist()
+    texts = json_numbers(model.coeffs.tolist())
+    constant = texts[0] if constants else "0.0"
+    linear = [
+        f'    {{\n      "i": {i},\n      "coeff": {c}\n    }}'
+        for i, c in zip(qubits, texts[constants:linears])
+    ]
+    ends = qubits[linears - constants :]
+    quadratic = [
+        f'    {{\n      "i": {i},\n      "j": {j},\n      "coeff": {c}\n    }}'
+        for i, j, c in zip(ends[::2], ends[1::2], texts[linears:])
+    ]
     ancillas = [
         f'    {{\n      "index": {a},\n      "parents": [\n        {p},\n        {q}\n      ]\n    }}'
         for a, (p, q) in model.ancilla_defs

@@ -18,7 +18,7 @@ neither annealing nor refinement has a qubit cap.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -285,33 +285,11 @@ def decode_and_refine(
 
 
 def solve_result_json(result: SolveResult) -> str:
-    doc = {
-        "num_qubits": result.num_qubits,
-        "num_original_qubits": result.num_original_qubits,
-        "best_spin": mask_to_string(result.best_spin, result.num_qubits),
-        "best_value": result.best_value,
-        "method": result.method,
-        "rng_seed": result.rng_seed,
-        "anneal": (
-            {
-                "restarts": result.anneal.restarts,
-                "sweeps": result.anneal.sweeps,
-                "initial_temperature": result.anneal.initial_temperature,
-                "cooling": result.anneal.cooling,
-            }
-            if result.anneal
-            else None
-        ),
-        "decoded_assignment": list(result.decoded_assignment) if result.decoded_assignment else None,
-        "decoded_valid": list(result.decoded_valid) if result.decoded_valid is not None else None,
-        "cfn_value": result.cfn_value,
-        "refined_spin": (
-            mask_to_string(result.refined_spin, result.num_original_qubits)
-            if result.refined_spin is not None
-            else None
-        ),
-        "refined_assignment": list(result.refined_assignment) if result.refined_assignment else None,
-        "refined_cfn_value": result.refined_cfn_value,
-        "refine_steps": result.refine_steps,
-    }
+    """The result's fields in order, but ``refined_valid``, with each
+    configuration mask as a '+'/'-' string."""
+    doc = asdict(result)
+    del doc["refined_valid"]
+    doc["best_spin"] = mask_to_string(result.best_spin, result.num_qubits)
+    if result.refined_spin is not None:
+        doc["refined_spin"] = mask_to_string(result.refined_spin, result.num_original_qubits)
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"

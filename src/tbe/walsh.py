@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .polynomial import BinaryPolynomial, IsingPolynomial, octet_keys, octet_width, significant
+from .polynomial import BinaryPolynomial, IsingPolynomial, _canonical_order, first_appearance_groups, key_octets
+from .polynomial import octet_degrees, octet_keys, octet_width, significant
 
 __all__ = [
     "fwht",
@@ -76,21 +77,25 @@ def leakage_transform(poly01: BinaryPolynomial) -> IsingPolynomial:
     Each 0/1 monomial over subset S expands through b = (1 - z) / 2
     into spin monomials over every subset of S, so a degree-k term
     spreads mass across all degrees 0..k.  Runs per-monomial in
-    O(2^|S|), avoiding any full-lattice table.
+    O(2^|S|), avoiding any full-lattice table (``from_01_arrays``).
     """
-    terms: dict[int, float] = {}
-    for s, c in poly01.sorted_terms():
-        k = s.bit_count()
-        scale = c / (1 << k)
-        # enumerate subsets of s
-        t = s
-        while True:
-            sign = -scale if t.bit_count() % 2 else scale
-            terms[t] = terms.get(t, 0.0) + sign
-            if t == 0:
-                break
-            t = (t - 1) & s
-    return IsingPolynomial(poly01.num_vars, terms)
+    keys = list(poly01.terms)
+    coeffs = np.fromiter(poly01.terms.values(), float, len(keys))
+    return from_01_arrays(poly01.num_vars, key_octets(keys, poly01.num_vars), coeffs)
+
+
+def from_01_arrays(n: int, octets: np.ndarray, coeffs: np.ndarray) -> IsingPolynomial:
+    """The spin polynomial over ``n`` qubits of 0/1-basis terms (distinct
+    keys in rows of little-endian bytes, any order): b = (1 - z) / 2 turns
+    c * b_S into the sum over the subsets t of S of c * (-1)^|t| / 2^|S|
+    * z_t.  Coefficients at most 1e-14 of the largest are dropped, as
+    ``BinaryPolynomial`` does; the rest expand in canonical order."""
+    keep = significant(np.abs(coeffs))
+    order, _ = _canonical_order(octets[keep])
+    keys, sums = _change_basis(
+        octets[keep][order], coeffs[keep][order], n, lambda d: (-1.0) ** np.arange(d + 1) / 2.0**d
+    )
+    return IsingPolynomial.from_octets(n, keys, sums)
 
 
 def to_01_basis(poly: IsingPolynomial) -> BinaryPolynomial:
@@ -106,34 +111,43 @@ def to_01_arrays(poly: IsingPolynomial) -> tuple[np.ndarray, np.ndarray]:
     little-endian bytes, and their coefficients.
 
     z = 1 - 2b turns the spin monomial c * z_S into the sum over the
-    subsets t of S of c * (-2)^|t| * b_t.  Each degree slice of the
-    stored terms expands into all its subsets at once
-    (``_subset_expansion``).  Keys are in order of first appearance:
-    stored term order, and within a term its subsets from S down to the
-    empty set, by descending mask (the walk ``t = (t - 1) & S``).  Each
-    key's contributions add in that same order: a slice's are added
-    onto the sums so far, one by one, by ``np.bincount``.  Coefficients
-    at most 1e-14 of the largest are dropped, as ``BinaryPolynomial``
-    does.
+    subsets t of S of c * (-2)^|t| * b_t (``_change_basis``).
+    Coefficients at most 1e-14 of the largest are dropped, as
+    ``BinaryPolynomial`` does.
     """
-    keys = np.zeros((0, octet_width(poly.num_qubits)), np.uint8)
+    keys, sums = _change_basis(poly.octets, poly.coeffs, poly.num_qubits, lambda d: (-2.0) ** np.arange(d + 1))
+    keep = significant(np.abs(sums))
+    return keys[keep], sums[keep]
+
+
+def _change_basis(octets: np.ndarray, coeffs: np.ndarray, n: int, factors) -> tuple[np.ndarray, np.ndarray]:
+    """Expand each term c * x_S (keys in rows of little-endian bytes,
+    ordered by degree) into c * factors(|S|)[|t|] * x_t over the subsets
+    t of S; the basis change both ways.  Returns the distinct keys in
+    order of first appearance (term order, then a term's subsets by
+    descending mask: the walk ``t = (t - 1) & S``) and their sums.  Each
+    degree slice expands at once (``_subset_expansion``) and adds onto
+    the sums so far one by one (``np.bincount``), in term order."""
+    degrees = octet_degrees(octets)
+    starts = np.searchsorted(degrees, np.arange(degrees.max(initial=0) + 2))
+    keys = np.zeros((0, octet_width(n)), np.uint8)
     sums = np.zeros(0)
-    starts = poly.degree_starts
     for d, (a, b) in enumerate(zip(starts, starts[1:])):
-        subsets, contributions = _subset_expansion(poly.octets[a:b], poly.coeffs[a:b], d)
+        subsets, contributions = _subset_expansion(octets[a:b], coeffs[a:b], d, factors(d))
         # the keys so far come first, so they keep their places
         keys = np.concatenate([keys, subsets])
-        ids, first = _first_appearance_groups(keys)
+        ids, first = first_appearance_groups(keys)
         sums = np.bincount(ids, weights=np.concatenate([sums, contributions]))
         keys = keys[first]
-    keep = significant(np.abs(sums))
     # astype: with no terms at all, bincount returns integers
-    return keys[keep], sums[keep].astype(float)
+    return keys, sums.astype(float)
 
 
-def _subset_expansion(octets: np.ndarray, coeffs: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+def _subset_expansion(
+    octets: np.ndarray, coeffs: np.ndarray, d: int, scale: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Every subset of each degree-``d`` key, 2^d rows of key bytes per
-    key by descending mask, and ``coeff * (-2)^|subset|`` for each.
+    key by descending mask, and ``coeff * scale[|subset|]`` for each.
 
     A subset's bytes are the OR of the one-hot byte rows of its qubits;
     the subsets of a key's first b + 1 qubits are those of its first b
@@ -146,31 +160,8 @@ def _subset_expansion(octets: np.ndarray, coeffs: np.ndarray, d: int) -> tuple[n
     subsets = np.zeros((count, 1 << d, width), np.uint8)
     for b in range(d):
         np.bitwise_or(subsets[:, : 1 << b], one_hot[:, b, None], out=subsets[:, 1 << b : 2 << b])
-    scale = np.array([(-2.0) ** k for k in range(d + 1)])[subset_degrees(d)[::-1]]
-    return subsets[:, ::-1].reshape(count << d, width), (coeffs[:, None] * scale).reshape(-1)
-
-
-def _first_appearance_groups(octets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group equal rows: each row's group id, groups numbered in order of
-    first appearance, and the row where each group first appears.
-
-    The rows are read as 64-bit words (zero-padded, at least one) and
-    sorted with the stable ``np.lexsort``, so a group's first sorted row
-    is its first appearance."""
-    count, width = octets.shape
-    padded = np.zeros((count, 8 * max(1, -(-width // 8))), np.uint8)
-    padded[:, :width] = octets
-    words = padded.view("<u8")
-    order = np.lexsort(words.T)
-    ranked = words[order]
-    starts = np.ones(count, bool)
-    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    first = order[starts]
-    rank = np.empty(len(first), np.intp)
-    rank[np.argsort(first)] = np.arange(len(first))
-    ids = np.empty(count, np.intp)
-    ids[order] = rank[np.cumsum(starts) - 1]
-    return ids, np.sort(first)
+    per_subset = scale[subset_degrees(d)[::-1]]
+    return subsets[:, ::-1].reshape(count << d, width), (coeffs[:, None] * per_subset).reshape(-1)
 
 
 def discrete_derivative(poly: IsingPolynomial, subset: int) -> IsingPolynomial:
@@ -228,20 +219,6 @@ class SmoothnessReport:
     geometric_ratio: float | None
 
 
-def _subsets_of_size(dim: int, k: int):
-    if k == 0:
-        yield 0
-        return
-    # Gosper's hack over k-subsets of [dim]
-    s = (1 << k) - 1
-    limit = 1 << dim
-    while s < limit:
-        yield s
-        c = s & -s
-        r = s + c
-        s = (((r ^ s) >> 2) // c) | r
-
-
 def smoothness_report(values) -> SmoothnessReport:
     """Derivative-based smoothness diagnostics for one cost table.
 
@@ -263,17 +240,14 @@ def smoothness_report(values) -> SmoothnessReport:
     coeffs = fwht(table)
     powers = squared_mass_by_degree(coeffs, subset_degrees(dim), dim)
 
-    lipschitz = []
-    rhs = []
-    for k in range(1, dim + 1):
-        worst = 0.0
-        total_meansq = 0.0
-        for subset in _subsets_of_size(dim, k):
-            deriv = pointwise_derivative_values(table, subset)
-            worst = max(worst, float(np.max(np.abs(deriv))))
-            total_meansq += float(np.mean(deriv * deriv))
-        lipschitz.append(worst)
-        rhs.append(total_meansq)
+    # index k - 1 holds order k; each order's subsets come by ascending mask
+    lipschitz = [0.0] * dim
+    rhs = [0.0] * dim
+    for subset in range(1, size):
+        deriv = pointwise_derivative_values(table, subset)
+        k = subset.bit_count() - 1
+        lipschitz[k] = max(lipschitz[k], float(np.max(np.abs(deriv))))
+        rhs[k] += float(np.mean(deriv * deriv))
 
     lhs = [
         sum(math.comb(j, k) * powers[j] for j in range(k, dim + 1))

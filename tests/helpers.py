@@ -171,6 +171,23 @@ def reference_to_01_basis(poly: IsingPolynomial) -> BinaryPolynomial:
     return BinaryPolynomial(poly.num_qubits, terms)
 
 
+def reference_leakage_transform(poly01: BinaryPolynomial) -> IsingPolynomial:
+    """b = (1 - z) / 2 term by term: the 0/1 terms in (degree, qubit
+    list) order, each c * b_S adding c * (-1)^|t| / 2^|S| to the spin
+    term of every subset t of S, walked from S down to the empty set by
+    ``t = (t - 1) & S``, into a dict."""
+    terms: dict[int, float] = {}
+    for s in sorted(poly01.terms, key=lambda s: (s.bit_count(), qubit_list(s))):
+        scale = poly01.terms[s] / (1 << s.bit_count())
+        t = s
+        while True:
+            terms[t] = terms.get(t, 0.0) + (-scale if t.bit_count() % 2 else scale)
+            if t == 0:
+                break
+            t = (t - 1) & s
+    return IsingPolynomial(poly01.num_vars, terms)
+
+
 def reference_quadratize(poly: IsingPolynomial) -> QuboModel:
     """Greedy pair substitution that recounts every pair of every
     degree > 2 monomial before each substitution and re-adds the cost

@@ -192,6 +192,17 @@ def test_zero_cost_cfn_compiles_and_verifies(tmp_path):
     assert main(["verify", "--input", str(path), "--kmax", "2", "--out-report", str(tmp_path / "v.json")]) == 0
 
 
+def test_zero_variable_cfn_reports_empty_assignments(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"variables": [], "unary": [], "pairwise": []}))
+    report = tmp_path / "report.json"
+    argv = ["compile", "--input", str(path), "--kmax", "1", "--solve", "exhaustive", "--refine"]
+    assert main([*argv, "--out-report", str(report)]) == 0
+    solved = json.loads(report.read_text())["solve"]
+    assert solved["decoded_assignment"] == solved["decoded_valid"] == []
+    assert solved["refined_assignment"] == []
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 

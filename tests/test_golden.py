@@ -5,9 +5,9 @@ config and seed, not only from rerun to rerun but across changes to
 the code.  These digests pin that for the demo input (10 qubits, keys
 of 2 bytes) and for a seeded 70-qubit chain (keys of 9 bytes), at
 ``--kmax 3``, where every ancilla's parents are original qubits, and
-at a higher ``--kmax``, where many ancillas have an ancilla parent: a
-change that moves any byte here must re-pin them and say why in
-CHANGES.md.
+at a higher ``--kmax``, where many ancillas have an ancilla parent, and
+the report of a short anneal of each ``--kmax 3`` QUBO: a change that
+moves any byte here must re-pin them and say why in CHANGES.md.
 """
 
 import hashlib
@@ -55,6 +55,15 @@ CHAIN_DIGESTS = {
 }
 # the QUBO at --kmax 6, where 238 of the 379 ancillas have an ancilla parent
 CHAIN_K6_QUBO_DIGEST = "7ac086c6fada1a121d6b4984b9347550cf93d6a971e95efb8bf1f0fa8ad95a9a"
+
+# the report of a short anneal of the --kmax 3 QUBO, whose energies are
+# read off the model's spin view (QuboModel.to_ising)
+QUBO_ANNEAL_ARGS = ["--kmax", "3", "--quadratize", "--solve", "anneal", "--restarts", "4", "--sweeps", "20"]
+QUBO_ANNEAL_DIGESTS = {
+    DEMO: "04001487f59bbac3df5eea659abcab764f5e3c5b36d2c805ff5abbee9ed628a3",
+    # 210 qubits, 140 of them ancillas
+    CHAIN: "1e9620828d1c9587d1edc7a891e2e3727ae47626ea7798b5777d016735fbd4ff",
+}
 
 
 def digest(data: bytes) -> str:
@@ -121,3 +130,19 @@ def test_verify_report(at_root, tmp_path):
     report = tmp_path / "verify.json"
     assert main(["verify", "--input", DEMO, "--kmax", "3", "--out-report", str(report)]) == 0
     assert digest(report.read_bytes()) == VERIFY_DIGEST
+
+
+def anneal_report_digest(source: str, out_dir: Path) -> str:
+    report = out_dir / "report.json"
+    assert main(["compile", "--input", source, *QUBO_ANNEAL_ARGS, "--out-report", str(report)]) == 0
+    return digest(report.read_bytes())
+
+
+def test_qubo_anneal_report(at_root, tmp_path):
+    assert anneal_report_digest(DEMO, tmp_path) == QUBO_ANNEAL_DIGESTS[DEMO]
+
+
+def test_qubo_anneal_report_past_64_qubits(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    Path(CHAIN).write_text(serialize_cfn(chain_cfn()), encoding="utf-8")
+    assert anneal_report_digest(CHAIN, tmp_path) == QUBO_ANNEAL_DIGESTS[CHAIN]

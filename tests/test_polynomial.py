@@ -238,7 +238,6 @@ def _assert_canonical(poly):
 def test_term_order_is_degree_then_qubit_list(case, data):
     n, keys = case
     want = _reference_order(keys)
-    assert BinaryPolynomial(n, {s: 1.0 for s in keys}).term_order == want
     # a spin polynomial stores its terms canonically, whatever order they were built in
     shuffled = data.draw(st.permutations(keys))
     for order in (keys, shuffled, want[::-1]):

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tbe import IsingPolynomial, quadratize, qubo_json, resolve_ancillas, truncate
+from tbe import BinaryPolynomial, IsingPolynomial, quadratize, qubo_json, resolve_ancillas, truncate
 from tbe.quadratization import QuboModel
-from helpers import random_polynomial, reference_quadratize, sparse_polynomials
+from helpers import random_polynomial, reference_leakage_transform, reference_quadratize, sparse_polynomials
 
 
 def _min_over_ancillas(model, original_bits):
@@ -116,6 +116,42 @@ def test_qubo_json_shape():
     assert doc["ancillas"][0]["parents"] == [0, 1]
     assert all(set(e) == {"i", "coeff"} for e in doc["linear"])
     assert all(set(e) == {"i", "j", "coeff"} for e in doc["quadratic"])
+
+
+def test_qubo_model_rejects_keys_outside_its_variables():
+    with pytest.raises(ValueError, match="0x8"):
+        QuboModel(2, 0, {0b1000: 1.0}, (), 0.0)
+    with pytest.raises(ValueError, match="0x4"):
+        QuboModel(2, 0, {0b1: 1.0, 0b100: 1.0}, (), 0.0)
+    with pytest.raises(ValueError, match="-0x1"):
+        QuboModel(2, 0, {-1: 1.0}, (), 0.0)
+    # past 64 variables too, where a key takes more than 8 bytes
+    with pytest.raises(ValueError, match=hex(1 << 70)):
+        QuboModel(69, 1, {1 << 70: 1.0}, ((69, (0, 1)),), 1.0)
+    QuboModel(69, 1, {1 << 69: 1.0}, ((69, (0, 1)),), 1.0)
+
+
+def test_qubo_model_rejects_ancillas_unlike_its_definitions():
+    with pytest.raises(ValueError, match="3 ancillas but 1 definition"):
+        QuboModel(2, 3, {1: 1.0}, ((2, (0, 1)),), 1.0)
+    with pytest.raises(ValueError, match="0 ancillas but 1 definition"):
+        QuboModel(2, 0, {1: 1.0}, ((2, (0, 1)),), 1.0)
+    with pytest.raises(ValueError, match="1 ancillas but 0 definition"):
+        QuboModel(2, 1, {1: 1.0}, (), 1.0)
+    # the k-th ancilla is variable num_original_qubits + k, after its parents
+    with pytest.raises(ValueError, match="ancilla 0 must be variable 2"):
+        QuboModel(2, 1, {1: 1.0}, ((3, (0, 1)),), 1.0)
+    with pytest.raises(ValueError, match="ancilla 1 must be variable 3"):
+        QuboModel(2, 2, {1: 1.0}, ((2, (0, 1)), (3, (1, 3))), 1.0)
+
+
+def test_qubo_terms_in_degree_then_mask_order():
+    # {1, 2} = 0b110 comes before {0, 3} = 0b1001, unlike the spin
+    # polynomials' qubit-list order
+    model = QuboModel(4, 0, {0b1001: 1.0, 0b110: 2.0, 0b1000: 3.0, 0: 4.0, 0b1: 5.0, 0b11: -0.0}, (), 0.0)
+    assert list(model.terms) == [0, 0b1, 0b1000, 0b11, 0b110, 0b1001]
+    assert list(model.terms.values()) == [4.0, 5.0, 3.0, -0.0, 2.0, 1.0]
+    assert str(list(model.terms.values())[3]) == "-0.0"
 
 
 # --- the direct QUBO-JSON writer against json.dumps ---------------------
@@ -249,3 +285,16 @@ def test_quadratize_exact_count_ties(masks):
     _same_model(model, reference_quadratize(poly))
     assert model.ancilla_defs[0] == (n, (0, 1))
 
+
+@settings(max_examples=200, deadline=None)
+@given(_qubo_models() | sparse_polynomials(_COUPLING).map(quadratize))
+@example(QuboModel(0, 0, {}, (), 0.0))
+@example(QuboModel(2, 0, {0b11: 4.0, 0b1: -2.0, 0b10: -2.0, 0: 1.0}, (), 0.0))  # all but z0 z1 cancels
+@example(QuboModel(3, 0, {0: 7, 0b1: -0.0, 0b100: 3}, (), 0.0))  # a zero coupling; ints
+def test_to_ising_matches_the_reference_walk(model):
+    # the sparse draws have up to 130 original qubits and ancillas past qubit 64
+    got = model.to_ising()
+    want = reference_leakage_transform(BinaryPolynomial(model.num_vars, dict(model.terms)))
+    assert got.num_qubits == want.num_qubits == model.num_vars
+    assert list(got.terms) == list(want.terms)
+    assert [c.hex() for c in got.terms.values()] == [c.hex() for c in want.terms.values()]

@@ -16,7 +16,13 @@ from tbe import (
     truncate,
 )
 from tbe.walsh import pointwise_derivative_values, squared_mass_by_degree, subset_degrees
-from helpers import naive_walsh, random_polynomial, reference_to_01_basis, sparse_polynomials
+from helpers import (
+    naive_walsh,
+    random_polynomial,
+    reference_leakage_transform,
+    reference_to_01_basis,
+    sparse_polynomials,
+)
 
 
 def test_fwht_two_point():
@@ -137,6 +143,22 @@ def test_to_01_round_trip():
 def test_to_01_basis_matches_the_reference_walk(poly):
     got, want = to_01_basis(poly), reference_to_01_basis(poly)
     assert got.num_vars == want.num_vars
+    assert list(got.terms) == list(want.terms)
+    assert [c.hex() for c in got.terms.values()] == [c.hex() for c in want.terms.values()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_polynomials(st.floats(-1e6, 1e6) | st.sampled_from([1.0, -1.0, 0.5, -2.0, 1e-300])).map(
+    lambda poly: BinaryPolynomial(poly.num_qubits, dict(poly.terms))))
+@example(BinaryPolynomial(0, {}))
+@example(BinaryPolynomial(130, {}))
+@example(BinaryPolynomial(0, {0: 2.5}))
+@example(BinaryPolynomial(2, {0: -0.5, 0b1: 1.0}))  # the constants cancel to 0
+@example(BinaryPolynomial(2, {0b11: 4.0, 0b1: -2.0, 0b10: -2.0, 0: 1.0}))  # all but z0 z1 cancels
+@example(BinaryPolynomial(130, {1 << 129 | 1 << 64 | 1: 3.0, 1 << 64: -1.5, 0: 0.75}))
+def test_leakage_transform_matches_the_reference_walk(poly01):
+    got, want = leakage_transform(poly01), reference_leakage_transform(poly01)
+    assert got.num_qubits == want.num_qubits
     assert list(got.terms) == list(want.terms)
     assert [c.hex() for c in got.terms.values()] == [c.hex() for c in want.terms.values()]
 
