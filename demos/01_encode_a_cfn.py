@@ -19,6 +19,7 @@ from tbe import (
     encode,
     evaluate_cfn,
     spin_image,
+    walsh_blocks,
 )
 
 rng = np.random.default_rng(7)
@@ -34,7 +35,7 @@ cfn = Cfn(
 )
 
 layout = build_layout(cfn, strategy="binary")
-poly = encode(cfn, layout)
+poly = encode(walsh_blocks(cfn, layout))
 
 print("register widths:", layout.register_widths)
 print("total spins:", layout.total_qubits)

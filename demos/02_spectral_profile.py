@@ -19,7 +19,7 @@ ever assembled.
 
 import numpy as np
 
-from tbe import Cfn, PairwiseTable, VariableSpec, build_layout, table_spectrum
+from tbe import Cfn, PairwiseTable, VariableSpec, build_layout, table_spectrum, walsh_blocks
 
 x = np.linspace(-1, 1, 32)
 potentials = {
@@ -36,7 +36,7 @@ for name, grid in potentials.items():
     print(f"\n=== {name}")
     for strategy in ("binary", "gray"):
         layout = build_layout(cfn, strategy=strategy)
-        profile = table_spectrum(cfn, layout)
+        profile = table_spectrum(walsh_blocks(cfn, layout))
         total = sum(profile.per_degree_power[1:])
         print(f"  {strategy} assignment:")
         running = 0.0
@@ -57,7 +57,7 @@ for name, grid in potentials.items():
     )
     parts = []
     for strategy in ("binary", "gray"):
-        profile = table_spectrum(cfn, build_layout(cfn, strategy=strategy))
+        profile = table_spectrum(walsh_blocks(cfn, build_layout(cfn, strategy=strategy)))
         total = sum(profile.per_degree_power[1:])
         parts.append(f"{strategy} {sum(profile.per_degree_power[1:3]) / total:6.1%}")
     print(f"  {name:22} {'  '.join(parts)}")

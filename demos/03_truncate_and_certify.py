@@ -8,15 +8,17 @@ On a small instance the certified bound is checked against the true
 enumerated maximum.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from tbe import certificate_json, certify, noise_floor_ok, parse_cfn, residual
-from tbe import build_layout, encode
+from tbe import build_layout, encode, walsh_blocks
 from tbe.verify import dense_values
 
-cfn = parse_cfn(open("demos/data/two_card32.json", "rb").read())
+cfn = parse_cfn(Path("demos/data/two_card32.json").read_bytes())
 layout = build_layout(cfn)
-poly = encode(cfn, layout)
+poly = encode(walsh_blocks(cfn, layout))
 print("encoded:", poly.num_terms(), "terms, degree", poly.degree, "on", poly.num_qubits, "spins")
 
 print(f"\n{'k':>3} {'epsilon (l1)':>14} {'l2 residual':>12} {'true max |err|':>15} {'weak':>9} {'strong':>9}")

@@ -9,6 +9,8 @@ The equivalent command line is:
         --out-hubo hubo.json --out-cert cert.json --out-report report.json
 """
 
+from pathlib import Path
+
 from tbe import (
     AnnealParams,
     build_layout,
@@ -16,18 +18,19 @@ from tbe import (
     decode_and_refine,
     encode,
     evaluate_cfn,
-    k_full,
     parse_cfn,
     quadratize,
     solve,
     truncate,
+    walsh_blocks,
 )
 
-cfn = parse_cfn(open("demos/data/two_card32.json", "rb").read())
+cfn = parse_cfn(Path("demos/data/two_card32.json").read_bytes())
 layout = build_layout(cfn, strategy="gray")
-full = encode(cfn, layout)
+blocks = walsh_blocks(cfn, layout)
+full = encode(blocks)
 print("exact encoding:", full.num_terms(), "terms, degree", full.degree,
-      "of a possible", k_full(cfn, layout))
+      "of a possible", blocks.k_full)
 
 cutoff = 3
 cert = certify(full, cutoff)

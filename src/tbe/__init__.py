@@ -22,13 +22,14 @@ from .encoding import (
     EncodingLayout,
     Fallback,
     Penalty,
+    WalshBlocks,
     build_layout,
     decode,
     default_penalty_weight,
     encode,
     indicator_expansion,
-    k_full,
     spin_image,
+    walsh_blocks,
 )
 from .errors import CapacityError, CfnFormatError
 from .polynomial import (

@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 
 from .cfn import MAX_ABS_COST, Cfn, parse_cfn
-from .encoding import EncodingLayout, Fallback, Penalty, build_layout, encode, k_full
+from .encoding import Fallback, Penalty, WalshBlocks, build_layout, encode, walsh_blocks
 from .errors import CapacityError, CfnFormatError
 from .polynomial import finite_float, hubo_from_json, hubo_to_json, is_int, mask_to_string, qubit_mask
 from .quadratization import quadratize, qubo_json, resolve_ancillas
@@ -173,9 +173,11 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _prepare(args) -> tuple[Cfn, EncodingLayout]:
+def _prepare(args) -> tuple[Cfn, WalshBlocks]:
+    """The input CFN and its Walsh blocks: the command's one transform pass."""
     cfn = _load_cfn(args.input)
-    return cfn, build_layout(cfn, _parse_strategy(args.assignment), _parse_policy(args.unused))
+    layout = build_layout(cfn, _parse_strategy(args.assignment), _parse_policy(args.unused))
+    return cfn, walsh_blocks(cfn, layout)
 
 
 def _true_optimum(cfn: Cfn) -> tuple[float, tuple[int, ...]] | None:
@@ -221,8 +223,8 @@ def run_pipeline(args) -> int:
         if not (math.isfinite(value) and value >= 0):
             raise CfnFormatError(f"{flag} must be a finite number >= 0, got {value!r}")
     _check_seed(args)
-    cfn, layout = _prepare(args)
-    full = encode(cfn, layout)
+    cfn, blocks = _prepare(args)
+    full = encode(blocks)
     cert = certify(full, args.kmax)
     weak_ok, strong_ok = noise_floor_ok(cert, args.weak_threshold, args.strong_threshold)
     noise_ok = weak_ok and strong_ok
@@ -251,7 +253,7 @@ def run_pipeline(args) -> int:
             result = replace(
                 result, num_qubits=qubo.num_vars, best_spin=resolve_ancillas(qubo, result.best_spin)
             )
-        result = decode_and_refine(result, layout, cfn, full_poly=full if args.refine else None)
+        result = decode_and_refine(result, blocks.layout, cfn, full_poly=full if args.refine else None)
         solve_block = json.loads(solve_result_json(result))
         if exhaustive and all(result.decoded_valid):
             opt = _true_optimum(cfn)
@@ -283,8 +285,8 @@ def run_pipeline(args) -> int:
             "strong_threshold": args.strong_threshold,
         },
         "num_variables": cfn.num_variables,
-        "num_qubits": layout.total_qubits,
-        "k_full": k_full(cfn, layout),
+        "num_qubits": blocks.layout.total_qubits,
+        "k_full": blocks.k_full,
         "encoded": {"num_terms": full.num_terms(), "degree": full.degree},
         "noise_floor": {
             "weak_ratio": cert.weak_noise_floor_ratio,
@@ -314,7 +316,7 @@ def run_pipeline(args) -> int:
     if args.out_qubo and qubo is not None:
         _write(args.out_qubo, qubo_json(qubo))
     if args.out_spectrum:
-        _write(args.out_spectrum, spectrum_csv(table_spectrum(cfn, layout)))
+        _write(args.out_spectrum, spectrum_csv(table_spectrum(blocks)))
     if args.out_cert:
         _write(args.out_cert, certificate_json(cert))
     if args.out_report:
@@ -333,8 +335,8 @@ def _finite_or_none(value: float | None) -> float | None:
 def run_verify(args) -> int:
     if args.kmax < 1:
         raise CfnFormatError("--kmax must be >= 1")
-    cfn, layout = _prepare(args)
-    full = encode(cfn, layout)
+    _, blocks = _prepare(args)
+    full = encode(blocks)
     report = check_preservation(full, args.kmax)
     doc = {
         "num_qubits": report.num_qubits,
@@ -487,8 +489,8 @@ def run_ensemble(args) -> int:
 
 
 def run_spectrum(args) -> int:
-    cfn, layout = _prepare(args)
-    text = spectrum_csv(table_spectrum(cfn, layout))
+    _, blocks = _prepare(args)
+    text = spectrum_csv(table_spectrum(blocks))
     if args.out:
         _write(args.out, text)
     else:

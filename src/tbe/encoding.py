@@ -16,10 +16,11 @@ and leaves interactions at zero there.  The marginals of each
 (extended) interaction grid are absorbed into the register tables
 before transforming, which keeps interaction couplings supported on
 exactly two registers and makes the per-table spectral decomposition
-exact; ``walsh_blocks`` is the one place these transforms are taken.
-``encode`` places each block's couplings in the polynomial's stored
-arrays as rows of key bytes, without forming a Python-int key per
-coupling.
+exact; ``walsh_blocks`` is the one place these transforms are taken,
+and its ``WalshBlocks`` value is what both ``encode`` and
+``spectrum.table_spectrum`` read.  ``encode`` places each block's
+couplings in the polynomial's stored arrays as rows of key bytes,
+without forming a Python-int key per coupling.
 """
 
 from __future__ import annotations
@@ -42,11 +43,11 @@ __all__ = [
     "default_penalty_weight",
     "bitstring_indicator",
     "indicator_expansion",
+    "WalshBlocks",
     "walsh_blocks",
     "encode",
     "decode",
     "spin_image",
-    "k_full",
 ]
 
 
@@ -215,12 +216,9 @@ def indicator_expansion(layout: EncodingLayout, var: int, choice: int) -> IsingP
     return bitstring_indicator(layout.register_widths[var], layout.assignments[var][choice - 1])
 
 
-def walsh_blocks(
-    cfn: Cfn, layout: EncodingLayout
-) -> tuple[float, list[np.ndarray], list[tuple[int, int, np.ndarray]]]:
+@dataclass(frozen=True, eq=False)
+class WalshBlocks:
     """Each cost table's Walsh coefficients on its own registers.
-
-    Returns ``(constant, registers, interactions)``:
 
     * ``registers[i][t - 1]`` is the coupling on the nonempty local
       qubit subset ``t`` of register i;
@@ -235,8 +233,25 @@ def walsh_blocks(
     its marginal modes vanish (up to roundoff) and are left out; each
     register table's mean is folded into the constant.  The blocks
     together reproduce the extended cost at every bitstring pattern,
-    valid or not.
+    valid or not.  ``encode`` assembles them and ``table_spectrum``
+    bins them, so their arrays are read-only.
     """
+
+    layout: EncodingLayout
+    constant: float
+    registers: tuple[np.ndarray, ...]
+    interactions: tuple[tuple[int, int, np.ndarray], ...]
+
+    @property
+    def k_full(self) -> int:
+        """Largest possible monomial degree of the exact encoding."""
+        widths = self.layout.register_widths
+        # a register in no interaction can still carry the widest block
+        return max([*(widths[i] + widths[j] for i, j, _ in self.interactions), *widths], default=0)
+
+
+def walsh_blocks(cfn: Cfn, layout: EncodingLayout) -> WalshBlocks:
+    """Take each cost table's Walsh transform on its own registers."""
     policy = layout.unused_policy
     if isinstance(policy, Penalty):
         pad = policy.weight if policy.weight is not None else default_penalty_weight(cfn)
@@ -278,22 +293,24 @@ def walsh_blocks(
         coeffs = fwht(table)
         constant += float(coeffs[0])
         registers.append(coeffs[1:])
-    return constant, registers, interactions
+    for block in (*registers, *(coeffs for _, _, coeffs in interactions)):
+        block.flags.writeable = False
+    return WalshBlocks(layout, constant, tuple(registers), tuple(interactions))
 
 
-def encode(cfn: Cfn, layout: EncodingLayout) -> IsingPolynomial:
-    """Compile a CFN into its exact spin-basis HUBO.
+def encode(blocks: WalshBlocks) -> IsingPolynomial:
+    """Assemble a CFN's per-table Walsh blocks into its exact spin-basis HUBO.
 
-    The couplings are the per-table Walsh blocks of ``walsh_blocks``
-    placed at their registers' offsets; exact zeros are dropped.  The
-    constant term is stored.  Keys are built as byte rows, a block at a
-    time, and go to the polynomial's one sort
-    (``IsingPolynomial.from_octets``): each register has a table of the
-    key bytes of its local subsets, shifted to its offset; a register
-    block's rows are its table's rows at the block's nonzero entries,
-    and an interaction block's rows OR the rows of its two registers.
+    The couplings are the blocks' entries placed at their registers'
+    offsets; exact zeros are dropped.  The constant term is stored.
+    Keys are built as byte rows, a block at a time, and go to the
+    polynomial's one sort (``IsingPolynomial.from_octets``): each
+    register has a table of the key bytes of its local subsets, shifted
+    to its offset; a register block's rows are its table's rows at the
+    block's nonzero entries, and an interaction block's rows OR the
+    rows of its two registers.  No transform is taken here.
     """
-    constant, registers, interactions = walsh_blocks(cfn, layout)
+    layout = blocks.layout
     width = octet_width(layout.total_qubits)
     # tables[i][t - 1]: the key bytes of nonempty local subset t of register i
     tables = [
@@ -301,12 +318,12 @@ def encode(cfn: Cfn, layout: EncodingLayout) -> IsingPolynomial:
         for w, offset in zip(layout.register_widths, layout.register_offsets)
     ]
     octets = [np.zeros((1, width), dtype=np.uint8)]
-    coeffs = [np.array([constant])]
-    for table, block in zip(tables, registers):
+    coeffs = [np.array([blocks.constant])]
+    for table, block in zip(tables, blocks.registers):
         nonzero = np.flatnonzero(block)
         octets.append(table[nonzero])
         coeffs.append(block[nonzero])
-    for i, j, block in interactions:
+    for i, j, block in blocks.interactions:
         flat = block.reshape(-1)
         nonzero = np.flatnonzero(flat)
         tj, ti = np.divmod(nonzero, block.shape[1])
@@ -357,10 +374,3 @@ def decode(layout: EncodingLayout, mask: int) -> tuple[list[int], list[bool]]:
             )
             assignment.append(best + 1)
     return assignment, valid
-
-
-def k_full(cfn: Cfn, layout: EncodingLayout) -> int:
-    """Largest possible monomial degree of the exact encoding."""
-    widths = layout.register_widths
-    # a register in no interaction can still carry the widest block
-    return max([*(widths[t.i] + widths[t.j] for t in cfn.pairwise_tables), *widths], default=0)

@@ -56,11 +56,14 @@ each under 2^64 B, so is under 2^128 B ~ 3.4e138; a squared sum
 _REVERSED_BYTE = np.array([int(f"{v:08b}"[::-1], 2) for v in range(256)], dtype=np.uint8)
 _BYTE_DEGREE = np.array([v.bit_count() for v in range(256)], dtype=np.uint8)
 _NON_FINITE = frozenset({"nan", "inf", "-inf"})
+_SPIN_SIGNS = str.maketrans("01", "+-")
 
 
 def mask_to_string(mask: int, n: int) -> str:
-    """Render a spin configuration as a '+'/'-' string, qubit 0 first."""
-    return "".join("-" if (mask >> q) & 1 else "+" for q in range(n))
+    """Render a spin configuration as a '+'/'-' string, qubit 0 first.
+
+    Bits of ``mask`` at or above ``n`` are ignored."""
+    return format(mask, f"0{n}b")[::-1][:n].translate(_SPIN_SIGNS)
 
 
 def significant(magnitudes: np.ndarray) -> np.ndarray:

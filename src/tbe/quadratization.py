@@ -164,6 +164,22 @@ def quadratize(poly: IsingPolynomial) -> QuboModel:
     return _stored(n, tuple(ancilla_defs), penalty, keys[first], sums)
 
 
+def _pair_counts(rows: np.ndarray) -> np.ndarray:
+    """``counts[a, b]``: how many rows of the boolean matrix hold both a
+    and b, with a zero diagonal.  Rows are taken a degree at a time:
+    the d columns of each row, in increasing order, give its d(d-1)/2
+    pairs a < b, and one ``bincount`` tallies them exactly."""
+    n = rows.shape[1]
+    degrees = rows.sum(axis=1)
+    upper = np.zeros(n * n, np.int64)
+    for d in np.unique(degrees[degrees > 1]).tolist():
+        cols = np.nonzero(rows[degrees == d])[1].reshape(-1, d)
+        a, b = np.triu_indices(d, 1)
+        upper += np.bincount((cols[:, a] * n + cols[:, b]).ravel(), minlength=n * n)
+    upper = upper.reshape(n, n)
+    return upper + upper.T
+
+
 class _Incidence:
     """The monomials of degree > 2 under greedy pair substitution.
 
@@ -182,11 +198,8 @@ class _Incidence:
         self.rows = np.zeros((count, width), bool)
         self.rows[:, :n] = rows
         self.active = np.ones(count, bool)
-        # float32 counts are exact below 2^24 rows and take the BLAS path
-        dense = rows.astype(np.float32)
         self.counts = np.zeros((width, width), np.int64)
-        self.counts[:n, :n] = dense.T @ dense
-        np.fill_diagonal(self.counts, 0)
+        self.counts[:n, :n] = _pair_counts(rows)
         self.row_max = self.counts.max(axis=1)
         self.row_argmax = self.counts.argmax(axis=1)
 

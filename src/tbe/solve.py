@@ -127,19 +127,23 @@ def _colour_classes(incidence: np.ndarray) -> list[np.ndarray]:
     uncoloured qubit whose neighbours show the most distinct colours
     (then the highest degree, then the lowest index) and gives it the
     lowest colour none of them has.  Qubits in no term get no class.
-    Each class lists its qubits in increasing order.
+    Each class lists its qubits in increasing order.  Only the columns
+    of those qubits are kept, so idle qubits cost nothing; the map back
+    is increasing, so ties break as they would over all columns.
     """
-    n = incidence.shape[1]
+    used = np.flatnonzero(incidence.any(axis=0))
+    incidence = incidence[:, used]
+    n = used.size
     neighbours = [np.flatnonzero(incidence[incidence[:, q]].any(axis=0)) for q in range(n)]
     neighbours = [nb[nb != q] for q, nb in enumerate(neighbours)]
     degree = np.array([nb.size for nb in neighbours], dtype=np.int64)
     saturation = np.zeros(n, dtype=np.int64)
     # seen[q, c]: some neighbour of q has colour c; a qubit never needs
     # a colour above its degree
-    seen = np.zeros((n, int(degree.max()) + 1), dtype=bool)
+    seen = np.zeros((n, int(degree.max(initial=0)) + 1), dtype=bool)
     colour = np.full(n, -1)
-    pending = incidence.any(axis=0)
-    for _ in range(int(np.count_nonzero(pending))):
+    pending = np.ones(n, dtype=bool)
+    for _ in range(n):
         # degree < n + 1 breaks saturation ties; argmax takes the first,
         # so the lowest index, of what is still tied
         q = int(np.argmax(np.where(pending, saturation * (n + 1) + degree, -1)))
@@ -149,7 +153,7 @@ def _colour_classes(incidence: np.ndarray) -> list[np.ndarray]:
         fresh = neighbours[q][~seen[neighbours[q], c]]
         seen[fresh, c] = True
         saturation[fresh] += 1
-    return [np.flatnonzero(colour == c) for c in range(int(colour.max(initial=-1)) + 1)]
+    return [used[colour == c] for c in range(int(colour.max(initial=-1)) + 1)]
 
 
 def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple[int, float]:

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cfn import Cfn
-from .encoding import EncodingLayout, k_full, walsh_blocks
+from .encoding import WalshBlocks
 from .walsh import squared_mass_by_degree, subset_degrees
 
 __all__ = ["SpectralProfile", "table_spectrum", "spectrum_csv"]
@@ -48,29 +47,29 @@ class SpectralProfile:
         return float(sum(t[2][k] for t in self.per_table_pairwise))
 
 
-def table_spectrum(cfn: Cfn, layout: EncodingLayout) -> SpectralProfile:
+def table_spectrum(blocks: WalshBlocks) -> SpectralProfile:
     """Spectral profile straight from the per-table Walsh blocks.
 
-    Bins the squared coefficients of each block of ``walsh_blocks`` by
-    degree (interaction modes by the sum of the two register-local
-    degrees, both nonzero).  No global mask is formed.
+    Bins the squared coefficients of each of ``blocks`` by degree
+    (interaction modes by the sum of the two register-local degrees,
+    both nonzero).  No transform is taken and no global mask is formed.
     """
-    top = k_full(cfn, layout)
-    constant, registers, interactions = walsh_blocks(cfn, layout)
-    degrees = [subset_degrees(width)[1:] for width in layout.register_widths]
-    unary_profiles = [squared_mass_by_degree(coeffs, d, top) for d, coeffs in zip(degrees, registers)]
+    top = blocks.k_full
+    degrees = [subset_degrees(width)[1:] for width in blocks.layout.register_widths]
+    unary_profiles = [squared_mass_by_degree(coeffs, d, top) for d, coeffs in zip(degrees, blocks.registers)]
     # interaction coeffs[tj - 1, ti - 1] has degree |ti| + |tj|
     pairwise_profiles = [
-        (i, j, squared_mass_by_degree(coeffs, degrees[j][:, None] + degrees[i], top)) for i, j, coeffs in interactions
+        (i, j, squared_mass_by_degree(coeffs, degrees[j][:, None] + degrees[i], top))
+        for i, j, coeffs in blocks.interactions
     ]
 
     global_bins = np.zeros(top + 1)
     for bins in unary_profiles + [bins for _, _, bins in pairwise_profiles]:
         global_bins += bins
-    global_bins[0] = constant**2
+    global_bins[0] = blocks.constant**2
 
     return SpectralProfile(
-        num_qubits=layout.total_qubits,
+        num_qubits=blocks.layout.total_qubits,
         per_degree_power=tuple(global_bins.tolist()),
         per_table_unary=tuple(unary_profiles),
         per_table_pairwise=tuple(pairwise_profiles),

@@ -156,6 +156,11 @@ def qubit_list(mask: int) -> list[int]:
     return [q for q in range(mask.bit_length()) if (mask >> q) & 1]
 
 
+def reference_mask_to_string(mask: int, n: int) -> str:
+    """'+'/'-' per qubit by a plain shift per qubit, qubit 0 first."""
+    return "".join("-" if (mask >> q) & 1 else "+" for q in range(n))
+
+
 def reference_to_01_basis(poly: IsingPolynomial) -> BinaryPolynomial:
     """z = 1 - 2b term by term: each spin term c * z_S adds
     c * (-2)^|t| to the 0/1 term of every subset t of S, walked from S

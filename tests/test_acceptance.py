@@ -23,7 +23,6 @@ from tbe import (
     ensemble_residual_check,
     evaluate_cfn,
     fwht,
-    k_full,
     leakage_transform,
     profile_with_margin,
     quadratize,
@@ -33,6 +32,7 @@ from tbe import (
     synthesize_values,
     table_spectrum,
     truncate,
+    walsh_blocks,
 )
 from tbe.cli import main
 from tbe.polynomial import BinaryPolynomial
@@ -65,7 +65,7 @@ def test_criterion_01_encoding_exactness():
     start = time.monotonic()
     worst = 0.0
     for cfn, layout in _encoded_instances(200, seed=101):
-        poly = encode(cfn, layout)
+        poly = encode(walsh_blocks(cfn, layout))
         values = dense_values(poly)
         for assignment in all_assignments(cfn):
             assignment = list(assignment)
@@ -86,7 +86,7 @@ def test_criterion_02_walsh_identification():
     for cfn, layout in _encoded_instances(200, seed=101):
         if layout.total_qubits > 14:
             continue
-        poly = encode(cfn, layout)
+        poly = encode(walsh_blocks(cfn, layout))
         truth = assemble_truth_table(cfn, layout)
         coeffs = fwht(truth)
         for mask in range(coeffs.size):
@@ -254,8 +254,8 @@ def test_criterion_07_spectral_leakage():
 def test_criterion_08_additive_spectral_decomposition():
     ok = True
     for cfn, layout in _encoded_instances(200, seed=101):
-        poly = encode(cfn, layout)
-        profile = table_spectrum(cfn, layout)
+        poly = encode(walsh_blocks(cfn, layout))
+        profile = table_spectrum(walsh_blocks(cfn, layout))
         binned = degree_power(poly)
         top = profile.max_degree
         for k in range(1, top + 1):

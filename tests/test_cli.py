@@ -766,3 +766,26 @@ def test_quadratized_exhaustive_solve_enumerates_the_original_qubits(tmp_path):
     for ancilla in json.loads(qubo.read_text())["ancillas"]:
         p, q = ancilla["parents"]
         assert (spins[ancilla["index"]] == "-") == (spins[p] == spins[q] == "-")
+
+
+def test_compile_transforms_each_table_once(tmp_path, monkeypatch):
+    # the encoding, the report's k_full and the spectrum share one pass of
+    # per-table transforms: one per register, one per pairwise table
+    import tbe.encoding
+
+    demo = Path(__file__).resolve().parent.parent / "demos" / "data" / "two_card32.json"
+    calls = []
+    real = tbe.encoding.fwht
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("tbe.encoding.fwht", counted)
+    outs = []
+    for flag in ("--out-hubo", "--out-trunc", "--out-qubo", "--out-spectrum", "--out-cert", "--out-report"):
+        outs += [flag, str(tmp_path / flag.removeprefix("--out-"))]
+    assert main(["compile", "--input", str(demo), "--kmax", "3", "--quadratize", *outs]) == 0
+    assert all((tmp_path / name).stat().st_size for name in ("hubo", "trunc", "qubo", "spectrum", "cert", "report"))
+    cfn = parse_cfn(demo.read_bytes())
+    assert len(calls) == cfn.num_variables + len(cfn.pairwise_tables) == 3

@@ -16,12 +16,12 @@ from tbe import (
     encode,
     evaluate_cfn,
     indicator_expansion,
-    k_full,
     mask_to_string,
     spin_image,
     table_spectrum,
+    walsh_blocks,
 )
-from tbe.encoding import bitstring_indicator, default_penalty_weight, walsh_blocks
+from tbe.encoding import bitstring_indicator, default_penalty_weight
 from tbe.verify import dense_values
 from helpers import all_assignments, assemble_truth_table, degree_power, naive_eval, random_cfn
 
@@ -54,7 +54,7 @@ def test_register_width_card128_pair_k_full():
     cfn = _cfn_of_cards([128, 128], rng)
     layout = build_layout(cfn)
     assert layout.register_widths == (7, 7)
-    assert k_full(cfn, layout) == 14
+    assert walsh_blocks(cfn, layout).k_full == 14
 
 
 def test_standard_binary_assignment_card3():
@@ -126,7 +126,7 @@ def test_partition_of_unity_over_all_bitstrings(width):
 def test_encode_single_binary_variable_closed_form():
     a1, a2 = 3.25, -1.5
     cfn = Cfn((VariableSpec("x", 2),), ((a1, a2),), ())
-    poly = encode(cfn, build_layout(cfn))
+    poly = encode(walsh_blocks(cfn, build_layout(cfn)))
     assert poly.terms[0] == pytest.approx((a1 + a2) / 2)
     assert poly.terms[1] == pytest.approx((a1 - a2) / 2)
 
@@ -135,8 +135,9 @@ def test_encode_two_card32_degree_is_ten():
     rng = np.random.default_rng(2)
     cfn = _cfn_of_cards([32, 32], rng)
     layout = build_layout(cfn)
-    poly = encode(cfn, layout)
-    assert k_full(cfn, layout) == 10
+    blocks = walsh_blocks(cfn, layout)
+    poly = encode(blocks)
+    assert blocks.k_full == 10
     assert poly.degree == 10  # generic random table keeps the top coupling nonzero
 
 
@@ -146,7 +147,7 @@ def test_encode_matches_cfn_exhaustively(policy):
     cards = [2, 3, 4]
     cfn = _cfn_of_cards(cards, rng)
     layout = build_layout(cfn, unused_policy=policy)
-    poly = encode(cfn, layout)
+    poly = encode(walsh_blocks(cfn, layout))
     for assignment in all_assignments(cfn):
         assignment = list(assignment)
         want = evaluate_cfn(cfn, assignment)
@@ -159,7 +160,7 @@ def test_encode_exactness_without_centering():
     for _ in range(10):
         cfn = random_cfn(rng, max_vars=3, max_card=5)
         layout = build_layout(cfn)
-        poly = encode(cfn, layout)
+        poly = encode(walsh_blocks(cfn, layout))
         for assignment in all_assignments(cfn):
             assignment = list(assignment)
             want = evaluate_cfn(cfn, assignment)
@@ -181,7 +182,7 @@ def test_encode_equals_symbolic_indicator_expansion():
     cfn = _cfn_of_cards(cards, rng)
     layout = build_layout(cfn)
     n = layout.total_qubits
-    poly = encode(cfn, layout)
+    poly = encode(walsh_blocks(cfn, layout))
 
     symbolic = IsingPolynomial(n, {})
     for i, card in enumerate(cards):
@@ -209,8 +210,9 @@ def test_degree_caps():
     for _ in range(10):
         cfn = random_cfn(rng, max_vars=3, max_card=8)
         layout = build_layout(cfn)
-        poly = encode(cfn, layout)
-        assert poly.degree <= max(k_full(cfn, layout), 0)
+        blocks = walsh_blocks(cfn, layout)
+        poly = encode(blocks)
+        assert poly.degree <= max(blocks.k_full, 0)
         max_width = max(layout.register_widths)
         for s in poly.terms:
             regs = [
@@ -241,7 +243,7 @@ def test_centered_pairwise_only_has_no_single_register_mass(policy):
     cards = [4, 8]
     stripped = _zero_marginal_pairwise_cfn(cards, rng)
     layout = build_layout(stripped, unused_policy=policy)
-    poly = encode(stripped, layout)
+    poly = encode(walsh_blocks(stripped, layout))
     for i in range(2):
         reg = layout.register_mask(i)
         for s in poly.terms:
@@ -256,7 +258,7 @@ def test_penalty_zero_extension_keeps_pairwise_two_register_even_odd_cards():
     cards = [3, 5]
     stripped = _zero_marginal_pairwise_cfn(cards, rng)
     layout = build_layout(stripped, unused_policy=Penalty(weight=0.0))
-    poly = encode(stripped, layout)
+    poly = encode(walsh_blocks(stripped, layout))
     for i in range(2):
         reg = layout.register_mask(i)
         assert not any(s and s & ~reg == 0 for s in poly.terms)
@@ -269,7 +271,7 @@ def test_encode_past_64_qubits_is_exact():
     cfn = _cfn_of_cards(cards, rng, edge_prob=0.1)
     layout = build_layout(cfn)
     assert layout.total_qubits > 64
-    poly = encode(cfn, layout)
+    poly = encode(walsh_blocks(cfn, layout))
     for _ in range(20):
         assignment = [int(rng.integers(1, c + 1)) for c in cards]
         want = evaluate_cfn(cfn, assignment)
@@ -279,15 +281,25 @@ def test_encode_past_64_qubits_is_exact():
 
 def test_k_full_counts_a_register_in_no_interaction():
     # v2's 4-qubit register carries degree-4 couplings of its own, above
-    # the 1 + 0 qubits of the one interaction
+    # the 1 + 0 qubits of the one interaction; v3 has a 0-qubit register
     cfn = Cfn(
-        (VariableSpec("v0", 1), VariableSpec("v1", 2), VariableSpec("v2", 9)),
-        ((0.1,), (0.2, 0.3), (3.0, -1.0, 4.0, 1.0, -5.0, 9.0, 2.0, -6.0, 5.0)),
+        (VariableSpec("v0", 1), VariableSpec("v1", 2), VariableSpec("v2", 9), VariableSpec("v3", 1)),
+        ((0.1,), (0.2, 0.3), (3.0, -1.0, 4.0, 1.0, -5.0, 9.0, 2.0, -6.0, 5.0), (0.4,)),
         (PairwiseTable(0, 1, (0.5, 0.7)),),
     )
-    layout = build_layout(cfn)
-    assert k_full(cfn, layout) == encode(cfn, layout).degree == 4
-    assert table_spectrum(cfn, layout).max_degree == 4
+    blocks = walsh_blocks(cfn, build_layout(cfn))
+    assert blocks.k_full == encode(blocks).degree == 4
+    assert table_spectrum(blocks).max_degree == 4
+
+
+def test_walsh_blocks_are_read_only():
+    # encode and table_spectrum share the arrays, so neither may write them
+    rng = np.random.default_rng(3)
+    cfn = _cfn_of_cards([3, 4], rng)
+    blocks = walsh_blocks(cfn, build_layout(cfn))
+    for block in (*blocks.registers, *(coeffs for _, _, coeffs in blocks.interactions)):
+        with pytest.raises(ValueError):
+            block[0] = 1.0
 
 
 def test_decode_binary_register():
@@ -335,7 +347,7 @@ def test_cardinality_one_register_has_zero_width():
     cfn = Cfn((VariableSpec("c", 1), VariableSpec("x", 4)), ((2.5,), (0.0, 1.0, 2.0, 3.0)), ())
     layout = build_layout(cfn)
     assert layout.register_widths == (0, 2)
-    poly = encode(cfn, layout)
+    poly = encode(walsh_blocks(cfn, layout))
     for assignment in all_assignments(cfn):
         assignment = list(assignment)
         assert poly.evaluate_mask(spin_image(layout, assignment)) == pytest.approx(
@@ -373,7 +385,7 @@ def test_encoding_is_the_policy_extended_table_everywhere(case):
     # every configuration, unused bitstrings included, under any fill
     # choice or weight
     cfn, layout = case
-    got = dense_values(encode(cfn, layout))
+    got = dense_values(encode(walsh_blocks(cfn, layout)))
     want = assemble_truth_table(cfn, layout)
     scale = 1.0 + float(np.max(np.abs(want)))
     assert np.max(np.abs(got - want)) <= 1e-9 * scale
@@ -385,10 +397,10 @@ def test_spectrum_adds_up_over_tables(case):
     # each degree's unary and pairwise bins, summed over the tables, are
     # the squared mass the assembled polynomial stores at that degree
     cfn, layout = case
-    profile = table_spectrum(cfn, layout)
+    profile = table_spectrum(walsh_blocks(cfn, layout))
     # a width-0 register (cardinality 1) has no coefficients, and its bins are 0.0 all the same
     assert all(type(v) is float for bins in profile.per_table_unary for v in bins)
-    mass = degree_power(encode(cfn, layout))
+    mass = degree_power(encode(walsh_blocks(cfn, layout)))
     for k in range(1, profile.max_degree + 1):
         whole = mass[k] if k < len(mass) else 0.0
         parts = profile.unary_power(k) + profile.pairwise_power(k)
@@ -408,14 +420,14 @@ def test_decode_inverts_spin_image(case):
 
 def _encode_by_dict(cfn, layout):
     """The encoding built one Python-int key at a time from the Walsh blocks."""
-    constant, registers, interactions = walsh_blocks(cfn, layout)
+    blocks = walsh_blocks(cfn, layout)
     offsets = layout.register_offsets
-    terms = {0: constant}
-    for i, block in enumerate(registers):
+    terms = {0: blocks.constant}
+    for i, block in enumerate(blocks.registers):
         for t, c in enumerate(block, start=1):
             if c:
                 terms[t << offsets[i]] = float(c)
-    for i, j, block in interactions:
+    for i, j, block in blocks.interactions:
         for (tj, ti), c in np.ndenumerate(block):
             if c:
                 terms[(ti + 1) << offsets[i] | (tj + 1) << offsets[j]] = float(c)
@@ -426,7 +438,7 @@ def _encode_by_dict(cfn, layout):
 @given(_policy_layouts())
 def test_array_encoding_equals_the_dict_build(case):
     cfn, layout = case
-    poly = encode(cfn, layout)
+    poly = encode(walsh_blocks(cfn, layout))
     for again in (IsingPolynomial(poly.num_qubits, dict(poly.terms)), _encode_by_dict(cfn, layout)):
         assert again == poly
         assert again.degree_starts == poly.degree_starts

@@ -18,7 +18,7 @@ from tbe.polynomial import octet_width
 from tbe.solve import AnnealParams, _metropolis
 from tbe.truncation import residual, truncate
 from tbe.verify import bitflip_descent
-from helpers import naive_eval, qubit_list, random_polynomial
+from helpers import naive_eval, qubit_list, random_polynomial, reference_mask_to_string
 
 
 def test_empty_polynomial_evaluates_to_zero():
@@ -46,6 +46,12 @@ def test_spin_mask_round_trip():
     assert mask_to_string(0b10110, 5) == "+--+-"
     assert mask_to_string(0, 3) == "+++"
     assert mask_to_string(0, 0) == ""
+
+
+@given(st.integers(0, 2**300), st.integers(0, 260))
+def test_mask_to_string_matches_the_shift_loop(mask, n):
+    # masks wider than n drop their high bits, and n = 0 gives ""
+    assert mask_to_string(mask, n) == reference_mask_to_string(mask, n)
 
 
 def test_degree_and_pruning():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tbe import BinaryPolynomial, IsingPolynomial, quadratize, qubo_json, resolve_ancillas, truncate
-from tbe.quadratization import QuboModel
+from tbe.quadratization import QuboModel, _pair_counts
 from helpers import random_polynomial, reference_leakage_transform, reference_quadratize, sparse_polynomials
 
 
@@ -298,3 +298,14 @@ def test_to_ising_matches_the_reference_walk(model):
     assert got.num_qubits == want.num_qubits == model.num_vars
     assert list(got.terms) == list(want.terms)
     assert [c.hex() for c in got.terms.values()] == [c.hex() for c in want.terms.values()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 40), st.integers(1, 24), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_pair_counts_equal_the_integer_product(count, n, density, seed):
+    rows = np.random.default_rng(seed).random((count, n)) < density
+    want = rows.astype(np.int64).T @ rows.astype(np.int64)
+    np.fill_diagonal(want, 0)
+    got = _pair_counts(rows)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)

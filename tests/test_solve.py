@@ -20,6 +20,7 @@ from tbe import (
     quadratize,
     solve,
     truncate,
+    walsh_blocks,
 )
 from tbe.solve import _colour_classes, _metropolis
 from tbe.verify import mask_bits
@@ -93,7 +94,7 @@ def _pipeline_pieces(seed, k_max=2):
     rng = np.random.default_rng(seed)
     cfn = random_cfn(rng, max_vars=3, max_card=5, edge_prob=1.0)
     layout = build_layout(cfn, unused_policy=Fallback())
-    full = encode(cfn, layout)
+    full = encode(walsh_blocks(cfn, layout))
     truncated = truncate(full, k_max)
     return cfn, layout, full, truncated
 
@@ -150,7 +151,7 @@ def test_end_to_end_value_bound_when_valid():
 
 def _demo_polynomials():
     cfn = parse_cfn(DEMO.read_bytes())
-    full = encode(cfn, build_layout(cfn, unused_policy=Fallback()))
+    full = encode(walsh_blocks(cfn, build_layout(cfn, unused_policy=Fallback())))
     return full, truncate(full, 3)
 
 
