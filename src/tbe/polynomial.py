@@ -291,6 +291,64 @@ def mask_octets(masks: Sequence[int], width: int) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8).reshape(len(masks), width)
 
 
+def random_masks(rng: np.random.Generator, n: int, size: int | None = None):
+    """Uniform masks over ``n`` qubits as Python ints (a list when ``size``
+    is given), drawn a 64-bit word at a time from the low word; up to 64
+    qubits that is the one draw ``rng.integers(0, 1 << n, size)`` makes."""
+    masks = [0] * (1 if size is None else size)
+    for low in range(0, n, 64):
+        words = rng.integers(0, (1 << min(64, n - low)) - 1, size=size, dtype=np.uint64, endpoint=True)
+        masks = [m | w << low for m, w in zip(masks, np.ravel(words).tolist())]
+    return masks[0] if size is None else masks
+
+
+def mask_bits(masks, n: int) -> np.ndarray:
+    """Boolean (len(masks) x n) matrix of a sequence of masks below
+    ``2^n``: entry (t, q) is bit q of ``masks[t]``."""
+    return octet_bits(mask_octets(masks, octet_width(n)), n)
+
+
+def octet_bits(octets: np.ndarray, n: int) -> np.ndarray:
+    """Boolean (rows x n) matrix of keys over ``n`` qubits given as rows
+    of little-endian bytes: entry (t, q) is bit q of key t."""
+    return np.unpackbits(octets, axis=1, count=n, bitorder="little").view(bool)
+
+
+def bit_octets(bits: np.ndarray) -> np.ndarray:
+    """The rows of a boolean matrix in little-endian bytes; the inverse
+    of ``octet_bits``."""
+    return np.packbits(bits, axis=1, bitorder="little")
+
+
+def pack_masks(bits: np.ndarray) -> list[int]:
+    """The masks whose bits are the rows of a boolean matrix; the
+    inverse of ``mask_bits``."""
+    return octet_keys(bit_octets(bits))
+
+
+def active_incidence(octets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The qubits some key holds, ascending, and the boolean (keys x
+    those qubits) incidence: entry (t, j) is whether key t holds qubit
+    ``qubits[j]``.  Only the byte columns holding a set bit are
+    unpacked, so idle qubits cost nothing."""
+    columns = np.flatnonzero(octets.any(axis=0))
+    bits = octet_bits(octets[:, columns], 8 * columns.size)
+    held = bits.any(axis=0)
+    return (8 * columns[:, None] + np.arange(8)).ravel()[held], bits[:, held]
+
+
+def overlaps(octets: np.ndarray, masks: Sequence[int]) -> np.ndarray:
+    """(len(masks) x keys) count of the qubits each mask (below
+    ``2^(8 width)``) shares with each key given as a row of bytes, so
+    key t's character at mask m is -1 where it is odd; a popcount table
+    reads only the byte columns where some key holds a qubit."""
+    held = mask_octets(masks, octets.shape[1])
+    counts = np.zeros((len(held), len(octets)), np.int64)
+    for b in np.flatnonzero(octets.any(axis=0)).tolist():
+        counts += _BYTE_DEGREE[held[:, b, None] & octets[:, b]]
+    return counts
+
+
 def octet_words(octets: np.ndarray) -> np.ndarray:
     """The keys of rows of at most 8 little-endian bytes, as uint64."""
     padded = np.zeros((len(octets), 8), dtype=np.uint8)

@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .polynomial import IsingPolynomial, StoredTerms, first_appearance_groups, json_array, json_numbers
-from .polynomial import key_octets, octet_degrees
+from .polynomial import active_incidence, bit_octets, key_octets, octet_bits, octet_degrees
 from .walsh import from_01_arrays, to_01_arrays
 
 __all__ = ["QuboModel", "quadratize", "resolve_ancillas", "qubo_json"]
@@ -131,7 +131,7 @@ def quadratize(poly: IsingPolynomial) -> QuboModel:
     """
     n = poly.num_qubits
     octets, coeffs = to_01_arrays(poly)
-    bits = np.unpackbits(octets, axis=1, count=n, bitorder="little").view(bool)
+    bits = octet_bits(octets, n)
     high = bits.sum(axis=1) > 2
     incidence = _Incidence(bits[high])
     ancilla_defs: list[tuple[int, tuple[int, int]]] = []
@@ -154,7 +154,7 @@ def quadratize(poly: IsingPolynomial) -> QuboModel:
     y, i, j = np.array([(a, p, q) for a, (p, q) in ancilla_defs], np.intp).reshape(-1, 3).T
     gadget = np.zeros((4 * len(y), width), bool)
     gadget[np.arange(len(gadget)).repeat(2), np.stack([i, j, i, y, j, y, y, y], axis=1).ravel()] = True
-    cost, gadget = (np.packbits(rows, axis=1, bitorder="little") for rows in (cost, gadget))
+    cost, gadget = (bit_octets(rows) for rows in (cost, gadget))
 
     ids, first = first_appearance_groups(gadget)
     gadget_sums = np.bincount(ids, weights=np.tile([1.0, -2.0, -2.0, 3.0], len(y)) * penalty)
@@ -285,9 +285,9 @@ def qubo_json(model: QuboModel) -> str:
     constant is written ``0.0``.  The key bytes' set bits, row by row,
     are each linear term's ``i``, then each quadratic term's ``i`` and ``j``.
     """
-    bits = np.unpackbits(model.octets, axis=1, bitorder="little").view(bool)
+    qubits, bits = active_incidence(model.octets)
     constants, linears = np.searchsorted(bits.sum(axis=1), (1, 2)).tolist()
-    qubits = (np.flatnonzero(bits) % bits.shape[1]).tolist()
+    qubits = qubits[np.nonzero(bits)[1]].tolist()
     texts = json_numbers(model.coeffs.tolist())
     constant = texts[0] if constants else "0.0"
     linear = [

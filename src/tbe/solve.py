@@ -12,7 +12,9 @@ term, in class order.
 Solutions are decoded back to CFN assignments, re-scored against the
 true cost tables, and optionally refined by bit-flip descent on the
 full (untruncated) encoding.  Configuration masks are Python ints, so
-neither annealing nor refinement has a qubit cap.
+neither annealing nor refinement has a qubit cap; both read only the
+qubits some term holds (``polynomial.active_incidence`` and
+``overlaps``): O(terms x active qubits) memory, and n bytes a restart.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ import numpy as np
 
 from .cfn import Cfn, evaluate_cfn
 from .encoding import EncodingLayout, decode
-from .polynomial import IsingPolynomial, mask_to_string
+from .polynomial import IsingPolynomial, active_incidence, mask_bits, mask_to_string, overlaps, pack_masks, random_masks
 from .quadratization import QuboModel
-from .verify import bitflip_descent, dense_values, mask_bits, octet_bits, pack_masks, random_masks
+from .verify import bitflip_descent, dense_values
 
 __all__ = ["AnnealParams", "SolveResult", "solve", "decode_and_refine", "solve_result_json"]
 
@@ -122,18 +124,15 @@ def _colour_classes(incidence: np.ndarray) -> list[np.ndarray]:
     """Independent sets of the qubit graph, in colour order.
 
     Two qubits are adjacent when they share a term (a column pair of
-    the terms x qubits ``incidence`` with a common row).  DSATUR colours
-    the qubits that appear in some term: it repeatedly takes the
-    uncoloured qubit whose neighbours show the most distinct colours
-    (then the highest degree, then the lowest index) and gives it the
-    lowest colour none of them has.  Qubits in no term get no class.
-    Each class lists its qubits in increasing order.  Only the columns
-    of those qubits are kept, so idle qubits cost nothing; the map back
-    is increasing, so ties break as they would over all columns.
+    the terms x active qubits ``incidence`` of ``active_incidence`` with
+    a common row).  DSATUR repeatedly takes the uncoloured qubit whose
+    neighbours show the most distinct colours (then the highest degree,
+    then the lowest index) and gives it the lowest colour none of them
+    has.  Each class lists its columns in increasing order; the map
+    back to qubits is increasing, so ties break as they would over all
+    qubits.
     """
-    used = np.flatnonzero(incidence.any(axis=0))
-    incidence = incidence[:, used]
-    n = used.size
+    n = incidence.shape[1]
     neighbours = [np.flatnonzero(incidence[incidence[:, q]].any(axis=0)) for q in range(n)]
     neighbours = [nb[nb != q] for q, nb in enumerate(neighbours)]
     degree = np.array([nb.size for nb in neighbours], dtype=np.int64)
@@ -153,7 +152,7 @@ def _colour_classes(incidence: np.ndarray) -> list[np.ndarray]:
         fresh = neighbours[q][~seen[neighbours[q], c]]
         seen[fresh, c] = True
         saturation[fresh] += 1
-    return [used[colour == c] for c in range(int(colour.max(initial=-1)) + 1)]
+    return [np.flatnonzero(colour == c) for c in range(int(colour.max(initial=-1)) + 1)]
 
 
 def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple[int, float]:
@@ -166,11 +165,13 @@ def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple
     then per sweep one permutation of the classes (the visiting order)
     and one uniform per restart for each active qubit, in class order
     (classes by colour, qubits ascending within a class), drawn as one
-    block.  Term characters are held term-major (terms x restarts) and
-    spins as a boolean (active qubits x restarts) array in class order,
-    so a class's spins are a contiguous slice; a step gathers the
-    class's term rows once (disjoint, since its qubits share no term),
-    takes every delta as one gain-matrix product, negates the accepted
+    block.  Only the active qubits' columns are unpacked
+    (``active_incidence``), and idle qubits keep their start values.
+    Term characters are held term-major (terms x restarts) and spins as
+    a boolean (active qubits x restarts) array in class order, so a
+    class's spins are a contiguous slice; a step gathers the class's
+    term rows once (disjoint, since its qubits share no term), takes
+    every delta as one gain-matrix product, negates the accepted
     entries and writes the rows back.  The energy and the best states
     are updated after each class; the best masks are packed once, at
     the end.
@@ -191,9 +192,9 @@ def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple
         t0 = float(np.sum(np.abs(coeffs)))
     t0 = max(t0, 1e-12)
 
-    incidence = octet_bits(poly.octets[first:], n)
+    qubits, incidence = active_incidence(poly.octets[first:])
     classes = _colour_classes(incidence)
-    qubit_order = np.concatenate(classes)
+    qubit_order = qubits[np.concatenate(classes)]
     steps = []
     lo = 0
     for members in classes:
@@ -206,11 +207,10 @@ def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple
         gain[owner, np.arange(rows.size)] = -2.0 * coeffs[rows]
         steps.append((rows, gain, owner, lo, lo + members.size))
         lo += members.size
-    start_bits = mask_bits(masks, n)
-    # a float product of 0/1 matrices counts overlaps exactly (each is <= n)
-    chi = np.where((start_bits.astype(float) @ incidence.astype(float).T) % 2, -1.0, 1.0)
+    chi = np.where(overlaps(poly.octets[first:], masks) % 2, -1.0, 1.0)
     energy = chi @ coeffs + constant
     chi_t = np.ascontiguousarray(chi.T)
+    start_bits = mask_bits(masks, n)
     spins = start_bits.T[qubit_order]
 
     best_energy = energy.copy()
@@ -242,7 +242,6 @@ def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple
                         np.copyto(best_energy, energy, where=improved)
                         np.copyto(best_spins, spins, where=improved)
             temperature *= params.cooling
-    # idle qubits keep their start values
     start_bits[:, qubit_order] = best_spins.T
     best_masks = pack_masks(start_bits)
     pick = min(range(restarts), key=lambda r: (best_energy[r], best_masks[r]))

@@ -16,12 +16,12 @@ sign-agreement rate between full and truncated bit-flip moves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import CapacityError
-from .polynomial import IsingPolynomial, mask_octets, octet_width, octet_words
+from .polynomial import IsingPolynomial, active_incidence, key_octets, octet_words, overlaps, random_masks
 from .truncation import certify, truncate
 from .walsh import synthesize_values
 
@@ -103,11 +103,6 @@ def _argmin_set(values: np.ndarray) -> tuple[float, np.ndarray]:
     return vmin, np.flatnonzero(values <= vmin + TIE_RADIUS)
 
 
-def _energy_gap(values: np.ndarray, vmin: float) -> float:
-    above = values[values > vmin + TIE_RADIUS]
-    return float(above.min() - vmin) if above.size else math.inf
-
-
 def _barrier(values: np.ndarray, mask: int, n: int) -> float:
     if n == 0:
         return math.inf
@@ -118,17 +113,19 @@ def _barrier(values: np.ndarray, mask: int, n: int) -> float:
 def enumerate_landscape(poly: IsingPolynomial) -> LandscapeReport:
     """Exact minimum set, energy gap, and the basin barrier at every
     global minimizer."""
-    values = dense_values(poly)
-    n = poly.num_qubits
+    return _landscape(dense_values(poly), poly.num_qubits)
+
+
+def _landscape(values: np.ndarray, n: int) -> LandscapeReport:
     vmin, argmin = _argmin_set(values)
-    gap = _energy_gap(values, vmin)
-    barriers = {int(m): _barrier(values, int(m), n) for m in argmin}
+    argmin = argmin.tolist()
+    above = values[values > vmin + TIE_RADIUS]
     return LandscapeReport(
         num_qubits=n,
         global_min_value=vmin,
-        global_argmin=tuple(int(m) for m in argmin),
-        energy_gap=gap,
-        basin_barrier_at=barriers,
+        global_argmin=tuple(argmin),
+        energy_gap=float(above.min() - vmin) if above.size else math.inf,
+        basin_barrier_at={m: _barrier(values, m, n) for m in argmin},
     )
 
 
@@ -156,18 +153,14 @@ def check_preservation(full: IsingPolynomial, k_max: int) -> LandscapeReport:
     values = dense_values(full)
     trunc_values = dense_values(truncate(full, k_max))
 
-    vmin, argmin = _argmin_set(values)
-    gap = _energy_gap(values, vmin)
+    report = _landscape(values, n)
+    vmin, gap, barriers = report.global_min_value, report.energy_gap, report.basin_barrier_at
     tmin, targmin = _argmin_set(trunc_values)
-    barriers = {int(m): _barrier(values, int(m), n) for m in argmin}
 
     verdicts = []
 
-    argmin_set = set(int(m) for m in argmin)
-    clean = [
-        m for m in argmin_set
-        if n == 0 or all((m ^ (1 << i)) not in argmin_set for i in range(n))
-    ]
+    argmin_set = set(report.global_argmin)
+    clean = [m for m in argmin_set if all((m ^ (1 << i)) not in argmin_set for i in range(n))]
     if clean and math.isfinite(gap):
         worst = min(barriers[m] - gap for m in clean)
         verdicts.append(
@@ -226,19 +219,14 @@ def check_preservation(full: IsingPolynomial, k_max: int) -> LandscapeReport:
 
     qualifying = [m for m in argmin_set if barriers[m] > 2 * eps]
     if qualifying:
-        ok = True
-        worst_margin = math.inf
-        for m in qualifying:
-            tb = _barrier(trunc_values, m, n)
-            margin = tb - (barriers[m] - 2 * eps) + TIE_RADIUS
-            worst_margin = min(worst_margin, margin)
-            if margin < 0:
-                ok = False
+        margins = [_barrier(trunc_values, m, n) - (barriers[m] - 2 * eps) + TIE_RADIUS for m in qualifying]
+        # a NaN margin (both barriers infinite, at n = 0) never wins the min
+        worst_margin = min(math.inf, *margins)
         verdicts.append(
             Verdict(
                 claim="basin_preservation",
                 precondition_held=True,
-                asserted=ok,
+                asserted=worst_margin >= 0,
                 margin=worst_margin,
                 details=f"checked {len(qualifying)} minimizer(s) with barrier above twice the certificate",
             )
@@ -255,12 +243,8 @@ def check_preservation(full: IsingPolynomial, k_max: int) -> LandscapeReport:
         )
 
     min_barrier = min(barriers.values()) if barriers else math.inf
-    return LandscapeReport(
-        num_qubits=n,
-        global_min_value=vmin,
-        global_argmin=tuple(sorted(argmin_set)),
-        energy_gap=gap,
-        basin_barrier_at=barriers,
+    return replace(
+        report,
         k_max=k_max,
         epsilon=eps,
         truncated_min_value=tmin,
@@ -271,36 +255,6 @@ def check_preservation(full: IsingPolynomial, k_max: int) -> LandscapeReport:
     )
 
 
-def random_masks(rng: np.random.Generator, n: int, size: int | None = None):
-    """Uniform masks over ``n`` qubits as Python ints (a list when ``size``
-    is given), drawn a 64-bit word at a time from the low word; up to 64
-    qubits that is the one draw ``rng.integers(0, 1 << n, size)`` makes."""
-    masks = [0] * (1 if size is None else size)
-    for low in range(0, n, 64):
-        words = rng.integers(0, (1 << min(64, n - low)) - 1, size=size, dtype=np.uint64, endpoint=True)
-        masks = [m | w << low for m, w in zip(masks, np.ravel(words).tolist())]
-    return masks[0] if size is None else masks
-
-
-def mask_bits(masks, n: int) -> np.ndarray:
-    """Boolean (len(masks) x n) matrix of a sequence of masks below
-    ``2^n``: entry (t, q) is bit q of ``masks[t]``."""
-    return octet_bits(mask_octets(masks, octet_width(n)), n)
-
-
-def octet_bits(octets: np.ndarray, n: int) -> np.ndarray:
-    """Boolean (rows x n) matrix of keys over ``n`` qubits given as rows
-    of little-endian bytes: entry (t, q) is bit q of key t."""
-    return np.unpackbits(octets, axis=1, count=n, bitorder="little").view(bool)
-
-
-def pack_masks(bits: np.ndarray) -> list[int]:
-    """The masks whose bits are the rows of a boolean matrix; the
-    inverse of ``mask_bits``."""
-    octets = np.packbits(bits, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in octets]
-
-
 def bitflip_descent(poly: IsingPolynomial, start: int) -> tuple[int, int]:
     """Best-improvement single bit-flip descent from a configuration mask.
 
@@ -308,26 +262,28 @@ def bitflip_descent(poly: IsingPolynomial, start: int) -> tuple[int, int]:
     change (lowest index on ties) until no flip strictly decreases the
     value.  Returns the endpoint and the number of flips taken.
 
-    The (term, qubit) incidence is built once, term-major;
-    ``bincount`` accumulates each qubit's change term by term.
+    The (term, qubit) incidence is built once, term-major, over the
+    qubits some term holds (``active_incidence``); ``bincount``
+    accumulates each one's change term by term.  An idle qubit's change
+    is exactly 0 and the column map is increasing, so ties go to the
+    lowest index as they would over every qubit.
     """
-    n = poly.num_qubits
-    if start < 0 or start.bit_length() > n:
+    if start < 0 or start.bit_length() > poly.num_qubits:
         raise ValueError("configuration mask out of range")
     coeffs = poly.coeffs
-    incidence = octet_bits(poly.octets, n)
-    term_idx, qubit_idx = np.nonzero(incidence)
+    qubits, incidence = active_incidence(poly.octets)
+    term_idx, column_idx = np.nonzero(incidence)
     mask = start
-    chi = np.where(np.count_nonzero(incidence & mask_bits([start], n), axis=1) % 2, -1.0, 1.0)
+    chi = np.where(overlaps(poly.octets, [start])[0] % 2, -1.0, 1.0)
     steps = 0
-    while n:
+    while qubits.size:
         contrib = -2.0 * coeffs * chi
-        deltas = np.bincount(qubit_idx, weights=contrib[term_idx], minlength=n)
-        best_q = int(np.argmin(deltas))
-        if not deltas[best_q] < 0.0:
+        deltas = np.bincount(column_idx, weights=contrib[term_idx], minlength=qubits.size)
+        best = int(np.argmin(deltas))
+        if not deltas[best] < 0.0:
             break
-        mask ^= 1 << best_q
-        chi[term_idx[qubit_idx == best_q]] *= -1.0
+        mask ^= 1 << int(qubits[best])
+        chi[term_idx[column_idx == best]] *= -1.0
         steps += 1
     return mask, steps
 
@@ -425,12 +381,6 @@ def _draw(rng: np.random.Generator, family: str, variances: np.ndarray, trials: 
     if family == "rademacher":
         return (2.0 * rng.integers(0, 2, size=shape) - 1.0) * scale
     return rng.uniform(-1.0, 1.0, size=shape) * (scale * math.sqrt(3.0))
-
-
-def _chi_at(masks: list[int], z_mask: int) -> np.ndarray:
-    return np.array(
-        [1.0 if (s & z_mask).bit_count() % 2 == 0 else -1.0 for s in masks]
-    )
 
 
 @dataclass(frozen=True)
@@ -614,7 +564,8 @@ def sign_preservation_rate(spec: EnsembleSpec, n: int, k_max: int) -> SignRateRe
 
     Differences are compared through their nonnegativity, so a zero
     truncated difference counts as an uphill (rejected) move; against
-    symmetric noise that baseline sits at one half.
+    symmetric noise that baseline sits at one half.  A mode outside
+    ``[0, 2^n)`` is a ValueError.
     """
     kept, omitted = spec.split(k_max)
     modes = kept + omitted
@@ -622,27 +573,19 @@ def sign_preservation_rate(spec: EnsembleSpec, n: int, k_max: int) -> SignRateRe
     at_mask = random_masks(rng, n)
     variances = np.array([spec.variance_profile[s] for s in modes])
     draws = _draw(rng, spec.family, variances, spec.trials)
-    chi = _chi_at(modes, at_mask)
-    kept_count = len(kept)
+    octets = key_octets(modes, n)
+    chi = np.where(overlaps(octets, [at_mask])[0] % 2, -1.0, 1.0)
+    qubits, incidence = active_incidence(octets)
 
-    agree = 0
-    total = 0
-    for i in range(n):
-        bit = 1 << i
-        cols = np.array([t for t, s in enumerate(modes) if s & bit], dtype=np.int64)
-        if cols.size == 0:
-            agree += spec.trials
-            total += spec.trials
-            continue
+    # a coordinate in no mode moves neither landscape, so the two agree
+    agree = (n - qubits.size) * spec.trials
+    for column in incidence.T:
+        cols = np.flatnonzero(column)
         contrib = draws[:, cols] * (-2.0 * chi[cols])
         full_diff = contrib.sum(axis=1)
-        trunc_cols = cols[cols < kept_count]
-        if trunc_cols.size:
-            trunc_diff = (draws[:, trunc_cols] * (-2.0 * chi[trunc_cols])).sum(axis=1)
-        else:
-            trunc_diff = np.zeros(spec.trials)
+        trunc_diff = contrib[:, cols < len(kept)].sum(axis=1)
         agree += int(np.sum((full_diff >= 0) == (trunc_diff >= 0)))
-        total += spec.trials
+    total = n * spec.trials
 
     kept_power = sum(spec.variance_profile[s] for s in kept)
     omitted_power = sum(spec.variance_profile[s] for s in omitted)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .polynomial import BinaryPolynomial, IsingPolynomial, _canonical_order, first_appearance_groups, key_octets
-from .polynomial import octet_degrees, octet_keys, octet_width, significant
+from .polynomial import active_incidence, octet_degrees, octet_keys, octet_width, significant
 
 __all__ = [
     "fwht",
@@ -153,8 +153,8 @@ def _subset_expansion(
     the subsets of a key's first b + 1 qubits are those of its first b
     with and without qubit b."""
     count, width = octets.shape
-    bits = np.unpackbits(octets, axis=1, bitorder="little").view(bool)
-    qubits = np.nonzero(bits)[1].reshape(count, d)
+    active, bits = active_incidence(octets)
+    qubits = active[np.nonzero(bits)[1]].reshape(count, d)
     one_hot = np.zeros((count, d, width), np.uint8)
     one_hot[np.arange(count)[:, None], np.arange(d), qubits >> 3] = 1 << (qubits & 7)
     subsets = np.zeros((count, 1 << d, width), np.uint8)

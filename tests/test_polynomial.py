@@ -14,7 +14,7 @@ from tbe import (
     hubo_to_json,
     mask_to_string,
 )
-from tbe.polynomial import octet_width
+from tbe.polynomial import active_incidence, key_octets, octet_bits, octet_width, overlaps
 from tbe.solve import AnnealParams, _metropolis
 from tbe.truncation import residual, truncate
 from tbe.verify import bitflip_descent
@@ -313,3 +313,40 @@ def test_pickled_polynomial_is_equal_and_read_only(poly):
                 stored.terms[0] = 1.0
             with pytest.raises(AttributeError):
                 stored.num_qubits = 3
+
+
+# --- the term x qubit incidence ------------------------------------------
+
+# keys on the qubits of a random mask, so some qubits idle, and masks
+# that may hold any qubit
+_keys_and_masks = st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65, 130]).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.integers(0, (1 << n) - 1),
+        st.lists(st.integers(0, (1 << n) - 1), max_size=12),
+        st.lists(st.integers(0, (1 << n) - 1), max_size=6),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_keys_and_masks)
+def test_overlaps_count_the_shared_qubits(case):
+    n, held, keys, masks = case
+    keys = [s & held for s in keys]
+    masks = [*masks, (1 << n) - 1]  # every idle qubit set too
+    got = overlaps(key_octets(keys, n), masks)
+    assert got.shape == (len(masks), len(keys))
+    assert got.tolist() == [[(s & m).bit_count() for s in keys] for m in masks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_keys_and_masks)
+def test_active_incidence_is_octet_bits_on_the_held_qubits(case):
+    n, held, keys, _ = case
+    octets = key_octets([s & held for s in keys], n)
+    qubits, incidence = active_incidence(octets)
+    bits = octet_bits(octets, n)
+    used = np.flatnonzero(bits.any(axis=0))
+    assert qubits.tolist() == used.tolist()
+    assert incidence.dtype == bool and np.array_equal(incidence, bits[:, used])

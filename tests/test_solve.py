@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,8 @@ from tbe import (
     truncate,
     walsh_blocks,
 )
+from tbe.polynomial import active_incidence, key_octets
 from tbe.solve import _colour_classes, _metropolis
-from tbe.verify import mask_bits
 from helpers import all_assignments, random_cfn, random_polynomial
 
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "data" / "two_card32.json"
@@ -205,6 +206,34 @@ def test_metropolis_golden_with_idle_qubits():
     assert got == [(149, -5.145000000000002), (128, -8.225000000000001), (66, -8.923)]
 
 
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_flip_kernels_hold_only_the_active_qubits():
+    # 200 terms on 40 of 10^5 qubits: anneal and descent memory follows
+    # the 40 held qubits; a terms x n incidence over every column would
+    # peak near 173 MB and 39 MB
+    n = 100_000
+    rng = np.random.default_rng(5)
+    held = rng.choice(n, 40, replace=False).tolist()
+    terms = {}
+    while len(terms) < 200:
+        # the first 40 terms hold each qubit in turn, so all 40 are active
+        picks = [held[len(terms) % 40], *rng.choice(held, int(rng.integers(1, 4))).tolist()]
+        terms[sum(1 << q for q in set(picks))] = float(rng.normal())
+    poly = IsingPolynomial(n, terms)
+    qubits, incidence = active_incidence(poly.octets)
+    assert incidence.shape == (200, 40) and qubits.tolist() == sorted(held)
+    assert _peak_bytes(lambda: _metropolis(poly, AnnealParams(restarts=1, sweeps=1), 0)) < 8 << 20
+    assert _peak_bytes(lambda: bitflip_descent(poly, 0)) < 8 << 20
+
+
 def _sparse_polynomial(n: int, seed: int) -> IsingPolynomial:
     """Up to 2n terms of degree <= 4 that leave a random set of qubits idle."""
     rng = np.random.default_rng(seed)
@@ -223,7 +252,8 @@ def _sparse_polynomial(n: int, seed: int) -> IsingPolynomial:
 def test_colour_classes_partition_the_active_qubits_into_independent_sets(n, seed):
     poly = _sparse_polynomial(n, seed)
     keys = [s for s in poly.terms if s]
-    classes = _colour_classes(mask_bits(keys, n))
+    qubits, incidence = active_incidence(key_octets(keys, n))
+    classes = [qubits[members] for members in _colour_classes(incidence)]
     active = [q for q in range(n) if any(s >> q & 1 for s in keys)]
     assert sorted(q for members in classes for q in members.tolist()) == active
     for members in classes:

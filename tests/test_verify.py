@@ -20,7 +20,7 @@ from tbe import (
     profile_with_margin,
     sign_preservation_rate,
 )
-from tbe.verify import mask_bits, pack_masks, random_masks
+from tbe.polynomial import mask_bits, pack_masks, random_masks
 from helpers import naive_eval, random_polynomial
 
 
@@ -204,6 +204,14 @@ def test_random_starts_at_and_past_64_qubits():
     # masks are Python ints, so the same calls run past the old 64-bit word
     assert basin_agreement(IsingPolynomial(65, poly.terms), 2, samples=4) == 1.0
     assert 0.0 <= sign_preservation_rate(spec, 65, 1).rate <= 1.0
+
+
+def test_sign_rate_rejects_a_mode_outside_its_coordinates():
+    # a mode on qubit 6 of 6 coordinates would add power that no
+    # coordinate's move can see
+    spec = EnsembleSpec(variance_profile={0b1: 1.0, 1 << 6: 0.5}, trials=10)
+    with pytest.raises(ValueError, match="outside"):
+        sign_preservation_rate(spec, 6, 1)
 
 
 # ---------------------------------------------------------------------------
