@@ -53,6 +53,14 @@ class QuboModel(StoredTerms):
         keys = list(terms)
         octets = key_octets(keys, num_original_qubits + num_ancilla_qubits)
         coeffs = np.fromiter(terms.values(), float, len(keys))
+        bad = np.flatnonzero(~np.isfinite(coeffs))
+        if bad.size:
+            raise ValueError(f"non-finite coupling {float(coeffs[bad[0]])} at key {keys[bad[0]]:#x}")
+        # every spin-basis coefficient is at most the l1 norm in magnitude
+        with np.errstate(over="ignore"):
+            norm = np.sum(np.abs(coeffs))
+        if not np.isfinite(norm):
+            raise ValueError("the couplings' l1 norm overflows a float")
         self._sort(num_original_qubits, tuple(ancilla_defs), penalty_weight, octets, coeffs)
 
     def _sort(self, n: int, ancilla_defs, penalty_weight: float, octets: np.ndarray, coeffs: np.ndarray):

@@ -8,7 +8,8 @@ proposing a flip of every qubit of a class in one step.  Restarts run
 in lockstep, so results are deterministic for a given seed; the RNG
 stream is the start masks, then per sweep one permutation of the
 classes and one uniform per restart for each qubit that appears in a
-term, in class order.
+term, in class order.  Through the sweeps a restart's state is one
+spin byte per qubit that appears in a term.
 Solutions are decoded back to CFN assignments, re-scored against the
 true cost tables, and optionally refined by bit-flip descent on the
 full (untruncated) encoding.  Configuration masks are Python ints, so
@@ -155,6 +156,20 @@ def _colour_classes(incidence: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(colour == c) for c in range(int(colour.max(initial=-1)) + 1)]
 
 
+def _held_spins(incidence: np.ndarray, spin_row: np.ndarray) -> np.ndarray:
+    """The (width x terms) index whose column t lists the spin rows of
+    the qubits term t holds (row t of the terms x active qubits
+    ``incidence``), padded with the +1 row ``len(spin_row)`` to the
+    largest degree rounded up to an odd width."""
+    term, col = np.nonzero(incidence)
+    degree = incidence.sum(axis=1)
+    held = np.full((int(degree.max()) | 1, len(incidence)), len(spin_row))
+    # np.nonzero walks the terms in turn, so each entry's slot is its
+    # place among its term's entries
+    held[np.arange(term.size) - np.repeat(np.cumsum(degree) - degree, degree), term] = spin_row[col]
+    return held
+
+
 def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple[int, float]:
     """Lockstep colour-class Metropolis over all restarts.
 
@@ -167,14 +182,20 @@ def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple
     (classes by colour, qubits ascending within a class), drawn as one
     block.  Only the active qubits' columns are unpacked
     (``active_incidence``), and idle qubits keep their start values.
-    Term characters are held term-major (terms x restarts) and spins as
-    a boolean (active qubits x restarts) array in class order, so a
-    class's spins are a contiguous slice; a step gathers the class's
-    term rows once (disjoint, since its qubits share no term), takes
-    every delta as one gain-matrix product, negates the accepted
-    entries and writes the rows back.  The energy and the best states
-    are updated after each class; the best masks are packed once, at
-    the end.
+
+    The state is one int8 spin per active qubit and restart, 1 or -1
+    (0x01 or 0xFF), in class order, so a class's spins are a contiguous
+    slice, plus a row of +1s.  The two bytes differ in bits 1-7 only, so
+    the XOR of an odd number of them is their product: a step XORs the
+    spins each of its class's terms holds (``_held_spins``, padded to an
+    odd count) into the terms' characters, takes every delta as one
+    gain-matrix product and negates the accepted spins in place.  Each
+    step records its accepted delta sum; once per sweep a running sum
+    gives the energy after every step, by the same additions in the same
+    order as adding each sum as it comes.  The first minimum per restart
+    is the best energy's first strict improvement, and its spins are the
+    sweep's end spins on the classes visited by then and its start spins
+    elsewhere.  The best masks are packed once, at the end.
     """
     n = poly.num_qubits
     first = poly.degree_starts[1]
@@ -191,10 +212,17 @@ def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple
     if t0 is None:
         t0 = float(np.sum(np.abs(coeffs)))
     t0 = max(t0, 1e-12)
+    best_energy = np.where(overlaps(poly.octets[first:], masks) % 2, -1.0, 1.0) @ coeffs + constant
 
     qubits, incidence = active_incidence(poly.octets[first:])
     classes = _colour_classes(incidence)
-    qubit_order = qubits[np.concatenate(classes)]
+    columns = np.concatenate(classes)
+    qubit_order = qubits[columns]
+    active = columns.size
+    # the spin row of each active column; row ``active`` holds +1s
+    spin_row = np.empty(active, np.intp)
+    spin_row[columns] = np.arange(active)
+    held = _held_spins(incidence, spin_row)
     steps = []
     lo = 0
     for members in classes:
@@ -205,44 +233,61 @@ def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple
         # the rows of member i and zero over the rows of the others
         gain = np.zeros((members.size, rows.size))
         gain[owner, np.arange(rows.size)] = -2.0 * coeffs[rows]
-        steps.append((rows, gain, owner, lo, lo + members.size))
+        steps.append((held.take(rows, axis=1), gain, lo, lo + members.size))
         lo += members.size
-    chi = np.where(overlaps(poly.octets[first:], masks) % 2, -1.0, 1.0)
-    energy = chi @ coeffs + constant
-    chi_t = np.ascontiguousarray(chi.T)
     start_bits = mask_bits(masks, n)
-    spins = start_bits.T[qubit_order]
-
-    best_energy = energy.copy()
-    best_spins = spins.copy()
+    spins = np.ones((active + 1, restarts), np.int8)
+    spins[:active][start_bits.T[qubit_order]] = -1
+    flips = spins[:active]
+    class_of = np.repeat(np.arange(len(classes)), [members.size for members in classes])
+    # trail[0] is the energy before a sweep, trail[k] the accepted delta
+    # sum of its k-th step, and after ``np.cumsum`` the energy after it
+    trail = np.empty((len(steps) + 1, restarts))
+    trail[-1] = best_energy
+    best_spins = flips.copy()
     temperature = t0
     with np.errstate(over="ignore", under="ignore"):
         for _ in range(params.sweeps):
             order = rng.permutation(len(steps))
-            uniforms = rng.random((qubit_order.size, restarts))
+            uniforms = rng.random((active, restarts))
             neg_t = -temperature
-            for c in order.tolist():
-                rows, gain, owner, lo, hi = steps[c]
-                sub = chi_t.take(rows, axis=0)
+            begin = flips.copy()
+            trail[0] = trail[-1]
+            for k, c in enumerate(order.tolist(), 1):
+                term_spins, gain, lo, hi = steps[c]
+                sub = np.bitwise_xor.reduce(spins.take(term_spins, axis=0), axis=0).astype(np.float64)
                 delta = gain @ sub
                 u = uniforms[lo:hi]
                 if neg_t < 0.0:
                     # u < 1, so at a positive temperature this already
                     # accepts every delta <= 0
                     accept = u < np.exp(delta / neg_t)
+                elif neg_t > 0.0:
+                    # a negative temperature accepts every proposal but a
+                    # NaN delta, whose acceptance test is false
+                    accept = ~np.isnan(delta)
                 else:
-                    accept = (delta <= 0.0) | (u < np.exp(np.minimum(delta / neg_t, 0.0)))
+                    # a zero (or NaN) temperature takes no uphill move
+                    accept = delta <= 0.0
                 if np.count_nonzero(accept):
-                    sub *= np.where(accept, -1.0, 1.0).take(owner, axis=0)
-                    chi_t[rows] = sub
-                    spins[lo:hi] ^= accept
-                    energy += np.add.reduce(delta, axis=0, where=accept)
-                    improved = energy < best_energy
-                    if np.count_nonzero(improved):
-                        np.copyto(best_energy, energy, where=improved)
-                        np.copyto(best_spins, spins, where=improved)
+                    np.negative(flips[lo:hi], out=flips[lo:hi], where=accept)
+                    np.add.reduce(delta, axis=0, where=accept, out=trail[k])
+                else:
+                    # x + -0.0 is x for every x, so the energy is unchanged
+                    trail[k] = -0.0
+            np.cumsum(trail, axis=0, out=trail)
+            # a NaN energy never improves on the best, and fmin skips it
+            low = np.fmin.reduce(trail, axis=0)
+            improved = np.flatnonzero(low < best_energy)
+            if improved.size:
+                best_energy[improved] = low[improved]
+                reached = (trail[:, improved] == low[improved]).argmax(axis=0)
+                rank = np.empty(len(steps), np.intp)
+                rank[order] = np.arange(1, len(steps) + 1)
+                done = rank[class_of][:, None] <= reached
+                best_spins[:, improved] = np.where(done, flips[:, improved], begin[:, improved])
             temperature *= params.cooling
-    start_bits[:, qubit_order] = best_spins.T
+    start_bits[:, qubit_order] = best_spins.T < 0
     best_masks = pack_masks(start_bits)
     pick = min(range(restarts), key=lambda r: (best_energy[r], best_masks[r]))
     return best_masks[pick], float(best_energy[pick])

@@ -11,9 +11,11 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from tbe import BinaryPolynomial, Cfn, EncodingLayout, IsingPolynomial, PairwiseTable, Penalty, VariableSpec
+from tbe import AnnealParams, BinaryPolynomial, Cfn, EncodingLayout, IsingPolynomial, PairwiseTable, Penalty, VariableSpec
 from tbe.encoding import default_penalty_weight
+from tbe.polynomial import active_incidence, mask_bits, overlaps, pack_masks, random_masks
 from tbe.quadratization import QuboModel
+from tbe.solve import _colour_classes
 
 
 def random_cfn(rng: np.random.Generator, max_vars: int = 3, max_card: int = 8,
@@ -239,3 +241,101 @@ def reference_quadratize(poly: IsingPolynomial) -> QuboModel:
     for s, c in gadgets.items():
         terms[s] = terms.get(s, 0.0) + c
     return QuboModel(n, len(ancilla_defs), terms, tuple(ancilla_defs), max_penalty)
+
+
+# The Metropolis kernel as it stood when it kept every term's character
+# as a float (terms x restarts) and wrote the flipped rows back after each
+# class step.  ``solve._metropolis`` must reproduce its masks and values
+# bit for bit: same colouring, RNG stream, deltas and running energy sums.
+
+def reference_metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple[int, float]:
+    """Lockstep colour-class Metropolis over all restarts.
+
+    The qubits that appear in a term are split once into colour
+    classes (``_colour_classes``); qubits of one class share no term,
+    so their flip deltas are independent and a whole class is proposed,
+    accepted and flipped in one step.  The RNG yields the start masks,
+    then per sweep one permutation of the classes (the visiting order)
+    and one uniform per restart for each active qubit, in class order
+    (classes by colour, qubits ascending within a class), drawn as one
+    block.  Only the active qubits' columns are unpacked
+    (``active_incidence``), and idle qubits keep their start values.
+    Term characters are held term-major (terms x restarts) and spins as
+    a boolean (active qubits x restarts) array in class order, so a
+    class's spins are a contiguous slice; a step gathers the class's
+    term rows once (disjoint, since its qubits share no term), takes
+    every delta as one gain-matrix product, negates the accepted
+    entries and writes the rows back.  The energy and the best states
+    are updated after each class; the best masks are packed once, at
+    the end.
+    """
+    n = poly.num_qubits
+    first = poly.degree_starts[1]
+    # a fresh, aligned copy: BLAS may sum the energy product differently
+    # over an array that starts mid-allocation
+    coeffs = poly.coeffs[first:].copy()
+    constant = poly.constant
+    if n == 0 or not coeffs.size:
+        return 0, constant
+    rng = np.random.default_rng(seed)
+    restarts = params.restarts
+    masks = random_masks(rng, n, restarts)
+    t0 = params.initial_temperature
+    if t0 is None:
+        t0 = float(np.sum(np.abs(coeffs)))
+    t0 = max(t0, 1e-12)
+
+    qubits, incidence = active_incidence(poly.octets[first:])
+    classes = _colour_classes(incidence)
+    qubit_order = qubits[np.concatenate(classes)]
+    steps = []
+    lo = 0
+    for members in classes:
+        per_qubit = [np.flatnonzero(incidence[:, q]) for q in members]
+        rows = np.concatenate(per_qubit)
+        owner = np.repeat(np.arange(members.size), [idx.size for idx in per_qubit])
+        # flipping member i negates its terms, so gain[i] holds -2 c over
+        # the rows of member i and zero over the rows of the others
+        gain = np.zeros((members.size, rows.size))
+        gain[owner, np.arange(rows.size)] = -2.0 * coeffs[rows]
+        steps.append((rows, gain, owner, lo, lo + members.size))
+        lo += members.size
+    chi = np.where(overlaps(poly.octets[first:], masks) % 2, -1.0, 1.0)
+    energy = chi @ coeffs + constant
+    chi_t = np.ascontiguousarray(chi.T)
+    start_bits = mask_bits(masks, n)
+    spins = start_bits.T[qubit_order]
+
+    best_energy = energy.copy()
+    best_spins = spins.copy()
+    temperature = t0
+    with np.errstate(over="ignore", under="ignore"):
+        for _ in range(params.sweeps):
+            order = rng.permutation(len(steps))
+            uniforms = rng.random((qubit_order.size, restarts))
+            neg_t = -temperature
+            for c in order.tolist():
+                rows, gain, owner, lo, hi = steps[c]
+                sub = chi_t.take(rows, axis=0)
+                delta = gain @ sub
+                u = uniforms[lo:hi]
+                if neg_t < 0.0:
+                    # u < 1, so at a positive temperature this already
+                    # accepts every delta <= 0
+                    accept = u < np.exp(delta / neg_t)
+                else:
+                    accept = (delta <= 0.0) | (u < np.exp(np.minimum(delta / neg_t, 0.0)))
+                if np.count_nonzero(accept):
+                    sub *= np.where(accept, -1.0, 1.0).take(owner, axis=0)
+                    chi_t[rows] = sub
+                    spins[lo:hi] ^= accept
+                    energy += np.add.reduce(delta, axis=0, where=accept)
+                    improved = energy < best_energy
+                    if np.count_nonzero(improved):
+                        np.copyto(best_energy, energy, where=improved)
+                        np.copyto(best_spins, spins, where=improved)
+            temperature *= params.cooling
+    start_bits[:, qubit_order] = best_spins.T
+    best_masks = pack_masks(start_bits)
+    pick = min(range(restarts), key=lambda r: (best_energy[r], best_masks[r]))
+    return best_masks[pick], float(best_energy[pick])

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from itertools import product
 from pathlib import Path
 
@@ -487,6 +490,25 @@ def test_t0_not_finite_positive_exits_3(small_input, tmp_path, capsys, command, 
 def test_anneal_knobs_at_their_limits_accepted(tmp_path):
     assert main(_short_anneal("solve", None, tmp_path) + ["--cooling", "1", "--t0", "1e-300"]) == 0
     assert main(_short_anneal("solve", None, tmp_path) + ["--restarts", "1", "--sweeps", "0"]) == 0
+
+
+def test_anneal_cooled_to_zero_temperature_writes_nothing_to_stderr():
+    # 1e-320 times the starting temperature underflows to 0 after a few
+    # sweeps; a zero temperature accepts a flip when its delta is <= 0,
+    # with no division, so numpy has nothing to warn about
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    argv = ["compile", "--input", "demos/data/two_card32.json", "--kmax", "3", "--solve", "anneal",
+            "--restarts", "2", "--sweeps", "5", "--cooling", "1e-320"]
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from tbe.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=path, PYTHONWARNINGS="default"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0 and done.stderr == ""
 
 
 @pytest.mark.parametrize("command", ["compile", "solve"])

@@ -131,6 +131,18 @@ def test_qubo_model_rejects_keys_outside_its_variables():
     QuboModel(69, 1, {1 << 69: 1.0}, ((69, (0, 1)),), 1.0)
 
 
+def test_qubo_model_refuses_couplings_it_cannot_represent():
+    # a NaN coupling would empty the whole spin form, the finite term too
+    with pytest.raises(ValueError, match="non-finite coupling nan at key 0x1"):
+        QuboModel(2, 0, {1: float("nan"), 2: 1.0}, (), 0.0)
+    with pytest.raises(ValueError, match="non-finite coupling -inf at key 0x3"):
+        QuboModel(2, 0, {1: 1.0, 3: -float("inf")}, (), 0.0)
+    # each coupling is finite, but the spin form's constant, 1.08e308 +
+    # 1.44e308 / 2, is not: every spin coefficient is bounded by the l1 norm
+    with pytest.raises(ValueError, match="l1 norm"):
+        QuboModel(1, 0, {0: 1.07861588091739e308, 1: 1.4381545078898518e308}, (), 0.0)
+
+
 def test_qubo_model_rejects_ancillas_unlike_its_definitions():
     with pytest.raises(ValueError, match="3 ancillas but 1 definition"):
         QuboModel(2, 3, {1: 1.0}, ((2, (0, 1)),), 1.0)
@@ -199,7 +211,10 @@ def _qubo_models(draw):
         ancilla_defs.append((y, (p, draw(st.integers(p + 1, y - 1)))))
     total = n + len(ancilla_defs)
     masks = st.integers(0, (1 << total) - 1).filter(lambda s: s.bit_count() <= 2)
-    terms = draw(st.dictionaries(masks, _JSON_COEFF, max_size=30))
+    # only couplings the constructor accepts: finite, with an l1 norm
+    # clear of overflow in any summation order
+    terms = draw(st.dictionaries(masks, _JSON_COEFF, max_size=30).filter(
+        lambda terms: sum(abs(float(c)) for c in terms.values()) < 1e308))
     penalty = draw(st.floats(0.0, 1e12) | st.just(0.0))
     return QuboModel(n, len(ancilla_defs), terms, tuple(ancilla_defs), penalty)
 
@@ -225,7 +240,11 @@ def test_qubo_json_of_quadratized_polynomials_matches_json_dumps(case):
 
 
 def test_qubo_json_rejects_a_non_finite_value_as_json_does():
-    for model in (QuboModel(2, 0, {0b1: float("inf")}, (), 0.0), QuboModel(2, 0, {0b1: 1.0}, (), float("nan"))):
+    # the constructor refuses a non-finite coupling, but quadratize's
+    # penalty can overflow, which makes its gadget couplings infinite
+    overflowed = quadratize(IsingPolynomial(3, {0b111: 1e307}))
+    assert not np.isfinite(overflowed.coeffs).all()
+    for model in (overflowed, QuboModel(2, 0, {0b1: 1.0}, (), float("nan"))):
         with pytest.raises(ValueError, match="not JSON compliant"):
             _qubo_json_reference(model)
         with pytest.raises(ValueError, match="not JSON compliant"):
