@@ -219,6 +219,11 @@ def _check_seed(args) -> None:
 def run_pipeline(args) -> int:
     if args.kmax < 1:
         raise CfnFormatError("--kmax must be >= 1")
+    if args.out_qubo and not args.quadratize:
+        raise CfnFormatError("--out-qubo writes the quadratized model, so it needs --quadratize")
+    if args.refine and not args.solve:
+        raise CfnFormatError("--refine refines a solve's answer, so it needs --solve")
+    params = _anneal_params(args, args.solve == "anneal", "--solve anneal")
     for flag, value in (("--weak-threshold", args.weak_threshold), ("--strong-threshold", args.strong_threshold)):
         if not (math.isfinite(value) and value >= 0):
             raise CfnFormatError(f"{flag} must be a finite number >= 0, got {value!r}")
@@ -243,7 +248,6 @@ def run_pipeline(args) -> int:
     solve_block = None
     corollary_block = None
     if args.solve:
-        params = _anneal_params(args)
         exhaustive = args.solve == "exhaustive"
         target = qubo if qubo is not None and not exhaustive else truncated
         result = solve(target, method=args.solve, seed=args.seed, anneal=params)
@@ -374,7 +378,13 @@ def run_verify(args) -> int:
     return EXIT_OK
 
 
-def _anneal_params(args) -> AnnealParams:
+def _anneal_params(args, anneals: bool, mode: str) -> AnnealParams:
+    """The anneal knobs as parameters, checked; a run that does not
+    anneal (``mode`` is the flag that makes it) takes none of them."""
+    knobs = (("--restarts", args.restarts), ("--sweeps", args.sweeps), ("--t0", args.t0), ("--cooling", args.cooling))
+    for flag, value in knobs:
+        if value is not None and not anneals:
+            raise CfnFormatError(f"{flag} sets the annealer, so it needs {mode}")
     if args.cooling is not None and not 0.0 < args.cooling <= 1.0:
         raise CfnFormatError(f"--cooling must be in (0, 1], got {args.cooling!r}")
     if args.t0 is not None and not (math.isfinite(args.t0) and args.t0 > 0):
@@ -395,7 +405,7 @@ def run_solve(args) -> int:
     _check_seed(args)
     with open(args.hubo, "rb") as fh:
         poly = hubo_from_json(fh.read())
-    params = _anneal_params(args)
+    params = _anneal_params(args, args.method == "anneal", "--method anneal")
     result = solve(poly, method=args.method, seed=args.seed, anneal=params)
     text = solve_result_json(result)
     if args.out:

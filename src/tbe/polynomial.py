@@ -12,7 +12,9 @@ in: the keys as rows of little-endian bytes (``octets``) and the
 couplings as float64 (``coeffs``).  It records where each degree
 starts, so a degree cut is a slice of both.  The encoder builds the
 arrays directly; a ``{key: coupling}`` mapping is built only when a
-caller reads ``terms``.
+caller reads ``terms``.  A 0/1-basis polynomial (``BinaryPolynomial``,
+and ``QuboModel`` built on it) stores the same two arrays, and every
+stored type passes one check of them (``check_terms``).
 
 Keys and configuration masks are Python ints wherever they leave the
 arrays, so nothing here has a qubit cap; the one qubit limit in the
@@ -24,11 +26,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError
 from functools import cached_property, lru_cache
 from itertools import repeat
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -55,7 +57,6 @@ each under 2^64 B, so is under 2^128 B ~ 3.4e138; a squared sum
 # per byte value: its bits reversed (bit 0 to bit 7), and its popcount
 _REVERSED_BYTE = np.array([int(f"{v:08b}"[::-1], 2) for v in range(256)], dtype=np.uint8)
 _BYTE_DEGREE = np.array([v.bit_count() for v in range(256)], dtype=np.uint8)
-_NON_FINITE = frozenset({"nan", "inf", "-inf"})
 _SPIN_SIGNS = str.maketrans("01", "+-")
 
 
@@ -79,14 +80,28 @@ def octet_width(num_qubits: int) -> int:
 def key_octets(keys: Sequence[int], n: int) -> np.ndarray:
     """``mask_octets`` of keys over ``n`` qubits, raising ``ValueError``
     naming the first key outside ``[0, 2^n)``."""
-    check_keys(keys, n)
+    if keys and (min(keys) < 0 or max(keys).bit_length() > n):
+        raise _outside(next(s for s in keys if s < 0 or s.bit_length() > n), n)
     return mask_octets(keys, octet_width(n))
 
 
-def check_keys(keys: Sequence[int], n: int) -> None:
-    """Raise ``ValueError`` naming the first key outside ``[0, 2^n)``."""
-    if keys and (min(keys) < 0 or max(keys).bit_length() > n):
-        raise _outside(next(s for s in keys if s < 0 or s.bit_length() > n), n)
+def check_terms(n: int, octets: np.ndarray, coeffs: np.ndarray) -> None:
+    """The one check of stored terms: raise ``ValueError`` unless
+    ``octets`` holds one key per coefficient in rows of ``ceil(n / 8)``
+    little-endian bytes, every key lies in ``[0, 2^n)`` and every
+    coefficient is finite.  The message names the first bad key, and its
+    coefficient."""
+    if n < 0:
+        raise ValueError(f"variable count {n} is negative")
+    if coeffs.ndim != 1 or octets.shape != (len(coeffs), octet_width(n)):
+        raise ValueError(f"key bytes of shape {octets.shape} do not match {len(coeffs)} couplings over {n} qubits")
+    if n % 8 and len(octets):
+        beyond = np.flatnonzero(octets[:, -1] >> (n % 8))
+        if beyond.size:
+            raise _outside(octet_keys(octets[beyond[:1]])[0], n)
+    bad = np.flatnonzero(~np.isfinite(coeffs))
+    if bad.size:
+        raise ValueError(f"non-finite coupling {float(coeffs[bad[0]])} at key {octet_keys(octets[bad[:1]])[0]:#x}")
 
 
 def _outside(key: int, n: int) -> ValueError:
@@ -157,12 +172,8 @@ class IsingPolynomial(StoredTerms):
     degree_starts: tuple[int, ...]
 
     def __init__(self, num_qubits: int, terms: Mapping[int, float] | None = None) -> None:
-        if num_qubits < 0:
-            raise ValueError(f"num_qubits {num_qubits} is negative")
         terms = {} if terms is None else terms
-        keys = list(terms)
-        coeffs = np.fromiter(terms.values(), float, len(keys))
-        _canonicalize(self, num_qubits, key_octets(keys, num_qubits), coeffs)
+        _canonicalize(self, num_qubits, key_octets(list(terms), num_qubits), np.fromiter(terms.values(), float))
 
     @classmethod
     def from_octets(cls, num_qubits: int, octets: np.ndarray, coeffs: np.ndarray) -> "IsingPolynomial":
@@ -235,22 +246,12 @@ def _canonicalize(poly: IsingPolynomial, n: int, octets: np.ndarray, coeffs: np.
     """Store distinct keys (rows of little-endian bytes) and their
     couplings in ``poly``, in canonical form.
 
-    Checks that the keys lie in ``[0, 2^n)`` and the couplings are
-    finite, drops the insignificant couplings, sorts the rest
-    (``_canonical_order``) and records where each degree starts.
+    Checks the arrays (``check_terms``), drops the insignificant
+    couplings, sorts the rest (``_canonical_order``) and records where
+    each degree starts.
     """
-    if n < 0:
-        raise ValueError(f"num_qubits {n} is negative")
-    if octets.ndim != 2 or octets.shape != (len(coeffs), octet_width(n)):
-        raise ValueError(f"key bytes of shape {octets.shape} do not match {len(coeffs)} couplings over {n} qubits")
-    if n % 8 and len(octets):
-        beyond = np.flatnonzero(octets[:, -1] >> (n % 8))
-        if beyond.size:
-            raise _outside(int.from_bytes(octets[beyond[0]].tobytes(), "little"), n)
-    magnitudes = np.abs(coeffs)
-    if not np.isfinite(magnitudes).all():
-        raise ValueError("non-finite coupling")
-    keep = significant(magnitudes)
+    check_terms(n, octets, coeffs)
+    keep = significant(np.abs(coeffs))
     if not keep.all():
         octets, coeffs = octets[keep], coeffs[keep]
     order, degrees = _canonical_order(octets)
@@ -276,6 +277,53 @@ def _canonical_order(octets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     degrees = octet_degrees(octets)
     columns = ~_REVERSED_BYTE[octets]
     return np.lexsort((*columns.T[::-1], degrees)), degrees
+
+
+class BinaryPolynomial(StoredTerms):
+    """A real polynomial in 0/1 variables, stored sparsely: built from a
+    ``{key: coefficient}`` mapping, or from key bytes with
+    ``from_octets``, and kept in the order given as read-only key bytes
+    and float64 coefficients (``StoredTerms``).  Coefficients at most
+    1e-14 of the largest magnitude are dropped."""
+
+    num_vars: int
+
+    def __init__(self, num_vars: int, terms: Mapping[int, float] | None = None) -> None:
+        terms = {} if terms is None else terms
+        self._prune(num_vars, key_octets(list(terms), num_vars), np.fromiter(terms.values(), float))
+
+    @classmethod
+    def from_octets(cls, num_vars: int, octets: np.ndarray, coeffs: np.ndarray) -> "BinaryPolynomial":
+        """The polynomial with distinct keys given as rows of
+        little-endian bytes and their coefficients, kept in that order."""
+        return cls.__new__(cls)._prune(num_vars, np.asarray(octets, np.uint8), np.asarray(coeffs, float))
+
+    def _prune(self, n: int, octets: np.ndarray, coeffs: np.ndarray) -> "BinaryPolynomial":
+        check_terms(n, octets, coeffs)
+        keep = significant(np.abs(coeffs))
+        # boolean indexing copies, so the stored arrays never alias the caller's
+        return self._set(num_vars=n, octets=octets[keep], coeffs=coeffs[keep])
+
+    def __reduce__(self):
+        return BinaryPolynomial.from_octets, (self.num_vars, self.octets, self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"BinaryPolynomial(num_vars={self.num_vars}, terms={dict(self.terms)!r})"
+
+    @property
+    def degree(self) -> int:
+        """Largest monomial size among stored terms (0 for constants)."""
+        return int(octet_degrees(self.octets).max(initial=0))
+
+    def evaluate_bits(self, bits: int) -> float:
+        """Value at the configuration whose set bits are the 1-valued
+        variables, summed in stored order.  A monomial contributes unless
+        it uses a 0 variable."""
+        total = 0.0
+        for s, c in self.terms.items():
+            if s & ~bits == 0:
+                total += c
+        return total
 
 
 def octet_degrees(octets: np.ndarray) -> np.ndarray:
@@ -390,35 +438,6 @@ def first_appearance_groups(octets: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return ids, np.sort(first)
 
 
-@dataclass(frozen=True)
-class BinaryPolynomial:
-    """A real polynomial in 0/1 variables, stored sparsely by mask."""
-
-    num_vars: int
-    terms: dict[int, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        check_keys(list(self.terms), self.num_vars)
-        values = list(self.terms.values())
-        keep = significant(np.abs(np.fromiter(values, float, len(values)))).tolist()
-        terms = {s: c for (s, c), k in zip(self.terms.items(), keep) if k}
-        object.__setattr__(self, "terms", terms)
-
-    @property
-    def degree(self) -> int:
-        return max((s.bit_count() for s in self.terms), default=0)
-
-    def evaluate_bits(self, bits: int) -> float:
-        """Value at the configuration whose set bits are the 1-valued
-        variables, summed in stored order.  A monomial contributes unless
-        it uses a 0 variable."""
-        total = 0.0
-        for s, c in self.terms.items():
-            if s & ~bits == 0:
-                total += c
-        return total
-
-
 def hubo_to_json(poly: IsingPolynomial) -> str:
     """Serialize to HUBO-JSON, terms in their stored (canonical) order.
 
@@ -465,23 +484,6 @@ def json_array(items: list[str]) -> str:
     """A top-level field's list, as ``json.dumps(indent=2)`` writes it
     around items already indented to depth 2."""
     return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
-
-
-def json_numbers(values: Iterable) -> list[str]:
-    """Each value as ``json.dumps(value, allow_nan=False)`` writes it,
-    raising ``ValueError`` on a non-finite one as ``json`` does.
-
-    ``json`` formats a float with ``float.__repr__``, so a list of
-    finite floats (the usual case) takes one ``map``.
-    """
-    values = list(values)
-    try:
-        texts = list(map(float.__repr__, values))
-    except TypeError:  # an int among them
-        texts = None
-    if texts is None or not _NON_FINITE.isdisjoint(texts):
-        texts = [json.dumps(c, allow_nan=False) for c in values]
-    return texts
 
 
 def hubo_from_json(data: bytes | str) -> IsingPolynomial:

@@ -13,7 +13,10 @@ its count changes are three rows and columns of the matrix, so no
 pair is recounted.  The penalty weight comes from the l1 norm of the
 cost coefficients, which substitution never changes, so it is
 computed once; it keeps every intermediate model min-equivalent to its
-predecessor.
+predecessor.  The result is a ``QuboModel``: the 0/1-basis polynomial
+type, ``BinaryPolynomial``, with the ancilla definitions and the
+penalty, checked once as it is built, so every value it writes is
+finite.
 """
 
 from __future__ import annotations
@@ -22,23 +25,22 @@ from typing import Mapping
 
 import numpy as np
 
-from .polynomial import IsingPolynomial, StoredTerms, first_appearance_groups, json_array, json_numbers
-from .polynomial import active_incidence, bit_octets, key_octets, octet_bits, octet_degrees
-from .walsh import from_01_arrays, to_01_arrays
+from .polynomial import BinaryPolynomial, IsingPolynomial, active_incidence, bit_octets, check_terms, json_array
+from .polynomial import first_appearance_groups, key_octets, octet_bits, octet_degrees
+from .walsh import leakage_transform, to_01_basis
 
 __all__ = ["QuboModel", "quadratize", "resolve_ancillas", "qubo_json"]
 
 
-class QuboModel(StoredTerms):
-    """A degree <= 2 polynomial over original variables plus ancillas.
-
-    Terms are in the 0/1 basis over the combined variable space
-    (originals first), stored as read-only key bytes and float64
-    coefficients (``StoredTerms``) ordered by (degree, mask), the order
-    ``qubo_json`` writes.  Zero coefficients are kept.  Each ancilla
-    records the variable pair whose product it stands for; the k-th
-    ancilla is variable ``num_original_qubits + k`` and its parents
-    precede it, so ancilla values can be resolved left to right.
+class QuboModel(BinaryPolynomial):
+    """A degree <= 2 polynomial over original variables plus ancillas:
+    a ``BinaryPolynomial`` over both (originals first) that keeps its
+    zero coefficients, in (degree, mask) order, the order ``qubo_json``
+    writes.  Each ancilla records the variable pair whose product it
+    stands for; the k-th ancilla is variable ``num_original_qubits + k``
+    and its parents precede it, so ancilla values can be resolved left
+    to right.  Every model, from a mapping, from key bytes
+    (``from_octets``), unpickled or quadratized, is built by ``_build``.
     """
 
     num_original_qubits: int
@@ -50,59 +52,50 @@ class QuboModel(StoredTerms):
                  ancilla_defs: tuple[tuple[int, tuple[int, int]], ...], penalty_weight: float) -> None:
         if num_ancilla_qubits != len(ancilla_defs):
             raise ValueError(f"{num_ancilla_qubits} ancillas but {len(ancilla_defs)} definitions")
-        keys = list(terms)
-        octets = key_octets(keys, num_original_qubits + num_ancilla_qubits)
-        coeffs = np.fromiter(terms.values(), float, len(keys))
-        bad = np.flatnonzero(~np.isfinite(coeffs))
-        if bad.size:
-            raise ValueError(f"non-finite coupling {float(coeffs[bad[0]])} at key {keys[bad[0]]:#x}")
-        # every spin-basis coefficient is at most the l1 norm in magnitude
-        with np.errstate(over="ignore"):
-            norm = np.sum(np.abs(coeffs))
-        if not np.isfinite(norm):
-            raise ValueError("the couplings' l1 norm overflows a float")
-        self._sort(num_original_qubits, tuple(ancilla_defs), penalty_weight, octets, coeffs)
+        octets = key_octets(list(terms), num_original_qubits + num_ancilla_qubits)
+        self._build(num_original_qubits, ancilla_defs, penalty_weight, octets, np.fromiter(terms.values(), float))
 
-    def _sort(self, n: int, ancilla_defs, penalty_weight: float, octets: np.ndarray, coeffs: np.ndarray):
-        """Set the fields, the distinct keys (rows of little-endian bytes)
-        sorted by (degree, mask) with a ``np.lexsort`` over the byte
-        columns; returns self."""
+    @classmethod
+    def from_octets(cls, num_original_qubits: int, ancilla_defs, penalty_weight: float, octets, coeffs) -> "QuboModel":
+        """The model with distinct keys given as rows of little-endian bytes, in any order."""
+        octets, coeffs = np.asarray(octets, np.uint8), np.asarray(coeffs, float)
+        return cls.__new__(cls)._build(num_original_qubits, ancilla_defs, penalty_weight, octets, coeffs)
+
+    def _build(self, n: int, ancilla_defs, penalty_weight: float, octets: np.ndarray, coeffs: np.ndarray):
+        """Check the model (a finite penalty, ``check_terms``, degree <= 2,
+        each ancilla after its parents, and a finite l1 norm, which bounds
+        every coefficient of ``to_ising``), sort the keys by (degree,
+        mask) with one ``np.lexsort`` and set the fields; returns self."""
+        ancilla_defs, penalty_weight = tuple(ancilla_defs), float(penalty_weight)
+        if not np.isfinite(penalty_weight):
+            raise ValueError(f"non-finite penalty weight {penalty_weight}")
+        check_terms(n + len(ancilla_defs), octets, coeffs)
         degrees = octet_degrees(octets)
         if degrees.max(initial=0) > 2:
             raise ValueError("quadratized model contains a term of degree > 2")
         for k, (a, (p, q)) in enumerate(ancilla_defs):
             if a != n + k or p >= a or q >= a:
                 raise ValueError(f"ancilla {k} must be variable {n + k}, after its parents: got {a} of {(p, q)}")
+        with np.errstate(over="ignore"):
+            norm = np.sum(np.abs(coeffs))
+        if not np.isfinite(norm):
+            raise ValueError("the couplings' l1 norm overflows a float")
         order = np.lexsort((*octets.T, degrees))
-        return self._set(num_original_qubits=n, num_ancilla_qubits=len(ancilla_defs), ancilla_defs=ancilla_defs,
-                         penalty_weight=penalty_weight, octets=octets[order], coeffs=np.asarray(coeffs, float)[order])
+        return self._set(num_vars=n + len(ancilla_defs), num_original_qubits=n, num_ancilla_qubits=len(ancilla_defs),
+                         ancilla_defs=ancilla_defs, penalty_weight=penalty_weight, octets=octets[order],
+                         coeffs=coeffs[order])
 
     def __reduce__(self):
-        return _stored, (self.num_original_qubits, self.ancilla_defs, self.penalty_weight, self.octets, self.coeffs)
+        return QuboModel.from_octets, (self.num_original_qubits, self.ancilla_defs, self.penalty_weight,
+                                       self.octets, self.coeffs)
 
     def __repr__(self) -> str:
         return (f"QuboModel({self.num_original_qubits}, {self.num_ancilla_qubits}, {dict(self.terms)!r}, "
                 f"{self.ancilla_defs!r}, {self.penalty_weight!r})")
 
-    @property
-    def num_vars(self) -> int:
-        return self.num_original_qubits + self.num_ancilla_qubits
-
     def to_ising(self) -> IsingPolynomial:
         """Spin-basis view over originals plus ancillas."""
-        return from_01_arrays(self.num_vars, self.octets, self.coeffs)
-
-    def evaluate_bits(self, bits: int) -> float:
-        total = 0.0
-        for s, c in self.terms.items():
-            if s & ~bits == 0:
-                total += c
-        return total
-
-
-def _stored(*fields) -> QuboModel:
-    """A new model over ``QuboModel._sort``'s arguments."""
-    return QuboModel.__new__(QuboModel)._sort(*fields)
+        return leakage_transform(self)
 
 
 def quadratize(poly: IsingPolynomial) -> QuboModel:
@@ -121,7 +114,7 @@ def quadratize(poly: IsingPolynomial) -> QuboModel:
 
     The penalty weight is 1 plus twice the l1 norm of the cost
     coefficients, over the transformed cost polynomial alone, summed in
-    the order of ``to_01_arrays``.  A substitution renames monomials to
+    the order of ``to_01_basis``.  A substitution renames monomials to
     keys holding the fresh ancilla, so no two cost terms ever merge and
     the norm never changes: it is computed once, at the first
     substitution.  One inconsistent ancilla then costs more than any
@@ -135,10 +128,12 @@ def quadratize(poly: IsingPolynomial) -> QuboModel:
     (degree - 2) over the input's monomials of degree > 2.
 
     The gadget terms add up per key in ancilla order, and each sum adds
-    onto its key's cost term: cost + (g1 + g2 + ...).
+    onto its key's cost term: cost + (g1 + g2 + ...).  A penalty or sum
+    past the float range raises ``ValueError`` naming it (``QuboModel``).
     """
     n = poly.num_qubits
-    octets, coeffs = to_01_arrays(poly)
+    poly01 = to_01_basis(poly)
+    octets, coeffs = poly01.octets, poly01.coeffs
     bits = octet_bits(octets, n)
     high = bits.sum(axis=1) > 2
     incidence = _Incidence(bits[high])
@@ -165,11 +160,12 @@ def quadratize(poly: IsingPolynomial) -> QuboModel:
     cost, gadget = (bit_octets(rows) for rows in (cost, gadget))
 
     ids, first = first_appearance_groups(gadget)
-    gadget_sums = np.bincount(ids, weights=np.tile([1.0, -2.0, -2.0, 3.0], len(y)) * penalty)
+    with np.errstate(over="ignore"):  # an infinite sum is refused by QuboModel, naming its key
+        gadget_sums = np.bincount(ids, weights=np.tile([1.0, -2.0, -2.0, 3.0], len(y)) * penalty)
     keys = np.concatenate([cost, gadget[first]])
     ids, first = first_appearance_groups(keys)
     sums = np.bincount(ids, weights=np.concatenate([coeffs, gadget_sums]))
-    return _stored(n, tuple(ancilla_defs), penalty, keys[first], sums)
+    return QuboModel.from_octets(n, ancilla_defs, penalty, keys[first], sums)
 
 
 def _pair_counts(rows: np.ndarray) -> np.ndarray:
@@ -296,7 +292,7 @@ def qubo_json(model: QuboModel) -> str:
     qubits, bits = active_incidence(model.octets)
     constants, linears = np.searchsorted(bits.sum(axis=1), (1, 2)).tolist()
     qubits = qubits[np.nonzero(bits)[1]].tolist()
-    texts = json_numbers(model.coeffs.tolist())
+    texts = list(map(float.__repr__, model.coeffs.tolist()))
     constant = texts[0] if constants else "0.0"
     linear = [
         f'    {{\n      "i": {i},\n      "coeff": {c}\n    }}'
@@ -311,7 +307,6 @@ def qubo_json(model: QuboModel) -> str:
         f'    {{\n      "index": {a},\n      "parents": [\n        {p},\n        {q}\n      ]\n    }}'
         for a, (p, q) in model.ancilla_defs
     ]
-    (penalty,) = json_numbers([model.penalty_weight])
     return (
         f'{{\n  "num_qubits": {model.num_original_qubits},\n'
         f'  "num_ancillas": {model.num_ancilla_qubits},\n'
@@ -319,5 +314,5 @@ def qubo_json(model: QuboModel) -> str:
         f'  "linear": {json_array(linear)},\n'
         f'  "quadratic": {json_array(quadratic)},\n'
         f'  "ancillas": {json_array(ancillas)},\n'
-        f'  "penalty": {penalty}\n}}\n'
+        f'  "penalty": {model.penalty_weight!r}\n}}\n'
     )

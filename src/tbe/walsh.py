@@ -5,7 +5,9 @@ means coordinate ``q`` is at spin -1 (the ``b = (1 - z) / 2`` map).
 Walsh coefficient vectors use the same indexing, with index ``T`` read
 as a subset mask.  The forward transform uses the expectation
 normalization, so coefficients are directly comparable to sparse
-polynomial couplings.
+polynomial couplings.  The basis changes between spin and 0/1
+variables (``to_01_basis``, ``leakage_transform``) expand each monomial
+over its subsets on key-byte arrays, one degree slice at a time.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .polynomial import BinaryPolynomial, IsingPolynomial, _canonical_order, first_appearance_groups, key_octets
-from .polynomial import active_incidence, octet_degrees, octet_keys, octet_width, significant
+from .polynomial import BinaryPolynomial, IsingPolynomial, _canonical_order, first_appearance_groups
+from .polynomial import active_incidence, octet_degrees, octet_width, significant
 
 __all__ = [
     "fwht",
@@ -74,50 +76,35 @@ def synthesize_values(coefficients) -> np.ndarray:
 def leakage_transform(poly01: BinaryPolynomial) -> IsingPolynomial:
     """Convert a 0/1-basis polynomial to its spin-basis equivalent.
 
-    Each 0/1 monomial over subset S expands through b = (1 - z) / 2
-    into spin monomials over every subset of S, so a degree-k term
-    spreads mass across all degrees 0..k.  Runs per-monomial in
-    O(2^|S|), avoiding any full-lattice table (``from_01_arrays``).
+    b = (1 - z) / 2 turns c * b_S into the sum over the subsets t of S
+    of c * (-1)^|t| / 2^|S| * z_t, so a degree-k term spreads mass
+    across all degrees 0..k.  Runs per monomial in O(2^|S|), with no
+    full-lattice table (``_change_basis``), over the terms in canonical
+    order.  Coefficients at most 1e-14 of the largest are dropped first,
+    as ``BinaryPolynomial`` does; a ``QuboModel`` keeps its zeros.
     """
-    keys = list(poly01.terms)
-    coeffs = np.fromiter(poly01.terms.values(), float, len(keys))
-    return from_01_arrays(poly01.num_vars, key_octets(keys, poly01.num_vars), coeffs)
-
-
-def from_01_arrays(n: int, octets: np.ndarray, coeffs: np.ndarray) -> IsingPolynomial:
-    """The spin polynomial over ``n`` qubits of 0/1-basis terms (distinct
-    keys in rows of little-endian bytes, any order): b = (1 - z) / 2 turns
-    c * b_S into the sum over the subsets t of S of c * (-1)^|t| / 2^|S|
-    * z_t.  Coefficients at most 1e-14 of the largest are dropped, as
-    ``BinaryPolynomial`` does; the rest expand in canonical order."""
-    keep = significant(np.abs(coeffs))
-    order, _ = _canonical_order(octets[keep])
+    keep = significant(np.abs(poly01.coeffs))
+    octets, coeffs = poly01.octets[keep], poly01.coeffs[keep]
+    order, _ = _canonical_order(octets)
     keys, sums = _change_basis(
-        octets[keep][order], coeffs[keep][order], n, lambda d: (-1.0) ** np.arange(d + 1) / 2.0**d
+        octets[order], coeffs[order], poly01.num_vars, lambda d: (-1.0) ** np.arange(d + 1) / 2.0**d
     )
-    return IsingPolynomial.from_octets(n, keys, sums)
+    return IsingPolynomial.from_octets(poly01.num_vars, keys, sums)
 
 
 def to_01_basis(poly: IsingPolynomial) -> BinaryPolynomial:
     """Inverse substitution z = 1 - 2b; round trip with
-    ``leakage_transform`` is the identity.  Terms are in the order of
-    ``to_01_arrays``."""
-    octets, coeffs = to_01_arrays(poly)
-    return BinaryPolynomial(poly.num_qubits, dict(zip(octet_keys(octets), coeffs.tolist())))
-
-
-def to_01_arrays(poly: IsingPolynomial) -> tuple[np.ndarray, np.ndarray]:
-    """The 0/1-basis terms of ``poly`` as distinct keys, in rows of
-    little-endian bytes, and their coefficients.
+    ``leakage_transform`` is the identity.
 
     z = 1 - 2b turns the spin monomial c * z_S into the sum over the
-    subsets t of S of c * (-2)^|t| * b_t (``_change_basis``).
-    Coefficients at most 1e-14 of the largest are dropped, as
-    ``BinaryPolynomial`` does.
+    subsets t of S of c * (-2)^|t| * b_t (``_change_basis``), so the
+    terms are in its order of first appearance.  A sum past the float
+    range is infinite, which ``BinaryPolynomial`` refuses with a
+    ``ValueError``.
     """
-    keys, sums = _change_basis(poly.octets, poly.coeffs, poly.num_qubits, lambda d: (-2.0) ** np.arange(d + 1))
-    keep = significant(np.abs(sums))
-    return keys[keep], sums[keep]
+    with np.errstate(over="ignore"):
+        keys, sums = _change_basis(poly.octets, poly.coeffs, poly.num_qubits, lambda d: (-2.0) ** np.arange(d + 1))
+    return BinaryPolynomial.from_octets(poly.num_qubits, keys, sums)
 
 
 def _change_basis(octets: np.ndarray, coeffs: np.ndarray, n: int, factors) -> tuple[np.ndarray, np.ndarray]:

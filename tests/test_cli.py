@@ -519,6 +519,36 @@ def test_restarts_and_sweeps_out_of_range_exit_3(small_input, tmp_path, capsys, 
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["compile", "--solve", "exhaustive", "--restarts", "5", "--t0", "2"], "--restarts"),
+        (["compile", "--restarts", "3"], "--restarts"),
+        (["solve", "--method", "exhaustive", "--sweeps", "9", "--cooling", "0.5"], "--sweeps"),
+    ],
+    ids=["compile-exhaustive", "compile-no-solve", "solve-exhaustive"],
+)
+def test_anneal_knobs_on_a_run_that_does_not_anneal_exit_3(small_input, tmp_path, capsys, argv, flag):
+    # they used to be ignored, and the run exited 0
+    if argv[0] == "compile":
+        argv = argv[:1] + ["--input", str(small_input), "--kmax", "2"] + argv[1:]
+    else:
+        argv = argv[:1] + ["--hubo", str(_write_hubo(tmp_path))] + argv[1:]
+    assert main(argv) == 3
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, needs", [("--out-qubo", "--quadratize"), ("--refine", "--solve")])
+def test_compile_flag_that_does_nothing_exits_3_before_any_artifact(small_input, tmp_path, capsys, flag, needs):
+    # --out-qubo wrote no file, and --refine reported "refine": true with "solve": null
+    qubo, report = tmp_path / "qubo.json", tmp_path / "report.json"
+    argv = ["compile", "--input", str(small_input), "--kmax", "2", "--out-report", str(report)]
+    assert main(argv + (["--out-qubo", str(qubo)] if flag == "--out-qubo" else [flag])) == 3
+    err = capsys.readouterr().err
+    assert flag in err and needs in err
+    assert not report.exists() and not qubo.exists()
+
+
+@pytest.mark.parametrize(
     "qubits, message",
     [
         ([0, 0], r"modes\[1\]\.qubits: qubit 0 is repeated"),

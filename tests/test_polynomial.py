@@ -13,6 +13,7 @@ from tbe import (
     hubo_from_json,
     hubo_to_json,
     mask_to_string,
+    to_01_basis,
 )
 from tbe.polynomial import active_incidence, key_octets, octet_bits, octet_width, overlaps
 from tbe.solve import AnnealParams, _metropolis
@@ -100,9 +101,9 @@ def test_non_finite_coupling_rejected():
         # several bad keys: the first in insertion order is named, whichever is largest or smallest
         (3, {0b1: 1.0, 0b10000: 2.0, -5: 3.0, 0b1000: 4.0}, "term key 0x10 references qubits outside [0, 3)"),
         (3, {-1: 1.0, 0b1000: 2.0, -5: 3.0}, "term key -0x1 references qubits outside [0, 3)"),
-        (3, {0b10: 1.0, 0b1: float("nan")}, "non-finite coupling"),
-        (3, {0b10: float("inf"), 0b1: 1.0}, "non-finite coupling"),
-        (3, {0b10: 1.0, 0: float("-inf")}, "non-finite coupling"),
+        (3, {0b10: 1.0, 0b1: float("nan")}, "non-finite coupling nan at key 0x1"),
+        (3, {0b10: float("inf"), 0b1: 1.0}, "non-finite coupling inf at key 0x2"),
+        (3, {0b10: 1.0, 0: float("-inf")}, "non-finite coupling -inf at key 0x0"),
     ],
     ids=["negative", "past-n", "past-n-wide", "first-of-several", "first-negative", "nan", "inf", "-inf"],
 )
@@ -158,6 +159,19 @@ def test_binary_polynomial_evaluation():
     assert poly.evaluate_bits(0b101) == 3.0
     assert poly.evaluate_bits(0b001) == 1.0
     assert poly.evaluate_bits(0b111) == 3.0
+
+
+def test_binary_polynomial_refuses_a_non_finite_coefficient():
+    # a NaN made the prune drop every term, the finite one too
+    with pytest.raises(ValueError, match="non-finite coupling nan at key 0x1"):
+        BinaryPolynomial(2, {1: float("nan"), 2: 1.0})
+
+
+def test_binary_polynomial_terms_are_read_only():
+    poly = BinaryPolynomial(2, {1: 1.0})
+    with pytest.raises(TypeError):
+        poly.terms[5] = 2.0
+    assert dict(poly.terms) == {1: 1.0} and poly.degree == 1
 
 
 def test_degree_starts_bracket_each_degree():
@@ -304,15 +318,18 @@ def test_sliced_cuts_equal_rebuilt_filters(poly):
 @settings(max_examples=100, deadline=None)
 @given(_stored_polynomials())
 def test_pickled_polynomial_is_equal_and_read_only(poly):
-    for again in (pickle.loads(pickle.dumps(poly)), copy.deepcopy(poly)):
-        assert again == poly and again.degree_starts == poly.degree_starts
-        assert tuple(again.terms.items()) == tuple(poly.terms.items())
-        for stored in (again, poly):
-            assert not stored.octets.flags.writeable and not stored.coeffs.flags.writeable
-            with pytest.raises(TypeError):
-                stored.terms[0] = 1.0
-            with pytest.raises(AttributeError):
-                stored.num_qubits = 3
+    # and the 0/1-basis form of its terms up to degree 5 (2^d subsets each)
+    for original in (poly, to_01_basis(truncate(poly, 5))):
+        for again in (pickle.loads(pickle.dumps(original)), copy.deepcopy(original)):
+            assert again == original
+            assert getattr(again, "degree_starts", None) == getattr(original, "degree_starts", None)
+            assert tuple(again.terms.items()) == tuple(original.terms.items())
+            for stored in (again, original):
+                assert not stored.octets.flags.writeable and not stored.coeffs.flags.writeable
+                with pytest.raises(TypeError):
+                    stored.terms[0] = 1.0
+                with pytest.raises(AttributeError):
+                    stored.num_qubits = 3
 
 
 # --- the term x qubit incidence ------------------------------------------

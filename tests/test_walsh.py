@@ -163,6 +163,14 @@ def test_leakage_transform_matches_the_reference_walk(poly01):
     assert [c.hex() for c in got.terms.values()] == [c.hex() for c in want.terms.values()]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_to_01_basis_refuses_a_sum_past_the_float_range():
+    # -2 * 1e308 overflowed with a RuntimeWarning, and the prune against
+    # an infinite largest term then dropped every term
+    with pytest.raises(ValueError, match="non-finite coupling -inf at key 0x1"):
+        to_01_basis(IsingPolynomial(1, {1: 1e308, 0: 1.0}))
+
+
 def test_to_01_inverse_of_leakage_example():
     poly01 = to_01_basis(IsingPolynomial(1, {0: 0.5, 1: -0.5}))
     assert poly01.terms == {1: 1.0}
