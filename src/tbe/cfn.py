@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CfnFormatError
+from .errors import CapacityError, CfnFormatError
 from .polynomial import MAX_ABS_COST, is_int
+from .walsh import MAX_TRANSFORM_DIM
 
 __all__ = [
     "MAX_ABS_COST",
@@ -138,7 +139,8 @@ def parse_cfn(data: bytes | str) -> Cfn:
 
     Raises CfnFormatError naming the offending field on any schema
     violation, shape mismatch, duplicate pair, or a cost that is not
-    finite or exceeds ``MAX_ABS_COST`` in magnitude.
+    finite or exceeds ``MAX_ABS_COST`` in magnitude, and CapacityError
+    naming the variable on a cardinality above 2^``MAX_TRANSFORM_DIM``.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -158,6 +160,11 @@ def parse_cfn(data: bytes | str) -> Cfn:
         card = entry["cardinality"]
         if not is_int(card) or card < 1:
             raise CfnFormatError(f"variables[{k}].cardinality must be a positive integer")
+        if card > 1 << MAX_TRANSFORM_DIM:  # refused before its zero table is built
+            raise CapacityError(
+                f"variables[{k}].cardinality {card} exceeds cap 2^{MAX_TRANSFORM_DIM}, "
+                f"the largest register a Walsh transform takes"
+            )
         name = entry.get("name", f"v{k}")
         if not isinstance(name, str):
             raise CfnFormatError(f"variables[{k}].name must be a string")

@@ -20,10 +20,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .cfn import MAX_ABS_COST, Cfn, parse_cfn
+from .cfn import Cfn, parse_cfn
 from .encoding import Fallback, Penalty, WalshBlocks, build_layout, encode, walsh_blocks
 from .errors import CapacityError, CfnFormatError
-from .polynomial import finite_float, hubo_from_json, hubo_to_json, is_int, mask_to_string, qubit_mask
+from .polynomial import MAX_ABS_COST, finite_float, hubo_from_json, hubo_to_json, is_int, mask_to_string, qubit_mask
 from .quadratization import quadratize, qubo_json, resolve_ancillas
 from .solve import AnnealParams, decode_and_refine, solve, solve_result_json
 from .spectrum import spectrum_csv, table_spectrum
@@ -49,12 +49,43 @@ EXIT_VERIFY_FAILED = 5
 ENUM_ASSIGNMENT_CAP = 1 << 20
 
 
+class _Parser(argparse.ArgumentParser):
+    """A command line that does not parse is malformed input: it raises
+    ``CfnFormatError`` naming the argument, so ``main`` exits 3 with one
+    line, where argparse would print its usage and exit 2."""
+
+    def error(self, message: str):
+        raise CfnFormatError(message)
+
+
+def _ranged(kind: type, low: float, high: float = math.inf, *, low_open: bool = False):
+    """An argparse ``type``: the text read as ``kind`` and within [low,
+    high], or (low, high] with ``low_open``; an infinite ``high`` is
+    excluded, so a float must be finite.  A refused value makes argparse
+    name the flag."""
+    interval = f"{'(' if low_open else '['}{low}, {high}{')' if high == math.inf else ']'}"
+    what = "an integer" if kind is int else "a number"
+
+    def read(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not ((low < value if low_open else low <= value) and value <= high and value != math.inf):
+            raise argparse.ArgumentTypeError(f"must be {what} in {interval}, got {text!r}")
+        return value
+
+    return read
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tbe",
         description="Compile cost function networks to degree-truncated spin polynomials",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    kmax = {"type": _ranged(int, 1), "required": True, "help": "truncation degree cutoff"}
+    seed = _ranged(int, 0)
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--input", required=True, help="CFN-JSON input path")
@@ -69,20 +100,26 @@ def _build_parser() -> argparse.ArgumentParser:
             help="unused-bitstring policy: fallback[:CHOICE] or penalty[:WEIGHT]",
         )
 
+    def add_anneal(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--seed", type=seed, default=None, help="anneal seed (0 when not given)")
+        p.add_argument("--restarts", type=_ranged(int, 1), default=None, help="anneal restarts")
+        p.add_argument("--sweeps", type=_ranged(int, 0), default=None, help="anneal sweeps per restart")
+        p.add_argument("--t0", type=_ranged(float, 0.0, low_open=True), default=None,
+                       help="anneal starting temperature")
+        p.add_argument("--cooling", type=_ranged(float, 0.0, 1.0, low_open=True), default=None,
+                       help="anneal cooling factor per sweep")
+
     c = sub.add_parser("compile", help="run the full compilation pipeline")
+    c.set_defaults(run=run_pipeline)
     add_common(c)
-    c.add_argument("--kmax", type=int, required=True, help="truncation degree cutoff")
+    c.add_argument("--kmax", **kmax)
     c.add_argument("--quadratize", action="store_true", help="reduce the truncation to degree 2")
     c.add_argument("--solve", choices=["exhaustive", "anneal"], default=None)
-    c.add_argument("--seed", type=int, default=0)
+    add_anneal(c)
     c.add_argument("--refine", action="store_true", help="bit-flip descent on the full encoding")
     c.add_argument("--strict", action="store_true", help="fail (exit 2) on noise-floor warning")
-    c.add_argument("--weak-threshold", type=float, default=0.1)
-    c.add_argument("--strong-threshold", type=float, default=0.1)
-    c.add_argument("--restarts", type=int, default=None, help="anneal restarts")
-    c.add_argument("--sweeps", type=int, default=None, help="anneal sweeps per restart")
-    c.add_argument("--t0", type=float, default=None, help="anneal starting temperature")
-    c.add_argument("--cooling", type=float, default=None, help="anneal cooling factor per sweep")
+    c.add_argument("--weak-threshold", type=_ranged(float, 0.0), default=0.1)
+    c.add_argument("--strong-threshold", type=_ranged(float, 0.0), default=0.1)
     c.add_argument("--out-hubo", default=None, help="full exact HUBO-JSON path")
     c.add_argument("--out-trunc", default=None, help="truncated HUBO-JSON path")
     c.add_argument("--out-qubo", default=None, help="quadratized model JSON path")
@@ -91,28 +128,28 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out-report", default=None, help="pipeline report JSON path")
 
     v = sub.add_parser("verify", help="enumerate and check preservation claims")
+    v.set_defaults(run=run_verify)
     add_common(v)
-    v.add_argument("--kmax", type=int, required=True)
+    v.add_argument("--kmax", **kmax)
     v.add_argument("--out-report", default=None)
 
     s = sub.add_parser("solve", help="minimize a HUBO-JSON polynomial")
+    s.set_defaults(run=run_solve)
     s.add_argument("--hubo", required=True, help="HUBO-JSON input path")
     s.add_argument("--method", choices=["exhaustive", "anneal"], default="exhaustive")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--restarts", type=int, default=None)
-    s.add_argument("--sweeps", type=int, default=None)
-    s.add_argument("--t0", type=float, default=None)
-    s.add_argument("--cooling", type=float, default=None)
+    add_anneal(s)
     s.add_argument("--out", default=None, help="result JSON path")
 
     e = sub.add_parser("ensemble", help="Monte-Carlo checks for a variance profile")
+    e.set_defaults(run=run_ensemble)
     e.add_argument("--profile", required=True, help="ensemble profile JSON path")
-    e.add_argument("--trials", type=int, default=10000)
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--trials", type=_ranged(int, 1), default=10000)
+    e.add_argument("--seed", type=seed, default=0)
     e.add_argument("--coordinate", type=int, default=0)
     e.add_argument("--out", default=None, help="report JSON path")
 
     sp = sub.add_parser("spectrum", help="emit the per-degree spectral profile")
+    sp.set_defaults(run=run_spectrum)
     add_common(sp)
     sp.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
 
@@ -132,12 +169,9 @@ def _parse_policy(text: str) -> Fallback | Penalty:
         return Penalty()
     if text.startswith("penalty:"):
         try:
-            weight = float(text.split(":", 1)[1])
-        except ValueError:
-            raise CfnFormatError(f"--unused {text!r}: the penalty weight must be a number") from None
-        if not 0 <= weight <= MAX_ABS_COST:  # a cost, under the same bound
-            raise CfnFormatError(f"--unused {text!r}: the penalty weight must be in [0, {MAX_ABS_COST:g}]")
-        return Penalty(weight=weight)
+            return Penalty(weight=float(text.split(":", 1)[1]))
+        except ValueError as exc:
+            raise CfnFormatError(f"--unused {text!r}: {exc}") from None
     raise CfnFormatError(f"unknown unused-bitstring policy {text!r}")
 
 
@@ -211,23 +245,12 @@ def _true_optimum(cfn: Cfn) -> tuple[float, tuple[int, ...]] | None:
     return float(values.flat[best]), tuple(int(c) + 1 for c in np.unravel_index(best, cards))
 
 
-def _check_seed(args) -> None:
-    if args.seed < 0:
-        raise CfnFormatError(f"--seed must be >= 0, got {args.seed!r}")
-
-
 def run_pipeline(args) -> int:
-    if args.kmax < 1:
-        raise CfnFormatError("--kmax must be >= 1")
     if args.out_qubo and not args.quadratize:
         raise CfnFormatError("--out-qubo writes the quadratized model, so it needs --quadratize")
     if args.refine and not args.solve:
         raise CfnFormatError("--refine refines a solve's answer, so it needs --solve")
-    params = _anneal_params(args, args.solve == "anneal", "--solve anneal")
-    for flag, value in (("--weak-threshold", args.weak_threshold), ("--strong-threshold", args.strong_threshold)):
-        if not (math.isfinite(value) and value >= 0):
-            raise CfnFormatError(f"{flag} must be a finite number >= 0, got {value!r}")
-    _check_seed(args)
+    seed, params = _anneal_params(args, args.solve == "anneal", "--solve anneal")
     cfn, blocks = _prepare(args)
     full = encode(blocks)
     cert = certify(full, args.kmax)
@@ -250,7 +273,7 @@ def run_pipeline(args) -> int:
     if args.solve:
         exhaustive = args.solve == "exhaustive"
         target = qubo if qubo is not None and not exhaustive else truncated
-        result = solve(target, method=args.solve, seed=args.seed, anneal=params)
+        result = solve(target, method=args.solve, seed=seed, anneal=params)
         if qubo is not None and exhaustive:
             # the QUBO's minimum over its ancillas is the truncation's,
             # reached where each ancilla is its parents' product
@@ -283,7 +306,7 @@ def run_pipeline(args) -> int:
             "unused": args.unused,
             "quadratize": args.quadratize,
             "solve": args.solve,
-            "seed": args.seed,
+            "seed": seed,
             "refine": args.refine,
             "weak_threshold": args.weak_threshold,
             "strong_threshold": args.strong_threshold,
@@ -337,8 +360,6 @@ def _finite_or_none(value: float | None) -> float | None:
 
 
 def run_verify(args) -> int:
-    if args.kmax < 1:
-        raise CfnFormatError("--kmax must be >= 1")
     _, blocks = _prepare(args)
     full = encode(blocks)
     report = check_preservation(full, args.kmax)
@@ -378,35 +399,24 @@ def run_verify(args) -> int:
     return EXIT_OK
 
 
-def _anneal_params(args, anneals: bool, mode: str) -> AnnealParams:
-    """The anneal knobs as parameters, checked; a run that does not
-    anneal (``mode`` is the flag that makes it) takes none of them."""
-    knobs = (("--restarts", args.restarts), ("--sweeps", args.sweeps), ("--t0", args.t0), ("--cooling", args.cooling))
-    for flag, value in knobs:
-        if value is not None and not anneals:
-            raise CfnFormatError(f"{flag} sets the annealer, so it needs {mode}")
-    if args.cooling is not None and not 0.0 < args.cooling <= 1.0:
-        raise CfnFormatError(f"--cooling must be in (0, 1], got {args.cooling!r}")
-    if args.t0 is not None and not (math.isfinite(args.t0) and args.t0 > 0):
-        raise CfnFormatError(f"--t0 must be a finite number > 0, got {args.t0!r}")
-    if args.restarts is not None and args.restarts < 1:
-        raise CfnFormatError(f"--restarts must be >= 1, got {args.restarts!r}")
-    if args.sweeps is not None and args.sweeps < 0:
-        raise CfnFormatError(f"--sweeps must be >= 0, got {args.sweeps!r}")
-    return AnnealParams(
-        restarts=args.restarts if args.restarts is not None else AnnealParams.restarts,
-        sweeps=args.sweeps if args.sweeps is not None else AnnealParams.sweeps,
-        initial_temperature=args.t0,
-        cooling=args.cooling if args.cooling is not None else AnnealParams.cooling,
-    )
+def _anneal_params(args, anneals: bool, mode: str) -> tuple[int, AnnealParams]:
+    """The seed and the anneal knobs given, as parameters (the seed not
+    given is 0, each knob at its ``AnnealParams`` default); a run that
+    does not anneal (``mode`` is the flag that makes it) takes none of
+    them."""
+    fields = {"--restarts": "restarts", "--sweeps": "sweeps", "--t0": "initial_temperature", "--cooling": "cooling"}
+    given = [flag for flag in ("--seed", *fields) if getattr(args, flag[2:]) is not None]
+    if given and not anneals:
+        raise CfnFormatError(f"{given[0]} sets the annealer, so it needs {mode}")
+    knobs = {fields[flag]: getattr(args, flag[2:]) for flag in given if flag != "--seed"}
+    return args.seed or 0, AnnealParams(**knobs)
 
 
 def run_solve(args) -> int:
-    _check_seed(args)
+    seed, params = _anneal_params(args, args.method == "anneal", "--method anneal")
     with open(args.hubo, "rb") as fh:
         poly = hubo_from_json(fh.read())
-    params = _anneal_params(args, args.method == "anneal", "--method anneal")
-    result = solve(poly, method=args.method, seed=args.seed, anneal=params)
+    result = solve(poly, method=args.method, seed=seed, anneal=params)
     text = solve_result_json(result)
     if args.out:
         _write(args.out, text)
@@ -416,9 +426,6 @@ def run_solve(args) -> int:
 
 
 def run_ensemble(args) -> int:
-    _check_seed(args)
-    if args.trials < 1:
-        raise CfnFormatError(f"--trials must be >= 1, got {args.trials!r}")
     with open(args.profile, "rb") as fh:
         try:
             doc = json.load(fh)
@@ -445,10 +452,19 @@ def run_ensemble(args) -> int:
         if not isinstance(entry, dict):
             raise CfnFormatError(f"modes[{k}] must be an object with qubits and pi")
         mask = qubit_mask(entry.get("qubits"), n, f"modes[{k}].qubits")
+        # a variance, and a repeated mode's running sum, is bounded as a
+        # HUBO coefficient is: a draw, under 10 standard deviations, is
+        # then under 1e51, and a fourth power of a sum of under 2^64
+        # draws is under 1e282, so every moment stays finite
         pi = finite_float(entry.get("pi"))
-        if pi is None or pi < 0:
-            raise CfnFormatError(f"modes[{k}].pi must be a finite number >= 0, got {entry.get('pi')!r}")
-        profile[mask] = profile.get(mask, 0.0) + pi
+        if pi is None or not 0 <= pi <= MAX_ABS_COST:
+            raise CfnFormatError(f"modes[{k}].pi must be a number in [0, {MAX_ABS_COST:g}], got {entry.get('pi')!r}")
+        total = profile.get(mask, 0.0) + pi
+        if total > MAX_ABS_COST:
+            raise CfnFormatError(
+                f"modes[{k}].pi: the repeated mode's variances sum to {total!r}, which exceeds {MAX_ABS_COST:g}"
+            )
+        profile[mask] = total
     spec = EnsembleSpec(
         variance_profile=profile, family=family, trials=args.trials, rng_seed=args.seed
     )
@@ -509,17 +525,9 @@ def run_spectrum(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "compile": run_pipeline,
-        "verify": run_verify,
-        "solve": run_solve,
-        "ensemble": run_ensemble,
-        "spectrum": run_spectrum,
-    }
     try:
-        return handlers[args.command](args)
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except CfnFormatError as exc:
         print(f"tbe: {exc}", file=sys.stderr)
         return EXIT_FORMAT

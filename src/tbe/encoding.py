@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cfn import Cfn
+from .cfn import MAX_ABS_COST, Cfn
 from .errors import CfnFormatError
 from .polynomial import IsingPolynomial, mask_octets, octet_width
 from .walsh import fwht
@@ -67,14 +67,14 @@ class Penalty:
     """Unused bitstrings carry a flat positive cost.
 
     ``weight`` of None defers to ``default_penalty_weight`` at encode
-    time.
+    time.  A weight is a cost, so it must lie in [0, ``MAX_ABS_COST``].
     """
 
     weight: float | None = None
 
     def __post_init__(self) -> None:
-        if self.weight is not None and self.weight < 0:
-            raise ValueError("penalty weight must be >= 0")
+        if self.weight is not None and not 0 <= self.weight <= MAX_ABS_COST:
+            raise ValueError(f"the penalty weight must be in [0, {MAX_ABS_COST:g}], got {self.weight!r}")
 
 
 @dataclass(frozen=True)

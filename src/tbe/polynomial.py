@@ -90,7 +90,8 @@ def check_terms(n: int, octets: np.ndarray, coeffs: np.ndarray) -> None:
     ``octets`` holds one key per coefficient in rows of ``ceil(n / 8)``
     little-endian bytes, every key lies in ``[0, 2^n)`` and every
     coefficient is finite.  The message names the first bad key, and its
-    coefficient."""
+    coefficient.  That no key repeats is checked where the keys are
+    sorted (``check_distinct``)."""
     if n < 0:
         raise ValueError(f"variable count {n} is negative")
     if coeffs.ndim != 1 or octets.shape != (len(coeffs), octet_width(n)):
@@ -102,6 +103,18 @@ def check_terms(n: int, octets: np.ndarray, coeffs: np.ndarray) -> None:
     bad = np.flatnonzero(~np.isfinite(coeffs))
     if bad.size:
         raise ValueError(f"non-finite coupling {float(coeffs[bad[0]])} at key {octet_keys(octets[bad[:1]])[0]:#x}")
+
+
+def check_distinct(rows: np.ndarray) -> None:
+    """Raise ``ValueError`` naming a key that two adjacent rows share:
+    the keys, as rows of bytes, must be sorted so that equal ones meet.
+    Each row is compared as one opaque value of its bytes (with no
+    bytes, every key is 0), which is faster than a reduction along it."""
+    width = rows.shape[1]
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, width))).ravel() if width else np.zeros(len(rows))
+    same = np.flatnonzero(keys[1:] == keys[:-1])
+    if same.size:
+        raise ValueError(f"term key {octet_keys(rows[same[:1]])[0]:#x} is repeated")
 
 
 def _outside(key: int, n: int) -> ValueError:
@@ -179,7 +192,7 @@ class IsingPolynomial(StoredTerms):
     def from_octets(cls, num_qubits: int, octets: np.ndarray, coeffs: np.ndarray) -> "IsingPolynomial":
         """The polynomial with distinct keys given as rows of
         little-endian bytes (``ceil(num_qubits / 8)`` columns) and their
-        couplings, in any order."""
+        couplings, in any order; a repeated key is a ``ValueError``."""
         return _canonicalize(cls.__new__(cls), num_qubits, np.asarray(octets, np.uint8), np.asarray(coeffs, float))
 
     def __reduce__(self):
@@ -246,18 +259,21 @@ def _canonicalize(poly: IsingPolynomial, n: int, octets: np.ndarray, coeffs: np.
     """Store distinct keys (rows of little-endian bytes) and their
     couplings in ``poly``, in canonical form.
 
-    Checks the arrays (``check_terms``), drops the insignificant
-    couplings, sorts the rest (``_canonical_order``) and records where
-    each degree starts.
+    Checks the arrays (``check_terms``), sorts them
+    (``_canonical_order``), checks that no key repeats
+    (``check_distinct``), drops the insignificant couplings and records
+    where each degree starts.
     """
     check_terms(n, octets, coeffs)
+    order, degrees = _canonical_order(octets)
+    # fancy indexing copies, so the stored arrays never alias the caller's
+    octets, coeffs, degrees = octets[order], coeffs[order], degrees[order]
+    check_distinct(octets)
     keep = significant(np.abs(coeffs))
     if not keep.all():
-        octets, coeffs = octets[keep], coeffs[keep]
-    order, degrees = _canonical_order(octets)
-    starts = np.searchsorted(degrees[order], np.arange(degrees.max(initial=0) + 2))
-    # fancy indexing copies, so the stored arrays never alias the caller's
-    return poly._set(num_qubits=n, octets=octets[order], coeffs=coeffs[order], degree_starts=tuple(starts.tolist()))
+        octets, coeffs, degrees = octets[keep], coeffs[keep], degrees[keep]
+    starts = np.searchsorted(degrees, np.arange(degrees.max(initial=0) + 2))
+    return poly._set(num_qubits=n, octets=octets, coeffs=coeffs, degree_starts=tuple(starts.tolist()))
 
 
 def _canonical_order(octets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -295,11 +311,13 @@ class BinaryPolynomial(StoredTerms):
     @classmethod
     def from_octets(cls, num_vars: int, octets: np.ndarray, coeffs: np.ndarray) -> "BinaryPolynomial":
         """The polynomial with distinct keys given as rows of
-        little-endian bytes and their coefficients, kept in that order."""
+        little-endian bytes and their coefficients, kept in that order; a
+        repeated key is a ``ValueError``."""
         return cls.__new__(cls)._prune(num_vars, np.asarray(octets, np.uint8), np.asarray(coeffs, float))
 
     def _prune(self, n: int, octets: np.ndarray, coeffs: np.ndarray) -> "BinaryPolynomial":
         check_terms(n, octets, coeffs)
+        check_distinct(octets[_canonical_order(octets)[0]])
         keep = significant(np.abs(coeffs))
         # boolean indexing copies, so the stored arrays never alias the caller's
         return self._set(num_vars=n, octets=octets[keep], coeffs=coeffs[keep])

@@ -25,8 +25,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .polynomial import BinaryPolynomial, IsingPolynomial, active_incidence, bit_octets, check_terms, json_array
-from .polynomial import first_appearance_groups, key_octets, octet_bits, octet_degrees
+from .polynomial import BinaryPolynomial, IsingPolynomial, active_incidence, bit_octets, check_distinct, check_terms
+from .polynomial import first_appearance_groups, json_array, key_octets, octet_bits, octet_degrees
 from .walsh import leakage_transform, to_01_basis
 
 __all__ = ["QuboModel", "quadratize", "resolve_ancillas", "qubo_json"]
@@ -57,15 +57,17 @@ class QuboModel(BinaryPolynomial):
 
     @classmethod
     def from_octets(cls, num_original_qubits: int, ancilla_defs, penalty_weight: float, octets, coeffs) -> "QuboModel":
-        """The model with distinct keys given as rows of little-endian bytes, in any order."""
+        """The model with distinct keys given as rows of little-endian
+        bytes, in any order; a repeated key is a ``ValueError``."""
         octets, coeffs = np.asarray(octets, np.uint8), np.asarray(coeffs, float)
         return cls.__new__(cls)._build(num_original_qubits, ancilla_defs, penalty_weight, octets, coeffs)
 
     def _build(self, n: int, ancilla_defs, penalty_weight: float, octets: np.ndarray, coeffs: np.ndarray):
         """Check the model (a finite penalty, ``check_terms``, degree <= 2,
-        each ancilla after its parents, and a finite l1 norm, which bounds
-        every coefficient of ``to_ising``), sort the keys by (degree,
-        mask) with one ``np.lexsort`` and set the fields; returns self."""
+        each ancilla after its two distinct parents, and a finite l1 norm,
+        which bounds every coefficient of ``to_ising``), sort the keys by
+        (degree, mask) with one ``np.lexsort``, check that none repeats
+        (``check_distinct``) and set the fields; returns self."""
         ancilla_defs, penalty_weight = tuple(ancilla_defs), float(penalty_weight)
         if not np.isfinite(penalty_weight):
             raise ValueError(f"non-finite penalty weight {penalty_weight}")
@@ -74,15 +76,19 @@ class QuboModel(BinaryPolynomial):
         if degrees.max(initial=0) > 2:
             raise ValueError("quadratized model contains a term of degree > 2")
         for k, (a, (p, q)) in enumerate(ancilla_defs):
-            if a != n + k or p >= a or q >= a:
-                raise ValueError(f"ancilla {k} must be variable {n + k}, after its parents: got {a} of {(p, q)}")
+            if not (a == n + k and 0 <= p < a and 0 <= q < a and p != q):
+                raise ValueError(
+                    f"ancilla {k} must be variable {n + k}, after its two distinct parents: got {a} of {(p, q)}"
+                )
         with np.errstate(over="ignore"):
             norm = np.sum(np.abs(coeffs))
         if not np.isfinite(norm):
             raise ValueError("the couplings' l1 norm overflows a float")
         order = np.lexsort((*octets.T, degrees))
+        octets = octets[order]
+        check_distinct(octets)
         return self._set(num_vars=n + len(ancilla_defs), num_original_qubits=n, num_ancilla_qubits=len(ancilla_defs),
-                         ancilla_defs=ancilla_defs, penalty_weight=penalty_weight, octets=octets[order],
+                         ancilla_defs=ancilla_defs, penalty_weight=penalty_weight, octets=octets,
                          coeffs=coeffs[order])
 
     def __reduce__(self):

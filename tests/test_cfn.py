@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tbe import (
+    CapacityError,
     Cfn,
     CfnFormatError,
     PairwiseTable,
@@ -156,6 +158,21 @@ def test_evaluate_rejects_out_of_range_choice():
         evaluate_cfn(cfn, [3])
     with pytest.raises(ValueError, match="out of range"):
         evaluate_cfn(cfn, [0])
+
+
+def test_cardinality_past_the_transform_cap_refused_before_any_table():
+    # these 42 bytes used to build a unary table of 134217729 zeros
+    # before anything checked the size, and could run out of memory
+    data = '{"variables":[{"cardinality": 134217729}]}'
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=r"variables\[0\]\.cardinality 134217729 exceeds cap 2\^26"):
+            parse_cfn(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert parse_cfn('{"variables":[{"cardinality": 3}, {"cardinality": 2}]}').num_variables == 2
 
 
 def test_cardinality_one_variable_allowed():

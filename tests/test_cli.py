@@ -86,7 +86,6 @@ def test_compile_byte_identical_reruns(small_input, tmp_path):
             "--kmax", "2",
             "--solve", "exhaustive",
             "--refine",
-            "--seed", "7",
             "--out-hubo", str(outs["h"]),
             "--out-trunc", str(outs["t"]),
             "--out-cert", str(outs["c"]),
@@ -163,6 +162,36 @@ def test_parse_error_exit_code(tmp_path):
     missing_kmax = tmp_path / "ok.json"
     missing_kmax.write_text('{"variables": [{"cardinality": 2}]}')
     assert main(["compile", "--input", str(missing_kmax), "--kmax", "0"]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["compile", "--input", "demos/data/two_card32.json", "--kmax", "x"], "argument --kmax"),
+        (["compile", "--input", "demos/data/two_card32.json", "--kmax", "3", "--bogus"], "--bogus"),
+        (["compile", "--input", "demos/data/two_card32.json", "--kmax"], "argument --kmax"),
+        (["compile", "--kmax", "3"], "--input"),
+        (["solve", "--hubo", "h.json", "--method", "anneal", "--cooling", "0"], "argument --cooling"),
+        (["ensemble", "--profile", "p.json", "--coordinate", "1.5"], "argument --coordinate"),
+        (["frobnicate"], "argument command"),
+        ([], "command"),
+    ],
+    ids=["kmax-not-a-number", "unknown-flag", "missing-value", "missing-flag", "out-of-range",
+         "not-an-integer", "unknown-command", "no-command"],
+)
+def test_malformed_command_line_exits_3_with_one_line(capsys, argv, named):
+    # argparse printed its usage and exited 2, the --strict noise-floor code
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("tbe: ") and captured.err.count("\n") == 1
+    assert named in captured.err and "usage" not in captured.err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["compile", "--help"])
+    assert done.value.code == 0
+    assert "--kmax" in capsys.readouterr().out
 
 
 def test_capacity_exit_code(tmp_path, capsys):
@@ -524,8 +553,12 @@ def test_restarts_and_sweeps_out_of_range_exit_3(small_input, tmp_path, capsys, 
         (["compile", "--solve", "exhaustive", "--restarts", "5", "--t0", "2"], "--restarts"),
         (["compile", "--restarts", "3"], "--restarts"),
         (["solve", "--method", "exhaustive", "--sweeps", "9", "--cooling", "0.5"], "--sweeps"),
+        (["compile", "--solve", "exhaustive", "--seed", "7"], "--seed"),
+        (["compile", "--seed", "0"], "--seed"),
+        (["solve", "--seed", "3"], "--seed"),
     ],
-    ids=["compile-exhaustive", "compile-no-solve", "solve-exhaustive"],
+    ids=["compile-exhaustive", "compile-no-solve", "solve-exhaustive", "seed-compile-exhaustive",
+         "seed-compile-no-solve", "seed-solve-exhaustive"],
 )
 def test_anneal_knobs_on_a_run_that_does_not_anneal_exit_3(small_input, tmp_path, capsys, argv, flag):
     # they used to be ignored, and the run exited 0
@@ -535,6 +568,16 @@ def test_anneal_knobs_on_a_run_that_does_not_anneal_exit_3(small_input, tmp_path
         argv = argv[:1] + ["--hubo", str(_write_hubo(tmp_path))] + argv[1:]
     assert main(argv) == 3
     assert flag in capsys.readouterr().err
+
+
+def test_runs_without_a_seed_report_seed_0(small_input, tmp_path):
+    report, result = tmp_path / "report.json", tmp_path / "result.json"
+    assert main(["compile", "--input", str(small_input), "--kmax", "2", "--solve", "exhaustive",
+                 "--out-report", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert doc["config"]["seed"] == doc["solve"]["rng_seed"] == 0
+    assert main(_short_anneal("solve", None, tmp_path) + ["--out", str(result)]) == 0
+    assert json.loads(result.read_text())["rng_seed"] == 0
 
 
 @pytest.mark.parametrize("flag, needs", [("--out-qubo", "--quadratize"), ("--refine", "--solve")])
@@ -610,6 +653,34 @@ def _ensemble_argv(tmp_path):
     profile = tmp_path / "profile.json"
     profile.write_text(json.dumps(_PROFILE))
     return ["ensemble", "--profile", str(profile), "--trials", "10"]
+
+
+@pytest.mark.parametrize(
+    "modes, message",
+    [
+        ([([0, 1], 1e300), ([0], 1)], r"modes\[0\]\.pi must be a number in \[0, 1e\+100\], got 1e\+300"),
+        ([([0, 1], 1e308), ([0, 1], 1e308)], r"modes\[0\]\.pi must be a number in \[0, 1e\+100\], got 1e\+308"),
+        ([([0, 1], 1e100), ([1], 1), ([0, 1], 1e100)], r"modes\[2\]\.pi: the repeated mode's variances sum to 2e\+100"),
+    ],
+    ids=["overflowing-moments", "overflowing-sum", "repeated-sum-past-the-bound"],
+)
+def test_ensemble_variance_past_the_cost_bound_exits_3(tmp_path, capsys, modes, message):
+    # the first profile overflowed in the residual's moments and ended in
+    # a traceback, the second exited 1 on an infinite variance in the report
+    profile = tmp_path / "profile.json"
+    doc = {"n": 2, "k_max": 1, "modes": [{"qubits": q, "pi": pi} for q, pi in modes]}
+    profile.write_text(json.dumps(doc))
+    assert main(["ensemble", "--profile", str(profile), "--trials", "10"]) == 3
+    assert re.search(message, capsys.readouterr().err)
+
+
+def test_ensemble_variances_at_the_cost_bound_give_finite_moments(tmp_path):
+    profile, out = tmp_path / "profile.json", tmp_path / "out.json"
+    modes = [{"qubits": [0, 1], "pi": 5e99}, {"qubits": [0], "pi": 1}, {"qubits": [0, 1], "pi": 5e99}]
+    profile.write_text(json.dumps({"n": 2, "k_max": 1, "modes": modes}))
+    assert main(["ensemble", "--profile", str(profile), "--trials", "1000", "--out", str(out)]) == 0
+    moments = json.loads(out.read_text())["residual_moments"]
+    assert moments["target_variance"] == 1e100 and moments["variance_ok"]
 
 
 @pytest.mark.parametrize("value", ["3", "7", "-1"])

@@ -167,6 +167,19 @@ def test_binary_polynomial_refuses_a_non_finite_coefficient():
         BinaryPolynomial(2, {1: float("nan"), 2: 1.0})
 
 
+@pytest.mark.parametrize("kind", [IsingPolynomial, BinaryPolynomial])
+def test_from_octets_refuses_a_repeated_key(kind):
+    # both rows were stored, but terms kept only the last: the arrays
+    # summed to 3 where terms read 2
+    with pytest.raises(ValueError, match="term key 0x1 is repeated"):
+        kind.from_octets(1, [[1], [1]], [1.0, 2.0])
+    with pytest.raises(ValueError, match="term key 0x102 is repeated"):
+        kind.from_octets(9, [[2, 1], [0, 1], [2, 1]], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="term key 0x0 is repeated"):
+        kind.from_octets(0, np.zeros((2, 0), np.uint8), [1.0, 2.0])
+    assert dict(kind.from_octets(9, [[2, 1], [0, 1]], [1.0, 2.0]).terms) == {0x102: 1.0, 0x100: 2.0}
+
+
 def test_binary_polynomial_terms_are_read_only():
     poly = BinaryPolynomial(2, {1: 1.0})
     with pytest.raises(TypeError):

@@ -157,6 +157,20 @@ def test_qubo_model_rejects_ancillas_unlike_its_definitions():
         QuboModel(2, 2, {1: 1.0}, ((2, (0, 1)), (3, (1, 3))), 1.0)
 
 
+@pytest.mark.parametrize("parents", [(-1, 0), (0, -1), (1, 1)])
+def test_qubo_model_refuses_a_negative_or_repeated_parent(parents):
+    # both were accepted, and a negative parent made resolve_ancillas
+    # fail with "negative shift count"
+    message = rf"ancilla 0 must be variable 2, after its two distinct parents: got 2 of \({parents[0]}, {parents[1]}\)"
+    with pytest.raises(ValueError, match=message):
+        QuboModel(2, 1, {0b100: 1.0}, ((2, parents),), 1.0)
+
+
+def test_qubo_model_refuses_a_repeated_key():
+    with pytest.raises(ValueError, match="term key 0x3 is repeated"):
+        QuboModel.from_octets(2, (), 1.0, [[3], [1], [3]], [1.0, 2.0, 0.0])
+
+
 def test_qubo_terms_in_degree_then_mask_order():
     # {1, 2} = 0b110 comes before {0, 3} = 0b1001, unlike the spin
     # polynomials' qubit-list order
