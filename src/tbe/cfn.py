@@ -171,7 +171,7 @@ def parse_cfn(data: bytes | str) -> Cfn:
         variables.append(VariableSpec(name=name, cardinality=card))
     n = len(variables)
 
-    unary = [tuple(0.0 for _ in range(v.cardinality)) for v in variables]
+    unary = [(0.0,) * v.cardinality for v in variables]
     given = set()
     for k, entry in enumerate(doc.get("unary", [])):
         if not isinstance(entry, dict) or "var" not in entry or "costs" not in entry:

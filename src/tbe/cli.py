@@ -2,8 +2,8 @@
 
 Exit codes: 0 success; 1 generic/I-O error; 2 noise-floor warning
 under --strict; 3 input parse or validation error; 4 capacity limit
-exceeded; 5 verification failure (an asserted claim with its
-precondition held came back false).
+exceeded or memory exhausted; 5 verification failure (an asserted
+claim with its precondition held came back false).
 
 All artifacts are emitted with fixed key order and shortest-round-trip
 float formatting, so identical configurations and seeds produce
@@ -104,8 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=seed, default=None, help="anneal seed (0 when not given)")
         p.add_argument("--restarts", type=_ranged(int, 1), default=None, help="anneal restarts")
         p.add_argument("--sweeps", type=_ranged(int, 0), default=None, help="anneal sweeps per restart")
-        p.add_argument("--t0", type=_ranged(float, 0.0, low_open=True), default=None,
-                       help="anneal starting temperature")
         p.add_argument("--cooling", type=_ranged(float, 0.0, 1.0, low_open=True), default=None,
                        help="anneal cooling factor per sweep")
 
@@ -404,7 +402,7 @@ def _anneal_params(args, anneals: bool, mode: str) -> tuple[int, AnnealParams]:
     given is 0, each knob at its ``AnnealParams`` default); a run that
     does not anneal (``mode`` is the flag that makes it) takes none of
     them."""
-    fields = {"--restarts": "restarts", "--sweeps": "sweeps", "--t0": "initial_temperature", "--cooling": "cooling"}
+    fields = {"--restarts": "restarts", "--sweeps": "sweeps", "--cooling": "cooling"}
     given = [flag for flag in ("--seed", *fields) if getattr(args, flag[2:]) is not None]
     if given and not anneals:
         raise CfnFormatError(f"{given[0]} sets the annealer, so it needs {mode}")
@@ -533,6 +531,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FORMAT
     except CapacityError as exc:
         print(f"tbe: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
+    except MemoryError as exc:
+        # memory grows with the product of several values (restarts x
+        # active qubits, trials x modes), so no one flag's bound caps it
+        print(f"tbe: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_CAPACITY
     except OSError as exc:
         print(f"tbe: {exc}", file=sys.stderr)

@@ -2,14 +2,17 @@
 
 Exhaustive solving enumerates every configuration (capped at 24
 qubits) and is exact; annealing runs restarts of colour-class
-Metropolis with a geometric temperature schedule: qubits that share no
-term form a class, and a sweep visits the classes in a random order,
-proposing a flip of every qubit of a class in one step.  Restarts run
-in lockstep, so results are deterministic for a given seed; the RNG
-stream is the start masks, then per sweep one permutation of the
-classes and one uniform per restart for each qubit that appears in a
-term, in class order.  Through the sweeps a restart's state is one
-spin byte per qubit that appears in a term.
+Metropolis: qubits that share no term form a class, and a sweep visits
+the classes in a random order, proposing a flip of every qubit of a
+class in one step.  The temperature falls geometrically, sweep by
+sweep, between end points worked out from the couplings (``_schedule``):
+the largest single-flip energy change sets the hot end, and the
+smallest coupling, but no less than 1e-3 of that change, the cold one.
+Restarts run in lockstep, so results are deterministic for a given
+seed; the RNG stream is the start masks, then per sweep one
+permutation of the classes and one uniform per restart for each qubit
+that appears in a term, in class order.  Through the sweeps a
+restart's state is one spin byte per qubit that appears in a term.
 Solutions are decoded back to CFN assignments, re-scored against the
 true cost tables, and optionally refined by bit-flip descent on the
 full (untruncated) encoding.  Configuration masks are Python ints, so
@@ -21,6 +24,7 @@ qubits some term holds (``polynomial.active_incidence`` and
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -36,19 +40,19 @@ __all__ = ["AnnealParams", "SolveResult", "solve", "decode_and_refine", "solve_r
 
 @dataclass(frozen=True)
 class AnnealParams:
-    """Metropolis schedule knobs; every field is surfaced on the CLI.
+    """The anneal's budget and cooling; every field is surfaced on the CLI.
 
-    ``sweeps`` full passes over the coordinates per restart give
-    sweeps * n single-flip proposals, so the default matches
-    10 * n * 1000 proposals per restart.  The starting temperature
-    defaults to the l1 norm of the non-constant couplings and cools
-    geometrically each sweep.
+    Each of ``restarts`` runs ``sweeps`` passes over the qubits that
+    appear in a term.  The temperature is not a knob: the first sweep
+    runs at the hot end T_hot = dE_max / ln 2 of the polynomial annealed
+    (``_schedule``), and each later sweep at ``cooling`` times the one
+    before.  ``cooling`` None takes T_hot to the cold end T_cold on the
+    last sweep.
     """
 
-    restarts: int = 64
-    sweeps: int = 10000
-    initial_temperature: float | None = None
-    cooling: float = 0.999
+    restarts: int = 16
+    sweeps: int = 200
+    cooling: float | None = None
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,7 @@ class SolveResult:
     method: str
     rng_seed: int
     anneal: AnnealParams | None = None
+    start_temperature: float | None = None
     decoded_assignment: tuple[int, ...] | None = None
     decoded_valid: tuple[bool, ...] | None = None
     cfn_value: float | None = None
@@ -109,7 +114,7 @@ def solve(
     if method != "anneal":
         raise ValueError(f"unknown solve method {method!r}")
     params = anneal or AnnealParams()
-    best, value = _metropolis(poly, params, seed)
+    best, value, start_temperature, cooling = _metropolis(poly, params, seed)
     return SolveResult(
         num_qubits=poly.num_qubits,
         num_original_qubits=num_original,
@@ -117,7 +122,8 @@ def solve(
         best_value=value,
         method="anneal",
         rng_seed=seed,
-        anneal=params,
+        anneal=replace(params, cooling=cooling),
+        start_temperature=start_temperature,
     )
 
 
@@ -156,6 +162,32 @@ def _colour_classes(incidence: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(colour == c) for c in range(int(colour.max(initial=-1)) + 1)]
 
 
+def _schedule(coeffs: np.ndarray, incidence: np.ndarray, params: AnnealParams) -> tuple[float, float]:
+    """The first sweep's temperature T_hot and the cooling per sweep.
+
+    Flipping a qubit changes the energy by at most dE = 2 sum |c| over
+    the terms that hold it (row t of the terms x active qubits
+    ``incidence`` holds ``coeffs[t]``).  With dE_max the largest such
+    bound, T_hot = dE_max / ln 2 accepts the largest uphill flip with
+    probability 1/2, and T_cold = max(2 min |c|, 1e-3 dE_max) / ln 100
+    accepts the smallest with probability 1/100.  The cooling is
+    ``params.cooling`` when given; else the factor that takes T_hot to
+    T_cold on the last sweep, or 1 when there is one sweep or none.
+    These are the end points of D-Wave's ``neal`` default beta range,
+    and of Isakov et al., Comput. Phys. Commun. 192 (2015).
+    """
+    term, col = np.nonzero(incidence)
+    magnitude = np.abs(coeffs)
+    largest = float(np.bincount(col, weights=2.0 * magnitude[term]).max())
+    t_hot = largest / math.log(2)
+    if params.cooling is not None:
+        return t_hot, params.cooling
+    if params.sweeps <= 1:
+        return t_hot, 1.0
+    t_cold = max(2.0 * float(magnitude.min()), 1e-3 * largest) / math.log(100)
+    return t_hot, (t_cold / t_hot) ** (1.0 / (params.sweeps - 1))
+
+
 def _held_spins(incidence: np.ndarray, spin_row: np.ndarray) -> np.ndarray:
     """The (width x terms) index whose column t lists the spin rows of
     the qubits term t holds (row t of the terms x active qubits
@@ -170,8 +202,11 @@ def _held_spins(incidence: np.ndarray, spin_row: np.ndarray) -> np.ndarray:
     return held
 
 
-def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple[int, float]:
-    """Lockstep colour-class Metropolis over all restarts.
+def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple[int, float, float, float]:
+    """Lockstep colour-class Metropolis over all restarts: the best mask,
+    its energy, and the start temperature and cooling that ran
+    (``_schedule``; 0, and the given cooling or 1, when no term holds a
+    qubit).
 
     The qubits that appear in a term are split once into colour
     classes (``_colour_classes``); qubits of one class share no term,
@@ -204,17 +239,14 @@ def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple
     coeffs = poly.coeffs[first:].copy()
     constant = poly.constant
     if n == 0 or not coeffs.size:
-        return 0, constant
+        return 0, constant, 0.0, 1.0 if params.cooling is None else params.cooling
     rng = np.random.default_rng(seed)
     restarts = params.restarts
     masks = random_masks(rng, n, restarts)
-    t0 = params.initial_temperature
-    if t0 is None:
-        t0 = float(np.sum(np.abs(coeffs)))
-    t0 = max(t0, 1e-12)
     best_energy = np.where(overlaps(poly.octets[first:], masks) % 2, -1.0, 1.0) @ coeffs + constant
 
     qubits, incidence = active_incidence(poly.octets[first:])
+    start_temperature, cooling = _schedule(coeffs, incidence, params)
     classes = _colour_classes(incidence)
     columns = np.concatenate(classes)
     qubit_order = qubits[columns]
@@ -245,7 +277,7 @@ def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple
     trail = np.empty((len(steps) + 1, restarts))
     trail[-1] = best_energy
     best_spins = flips.copy()
-    temperature = t0
+    temperature = start_temperature
     with np.errstate(over="ignore", under="ignore"):
         for _ in range(params.sweeps):
             order = rng.permutation(len(steps))
@@ -286,11 +318,11 @@ def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple
                 rank[order] = np.arange(1, len(steps) + 1)
                 done = rank[class_of][:, None] <= reached
                 best_spins[:, improved] = np.where(done, flips[:, improved], begin[:, improved])
-            temperature *= params.cooling
+            temperature *= cooling
     start_bits[:, qubit_order] = best_spins.T < 0
     best_masks = pack_masks(start_bits)
     pick = min(range(restarts), key=lambda r: (best_energy[r], best_masks[r]))
-    return best_masks[pick], float(best_energy[pick])
+    return best_masks[pick], float(best_energy[pick]), start_temperature, cooling
 
 
 def decode_and_refine(
@@ -334,9 +366,13 @@ def decode_and_refine(
 
 def solve_result_json(result: SolveResult) -> str:
     """The result's fields in order, but ``refined_valid``, with each
-    configuration mask as a '+'/'-' string."""
+    configuration mask as a '+'/'-' string and the start temperature
+    inside the anneal block."""
     doc = asdict(result)
     del doc["refined_valid"]
+    start_temperature = doc.pop("start_temperature")
+    if result.anneal is not None:
+        doc["anneal"]["start_temperature"] = start_temperature
     doc["best_spin"] = mask_to_string(result.best_spin, result.num_qubits)
     if result.refined_spin is not None:
         doc["refined_spin"] = mask_to_string(result.refined_spin, result.num_original_qubits)

@@ -8,6 +8,8 @@ effective-table machinery.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -247,9 +249,34 @@ def reference_quadratize(poly: IsingPolynomial) -> QuboModel:
 # as a float (terms x restarts) and wrote the flipped rows back after each
 # class step.  ``solve._metropolis`` must reproduce its masks and values
 # bit for bit: same colouring, RNG stream, deltas and running energy sums.
+# Its schedule is worked out qubit by qubit from ``terms``.
 
-def reference_metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple[int, float]:
-    """Lockstep colour-class Metropolis over all restarts.
+def reference_schedule(poly: IsingPolynomial, params: AnnealParams) -> tuple[float, float]:
+    """The start temperature T_hot = dE_max / ln 2, where dE_max is the
+    largest over the qubits of 2 sum |c| over the terms that hold the
+    qubit, and the cooling: the given one, else the factor taking T_hot
+    to T_cold = max(2 min |c|, 1e-3 dE_max) / ln 100 on the last sweep."""
+    couplings = [(s, c) for s, c in poly.terms.items() if s]
+    largest = 0.0
+    for q in range(poly.num_qubits):
+        bound = 0.0
+        for s, c in couplings:
+            if s >> q & 1:
+                bound += 2.0 * abs(c)
+        largest = max(largest, bound)
+    t_hot = largest / math.log(2)
+    if params.cooling is not None:
+        return t_hot, params.cooling
+    if params.sweeps < 2 or not couplings:
+        return t_hot, 1.0
+    t_cold = max(2.0 * min(abs(c) for _, c in couplings), 1e-3 * largest) / math.log(100)
+    return t_hot, (t_cold / t_hot) ** (1.0 / (params.sweeps - 1))
+
+
+def reference_metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple[int, float, float, float]:
+    """Lockstep colour-class Metropolis over all restarts: the best mask,
+    its energy, and the start temperature and cooling that ran
+    (``reference_schedule``).
 
     The qubits that appear in a term are split once into colour
     classes (``_colour_classes``); qubits of one class share no term,
@@ -275,15 +302,12 @@ def reference_metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int)
     # over an array that starts mid-allocation
     coeffs = poly.coeffs[first:].copy()
     constant = poly.constant
+    t_hot, cooling = reference_schedule(poly, params)
     if n == 0 or not coeffs.size:
-        return 0, constant
+        return 0, constant, t_hot, cooling
     rng = np.random.default_rng(seed)
     restarts = params.restarts
     masks = random_masks(rng, n, restarts)
-    t0 = params.initial_temperature
-    if t0 is None:
-        t0 = float(np.sum(np.abs(coeffs)))
-    t0 = max(t0, 1e-12)
 
     qubits, incidence = active_incidence(poly.octets[first:])
     classes = _colour_classes(incidence)
@@ -308,7 +332,7 @@ def reference_metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int)
 
     best_energy = energy.copy()
     best_spins = spins.copy()
-    temperature = t0
+    temperature = t_hot
     with np.errstate(over="ignore", under="ignore"):
         for _ in range(params.sweeps):
             order = rng.permutation(len(steps))
@@ -334,8 +358,8 @@ def reference_metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int)
                     if np.count_nonzero(improved):
                         np.copyto(best_energy, energy, where=improved)
                         np.copyto(best_spins, spins, where=improved)
-            temperature *= params.cooling
+            temperature *= cooling
     start_bits[:, qubit_order] = best_spins.T
     best_masks = pack_masks(start_bits)
     pick = min(range(restarts), key=lambda r: (best_energy[r], best_masks[r]))
-    return best_masks[pick], float(best_energy[pick])
+    return best_masks[pick], float(best_energy[pick]), t_hot, cooling

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 from itertools import product
@@ -172,12 +173,14 @@ def test_parse_error_exit_code(tmp_path):
         (["compile", "--input", "demos/data/two_card32.json", "--kmax"], "argument --kmax"),
         (["compile", "--kmax", "3"], "--input"),
         (["solve", "--hubo", "h.json", "--method", "anneal", "--cooling", "0"], "argument --cooling"),
+        (["compile", "--input", "demos/data/two_card32.json", "--kmax", "3", "--solve", "anneal", "--t0", "2"],
+         "--t0"),
         (["ensemble", "--profile", "p.json", "--coordinate", "1.5"], "argument --coordinate"),
         (["frobnicate"], "argument command"),
         ([], "command"),
     ],
     ids=["kmax-not-a-number", "unknown-flag", "missing-value", "missing-flag", "out-of-range",
-         "not-an-integer", "unknown-command", "no-command"],
+         "deleted-t0", "not-an-integer", "unknown-command", "no-command"],
 )
 def test_malformed_command_line_exits_3_with_one_line(capsys, argv, named):
     # argparse printed its usage and exited 2, the --strict noise-floor code
@@ -512,12 +515,14 @@ def test_cooling_outside_unit_interval_exits_3(small_input, tmp_path, capsys, co
 @pytest.mark.parametrize("command", ["compile", "solve"])
 @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
 def test_t0_not_finite_positive_exits_3(small_input, tmp_path, capsys, command, value):
+    # the start temperature is worked out from the polynomial, so --t0
+    # is no flag at all and every value of it is refused
     assert main(_short_anneal(command, small_input, tmp_path) + ["--t0", value]) == 3
     assert "--t0" in capsys.readouterr().err
 
 
 def test_anneal_knobs_at_their_limits_accepted(tmp_path):
-    assert main(_short_anneal("solve", None, tmp_path) + ["--cooling", "1", "--t0", "1e-300"]) == 0
+    assert main(_short_anneal("solve", None, tmp_path) + ["--cooling", "1"]) == 0
     assert main(_short_anneal("solve", None, tmp_path) + ["--restarts", "1", "--sweeps", "0"]) == 0
 
 
@@ -540,6 +545,41 @@ def test_anneal_cooled_to_zero_temperature_writes_nothing_to_stderr():
     assert done.returncode == 0 and done.stderr == ""
 
 
+def _limit_address_space():
+    limit = 2_000_000 * 1024
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ensemble", "--profile", "profile.json", "--trials", "100000000000"],
+        ["compile", "--input", "demos/data/two_card32.json", "--kmax", "3", "--solve", "anneal",
+         "--restarts", "100000000000", "--sweeps", "1"],
+    ],
+    ids=["ensemble-trials", "anneal-restarts"],
+)
+def test_out_of_memory_exits_4_with_one_line(tmp_path, argv):
+    # the arrays these values ask for cannot be had in 2 GB of address
+    # space; the allocation failure ended in a traceback (exit 1)
+    root = Path(__file__).resolve().parent.parent
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"n": 2, "k_max": 1, "modes": [{"qubits": [0, 1], "pi": 1.0}]}))
+    argv = [str(profile) if a == "profile.json" else a for a in argv]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from tbe.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=_limit_address_space,
+    )
+    assert done.returncode == 4
+    assert done.stderr.startswith("tbe: out of memory") and done.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["compile", "solve"])
 @pytest.mark.parametrize("flag, value", [("--restarts", "0"), ("--restarts", "-1"), ("--sweeps", "-1")])
 def test_restarts_and_sweeps_out_of_range_exit_3(small_input, tmp_path, capsys, command, flag, value):
@@ -550,7 +590,7 @@ def test_restarts_and_sweeps_out_of_range_exit_3(small_input, tmp_path, capsys, 
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["compile", "--solve", "exhaustive", "--restarts", "5", "--t0", "2"], "--restarts"),
+        (["compile", "--solve", "exhaustive", "--restarts", "5", "--cooling", "0.5"], "--restarts"),
         (["compile", "--restarts", "3"], "--restarts"),
         (["solve", "--method", "exhaustive", "--sweeps", "9", "--cooling", "0.5"], "--sweeps"),
         (["compile", "--solve", "exhaustive", "--seed", "7"], "--seed"),

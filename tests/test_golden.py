@@ -60,9 +60,9 @@ CHAIN_K6_QUBO_DIGEST = "7ac086c6fada1a121d6b4984b9347550cf93d6a971e95efb8bf1f0fa
 # read off the model's spin view (QuboModel.to_ising)
 QUBO_ANNEAL_ARGS = ["--kmax", "3", "--quadratize", "--solve", "anneal", "--restarts", "4", "--sweeps", "20"]
 QUBO_ANNEAL_DIGESTS = {
-    DEMO: "04001487f59bbac3df5eea659abcab764f5e3c5b36d2c805ff5abbee9ed628a3",
+    DEMO: "99c76169b9380187664128358f1949f93aa021c5cc7b296e9cc049521d7ddda5",
     # 210 qubits, 140 of them ancillas
-    CHAIN: "1e9620828d1c9587d1edc7a891e2e3727ae47626ea7798b5777d016735fbd4ff",
+    CHAIN: "bb247a7c77bfd6e9dc00f34dc188997b85a53fc3e08d871a48b8a2831faac215",
 }
 
 

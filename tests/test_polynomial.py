@@ -74,11 +74,11 @@ def test_qubit_cap_enforced():
     with pytest.raises(ValueError, match="outside"):
         IsingPolynomial(65, {1 << 65: 1.0})
     assert bitflip_descent(wide, 0) == (1, 1)  # flips qubit 0, the lowest of two tied gains
-    mask, value = _metropolis(wide, AnnealParams(restarts=2, sweeps=20), 0)
+    mask, value, _, _ = _metropolis(wide, AnnealParams(restarts=2, sweeps=20), 0)
     assert value == -1.5 and mask & (1 << 64 | 1 << 63 | 1) in (1, 1 << 64)
     at_64 = IsingPolynomial(64, {(1 << 63) | 1: 1.0, 1 << 63: 0.5})
     assert bitflip_descent(at_64, 0) == (1 << 63, 1)
-    mask, value = _metropolis(at_64, AnnealParams(restarts=2, sweeps=20), 0)
+    mask, value, _, _ = _metropolis(at_64, AnnealParams(restarts=2, sweeps=20), 0)
     assert (mask & (1 << 63 | 1), value) == (1 << 63, -1.5)  # the idle qubits keep their random start
 
 

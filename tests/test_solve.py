@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +11,11 @@ from hypothesis import strategies as st
 from tbe import (
     AnnealParams,
     CapacityError,
+    Cfn,
     Fallback,
     IsingPolynomial,
+    PairwiseTable,
+    VariableSpec,
     bitflip_descent,
     build_layout,
     certify,
@@ -24,7 +29,8 @@ from tbe import (
     walsh_blocks,
 )
 from tbe.polynomial import active_incidence, key_octets
-from tbe.solve import _colour_classes, _metropolis
+from tbe.solve import _colour_classes, _metropolis, _schedule
+from tbe.verify import dense_values
 from helpers import all_assignments, random_cfn, random_polynomial, reference_metropolis
 
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "data" / "two_card32.json"
@@ -156,32 +162,33 @@ def _demo_polynomials():
     return full, truncate(full, 3)
 
 
+# the demo truncation's hot end, dE_max / ln 2
+DEMO_T_HOT = 3.9308818205271967
+
+
 @pytest.mark.parametrize(
     "restarts, sweeps, want",
     [
-        (
-            8,
-            50,
-            [(779, -0.24562805485769482), (779, -0.24562805485769723), (779, -0.24562805485769737)],
-        ),
-        (
-            4,
-            10,
-            [(843, -0.23980483586568038), (783, -0.20766704420918844), (842, -0.23574529715726034)],
-        ),
+        # (the cooling worked out for the sweeps, the best masks and values)
+        (8, 50, (0.8355865177934024, [(779, -0.24562805485769565), (779, -0.24562805485769568),
+                                      (779, -0.24562805485769526)])),
+        (4, 10, (0.3760855453415132, [(779, -0.2456280548576935), (779, -0.2456280548576942),
+                                      (779, -0.24562805485769343)])),
     ],
 )
 def test_metropolis_golden_on_demo(restarts, sweeps, want):
     _, truncated = _demo_polynomials()
     params = AnnealParams(restarts=restarts, sweeps=sweeps)
-    assert [_metropolis(truncated, params, seed) for seed in range(3)] == want
+    got = [_metropolis(truncated, params, seed) for seed in range(3)]
+    cooling, pairs = want
+    assert got == [(*pair, DEMO_T_HOT, cooling) for pair in pairs]
 
 
 @pytest.mark.parametrize(
     "cooling, want",
     [
         # the temperature is exactly 0 from the second sweep on
-        (0.0, [(779, -0.24562805485769326), (779, -0.24562805485769407), (816, -0.22220091317806237)]),
+        (0.0, [(779, -0.24562805485769357), (779, -0.24562805485769407), (816, -0.22220091317806237)]),
         # the temperature alternates sign, and at a negative one every
         # proposal is accepted
         (-1.0, [(784, -0.20887175671435448), (685, -0.17234394763237423), (750, -0.16282939405301478)]),
@@ -190,7 +197,8 @@ def test_metropolis_golden_on_demo(restarts, sweeps, want):
 def test_metropolis_golden_at_non_positive_temperature(cooling, want):
     _, truncated = _demo_polynomials()
     params = AnnealParams(restarts=4, sweeps=3, cooling=cooling)
-    assert [_metropolis(truncated, params, seed) for seed in range(3)] == want
+    got = [_metropolis(truncated, params, seed) for seed in range(3)]
+    assert got == [(*pair, DEMO_T_HOT, cooling) for pair in want]
 
 
 def test_metropolis_golden_with_idle_qubits():
@@ -202,7 +210,8 @@ def test_metropolis_golden_with_idle_qubits():
     poly = IsingPolynomial(8, {pool[k]: round(float(rng.normal()), 3) for k in chosen})
     params = AnnealParams(restarts=4, sweeps=2)
     got = [_metropolis(poly, params, seed) for seed in range(3)]
-    assert got == [(149, -5.145000000000002), (128, -8.225000000000001), (66, -8.923)]
+    schedule = (14.011454237113613, 0.0008988745751910476)
+    assert got == [(66, -8.923000000000002, *schedule), (8, -8.225, *schedule), (66, -8.923, *schedule)]
 
 
 def _peak_bytes(call) -> int:
@@ -262,12 +271,12 @@ def test_colour_classes_partition_the_active_qubits_into_independent_sets(n, see
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.sampled_from([0.999, 0.0, -1.0]))
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.sampled_from([None, 0.999, 0.0, -1.0]))
 def test_metropolis_value_is_the_value_of_its_mask(n, seed, cooling):
     # the energy is a running sum of whole-class deltas; it must still
     # be the polynomial's value at the returned mask
     poly = _sparse_polynomial(n, seed)
-    mask, value = _metropolis(poly, AnnealParams(restarts=4, sweeps=20, cooling=cooling), seed)
+    mask, value, _, _ = _metropolis(poly, AnnealParams(restarts=4, sweeps=20, cooling=cooling), seed)
     assert 0 <= mask < 1 << n
     scale = sum(abs(c) for c in poly.terms.values())
     assert abs(value - poly.evaluate_mask(mask)) <= 1e-9 * scale
@@ -288,8 +297,7 @@ def _anneal_cases(draw):
     params = AnnealParams(
         restarts=draw(st.integers(1, 20)),
         sweeps=draw(st.integers(0, 30)),
-        initial_temperature=draw(st.none() | st.floats(1e-3, 1e3)),
-        cooling=draw(st.sampled_from([0.999, 0.5, 1.0, 0.0, -1.0])),
+        cooling=draw(st.sampled_from([None, 0.999, 0.5, 1.0, 0.0, -1.0])),
     )
     return poly, params, draw(st.integers(0, 2**32 - 1))
 
@@ -302,14 +310,82 @@ def test_metropolis_matches_the_term_character_kernel_bit_for_bit(case):
     # the reference divides by a zero temperature, so numpy would warn
     with np.errstate(divide="ignore", invalid="ignore"):
         want = reference_metropolis(poly, params, seed)
-    assert got[0] == want[0] and got[1].hex() == want[1].hex()
+    assert got[0] == want[0] and got[1].hex() == want[1].hex() and got[2:] == want[2:]
+
+
+@st.composite
+def _schedule_cases(draw):
+    """A polynomial of up to 12 terms on 1 to 10 qubits, linear only or
+    of any degree, with couplings of magnitude 0.01 to 10, and a sweep
+    count."""
+    n = draw(st.integers(1, 10))
+    linear = draw(st.booleans())
+    keys = st.integers(0, n - 1).map(lambda q: 1 << q) if linear else st.integers(1, (1 << n) - 1)
+    couplings = st.floats(0.01, 10.0) | st.floats(-10.0, -0.01)
+    poly = IsingPolynomial(n, draw(st.dictionaries(keys, couplings, min_size=1, max_size=12)))
+    return poly, linear, draw(st.integers(2, 2000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_schedule_cases())
+def test_schedule_hot_end_bounds_every_flip_and_cooling_ends_cold(case):
+    poly, linear, sweeps = case
+    first = poly.degree_starts[1]
+    coeffs = poly.coeffs[first:]
+    _, incidence = active_incidence(poly.octets[first:])
+    t_hot, cooling = _schedule(coeffs, incidence, AnnealParams(sweeps=sweeps))
+    values = dense_values(poly)
+    states = np.arange(values.size)
+    largest = max(float(np.abs(values[states ^ (1 << q)] - values).max()) for q in range(poly.num_qubits))
+    slack = 1e-12 * float(np.abs(coeffs).sum())
+    # the hot end accepts the largest single-flip uphill move with
+    # probability 1/2; with linear terms alone some flip reaches the bound
+    assert largest <= t_hot * math.log(2) + slack
+    if linear:
+        assert largest >= t_hot * math.log(2) - slack
+    t_cold = max(2.0 * float(np.abs(coeffs).min()), 1e-3 * t_hot * math.log(2)) / math.log(100)
+    temperature = t_hot
+    for _ in range(sweeps - 1):
+        temperature *= cooling
+    assert abs(temperature - t_cold) <= 1e-12 * t_cold
+
+
+def _planted_cfn(seed: int, n: int = 6, card: int = 8) -> Cfn:
+    """Every pair of ``n`` variables carries a table; costs are uniform
+    in [0, 1) but 0 at a planted assignment, the optimum."""
+    rng = np.random.default_rng(seed)
+    planted = rng.integers(0, card, n)
+    unary = []
+    for i in range(n):
+        costs = rng.random(card)
+        costs[planted[i]] = 0.0
+        unary.append(tuple(costs.tolist()))
+    pairs = []
+    for i, j in combinations(range(n), 2):
+        costs = rng.random((card, card))
+        costs[planted[i], planted[j]] = 0.0
+        pairs.append(PairwiseTable(i, j, tuple(costs.ravel().tolist())))
+    return Cfn(tuple(VariableSpec(f"v{i}", card) for i in range(n)), tuple(unary), tuple(pairs))
+
+
+def test_short_anneal_reaches_the_truncation_minimum_on_a_planted_instance():
+    # 16 x 200 with the cooling worked out from the polynomial ends cold;
+    # a schedule that starts at the l1 norm and cools by 0.999 a sweep is
+    # still hot after 200 sweeps and missed this minimum on every seed
+    cfn = _planted_cfn(0)
+    truncated = truncate(encode(walsh_blocks(cfn, build_layout(cfn, unused_policy=Fallback()))), 3)
+    assert truncated.num_qubits == 18
+    want = solve(truncated, "exhaustive").best_value
+    params = AnnealParams(restarts=16, sweeps=200)
+    for seed in range(5):
+        assert solve(truncated, "anneal", seed=seed, anneal=params).best_value <= want + 1e-9
 
 
 def test_metropolis_ties_go_to_the_lowest_mask():
     # both aligned states reach -1; restarts ending in either must pick all-plus
     poly = IsingPolynomial(2, {0b11: -1.0})
     params = AnnealParams(restarts=8, sweeps=5)
-    assert [_metropolis(poly, params, seed) for seed in range(5)] == [(0, -1.0)] * 5
+    assert [_metropolis(poly, params, seed)[:2] for seed in range(5)] == [(0, -1.0)] * 5
 
 
 @pytest.mark.parametrize(
