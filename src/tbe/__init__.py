@@ -27,7 +27,6 @@ from .encoding import (
     decode,
     default_penalty_weight,
     encode,
-    indicator_expansion,
     spin_image,
     walsh_blocks,
 )
@@ -67,7 +66,6 @@ from .verify import (
 )
 from .walsh import (
     SmoothnessReport,
-    discrete_derivative,
     fwht,
     leakage_transform,
     smoothness_report,

@@ -83,9 +83,6 @@ class Cfn:
     def cardinality(self, i: int) -> int:
         return self.variables[i].cardinality
 
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple((t.i, t.j) for t in self.pairwise_tables)
-
 
 def _validate(variables, unary_tables, pairwise_tables) -> None:
     n = len(variables)
@@ -126,12 +123,17 @@ def _validate(variables, unary_tables, pairwise_tables) -> None:
 
 
 def _first_out_of_bound(costs):
-    """The first cost that is NaN or above ``MAX_ABS_COST`` in magnitude, else None."""
-    try:
-        bad = np.flatnonzero(~(np.abs(np.asarray(costs, dtype=float)) <= MAX_ABS_COST))
-    except OverflowError:  # an int past the float range, in a table built by hand
-        return next(x for x in costs if not abs(x) <= MAX_ABS_COST)
-    return costs[bad[0]] if bad.size else None
+    """The first cost that is NaN or above ``MAX_ABS_COST`` in magnitude,
+    else None; 2^16 costs at a time, so no table is copied whole."""
+    for start in range(0, len(costs), 1 << 16):
+        chunk = costs[start : start + (1 << 16)]
+        try:
+            bad = np.flatnonzero(~(np.abs(np.asarray(chunk, dtype=float)) <= MAX_ABS_COST))
+        except OverflowError:  # an int past the float range, in a table built by hand
+            return next(x for x in chunk if not abs(x) <= MAX_ABS_COST)
+        if bad.size:
+            return chunk[bad[0]]
+    return None
 
 
 def parse_cfn(data: bytes | str) -> Cfn:

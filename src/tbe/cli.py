@@ -162,7 +162,10 @@ def _parse_policy(text: str) -> Fallback | Penalty:
             choice = int(text.split(":", 1)[1])
         except ValueError:
             raise CfnFormatError(f"--unused {text!r}: the fallback choice must be an integer") from None
-        return Fallback(choice=choice)
+        try:
+            return Fallback(choice=choice)
+        except ValueError as exc:
+            raise CfnFormatError(f"--unused {text!r}: {exc}") from None
     if text == "penalty":
         return Penalty()
     if text.startswith("penalty:"):

@@ -41,8 +41,6 @@ __all__ = [
     "EncodingLayout",
     "build_layout",
     "default_penalty_weight",
-    "bitstring_indicator",
-    "indicator_expansion",
     "WalshBlocks",
     "walsh_blocks",
     "encode",
@@ -60,6 +58,10 @@ class Fallback:
     """
 
     choice: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.choice is not None and self.choice < 1:
+            raise ValueError(f"the fallback choice must be at least 1, got {self.choice!r}")
 
 
 @dataclass(frozen=True)
@@ -110,17 +112,11 @@ class EncodingLayout:
     def cardinality(self, var: int) -> int:
         return len(self.assignments[var])
 
-    def num_unused(self, var: int) -> int:
-        return (1 << self.register_widths[var]) - self.cardinality(var)
-
     def fallback_choice(self, var: int) -> int:
         policy = self.unused_policy
         if isinstance(policy, Fallback) and policy.choice is not None:
             return policy.choice
         return self.cardinality(var)
-
-    def register_mask(self, var: int) -> int:
-        return ((1 << self.register_widths[var]) - 1) << self.register_offsets[var]
 
 
 def _binary_assignment(card: int) -> tuple[int, ...]:
@@ -169,7 +165,7 @@ def build_layout(
         total += width
     if isinstance(unused_policy, Fallback) and unused_policy.choice is not None:
         for i, v in enumerate(cfn.variables):
-            if (1 << widths[i]) - v.cardinality > 0 and not (1 <= unused_policy.choice <= v.cardinality):
+            if (1 << widths[i]) - v.cardinality > 0 and unused_policy.choice > v.cardinality:
                 raise CfnFormatError(
                     f"fallback choice {unused_policy.choice} out of range for variable {i}"
                 )
@@ -194,26 +190,6 @@ def default_penalty_weight(cfn: Cfn) -> float:
         hi += max(t.costs)
         lo += min(t.costs)
     return 2.0 * (hi - lo) + 1.0
-
-
-def bitstring_indicator(width: int, bits: int) -> IsingPolynomial:
-    """Polynomial over one register that is 1 exactly at ``bits``.
-
-    Expanding the product of per-qubit literals gives one term per
-    qubit subset with coefficient +/- 2^-width.
-    """
-    scale = 1.0 / (1 << width)
-    terms = {
-        t: (-scale if (bits & t).bit_count() % 2 else scale) for t in range(1 << width)
-    }
-    return IsingPolynomial(width, terms)
-
-
-def indicator_expansion(layout: EncodingLayout, var: int, choice: int) -> IsingPolynomial:
-    """Indicator of one choice, over the register's local qubits."""
-    if not (1 <= choice <= layout.cardinality(var)):
-        raise ValueError(f"choice {choice} out of range for variable {var}")
-    return bitstring_indicator(layout.register_widths[var], layout.assignments[var][choice - 1])
 
 
 @dataclass(frozen=True, eq=False)

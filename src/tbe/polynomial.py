@@ -235,18 +235,6 @@ class IsingPolynomial(StoredTerms):
             total += c if (s & mask).bit_count() % 2 == 0 else -c
         return total
 
-    def shifted(self, offset: int, num_qubits: int) -> "IsingPolynomial":
-        """Re-index all variables by ``offset`` into a wider space."""
-        return IsingPolynomial(num_qubits, {s << offset: c for s, c in self.terms.items()})
-
-    def __add__(self, other: "IsingPolynomial") -> "IsingPolynomial":
-        if self.num_qubits != other.num_qubits:
-            raise ValueError("qubit counts differ")
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            out[s] = out.get(s, 0.0) + c
-        return IsingPolynomial(self.num_qubits, out)
-
 
 def _stored(n: int, octets: np.ndarray, coeffs: np.ndarray, degree_starts) -> IsingPolynomial:
     """A new polynomial over arrays already in canonical form."""

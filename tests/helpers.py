@@ -18,6 +18,7 @@ from tbe.encoding import default_penalty_weight
 from tbe.polynomial import active_incidence, mask_bits, overlaps, pack_masks, random_masks
 from tbe.quadratization import QuboModel
 from tbe.solve import _colour_classes
+from tbe.walsh import SmoothnessReport, fwht, squared_mass_by_degree, subset_degrees
 
 
 def random_cfn(rng: np.random.Generator, max_vars: int = 3, max_card: int = 8,
@@ -195,6 +196,124 @@ def reference_leakage_transform(poly01: BinaryPolynomial) -> IsingPolynomial:
                 break
             t = (t - 1) & s
     return IsingPolynomial(poly01.num_vars, terms)
+
+
+def edges(cfn: Cfn) -> tuple[tuple[int, int], ...]:
+    """The variable pairs of a CFN's interaction tables, in file order."""
+    return tuple((t.i, t.j) for t in cfn.pairwise_tables)
+
+
+def num_unused(layout: EncodingLayout, var: int) -> int:
+    """Bitstrings of a register that encode no choice."""
+    return (1 << layout.register_widths[var]) - layout.cardinality(var)
+
+
+def register_mask(layout: EncodingLayout, var: int) -> int:
+    """The qubits of a register, as a configuration mask."""
+    return ((1 << layout.register_widths[var]) - 1) << layout.register_offsets[var]
+
+
+def shifted(poly: IsingPolynomial, offset: int, num_qubits: int) -> IsingPolynomial:
+    """Re-index all variables by ``offset`` into a wider space."""
+    return IsingPolynomial(num_qubits, {s << offset: c for s, c in poly.terms.items()})
+
+
+def add_polynomials(a: IsingPolynomial, b: IsingPolynomial) -> IsingPolynomial:
+    """Term-by-term sum of two polynomials on the same qubits."""
+    if a.num_qubits != b.num_qubits:
+        raise ValueError("qubit counts differ")
+    out = dict(a.terms)
+    for s, c in b.terms.items():
+        out[s] = out.get(s, 0.0) + c
+    return IsingPolynomial(a.num_qubits, out)
+
+
+def bitstring_indicator(width: int, bits: int) -> IsingPolynomial:
+    """Polynomial over one register that is 1 exactly at ``bits``.
+
+    Expanding the product of per-qubit literals gives one term per
+    qubit subset with coefficient +/- 2^-width.
+    """
+    scale = 1.0 / (1 << width)
+    terms = {
+        t: (-scale if (bits & t).bit_count() % 2 else scale) for t in range(1 << width)
+    }
+    return IsingPolynomial(width, terms)
+
+
+def indicator_expansion(layout: EncodingLayout, var: int, choice: int) -> IsingPolynomial:
+    """Indicator of one choice, over the register's local qubits."""
+    if not (1 <= choice <= layout.cardinality(var)):
+        raise ValueError(f"choice {choice} out of range for variable {var}")
+    return bitstring_indicator(layout.register_widths[var], layout.assignments[var][choice - 1])
+
+
+def discrete_derivative(poly: IsingPolynomial, subset: int) -> IsingPolynomial:
+    """Mixed half-difference derivative along the coordinates in ``subset``.
+
+    Acts on monomials by dropping ``subset`` from every term containing
+    it and annihilating the rest.
+    """
+    terms = {
+        t & ~subset: c for t, c in poly.terms.items() if t & subset == subset
+    }
+    return IsingPolynomial(poly.num_qubits, terms)
+
+
+def pointwise_derivative_values(values: np.ndarray, subset: int) -> np.ndarray:
+    """Iterated half-differences of a value table along ``subset``.
+
+    Independent of the spectral route: operates directly on the 2^D
+    table, one coordinate at a time.  The result is constant along the
+    differentiated coordinates.
+    """
+    out = np.array(values, dtype=float)
+    size = out.size
+    q = 0
+    rem = subset
+    while rem:
+        if rem & 1:
+            step = 1 << q
+            idx = np.arange(size)
+            plus = out[idx & ~step]
+            minus = out[idx | step]
+            out = (plus - minus) / 2.0
+        rem >>= 1
+        q += 1
+    return out
+
+
+def reference_smoothness(values) -> SmoothnessReport:
+    """``smoothness_report`` by differentiating the whole table once per
+    subset (``pointwise_derivative_values``), subsets by ascending mask,
+    each order's mean squares added in that order."""
+    table = np.asarray(values, dtype=float)
+    size = table.size
+    dim = size.bit_length() - 1
+    powers = squared_mass_by_degree(fwht(table), subset_degrees(dim), dim)
+
+    # index k - 1 holds order k; each order's subsets come by ascending mask
+    lipschitz = [0.0] * dim
+    rhs = [0.0] * dim
+    for subset in range(1, size):
+        deriv = pointwise_derivative_values(table, subset)
+        k = subset.bit_count() - 1
+        lipschitz[k] = max(lipschitz[k], float(np.max(np.abs(deriv))))
+        rhs[k] += float(np.mean(deriv * deriv))
+
+    lhs = [
+        sum(math.comb(j, k) * powers[j] for j in range(k, dim + 1))
+        for k in range(1, dim + 1)
+    ]
+    bound = [math.comb(dim, k) * lipschitz[k - 1] ** 2 for k in range(1, dim + 1)]
+
+    ratios = [
+        lipschitz[k] / lipschitz[k - 1]
+        for k in range(1, len(lipschitz))
+        if lipschitz[k - 1] > 0 and lipschitz[k] > 0
+    ]
+    geometric = math.exp(sum(math.log(r) for r in ratios) / len(ratios)) if ratios else None
+    return SmoothnessReport(dim, tuple(powers), tuple(lipschitz), tuple(lhs), tuple(rhs), tuple(bound), geometric)
 
 
 def reference_quadratize(poly: IsingPolynomial) -> QuboModel:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,7 @@ from tbe import (
     serialize_cfn,
 )
 from tbe.cfn import MAX_ABS_COST
-from helpers import all_assignments, naive_cfn_eval, random_cfn
+from helpers import all_assignments, edges, naive_cfn_eval, random_cfn
 
 
 def test_parse_minimal_instance():
@@ -38,7 +39,7 @@ def test_parse_two_card32_variables():
 
     cfn = parse_cfn(json.dumps(doc))
     assert cfn.num_variables == 2
-    assert cfn.edges() == ((0, 1),)
+    assert edges(cfn) == ((0, 1),)
     assert len(cfn.pairwise_tables[0].costs) == 1024
 
 
@@ -173,6 +174,30 @@ def test_cardinality_past_the_transform_cap_refused_before_any_table():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert parse_cfn('{"variables":[{"cardinality": 3}, {"cardinality": 2}]}').num_variables == 2
+
+
+def test_large_missing_unary_table_bounded_in_chunks():
+    # bounding the 2^22 zeros as one float array (and its copies) peaked at 96 MiB
+    data = '{"variables":[{"cardinality": 4194304}]}'
+    tracemalloc.start()
+    try:
+        cfn = parse_cfn(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cfn.unary_tables[0]) == 1 << 22
+    assert peak < 40 << 20
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, 1e301, 10**400], ids=["nan", "-inf", "1e301", "int-past-float-range"])
+@pytest.mark.parametrize("where", [3, 70000])
+def test_first_out_of_bound_cost_named_in_any_chunk(bad, where):
+    table = [0.0] * 70010
+    table[where] = bad
+    table[-1] = 2 * bad  # a later bad cost is not the one named
+    message = rf"unary table for var 0: cost {re.escape(repr(bad))} is non-finite or \|cost\| > "
+    with pytest.raises(CfnFormatError, match=message):
+        Cfn((VariableSpec("x", len(table)),), (tuple(table),), ())
 
 
 def test_cardinality_one_variable_allowed():

@@ -580,6 +580,28 @@ def test_out_of_memory_exits_4_with_one_line(tmp_path, argv):
     assert done.stderr.startswith("tbe: out of memory") and done.stderr.count("\n") == 1
 
 
+def test_package_imports_with_numpy_alone():
+    # test-only code (oracles, references, generators) lives under tests/;
+    # an import of a test or analysis library from the package fails here
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "for name in ('hypothesis', 'pytest', 'scipy', 'networkx'):\n"
+        "    sys.modules[name] = None\n"
+        "import tbe, tbe.cli\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 @pytest.mark.parametrize("command", ["compile", "solve"])
 @pytest.mark.parametrize("flag, value", [("--restarts", "0"), ("--restarts", "-1"), ("--sweeps", "-1")])
 def test_restarts_and_sweeps_out_of_range_exit_3(small_input, tmp_path, capsys, command, flag, value):
@@ -762,7 +784,9 @@ def test_ensemble_random_start_at_and_past_64_qubits(tmp_path, n):
     assert main(["ensemble", "--profile", str(profile), "--trials", "10"]) == 0
 
 
-@pytest.mark.parametrize("policy", ["fallback:x", "penalty:x", "penalty:nan", "penalty:-1", "penalty:1e305"])
+@pytest.mark.parametrize(
+    "policy", ["fallback:x", "fallback:0", "fallback:-3", "penalty:x", "penalty:nan", "penalty:-1", "penalty:1e305"]
+)
 def test_malformed_unused_policy_exits_3(small_input, capsys, policy):
     assert main(["spectrum", "--input", str(small_input), "--unused", policy]) == 3
     assert "--unused" in capsys.readouterr().err

@@ -15,15 +15,26 @@ from tbe import (
     decode,
     encode,
     evaluate_cfn,
-    indicator_expansion,
     mask_to_string,
     spin_image,
     table_spectrum,
     walsh_blocks,
 )
-from tbe.encoding import bitstring_indicator, default_penalty_weight
+from tbe.encoding import default_penalty_weight
 from tbe.verify import dense_values
-from helpers import all_assignments, assemble_truth_table, degree_power, naive_eval, random_cfn
+from helpers import (
+    add_polynomials,
+    all_assignments,
+    assemble_truth_table,
+    bitstring_indicator,
+    degree_power,
+    indicator_expansion,
+    naive_eval,
+    num_unused,
+    random_cfn,
+    register_mask,
+    shifted,
+)
 
 
 def _cfn_of_cards(cards, rng=None, edge_prob=1.0):
@@ -63,7 +74,7 @@ def test_standard_binary_assignment_card3():
     # bit order is q=0 first: choice 2 -> bits (1, 0), choice 3 -> (0, 1)
     assert mask_to_string(spin_image(layout, [2]), 2) == "-+"
     assert mask_to_string(spin_image(layout, [3]), 2) == "+-"
-    assert layout.num_unused(0) == 1
+    assert num_unused(layout, 0) == 1
 
 
 def test_gray_assignment_neighbouring_choices_differ_by_one_bit():
@@ -89,6 +100,14 @@ def test_custom_assignment_validation():
 def test_fallback_choice_out_of_range_rejected():
     with pytest.raises(CfnFormatError, match="fallback"):
         build_layout(_cfn_of_cards([3]), unused_policy=Fallback(choice=4))
+
+
+@pytest.mark.parametrize("choice", [0, -3])
+def test_fallback_choice_below_one_rejected_even_without_unused_bitstrings(choice):
+    # a power-of-two register has no unused bitstring for the range check to look at
+    cfn = _cfn_of_cards([4])
+    with pytest.raises(ValueError, match="fallback choice must be at least 1"):
+        build_layout(cfn, unused_policy=Fallback(choice=choice))
 
 
 def test_indicator_single_literal():
@@ -118,7 +137,7 @@ def test_indicator_is_one_hot(width):
 def test_partition_of_unity_over_all_bitstrings(width):
     total = IsingPolynomial(width, {})
     for bits in range(1 << width):
-        total = total + bitstring_indicator(width, bits)
+        total = add_polynomials(total, bitstring_indicator(width, bits))
     for m in range(1 << width):
         assert total.evaluate_mask(m) == pytest.approx(1.0)
 
@@ -188,17 +207,17 @@ def test_encode_equals_symbolic_indicator_expansion():
     for i, card in enumerate(cards):
         off = layout.register_offsets[i]
         for c in range(1, card + 1):
-            ind = indicator_expansion(layout, i, c).shifted(off, n)
+            ind = shifted(indicator_expansion(layout, i, c), off, n)
             scaled = IsingPolynomial(n, {s: cf * cfn.unary_tables[i][c - 1] for s, cf in ind.terms.items()})
-            symbolic = symbolic + scaled
+            symbolic = add_polynomials(symbolic, scaled)
     for t in cfn.pairwise_tables:
         for ci in range(1, cards[t.i] + 1):
             for cj in range(1, cards[t.j] + 1):
-                xi = indicator_expansion(layout, t.i, ci).shifted(layout.register_offsets[t.i], n)
-                xj = indicator_expansion(layout, t.j, cj).shifted(layout.register_offsets[t.j], n)
+                xi = shifted(indicator_expansion(layout, t.i, ci), layout.register_offsets[t.i], n)
+                xj = shifted(indicator_expansion(layout, t.j, cj), layout.register_offsets[t.j], n)
                 prod = _product_disjoint(xi, xj, n)
                 value = t.value(ci, cj, cards[t.j])
-                symbolic = symbolic + IsingPolynomial(n, {s: cf * value for s, cf in prod.terms.items()})
+                symbolic = add_polynomials(symbolic, IsingPolynomial(n, {s: cf * value for s, cf in prod.terms.items()}))
 
     keys = set(poly.terms) | set(symbolic.terms)
     for s in keys:
@@ -218,7 +237,7 @@ def test_degree_caps():
             regs = [
                 i
                 for i in range(cfn.num_variables)
-                if s & layout.register_mask(i)
+                if s & register_mask(layout, i)
             ]
             assert len(regs) <= 2
             if len(regs) <= 1:
@@ -245,7 +264,7 @@ def test_centered_pairwise_only_has_no_single_register_mass(policy):
     layout = build_layout(stripped, unused_policy=policy)
     poly = encode(walsh_blocks(stripped, layout))
     for i in range(2):
-        reg = layout.register_mask(i)
+        reg = register_mask(layout, i)
         for s in poly.terms:
             if s and s & ~reg == 0:
                 pytest.fail(f"single-register coupling {s:#x} from a zero-marginal pairwise table")
@@ -260,7 +279,7 @@ def test_penalty_zero_extension_keeps_pairwise_two_register_even_odd_cards():
     layout = build_layout(stripped, unused_policy=Penalty(weight=0.0))
     poly = encode(walsh_blocks(stripped, layout))
     for i in range(2):
-        reg = layout.register_mask(i)
+        reg = register_mask(layout, i)
         assert not any(s and s & ~reg == 0 for s in poly.terms)
 
 

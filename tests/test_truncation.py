@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from tbe import IsingPolynomial, certify, noise_floor_ok, residual, truncate
 from tbe.truncation import TruncationCertificate, certificate_json
 from tbe.verify import dense_values
-from helpers import random_polynomial
+from helpers import add_polynomials, random_polynomial
 
 
 def test_truncate_above_degree_is_identity():
@@ -211,7 +211,7 @@ def test_certificate_bounds_the_truncation_error(case, data):
         # every omitted character is +1 at mask 0, so the bound is attained there
         assert abs(high.evaluate_mask(0)) == cert.epsilon
         assert abs(poly.evaluate_mask(0) - low.evaluate_mask(0)) == pytest.approx(cert.epsilon, abs=roundoff)
-    restored = low + high
+    restored = add_polynomials(low, high)
     assert tuple(restored.terms.items()) == tuple(poly.terms.items())
 
 

@@ -21,7 +21,7 @@ from tbe import (
     sign_preservation_rate,
 )
 from tbe.polynomial import mask_bits, pack_masks, random_masks
-from helpers import naive_eval, random_polynomial
+from helpers import naive_eval, random_polynomial, shifted
 
 
 def test_single_spin_landscape():
@@ -188,7 +188,7 @@ def test_bitflip_descent_past_64_qubits_is_the_shifted_descent(n, seed):
     poly = random_polynomial(rng, n, 3 * n + 1)
     start = int(rng.integers(0, 1 << n))
     end, steps = bitflip_descent(poly, start)
-    assert bitflip_descent(poly.shifted(70, n + 70), start << 70) == (end << 70, steps)
+    assert bitflip_descent(shifted(poly, 70, n + 70), start << 70) == (end << 70, steps)
 
 
 def test_bitflip_descent_rejects_a_start_past_its_qubits():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +9,6 @@ from tbe import (
     BinaryPolynomial,
     CapacityError,
     IsingPolynomial,
-    discrete_derivative,
     fwht,
     leakage_transform,
     smoothness_report,
@@ -15,10 +16,13 @@ from tbe import (
     to_01_basis,
     truncate,
 )
-from tbe.walsh import pointwise_derivative_values, squared_mass_by_degree, subset_degrees
+from tbe.walsh import squared_mass_by_degree, subset_degrees
 from helpers import (
+    discrete_derivative,
     naive_walsh,
+    pointwise_derivative_values,
     random_polynomial,
+    reference_smoothness,
     reference_leakage_transform,
     reference_to_01_basis,
     sparse_polynomials,
@@ -255,6 +259,43 @@ def test_smoothness_geometric_ratio_of_decaying_table():
     assert report.lipschitz[0] > 0
     assert report.lipschitz[1] == 0.0
     assert report.geometric_ratio is None  # no consecutive positive pair
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 12), st.integers(-3, 3), st.integers(0, 2**32 - 1))
+def test_smoothness_scan_matches_the_per_subset_loop(dim, decade, seed):
+    values = np.random.default_rng(seed).normal(size=1 << dim) * 10.0**decade
+    report = smoothness_report(values)
+    reference = reference_smoothness(values)
+    # the same half-differences in the same ascending-bit order
+    assert report.lipschitz == reference.lipschitz
+    assert report.dim == reference.dim == dim
+    for field in ("per_degree_power", "tail_identity_lhs", "tail_identity_rhs", "tail_bound"):
+        got, want = getattr(report, field), getattr(reference, field)
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            assert abs(x - y) <= 1e-12 * abs(y)
+    if reference.geometric_ratio is None:
+        assert report.geometric_ratio is None
+    else:
+        assert report.geometric_ratio == pytest.approx(reference.geometric_ratio, rel=1e-12)
+    if dim == 0:
+        assert report.lipschitz == report.tail_identity_rhs == report.tail_bound == ()
+
+
+def test_smoothness_scan_at_its_cap_stays_small():
+    values = np.random.default_rng(16).normal(size=1 << 16)
+    tracemalloc.start()
+    try:
+        report = smoothness_report(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a single 3^16 array of entries would be 328 MiB
+    assert peak < 64 << 20
+    assert len(report.lipschitz) == 16
+    with pytest.raises(CapacityError, match="cap 16"):
+        smoothness_report(np.zeros(1 << 17))
 
 
 def test_truncation_in_01_basis_leaks_into_kept_subsets():
