@@ -6,7 +6,7 @@ table's Walsh transform into exact Ising couplings (absorbing
 interaction marginals on the way), inspect the per-degree spectral
 profile, truncate at a chosen degree with an l1/l2 error
 certificate, optionally quadratize, solve, decode and refine.  The
-``verify`` module provides brute-force and Monte-Carlo ground truth
+``verify`` module provides exact and Monte-Carlo ground truth
 for every guarantee the truncation makes.
 """
 

@@ -18,8 +18,6 @@ import math
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .cfn import Cfn, parse_cfn
 from .encoding import Fallback, Penalty, WalshBlocks, build_layout, encode, walsh_blocks
 from .errors import CapacityError, CfnFormatError
@@ -31,7 +29,9 @@ from .truncation import certificate_json, certify, noise_floor_ok, truncate
 from .verify import (
     FAMILIES,
     EnsembleSpec,
+    RegisterLandscape,
     bitflip_variance_check,
+    cfn_optimum,
     check_preservation,
     ensemble_residual_check,
     sign_preservation_rate,
@@ -45,8 +45,6 @@ EXIT_NOISE_FLOOR = 2
 EXIT_FORMAT = 3
 EXIT_CAPACITY = 4
 EXIT_VERIFY_FAILED = 5
-
-ENUM_ASSIGNMENT_CAP = 1 << 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out-cert", default=None, help="certificate JSON path")
     c.add_argument("--out-report", default=None, help="pipeline report JSON path")
 
-    v = sub.add_parser("verify", help="enumerate and check preservation claims")
+    v = sub.add_parser("verify", help="exact landscapes and the preservation claims")
     v.set_defaults(run=run_verify)
     add_common(v)
     v.add_argument("--kmax", **kmax)
@@ -211,39 +209,13 @@ def _write(path: str, text: str) -> None:
 def _prepare(args) -> tuple[Cfn, WalshBlocks]:
     """The input CFN and its Walsh blocks: the command's one transform pass."""
     cfn = _load_cfn(args.input)
-    layout = build_layout(cfn, _parse_strategy(args.assignment), _parse_policy(args.unused))
+    strategy, policy = _parse_strategy(args.assignment), _parse_policy(args.unused)
+    try:
+        layout = build_layout(cfn, strategy, policy)
+    except CfnFormatError as exc:
+        # the layout checks these two flags against the CFN
+        raise CfnFormatError(f"--assignment {args.assignment!r} with --unused {args.unused!r}: {exc}") from None
     return cfn, walsh_blocks(cfn, layout)
-
-
-def _true_optimum(cfn: Cfn) -> tuple[float, tuple[int, ...]] | None:
-    """Exact CFN optimum over every assignment, when small enough.
-
-    Sums the tables into one dense array with an axis per variable:
-    unaries in variable order, then pairwise tables in file order, so
-    each cell gets the same float additions, in the same order, as
-    ``evaluate_cfn``.  ``argmin`` takes the first minimum in C order,
-    which is lexicographic assignment order.
-    """
-    total = 1
-    for v in cfn.variables:
-        total *= v.cardinality
-        if total > ENUM_ASSIGNMENT_CAP:
-            return None
-    cards = tuple(v.cardinality for v in cfn.variables)
-    values = np.zeros(cards)
-
-    def on_axes(costs, *axes):
-        shape = [1] * len(cards)
-        for a in axes:
-            shape[a] = cards[a]
-        return np.asarray(costs).reshape(shape)
-
-    for i, costs in enumerate(cfn.unary_tables):
-        values += on_axes(costs, i)
-    for t in cfn.pairwise_tables:
-        values += on_axes(t.costs, t.i, t.j)
-    best = int(np.argmin(values))
-    return float(values.flat[best]), tuple(int(c) + 1 for c in np.unravel_index(best, cards))
 
 
 def run_pipeline(args) -> int:
@@ -273,7 +245,10 @@ def run_pipeline(args) -> int:
     corollary_block = None
     if args.solve:
         exhaustive = args.solve == "exhaustive"
-        target = qubo if qubo is not None and not exhaustive else truncated
+        if exhaustive:
+            target = RegisterLandscape(blocks, args.kmax)
+        else:
+            target = qubo if qubo is not None else truncated
         result = solve(target, method=args.solve, seed=seed, anneal=params)
         if qubo is not None and exhaustive:
             # the QUBO's minimum over its ancillas is the truncation's,
@@ -284,20 +259,18 @@ def run_pipeline(args) -> int:
         result = decode_and_refine(result, blocks.layout, cfn, full_poly=full if args.refine else None)
         solve_block = json.loads(solve_result_json(result))
         if exhaustive and all(result.decoded_valid):
-            opt = _true_optimum(cfn)
-            if opt is not None:
-                best_value, best_assignment = opt
-                achieved = result.cfn_value
-                if result.refined_cfn_value is not None:
-                    achieved = min(achieved, result.refined_cfn_value)
-                bound = best_value + 2.0 * cert.epsilon + 1e-9
-                corollary_block = {
-                    "true_optimum": best_value,
-                    "true_argmin": list(best_assignment),
-                    "achieved_value": achieved,
-                    "bound": bound,
-                    "holds": achieved <= bound,
-                }
+            best_value, best_assignment = cfn_optimum(cfn)
+            achieved = result.cfn_value
+            if result.refined_cfn_value is not None:
+                achieved = min(achieved, result.refined_cfn_value)
+            bound = best_value + 2.0 * cert.epsilon + 1e-9
+            corollary_block = {
+                "true_optimum": best_value,
+                "true_argmin": list(best_assignment),
+                "achieved_value": achieved,
+                "bound": bound,
+                "holds": achieved <= bound,
+            }
 
     report = {
         "config": {
@@ -362,8 +335,7 @@ def _finite_or_none(value: float | None) -> float | None:
 
 def run_verify(args) -> int:
     _, blocks = _prepare(args)
-    full = encode(blocks)
-    report = check_preservation(full, args.kmax)
+    report = check_preservation(blocks, args.kmax)
     doc = {
         "num_qubits": report.num_qubits,
         "k_max": report.k_max,

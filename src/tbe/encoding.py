@@ -63,6 +63,21 @@ class Fallback:
         if self.choice is not None and self.choice < 1:
             raise ValueError(f"the fallback choice must be at least 1, got {self.choice!r}")
 
+    def check(self, cardinalities: Sequence[int]) -> None:
+        """Raise ``CfnFormatError`` unless the designated choice exists
+        for some variable, and for every variable whose register has
+        unused bitstrings (a cardinality that is not a power of two)."""
+        choice = self.choice
+        if choice is None:
+            return
+        if cardinalities and choice > max(cardinalities):
+            raise CfnFormatError(
+                f"fallback choice {choice} exceeds every variable's cardinality (the largest is {max(cardinalities)})"
+            )
+        for i, card in enumerate(cardinalities):
+            if card & (card - 1) and choice > card:
+                raise CfnFormatError(f"fallback choice {choice} out of range for variable {i}")
+
 
 @dataclass(frozen=True)
 class Penalty:
@@ -163,12 +178,8 @@ def build_layout(
         offsets.append(total)
         assignments.append(bits)
         total += width
-    if isinstance(unused_policy, Fallback) and unused_policy.choice is not None:
-        for i, v in enumerate(cfn.variables):
-            if (1 << widths[i]) - v.cardinality > 0 and unused_policy.choice > v.cardinality:
-                raise CfnFormatError(
-                    f"fallback choice {unused_policy.choice} out of range for variable {i}"
-                )
+    if isinstance(unused_policy, Fallback):
+        unused_policy.check([v.cardinality for v in cfn.variables])
     return EncodingLayout(
         register_widths=tuple(widths),
         register_offsets=tuple(offsets),

@@ -1,11 +1,14 @@
 """Desk-scale minimization of spin polynomials and quadratic models.
 
-Exhaustive solving enumerates every configuration (capped at 24
-qubits) and is exact; annealing runs restarts of colour-class
-Metropolis: qubits that share no term form a class, and a sweep visits
-the classes in a random order, proposing a flip of every qubit of a
-class in one step.  The temperature falls geometrically, sweep by
-sweep, between end points worked out from the couplings (``_schedule``):
+Exhaustive solving is exact: it enumerates every configuration of a
+polynomial (capped at 24 qubits), and minimizes a CFN encoding's
+register landscape by min-sum elimination (``verify.RegisterLandscape``,
+capped at 2^24 entries per table, whatever the qubit count).  Annealing
+runs restarts of colour-class Metropolis: qubits that share no term
+form a class, and a sweep visits the classes in a random order,
+proposing a flip of every qubit of a class in one step.  The
+temperature falls geometrically, sweep by sweep, between end points
+worked out from the couplings (``_schedule``):
 the largest single-flip energy change sets the hot end, and the
 smallest coupling, but no less than 1e-3 of that change, the cold one.
 Restarts run in lockstep, so results are deterministic for a given
@@ -33,7 +36,7 @@ from .cfn import Cfn, evaluate_cfn
 from .encoding import EncodingLayout, decode
 from .polynomial import IsingPolynomial, active_incidence, mask_bits, mask_to_string, overlaps, pack_masks, random_masks
 from .quadratization import QuboModel
-from .verify import bitflip_descent, dense_values
+from .verify import DenseLandscape, RegisterLandscape, bitflip_descent
 
 __all__ = ["AnnealParams", "SolveResult", "solve", "decode_and_refine", "solve_result_json"]
 
@@ -84,35 +87,42 @@ class SolveResult:
 
 
 def solve(
-    target: IsingPolynomial | QuboModel,
+    target: IsingPolynomial | QuboModel | RegisterLandscape,
     method: str = "exhaustive",
     seed: int = 0,
     anneal: AnnealParams | None = None,
 ) -> SolveResult:
-    """Minimize a spin polynomial or quadratic model.
+    """Minimize a spin polynomial, a quadratic model or, exhaustively
+    only, a CFN encoding's register landscape.
 
     Exhaustive returns the true minimizer (lowest mask among exact
-    ties).  Annealing returns the best state seen across restarts;
-    identical seeds give identical results.
+    ties), enumerated for a polynomial or a model and found by min-sum
+    elimination for a register landscape (``elimination.first``).
+    Annealing returns the best state seen across restarts; identical
+    seeds give identical results.
     """
-    if isinstance(target, QuboModel):
-        poly, num_original = target.to_ising(), target.num_original_qubits
+    if isinstance(target, RegisterLandscape):
+        landscape, poly, num_original = target, None, target.num_qubits
+    elif isinstance(target, QuboModel):
+        landscape, poly, num_original = None, target.to_ising(), target.num_original_qubits
     else:
-        poly, num_original = target, target.num_qubits
+        landscape, poly, num_original = None, target, target.num_qubits
     if method == "exhaustive":
-        values = dense_values(poly)
-        vmin = float(values.min())
-        best = int(np.flatnonzero(values == vmin).min())
+        if landscape is None:
+            landscape = DenseLandscape(poly)
+        best = landscape.lowest_mask()
         return SolveResult(
-            num_qubits=poly.num_qubits,
+            num_qubits=landscape.num_qubits,
             num_original_qubits=num_original,
             best_spin=best,
-            best_value=vmin,
+            best_value=float(landscape.values([best])[0]),
             method="exhaustive",
             rng_seed=seed,
         )
     if method != "anneal":
         raise ValueError(f"unknown solve method {method!r}")
+    if poly is None:
+        raise ValueError("annealing needs the polynomial, not a register landscape")
     params = anneal or AnnealParams()
     best, value, start_temperature, cooling = _metropolis(poly, params, seed)
     return SolveResult(

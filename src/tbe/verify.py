@@ -1,10 +1,23 @@
-"""Brute-force ground truth and Monte-Carlo ensemble verification.
+"""Exact ground truth and Monte-Carlo ensemble verification.
 
-Everything here is desk scale and exact by enumeration: full value
-tables for polynomials up to 24 qubits, exact minimum sets with an
-explicit 1e-12 tie radius, energy gaps, single bit-flip basin
-barriers, and the preservation verdicts that compare a truncated
-landscape against the full one.
+The landscape checks are exact: minimum sets with an explicit 1e-12
+tie radius, energy gaps, single bit-flip basin barriers, and the
+preservation verdicts that compare a truncated landscape against the
+full one.  A gap and a barrier are both differences of two values of
+the landscape, so a runner-up one flip from a minimizer gives them
+equal.  A landscape comes from one of two sources, and the verdicts
+read both the same way:
+
+* a CFN's encoding, and its truncation, is a network of value tables
+  over register bitstrings, one per register block and one per
+  interaction block (``RegisterLandscape``), minimized by min-sum
+  elimination (``elimination``).  Its cap is the elimination's largest
+  table, 2^24 entries, whatever the qubit count: a chain or a grid of
+  hundreds of qubits verifies in well under a second.  The CFN's own
+  optimum comes from the same kernel (``cfn_optimum``);
+* a polynomial with no register structure (a HUBO-JSON file, a QUBO
+  with its ancillas) is enumerated into its 2^n values
+  (``DenseLandscape``), up to 24 qubits.
 
 The ensemble half draws random couplings with a prescribed per-mode
 variance profile and checks the distributional claims about the
@@ -20,16 +33,22 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .cfn import Cfn
+from .elimination import PairwiseNetwork, first, lowest
+from .encoding import WalshBlocks, encode
 from .errors import CapacityError
-from .polynomial import IsingPolynomial, active_incidence, key_octets, octet_words, overlaps, random_masks
+from .polynomial import IsingPolynomial, active_incidence, key_octets, octet_words, overlaps, random_masks, significant
 from .truncation import certify, truncate
-from .walsh import synthesize_values
+from .walsh import subset_degrees, synthesize_values
 
 __all__ = [
     "TIE_RADIUS",
     "Verdict",
     "LandscapeReport",
     "dense_values",
+    "DenseLandscape",
+    "RegisterLandscape",
+    "cfn_optimum",
     "enumerate_landscape",
     "check_preservation",
     "bitflip_descent",
@@ -67,7 +86,7 @@ class Verdict:
 
 @dataclass(frozen=True)
 class LandscapeReport:
-    """Exact enumeration results, optionally with truncation verdicts."""
+    """Exact landscape results, optionally with truncation verdicts."""
 
     num_qubits: int
     global_min_value: float
@@ -87,8 +106,9 @@ class LandscapeReport:
 
 
 def dense_values(poly: IsingPolynomial) -> np.ndarray:
-    """Value of the polynomial at every configuration mask; every
-    enumeration goes through here, so this holds the one 2^24 cap."""
+    """Value of the polynomial at every configuration mask: the
+    enumeration behind a polynomial with no register structure, capped
+    at 2^24 states."""
     if poly.num_qubits > MAX_ENUM_QUBITS:
         raise CapacityError(
             f"enumeration over {poly.num_qubits} qubits exceeds the 2^{MAX_ENUM_QUBITS} cap"
@@ -98,41 +118,160 @@ def dense_values(poly: IsingPolynomial) -> np.ndarray:
     return synthesize_values(coeffs)
 
 
-def _argmin_set(values: np.ndarray) -> tuple[float, np.ndarray]:
-    vmin = float(values.min())
-    return vmin, np.flatnonzero(values <= vmin + TIE_RADIUS)
+class DenseLandscape:
+    """A polynomial's landscape as its table of 2^n values (``dense_values``)."""
+
+    def __init__(self, poly: IsingPolynomial) -> None:
+        self.num_qubits = poly.num_qubits
+        self.table = dense_values(poly)
+
+    def lowest(self, radius: float, gap: bool = False) -> tuple[list[int], np.ndarray, float | None]:
+        """The masks whose values lie within ``radius`` of the least,
+        ascending, and their values; with ``gap``, the least value above
+        them (inf when none is)."""
+        vmin = float(self.table.min())
+        near = self.table <= vmin + radius
+        masks = np.flatnonzero(near)
+        above = None
+        if gap:
+            rest = self.table[~near]
+            above = float(rest.min()) if rest.size else math.inf
+        return masks.tolist(), self.table[masks], above
+
+    def lowest_mask(self) -> int:
+        """The lowest mask among the exact ties of the least value."""
+        return int(np.argmin(self.table))
+
+    def values(self, masks: list[int]) -> np.ndarray:
+        return self.table[masks]
 
 
-def _barrier(values: np.ndarray, mask: int, n: int) -> float:
-    if n == 0:
-        return math.inf
-    here = values[mask]
-    return float(min(values[mask ^ (1 << i)] - here for i in range(n)))
+def _register_network(blocks: WalshBlocks, k_max: int | None = None) -> PairwiseNetwork:
+    """The landscape of ``encode(blocks)``, or of its truncation at
+    ``k_max``, as a network over register bitstrings: each register
+    block and each interaction block synthesized into a value table
+    over its registers, and the constant.
+
+    Couplings at most 1e-14 of the largest are zeroed, as the
+    polynomial drops them, and so are those of degree above ``k_max``,
+    as ``truncate`` drops them: the network and the polynomial hold the
+    same couplings."""
+    widths = blocks.layout.register_widths
+    top = math.inf if k_max is None else k_max
+    degrees = [subset_degrees(w) for w in widths]
+    # the constant, then each register block, then each interaction
+    # block, each with an empty subset of every register
+    coeffs = [np.array(blocks.constant)]
+    coeffs += [np.append(0.0, block) for block in blocks.registers]
+    for i, j, block in blocks.interactions:
+        # the block's rows are register j's subsets, its columns register i's
+        full = np.zeros((1 << widths[j], 1 << widths[i]))
+        full[1:, 1:] = block
+        coeffs.append(full)
+    keep = significant(np.abs(np.concatenate([c.reshape(-1) for c in coeffs])))
+    ends = np.cumsum([c.size for c in coeffs])[:-1]
+    kept = [np.where(k.reshape(c.shape), c, 0.0) for c, k in zip(coeffs, np.split(keep, ends))]
+
+    def table(c: np.ndarray, degree: np.ndarray) -> np.ndarray:
+        return synthesize_values(np.where(degree <= top, c, 0.0).reshape(-1)).reshape(c.shape)
+
+    unary = tuple(table(c, d) for c, d in zip(kept[1:], degrees))
+    pairwise = tuple(
+        (i, j, np.ascontiguousarray(table(c, degrees[j][:, None] + degrees[i]).T))
+        for (i, j, _), c in zip(blocks.interactions, kept[1 + len(widths):])
+    )
+    return PairwiseNetwork(tuple(1 << w for w in widths), float(kept[0]), unary, pairwise)
+
+
+class RegisterLandscape:
+    """The landscape of a CFN's encoding, or of its truncation at
+    ``k_max``, as a network over its registers (``_register_network``):
+    minimized by min-sum elimination (``elimination.lowest`` and
+    ``elimination.first``), never enumerated, so its cap is the
+    elimination's largest table, not 2^n.  A value at a mask is one
+    direct sum of the tables."""
+
+    def __init__(self, blocks: WalshBlocks, k_max: int | None = None) -> None:
+        layout = blocks.layout
+        self.num_qubits = layout.total_qubits
+        self.network = _register_network(blocks, k_max)
+        self._registers = tuple(zip(layout.register_offsets, layout.register_widths))
+
+    def lowest(self, radius: float, gap: bool = False) -> tuple[list[int], np.ndarray, float | None]:
+        """As ``DenseLandscape.lowest``."""
+        rows, values, above = lowest(self.network, radius, gap)
+        masks = [sum(b << offset for b, (offset, _) in zip(row, self._registers)) for row in rows.tolist()]
+        order = sorted(range(len(masks)), key=masks.__getitem__)
+        return [masks[k] for k in order], values[order], above
+
+    def _rows(self, masks: list[int]) -> np.ndarray:
+        rows = [[(m >> offset) & ((1 << w) - 1) for offset, w in self._registers] for m in masks]
+        return np.array(rows, dtype=np.intp).reshape(len(masks), len(self._registers))
+
+    def values(self, masks: list[int]) -> np.ndarray:
+        return self.network.values(self._rows(masks))
+
+    def lowest_mask(self) -> int:
+        """The lowest mask among the exact ties of the least direct
+        value (``elimination.first``)."""
+        row = first(self.network, range(len(self._registers) - 1, -1, -1))
+        return sum(int(b) << offset for b, (offset, _) in zip(row, self._registers))
+
+
+def _barriers(land: DenseLandscape | RegisterLandscape, masks: list[int]) -> list[float]:
+    """The least single-flip change at each mask (inf with no qubits):
+    the value after each flip less the value at the mask, so a
+    neighbour that is the runner-up gives exactly the energy gap."""
+    here = land.values(masks)
+    least = np.full(len(masks), math.inf)
+    for q in range(land.num_qubits):
+        least = np.minimum(least, land.values([m ^ (1 << q) for m in masks]) - here)
+    return least.tolist()
+
+
+def cfn_optimum(cfn: Cfn) -> tuple[float, tuple[int, ...]]:
+    """A CFN's exact optimum and its lexicographically first minimizer
+    (1-based), by min-sum elimination on its own tables
+    (``elimination.first``).  Values are summed with the float
+    additions of ``evaluate_cfn``, in its order: unaries by variable,
+    then pairwise tables in file order."""
+    network = PairwiseNetwork(
+        domains=tuple(v.cardinality for v in cfn.variables),
+        constant=0.0,
+        unary=tuple(np.asarray(t, dtype=float) for t in cfn.unary_tables),
+        pairwise=tuple(
+            (t.i, t.j, np.asarray(t.costs, dtype=float).reshape(cfn.cardinality(t.i), cfn.cardinality(t.j)))
+            for t in cfn.pairwise_tables
+        ),
+    )
+    row = first(network, range(cfn.num_variables))
+    return float(network.values(row[None])[0]), tuple(int(c) + 1 for c in row)
 
 
 def enumerate_landscape(poly: IsingPolynomial) -> LandscapeReport:
     """Exact minimum set, energy gap, and the basin barrier at every
     global minimizer."""
-    return _landscape(dense_values(poly), poly.num_qubits)
+    return _landscape(DenseLandscape(poly))
 
 
-def _landscape(values: np.ndarray, n: int) -> LandscapeReport:
-    vmin, argmin = _argmin_set(values)
-    argmin = argmin.tolist()
-    above = values[values > vmin + TIE_RADIUS]
+def _landscape(land: DenseLandscape | RegisterLandscape) -> LandscapeReport:
+    argmin, values, above = land.lowest(TIE_RADIUS, gap=True)
+    vmin = float(values.min())
     return LandscapeReport(
-        num_qubits=n,
+        num_qubits=land.num_qubits,
         global_min_value=vmin,
         global_argmin=tuple(argmin),
-        energy_gap=float(above.min() - vmin) if above.size else math.inf,
-        basin_barrier_at={m: _barrier(values, m, n) for m in argmin},
+        energy_gap=above - vmin,
+        basin_barrier_at=dict(zip(argmin, _barriers(land, argmin))),
     )
 
 
-def check_preservation(full: IsingPolynomial, k_max: int) -> LandscapeReport:
+def check_preservation(source: IsingPolynomial | WalshBlocks, k_max: int) -> LandscapeReport:
     """Compare the truncated landscape against the full one.
 
-    Enumerates both, then records one verdict per claim:
+    A polynomial's two landscapes are enumerated (``DenseLandscape``);
+    a CFN's, given as its Walsh blocks, are minimized over its registers
+    (``RegisterLandscape``).  Then one verdict is recorded per claim:
 
     * ``gap_vs_barrier``: every minimizer's barrier dominates the
       energy gap (checked only where no neighbour of the minimizer is
@@ -147,15 +286,19 @@ def check_preservation(full: IsingPolynomial, k_max: int) -> LandscapeReport:
       truncation, with barrier reduced by at most twice the
       certificate.
     """
-    cert = certify(full, k_max)
-    eps = cert.epsilon
+    if isinstance(source, WalshBlocks):
+        poly = encode(source)
+        full, trunc = RegisterLandscape(source), RegisterLandscape(source, k_max)
+    else:
+        poly = source
+        full, trunc = DenseLandscape(source), DenseLandscape(truncate(source, k_max))
+    eps = certify(poly, k_max).epsilon
     n = full.num_qubits
-    values = dense_values(full)
-    trunc_values = dense_values(truncate(full, k_max))
 
-    report = _landscape(values, n)
+    report = _landscape(full)
     vmin, gap, barriers = report.global_min_value, report.energy_gap, report.basin_barrier_at
-    tmin, targmin = _argmin_set(trunc_values)
+    targmin, tvalues, _ = trunc.lowest(TIE_RADIUS)
+    tmin = float(tvalues.min())
 
     verdicts = []
 
@@ -185,7 +328,7 @@ def check_preservation(full: IsingPolynomial, k_max: int) -> LandscapeReport:
 
     gap_holds = gap > 2 * eps
     if gap_holds:
-        contained = all(int(m) in argmin_set for m in targmin)
+        contained = all(m in argmin_set for m in targmin)
         verdicts.append(
             Verdict(
                 claim="optimum_preservation",
@@ -206,7 +349,7 @@ def check_preservation(full: IsingPolynomial, k_max: int) -> LandscapeReport:
             )
         )
 
-    excess = max(float(values[int(m)]) - vmin for m in targmin)
+    excess = max(float(v) - vmin for v in full.values(targmin))
     verdicts.append(
         Verdict(
             claim="approximate_recovery",
@@ -219,7 +362,7 @@ def check_preservation(full: IsingPolynomial, k_max: int) -> LandscapeReport:
 
     qualifying = [m for m in argmin_set if barriers[m] > 2 * eps]
     if qualifying:
-        margins = [_barrier(trunc_values, m, n) - (barriers[m] - 2 * eps) + TIE_RADIUS for m in qualifying]
+        margins = [b - (barriers[m] - 2 * eps) + TIE_RADIUS for m, b in zip(qualifying, _barriers(trunc, qualifying))]
         # a NaN margin (both barriers infinite, at n = 0) never wins the min
         worst_margin = min(math.inf, *margins)
         verdicts.append(
@@ -248,7 +391,7 @@ def check_preservation(full: IsingPolynomial, k_max: int) -> LandscapeReport:
         k_max=k_max,
         epsilon=eps,
         truncated_min_value=tmin,
-        truncated_argmin=tuple(int(m) for m in targmin),
+        truncated_argmin=tuple(targmin),
         gap_condition_holds=gap_holds,
         barrier_condition_holds=min_barrier > 2 * eps,
         verdicts=tuple(verdicts),

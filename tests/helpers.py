@@ -482,3 +482,16 @@ def reference_metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int)
     best_masks = pack_masks(start_bits)
     pick = min(range(restarts), key=lambda r: (best_energy[r], best_masks[r]))
     return best_masks[pick], float(best_energy[pick]), t_hot, cooling
+
+
+def gaussian_complete_cfn(seed: int, num_vars: int = 6, card: int = 8) -> Cfn:
+    """N(0, 1) unary and pairwise tables on the complete graph, drawn as
+    the benchmark's ``dense`` instances are (seed stream ``[seed, 3]``)."""
+    rng = np.random.default_rng([seed, 3])
+    unary = tuple(tuple(rng.standard_normal(card).tolist()) for _ in range(num_vars))
+    pairs = tuple(
+        PairwiseTable(i, j, tuple(rng.standard_normal((card, card)).reshape(-1).tolist()))
+        for i in range(num_vars)
+        for j in range(i + 1, num_vars)
+    )
+    return Cfn(tuple(VariableSpec(f"v{i}", card) for i in range(num_vars)), unary, pairs)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -5,6 +6,8 @@ import re
 import resource
 import subprocess
 import sys
+import time
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tbe import (
+    CapacityError,
     Cfn,
     PairwiseTable,
     Penalty,
@@ -25,7 +29,8 @@ from tbe import (
     hubo_from_json,
     parse_cfn,
 )
-from tbe.cli import _true_optimum, main
+from tbe.cli import main
+from tbe.verify import cfn_optimum
 from helpers import assemble_truth_table, random_cfn
 from tbe.cfn import serialize_cfn
 
@@ -198,23 +203,35 @@ def test_help_exits_0(capsys):
 
 
 def test_capacity_exit_code(tmp_path, capsys):
-    # 18 variables of cardinality 16 are 72 qubits: compile and anneal
-    # run, and only the 2^24 enumeration refuses them
+    # 18 variables of cardinality 16 in a chain are 72 qubits, past any
+    # enumeration, but of elimination width 1: every command runs.  On
+    # the complete graph of 7 of them (28 qubits) a bucket would hold
+    # 16^7 = 2^28 entries, so only the exact minimizations refuse it
     rng = np.random.default_rng(72)
-    doc = {
-        "variables": [{"cardinality": 16}] * 18,
-        "unary": [{"var": i, "costs": rng.normal(size=16).tolist()} for i in range(18)],
-        "pairwise": [{"vars": [i, i + 1], "costs": rng.normal(size=256).tolist()} for i in range(17)],
-    }
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps(doc))
-    base = ["--input", str(path), "--kmax", "2"]
-    assert main(["compile", *base]) == 0
+
+    def write(name, n, pairs):
+        doc = {
+            "variables": [{"cardinality": 16}] * n,
+            "unary": [{"var": i, "costs": rng.normal(size=16).tolist()} for i in range(n)],
+            "pairwise": [{"vars": [i, j], "costs": rng.normal(size=256).tolist()} for i, j in pairs],
+        }
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return ["--input", str(path), "--kmax", "2"]
+
+    chain = write("chain.json", 18, [(i, i + 1) for i in range(17)])
+    dense = write("dense.json", 7, [(i, j) for i in range(7) for j in range(i + 1, 7)])
+    report = tmp_path / "report.json"
+    assert main(["compile", *chain, "--solve", "exhaustive", "--out-report", str(report)]) == 0
+    assert json.loads(report.read_text())["corollary_check"]["holds"]
+    assert main(["verify", *chain, "--out-report", str(report)]) == 0
+    for base in (chain, dense):
+        assert main(["compile", *base]) == 0
+        assert main(["compile", *base, "--solve", "anneal", "--restarts", "2", "--sweeps", "2"]) == 0
     capsys.readouterr()
-    assert main(["compile", *base, "--solve", "anneal", "--restarts", "2", "--sweeps", "2"]) == 0
-    assert main(["compile", *base, "--solve", "exhaustive"]) == 4
-    assert "2^24" in capsys.readouterr().err
-    assert main(["verify", *base]) == 4
+    assert main(["compile", *dense, "--solve", "exhaustive"]) == 4
+    assert "width 6" in capsys.readouterr().err
+    assert main(["verify", *dense]) == 4
     assert "2^24" in capsys.readouterr().err
 
 
@@ -397,7 +414,7 @@ def _cfn_docs(draw):
 @given(_cfn_docs())
 def test_true_optimum_matches_enumeration_exactly(doc):
     cfn = parse_cfn(json.dumps(doc))
-    value, assignment = _true_optimum(cfn)
+    value, assignment = cfn_optimum(cfn)
     want_value, want_assignment = _brute_optimum(cfn)
     assert value == want_value
     assert assignment == want_assignment
@@ -409,14 +426,70 @@ def test_true_optimum_first_of_planted_ties():
         "variables": [{"cardinality": 3}, {"cardinality": 2}],
         "pairwise": [{"vars": [0, 1], "costs": [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]}],
     }
-    assert _true_optimum(parse_cfn(json.dumps(doc))) == (0.0, (1, 2))
+    assert cfn_optimum(parse_cfn(json.dumps(doc))) == (0.0, (1, 2))
 
 
-def test_true_optimum_cap():
-    at_cap = parse_cfn(json.dumps({"variables": [{"cardinality": 32}] * 4}))
-    assert _true_optimum(at_cap) == (0.0, (1, 1, 1, 1))
-    over = parse_cfn(json.dumps({"variables": [{"cardinality": 32}] * 4 + [{"cardinality": 2}]}))
-    assert _true_optimum(over) is None
+def test_exhaustive_solve_on_a_plateau_too_large_to_list(tmp_path):
+    # 20 binary variables with zero costs: all 2^20 assignments tie, too
+    # many to list in 2^24 entries, yet the solve and its corollary need
+    # only the first minimizer
+    doc = {
+        "variables": [{"cardinality": 2}] * 20,
+        "pairwise": [{"vars": [i, i + 1], "costs": [0.0] * 4} for i in range(19)],
+    }
+    path, report = tmp_path / "flat.json", tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    argv = ["compile", "--input", str(path), "--kmax", "2", "--solve", "exhaustive", "--out-report", str(report)]
+    assert main(argv) == 0
+    corollary = json.loads(report.read_text())["corollary_check"]
+    assert corollary["true_optimum"] == 0.0 and corollary["true_argmin"] == [1] * 20 and corollary["holds"]
+
+
+@pytest.mark.parametrize("command", [["verify"], ["compile", "--solve", "exhaustive"]], ids=["verify", "exhaustive"])
+def test_elimination_width_cap_exits_4_before_any_table(tmp_path, capsys, command):
+    # 9 variables of cardinality 8 on the complete graph (27 qubits): the
+    # first bucket would hold 8^9 = 2^27 entries, 1 GiB; the cap is
+    # checked on the order, so the run stays small
+    doc = {
+        "variables": [{"cardinality": 8}] * 9,
+        "pairwise": [{"vars": [i, j], "costs": [float((i * j + c) % 5) for c in range(64)]}
+                     for i in range(9) for j in range(i + 1, 9)],
+    }
+    path = tmp_path / "k9.json"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        assert main([command[0], "--input", str(path), "--kmax", "2", *command[1:]]) == 4
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "elimination width 8" in capsys.readouterr().err
+    assert peak < 32 << 20
+    with pytest.raises(CapacityError, match="width 8"):
+        cfn_optimum(parse_cfn(json.dumps(doc)))
+
+
+def test_verify_and_exhaustive_solve_past_enumeration(tmp_path):
+    # demo 07's chain and grid, 120 qubits each: both exited 4 when the
+    # landscapes were enumerated, and now take well under a second
+    spec = importlib.util.spec_from_file_location(
+        "demo_07", Path(__file__).resolve().parent.parent / "demos" / "07_verify_past_enumeration.py"
+    )
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    for path in demo.write_instances(tmp_path):
+        verify, report = tmp_path / "verify.json", tmp_path / "report.json"
+        for argv in (
+            ["verify", "--input", str(path), "--kmax", "3", "--out-report", str(verify)],
+            ["compile", "--input", str(path), "--kmax", "3", "--solve", "exhaustive", "--refine",
+             "--out-report", str(report)],
+        ):
+            start = time.perf_counter()
+            assert main(argv) == 0
+            assert time.perf_counter() - start < 1.0
+        assert json.loads(verify.read_text())["num_qubits"] == 120
+        corollary = json.loads(report.read_text())["corollary_check"]
+        assert corollary is not None and corollary["holds"]
 
 
 # --- malformed HUBO-JSON exits 3 and names the field ---------------------
@@ -785,9 +858,12 @@ def test_ensemble_random_start_at_and_past_64_qubits(tmp_path, n):
 
 
 @pytest.mark.parametrize(
-    "policy", ["fallback:x", "fallback:0", "fallback:-3", "penalty:x", "penalty:nan", "penalty:-1", "penalty:1e305"]
+    "policy",
+    ["fallback:x", "fallback:0", "fallback:-3", "fallback:99", "penalty:x", "penalty:nan", "penalty:-1", "penalty:1e305"],
 )
 def test_malformed_unused_policy_exits_3(small_input, capsys, policy):
+    # small_input's cardinalities are 4 and 4, so no register has an
+    # unused bitstring, and no variable a 99th choice
     assert main(["spectrum", "--input", str(small_input), "--unused", policy]) == 3
     assert "--unused" in capsys.readouterr().err
 

@@ -41,7 +41,7 @@ COMPILE_K5_DIGESTS = {
     "report": "cc14b690d9cbc81482ef3621f426f08a68f5eb5be21dbbb3d2ac09c51ab74e57",
 }
 SPECTRUM_DIGEST = "794908a66790d9f01315ef01f2740e92ee61e8b2cefc59abb83bb5229e897225"
-VERIFY_DIGEST = "a6fb41be3283f45fc55e2c0f03752d45ff2938d3377053c4aaef7f4978dbaea2"
+VERIFY_DIGEST = "d45a6f407faf67c19a00a79d9ac053ee689ad44789348c99e6933f25488991d2"
 
 # 14 variables of cardinality 32 in a chain: 14 registers of 5 qubits
 CHAIN = "chain70.json"

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +22,12 @@ from tbe import (
     profile_with_margin,
     sign_preservation_rate,
 )
+from tbe import Cfn, Fallback, PairwiseTable, Penalty, VariableSpec, build_layout, encode, parse_cfn, walsh_blocks
 from tbe.polynomial import mask_bits, pack_masks, random_masks
-from helpers import naive_eval, random_polynomial, shifted
+from tbe.solve import solve
+from tbe.truncation import truncate
+from tbe.verify import RegisterLandscape
+from helpers import gaussian_complete_cfn, naive_eval, random_polynomial, shifted
 
 
 def test_single_spin_landscape():
@@ -109,6 +115,110 @@ def test_adversarial_truncation_still_satisfies_value_bound():
             moved += 1
             assert not report.gap_condition_holds  # moving argmin forces a small gap
     assert moved > 0  # the search actually found adversarial instances
+
+
+# costs on a grid of 1/64 in [-64, 64]: every Walsh coefficient, table
+# value and sum of either landscape route is exact, so ties are exact
+# too; a few planted values make them common
+_DYADIC = st.one_of(st.sampled_from([0.0, 1.0]), st.integers(-64 * 64, 64 * 64).map(lambda x: x / 64))
+
+
+@st.composite
+def _dyadic_cfns(draw):
+    """CFNs of at most 16 qubits, cardinalities 1 to 16 (so some of 1,
+    some not powers of two), each pair joined or not."""
+    cards = draw(st.lists(st.integers(1, 16), min_size=1, max_size=4))
+    n = len(cards)
+    costs = lambda size: tuple(draw(st.lists(_DYADIC, min_size=size, max_size=size)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    return Cfn(
+        tuple(VariableSpec(f"v{i}", c) for i, c in enumerate(cards)),
+        tuple(costs(c) for c in cards),
+        tuple(PairwiseTable(i, j, costs(cards[i] * cards[j])) for i, j in pairs),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _dyadic_cfns(),
+    st.sampled_from([Fallback(), Penalty()]),
+    st.sampled_from(["binary", "gray"]),
+    st.integers(1, 8),
+)
+def test_register_landscape_equals_enumeration_on_exact_costs(cfn, policy, strategy, k):
+    blocks = walsh_blocks(cfn, build_layout(cfn, strategy, policy))
+    full = encode(blocks)
+    assert check_preservation(blocks, k) == check_preservation(full, k)
+    assert solve(RegisterLandscape(blocks, k)) == solve(truncate(full, k))
+
+
+def test_register_landscape_drops_the_couplings_the_polynomial_drops():
+    # variable 1's coupling, -0.5, and the constant, 0.5, are under 1e-14
+    # of variable 0's coupling, -2^48: the encoded polynomial drops both,
+    # so variable 1's two settings tie at -2^48
+    cfn = Cfn((VariableSpec("a", 2), VariableSpec("b", 2)), ((-(2.0**48), 2.0**48), (0.0, 1.0)), ())
+    blocks = walsh_blocks(cfn, build_layout(cfn))
+    full = encode(blocks)
+    assert full.num_terms() == 1
+    report = check_preservation(blocks, 1)
+    assert report == check_preservation(full, 1)
+    assert report.global_argmin == (0, 2)
+    assert report.global_min_value == -(2.0**48)
+
+
+def _near(x: float, y: float, scale: float) -> bool:
+    return x == y or abs(x - y) <= 1e-12 * max(abs(x), abs(y), scale)
+
+
+@pytest.mark.parametrize("source", ["demo", *range(6)])
+def test_register_landscape_matches_enumeration_on_gaussian_tables(source):
+    # the demo, and the benchmark's dense instances (18 qubits); values
+    # are summed in other orders, so floats agree to 1e-12 relative, and
+    # a difference of values (a gap, barrier or margin) relative to the
+    # minimum it was taken from
+    if source == "demo":
+        cfn = parse_cfn((Path(__file__).resolve().parent.parent / "demos/data/two_card32.json").read_bytes())
+    else:
+        cfn = gaussian_complete_cfn(source)
+    blocks = walsh_blocks(cfn, build_layout(cfn))
+    full = encode(blocks)
+    for k in range(1, 7):
+        want, got = check_preservation(full, k), check_preservation(blocks, k)
+        assert got.global_argmin == want.global_argmin
+        assert got.truncated_argmin == want.truncated_argmin
+        outcome = lambda r: [(v.claim, v.precondition_held, v.asserted) for v in r.verdicts]
+        assert outcome(got) == outcome(want)
+        assert (got.gap_condition_holds, got.barrier_condition_holds) == (
+            want.gap_condition_holds, want.barrier_condition_holds)
+        assert got.epsilon == want.epsilon
+        scale = abs(want.global_min_value)
+        for x, y in [
+            (got.global_min_value, want.global_min_value),
+            (got.truncated_min_value, want.truncated_min_value),
+            (got.energy_gap, want.energy_gap),
+            *((got.basin_barrier_at[m], want.basin_barrier_at[m]) for m in want.global_argmin),
+            *((a.margin, b.margin) for a, b in zip(got.verdicts, want.verdicts) if b.margin is not None),
+        ]:
+            assert _near(x, y, scale), (k, x, y)
+        assert solve(RegisterLandscape(blocks, k)).best_spin == solve(truncate(full, k)).best_spin
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_register_landscape_verdicts_survive_scaled_costs(seed):
+    # a runner-up one flip from the minimizer makes the barrier equal the
+    # gap; costs in the thousands scale the rounding of the two past the
+    # absolute 1e-12 tie radius unless both are the same difference
+    cfn = gaussian_complete_cfn(seed)
+    cfn = replace(
+        cfn,
+        unary_tables=tuple(tuple(1024 * c for c in t) for t in cfn.unary_tables),
+        pairwise_tables=tuple(replace(t, costs=tuple(1024 * c for c in t.costs)) for t in cfn.pairwise_tables),
+    )
+    blocks = walsh_blocks(cfn, build_layout(cfn))
+    full = encode(blocks)
+    outcome = lambda r: [(v.claim, v.precondition_held, v.asserted) for v in r.verdicts]
+    for k in range(1, 7):
+        assert outcome(check_preservation(blocks, k)) == outcome(check_preservation(full, k)), k
 
 
 def test_descent_fixed_point():
