@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .cfn import Cfn, parse_cfn
 from .encoding import Fallback, Penalty, WalshBlocks, build_layout, encode, walsh_blocks
@@ -201,7 +201,11 @@ def _load_cfn(path: str) -> Cfn:
         return parse_cfn(fh.read())
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str | None, text: str) -> None:
+    """Write an artifact to ``path``, or to stdout when none is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -258,7 +262,9 @@ def run_pipeline(args) -> int:
             )
         result = decode_and_refine(result, blocks.layout, cfn, full_poly=full if args.refine else None)
         solve_block = json.loads(solve_result_json(result))
-        if exhaustive and all(result.decoded_valid):
+        # a Fallback register on an unused bitstring decodes to a
+        # choice of the same cost, so only a Penalty one voids the bound
+        if exhaustive and (all(result.decoded_valid) or isinstance(blocks.layout.unused_policy, Fallback)):
             best_value, best_assignment = cfn_optimum(cfn)
             achieved = result.cfn_value
             if result.refined_cfn_value is not None:
@@ -362,11 +368,7 @@ def run_verify(args) -> int:
             for v in report.verdicts
         ],
     }
-    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    if args.out_report:
-        _write(args.out_report, text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out_report, json.dumps(doc, indent=2, allow_nan=False) + "\n")
     if report.failed_verdicts():
         return EXIT_VERIFY_FAILED
     return EXIT_OK
@@ -389,12 +391,7 @@ def run_solve(args) -> int:
     seed, params = _anneal_params(args, args.method == "anneal", "--method anneal")
     with open(args.hubo, "rb") as fh:
         poly = hubo_from_json(fh.read())
-    result = solve(poly, method=args.method, seed=seed, anneal=params)
-    text = solve_result_json(result)
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, solve_result_json(solve(poly, method=args.method, seed=seed, anneal=params)))
     return EXIT_OK
 
 
@@ -441,59 +438,25 @@ def run_ensemble(args) -> int:
     spec = EnsembleSpec(
         variance_profile=profile, family=family, trials=args.trials, rng_seed=args.seed
     )
-    residual = ensemble_residual_check(spec, n, cutoff)
-    bitflip = bitflip_variance_check(spec, cutoff, args.coordinate, n=n)
-    sign = sign_preservation_rate(spec, n, cutoff)
+    residual = asdict(ensemble_residual_check(spec, n, cutoff))
+    del residual["fourth_moment_ok"]
     out = {
         "n": n,
         "k_max": cutoff,
         "family": family,
         "trials": args.trials,
         "seed": args.seed,
-        "residual_moments": {
-            "num_modes": residual.num_modes,
-            "target_variance": residual.target_variance,
-            "sample_mean": residual.sample_mean,
-            "sample_variance": residual.sample_variance,
-            "variance_ok": residual.variance_ok,
-            "skewness": residual.skewness,
-            "excess_kurtosis": residual.excess_kurtosis,
-            "max_variance_ratio": residual.max_variance_ratio,
-            "gaussian_gate_applied": residual.gaussian_gate_applied,
-            "skewness_ok": residual.skewness_ok,
-            "kurtosis_ok": residual.kurtosis_ok,
-            "fourth_moment_bound": residual.fourth_moment_bound,
-            "fourth_moment_ratio": residual.fourth_moment_ratio,
-        },
-        "bitflip_variance": {
-            "coordinate": bitflip.coordinate,
-            "target_variance": bitflip.target_variance,
-            "sample_variance": bitflip.sample_variance,
-            "variance_ok": bitflip.variance_ok,
-            "avg_variance": bitflip.avg_variance,
-            "avg_bound": bitflip.avg_bound,
-            "avg_bound_ok": bitflip.avg_bound_ok,
-        },
-        "sign_preservation": {
-            "margin": sign.margin,
-            "rate": sign.rate,
-        },
+        "residual_moments": residual,
+        "bitflip_variance": asdict(bitflip_variance_check(spec, cutoff, args.coordinate, n=n)),
+        "sign_preservation": asdict(sign_preservation_rate(spec, n, cutoff)),
     }
-    text = json.dumps(out, indent=2, allow_nan=False) + "\n"
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, json.dumps(out, indent=2, allow_nan=False) + "\n")
     return EXIT_OK
 
 
 def run_spectrum(args) -> int:
     _, blocks = _prepare(args)
-    text = spectrum_csv(table_spectrum(blocks))
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, spectrum_csv(table_spectrum(blocks)))
     return EXIT_OK
 
 

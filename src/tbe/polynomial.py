@@ -17,9 +17,9 @@ and ``QuboModel`` built on it) stores the same two arrays, and every
 stored type passes one check of them (``check_terms``).
 
 Keys and configuration masks are Python ints wherever they leave the
-arrays, so nothing here has a qubit cap; the one qubit limit in the
-package is the 2^24 states of exhaustive enumeration
-(``verify.dense_values``).
+arrays, so nothing here has a qubit cap; a polynomial enumerated whole
+(``verify.dense_values``) is capped at 24 qubits, by the 2^24 entries
+of any exact landscape's table.
 """
 
 from __future__ import annotations

@@ -81,7 +81,6 @@ class SolveResult:
     cfn_value: float | None = None
     refined_spin: int | None = None
     refined_assignment: tuple[int, ...] | None = None
-    refined_valid: tuple[bool, ...] | None = None
     refined_cfn_value: float | None = None
     refine_steps: int | None = None
 
@@ -360,26 +359,23 @@ def decode_and_refine(
     if full_poly is None:
         return out
     end_mask, steps = bitflip_descent(full_poly, orig_mask)
-    r_assignment, r_valid = decode(layout, end_mask)
+    r_assignment, _ = decode(layout, end_mask)
     r_value = evaluate_cfn(cfn, r_assignment)
     if r_value > value:
-        end_mask, r_assignment, r_valid, r_value = orig_mask, assignment, valid, value
+        end_mask, r_assignment, r_value = orig_mask, assignment, value
     return replace(
         out,
         refined_spin=end_mask,
         refined_assignment=tuple(r_assignment),
-        refined_valid=tuple(r_valid),
         refined_cfn_value=r_value,
         refine_steps=steps,
     )
 
 
 def solve_result_json(result: SolveResult) -> str:
-    """The result's fields in order, but ``refined_valid``, with each
-    configuration mask as a '+'/'-' string and the start temperature
-    inside the anneal block."""
+    """The result's fields in order, with each configuration mask as a
+    '+'/'-' string and the start temperature inside the anneal block."""
     doc = asdict(result)
-    del doc["refined_valid"]
     start_temperature = doc.pop("start_temperature")
     if result.anneal is not None:
         doc["anneal"]["start_temperature"] = start_temperature

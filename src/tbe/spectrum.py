@@ -31,7 +31,6 @@ class SpectralProfile:
     k >= 1 the global entry equals the sum of all per-table entries.
     """
 
-    num_qubits: int
     per_degree_power: tuple[float, ...]
     per_table_unary: tuple[tuple[float, ...], ...]
     per_table_pairwise: tuple[tuple[int, int, tuple[float, ...]], ...]
@@ -69,7 +68,6 @@ def table_spectrum(blocks: WalshBlocks) -> SpectralProfile:
     global_bins[0] = blocks.constant**2
 
     return SpectralProfile(
-        num_qubits=blocks.layout.total_qubits,
         per_degree_power=tuple(global_bins.tolist()),
         per_table_unary=tuple(unary_profiles),
         per_table_pairwise=tuple(pairwise_profiles),

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cfn import Cfn
-from .elimination import PairwiseNetwork, first, lowest
+from .elimination import MAX_TABLE_ENTRIES, PairwiseNetwork, first, lowest
 from .encoding import WalshBlocks, encode
 from .errors import CapacityError
 from .polynomial import IsingPolynomial, active_incidence, key_octets, octet_words, overlaps, random_masks, significant
@@ -65,7 +65,6 @@ __all__ = [
 ]
 
 TIE_RADIUS = 1e-12
-MAX_ENUM_QUBITS = 24
 
 
 @dataclass(frozen=True)
@@ -73,15 +72,19 @@ class Verdict:
     """Outcome of one asserted claim.
 
     ``asserted`` is None when the claim's precondition did not hold
-    (nothing was checked); otherwise it is the boolean outcome.
+    (nothing was checked, and ``precondition_held`` reads false);
+    otherwise it is the boolean outcome.
     ``margin`` is the slack by which the check passed or failed.
     """
 
     claim: str
-    precondition_held: bool
     asserted: bool | None
     margin: float | None
     details: str
+
+    @property
+    def precondition_held(self) -> bool:
+        return self.asserted is not None
 
 
 @dataclass(frozen=True)
@@ -102,17 +105,15 @@ class LandscapeReport:
     verdicts: tuple[Verdict, ...] = field(default_factory=tuple)
 
     def failed_verdicts(self) -> tuple[Verdict, ...]:
-        return tuple(v for v in self.verdicts if v.precondition_held and v.asserted is False)
+        return tuple(v for v in self.verdicts if v.asserted is False)
 
 
 def dense_values(poly: IsingPolynomial) -> np.ndarray:
     """Value of the polynomial at every configuration mask: the
     enumeration behind a polynomial with no register structure, capped
-    at 2^24 states."""
-    if poly.num_qubits > MAX_ENUM_QUBITS:
-        raise CapacityError(
-            f"enumeration over {poly.num_qubits} qubits exceeds the 2^{MAX_ENUM_QUBITS} cap"
-        )
+    at 2^24 states, as every elimination table is (``MAX_TABLE_ENTRIES``)."""
+    if 1 << poly.num_qubits > MAX_TABLE_ENTRIES:
+        raise CapacityError(f"enumeration over {poly.num_qubits} qubits exceeds the 2^24 cap")
     coeffs = np.zeros(1 << poly.num_qubits)
     coeffs[octet_words(poly.octets)] = poly.coeffs
     return synthesize_values(coeffs)
@@ -309,7 +310,6 @@ def check_preservation(source: IsingPolynomial | WalshBlocks, k_max: int) -> Lan
         verdicts.append(
             Verdict(
                 claim="gap_vs_barrier",
-                precondition_held=True,
                 asserted=bool(worst >= -TIE_RADIUS),
                 margin=worst,
                 details=f"checked {len(clean)} minimizer(s) without degenerate neighbours",
@@ -319,7 +319,6 @@ def check_preservation(source: IsingPolynomial | WalshBlocks, k_max: int) -> Lan
         verdicts.append(
             Verdict(
                 claim="gap_vs_barrier",
-                precondition_held=False,
                 asserted=None,
                 margin=None,
                 details="no minimizer free of degenerate neighbours",
@@ -332,7 +331,6 @@ def check_preservation(source: IsingPolynomial | WalshBlocks, k_max: int) -> Lan
         verdicts.append(
             Verdict(
                 claim="optimum_preservation",
-                precondition_held=True,
                 asserted=contained,
                 margin=gap - 2 * eps,
                 details=f"{len(targmin)} truncated minimizer(s) against {len(argmin_set)} full",
@@ -342,7 +340,6 @@ def check_preservation(source: IsingPolynomial | WalshBlocks, k_max: int) -> Lan
         verdicts.append(
             Verdict(
                 claim="optimum_preservation",
-                precondition_held=False,
                 asserted=None,
                 margin=gap - 2 * eps,
                 details="energy gap does not exceed twice the certificate",
@@ -353,7 +350,6 @@ def check_preservation(source: IsingPolynomial | WalshBlocks, k_max: int) -> Lan
     verdicts.append(
         Verdict(
             claim="approximate_recovery",
-            precondition_held=True,
             asserted=bool(excess <= 2 * eps + TIE_RADIUS),
             margin=2 * eps + TIE_RADIUS - excess,
             details=f"worst truncated-minimizer excess {excess!r}",
@@ -368,7 +364,6 @@ def check_preservation(source: IsingPolynomial | WalshBlocks, k_max: int) -> Lan
         verdicts.append(
             Verdict(
                 claim="basin_preservation",
-                precondition_held=True,
                 asserted=worst_margin >= 0,
                 margin=worst_margin,
                 details=f"checked {len(qualifying)} minimizer(s) with barrier above twice the certificate",
@@ -378,7 +373,6 @@ def check_preservation(source: IsingPolynomial | WalshBlocks, k_max: int) -> Lan
         verdicts.append(
             Verdict(
                 claim="basin_preservation",
-                precondition_held=False,
                 asserted=None,
                 margin=None,
                 details="no minimizer's barrier exceeds twice the certificate",
@@ -402,8 +396,14 @@ def bitflip_descent(poly: IsingPolynomial, start: int) -> tuple[int, int]:
     """Best-improvement single bit-flip descent from a configuration mask.
 
     At each step flips the coordinate with the most negative energy
-    change (lowest index on ties) until no flip strictly decreases the
-    value.  Returns the endpoint and the number of flips taken.
+    change (lowest index on ties) until that change is not negative or
+    the flip does not lower the value, summed afresh from the terms.
+    The value is a function of the mask, so no mask is visited twice
+    and the descent ends, even on a plateau of exact ties where the
+    change can round to just below zero in every direction (a running
+    sum of the changes would not do: near a value of 0 it keeps falling
+    by rounding errors).  Returns the endpoint and the number of flips
+    taken.
 
     The (term, qubit) incidence is built once, term-major, over the
     qubits some term holds (``active_incidence``); ``bincount``
@@ -418,6 +418,7 @@ def bitflip_descent(poly: IsingPolynomial, start: int) -> tuple[int, int]:
     term_idx, column_idx = np.nonzero(incidence)
     mask = start
     chi = np.where(overlaps(poly.octets, [start])[0] % 2, -1.0, 1.0)
+    energy = float(chi @ coeffs)
     steps = 0
     while qubits.size:
         contrib = -2.0 * coeffs * chi
@@ -425,8 +426,12 @@ def bitflip_descent(poly: IsingPolynomial, start: int) -> tuple[int, int]:
         best = int(np.argmin(deltas))
         if not deltas[best] < 0.0:
             break
-        mask ^= 1 << int(qubits[best])
         chi[term_idx[column_idx == best]] *= -1.0
+        after = float(chi @ coeffs)
+        if not after < energy:
+            break
+        energy = after
+        mask ^= 1 << int(qubits[best])
         steps += 1
     return mask, steps
 
@@ -530,18 +535,13 @@ def _draw(rng: np.random.Generator, family: str, variances: np.ndarray, trials: 
 class MomentReport:
     """Sample moments of the truncation residual at one configuration."""
 
-    trials: int
-    family: str
     num_modes: int
     target_variance: float
     sample_mean: float
     sample_variance: float
-    variance_se: float
     variance_ok: bool
     skewness: float
     excess_kurtosis: float
-    skewness_se: float
-    kurtosis_se: float
     max_variance_ratio: float
     gaussian_gate_applied: bool
     skewness_ok: bool | None
@@ -601,18 +601,13 @@ def ensemble_residual_check(spec: EnsembleSpec, n: int, k_max: int) -> MomentRep
     fourth_ok = ratio <= bound * (1.0 + 10.0 / math.sqrt(spec.trials)) + 1e-12
 
     return MomentReport(
-        trials=spec.trials,
-        family=spec.family,
         num_modes=len(omitted),
         target_variance=target,
         sample_mean=mean,
         sample_variance=var,
-        variance_se=var_se,
         variance_ok=variance_ok,
         skewness=skew,
         excess_kurtosis=kurt,
-        skewness_se=skew_se,
-        kurtosis_se=kurt_se,
         max_variance_ratio=max_ratio,
         gaussian_gate_applied=gate,
         skewness_ok=skew_ok,
@@ -629,10 +624,8 @@ class BitflipVarianceReport:
     energy difference on the truncated landscape."""
 
     coordinate: int
-    trials: int
     target_variance: float
     sample_variance: float
-    variance_se: float
     variance_ok: bool
     avg_variance: float
     avg_bound: float
@@ -678,10 +671,8 @@ def bitflip_variance_check(spec: EnsembleSpec, k_max: int, coordinate: int, n: i
 
     return BitflipVarianceReport(
         coordinate=coordinate,
-        trials=spec.trials,
         target_variance=target,
         sample_variance=var,
-        variance_se=se,
         variance_ok=ok,
         avg_variance=avg,
         avg_bound=avg_bound,
@@ -693,9 +684,6 @@ def bitflip_variance_check(spec: EnsembleSpec, k_max: int, coordinate: int, n: i
 class SignRateReport:
     """Agreement rate between full and truncated bit-flip move signs."""
 
-    trials: int
-    num_coordinates: int
-    k_max: int
     margin: float | None
     rate: float
 
@@ -740,9 +728,6 @@ def sign_preservation_rate(spec: EnsembleSpec, n: int, k_max: int) -> SignRateRe
         margin = None
 
     return SignRateReport(
-        trials=spec.trials,
-        num_coordinates=n,
-        k_max=k_max,
         margin=margin,
         rate=agree / total if total else 1.0,
     )

@@ -145,6 +145,77 @@ def test_compile_corollary_bound_on_random_cfn(small_input, tmp_path):
         assert doc["corollary_check"]["holds"]
 
 
+def tie_plateau_cfn(seed: int, shift: float = 0.0) -> str:
+    """Cardinalities 3, 5 and 6 on a chain of N(0, 1) tables, the first
+    unary table shifted by ``shift``.  No cardinality is a power of two,
+    so under Fallback each register has unused bitstrings that cost
+    exactly what their fallback choice costs."""
+    rng = np.random.default_rng(seed)
+    cards = (3, 5, 6)
+    unary = [rng.standard_normal(c) for c in cards]
+    unary[0] += shift
+    doc = {
+        "variables": [{"name": f"v{i}", "cardinality": c} for i, c in enumerate(cards)],
+        "unary": [{"var": i, "costs": costs.tolist()} for i, costs in enumerate(unary)],
+        "pairwise": [
+            {"vars": [0, 1], "costs": rng.standard_normal(15).tolist()},
+            {"vars": [1, 2], "costs": rng.standard_normal(30).tolist()},
+        ],
+    }
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("shift", [0.0, 4.4], ids=["plateau", "plateau-near-zero"])
+def test_refine_ends_on_a_plateau_of_exact_ties(tmp_path, shift):
+    # from the solves of seed 20, the flip changes summed from the terms
+    # round to just below zero in a cycle of four flips; shifted by 4.4,
+    # the plateau's value is near 0, where a running sum of the changes
+    # keeps falling for about 1e16 flips.  Run in a subprocess, so that a
+    # descent that never ends fails on the timeout instead of hanging
+    root = Path(__file__).resolve().parent.parent
+    cfn = tmp_path / "plateau.json"
+    cfn.write_text(tie_plateau_cfn(20, shift))
+    code = (
+        "import sys\n"
+        "from tbe.cli import main\n"
+        "for kmax in '123':\n"
+        "    for method in ('exhaustive', 'anneal'):\n"
+        "        argv = ['compile', '--input', sys.argv[1], '--kmax', kmax, '--solve', method, '--refine']\n"
+        "        assert main(argv + ['--out-report', f'{sys.argv[1]}.{kmax}.{method}']) == 0\n"
+    )
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(cfn)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    reports = list(tmp_path.glob("plateau.json.*"))
+    assert len(reports) == 6
+    for report in reports:
+        doc = json.loads(report.read_text())
+        assert doc["solve"]["refined_cfn_value"] <= doc["solve"]["cfn_value"]
+
+
+def test_corollary_checked_where_a_fallback_register_lands_on_an_unused_bitstring(tmp_path):
+    # an unused bitstring costs what its fallback choice costs, so the
+    # decoded value is the encoded one and the bound holds wherever the
+    # exhaustive solve lands
+    landed = 0
+    for seed in range(8):
+        cfn, report = tmp_path / f"{seed}.json", tmp_path / f"{seed}.report.json"
+        cfn.write_text(tie_plateau_cfn(seed))
+        for kmax in ("1", "2", "3"):
+            argv = ["compile", "--input", str(cfn), "--kmax", kmax, "--solve", "exhaustive"]
+            assert main(argv + ["--out-report", str(report)]) == 0
+            doc = json.loads(report.read_text())
+            landed += not all(doc["solve"]["decoded_valid"])
+            assert doc["corollary_check"] is not None and doc["corollary_check"]["holds"]
+    assert landed
+
+
 def test_strict_noise_floor_exit_code(tmp_path):
     # all mass above the cutoff: guaranteed noise-floor failure
     doc = {

@@ -5,12 +5,16 @@ config and seed, not only from rerun to rerun but across changes to
 the code.  These digests pin that for the demo input (10 qubits, keys
 of 2 bytes) and for a seeded 70-qubit chain (keys of 9 bytes), at
 ``--kmax 3``, where every ancilla's parents are original qubits, and
-at a higher ``--kmax``, where many ancillas have an ancilla parent, and
-the report of a short anneal of each ``--kmax 3`` QUBO: a change that
-moves any byte here must re-pin them and say why in CHANGES.md.
+at a higher ``--kmax``, where many ancillas have an ancilla parent, the
+report of a short anneal of each ``--kmax 3`` QUBO, ``tbe solve`` of the
+demo's ``--kmax 3`` truncation, and ``tbe ensemble`` of a fixed profile:
+a change that moves any byte here must re-pin them and say why in
+CHANGES.md.
 """
 
 import hashlib
+import itertools
+import json
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +68,16 @@ QUBO_ANNEAL_DIGESTS = {
     # 210 qubits, 140 of them ancillas
     CHAIN: "bb247a7c77bfd6e9dc00f34dc188997b85a53fc3e08d871a48b8a2831faac215",
 }
+
+# `tbe solve` stdout on the demo's --kmax 3 truncation
+SOLVE_ARGS = {"exhaustive": ["--method", "exhaustive"], "anneal": ["--method", "anneal", "--seed", "1"]}
+SOLVE_DIGESTS = {
+    "exhaustive": "527fe85ad6cfc9ca6ae68dad88ec578d9abf3b28d3a5c450fed35e158b915411",
+    "anneal": "e91ca401179555d5599a29eb9e612d21740b6e3eb8c154c3ce593a98dd22a7e6",
+}
+# `tbe ensemble` stdout on ensemble_profile()
+ENSEMBLE_ARGS = ["--trials", "2000", "--seed", "3", "--coordinate", "1"]
+ENSEMBLE_DIGEST = "1a9a938eaf8cd666cb911a6e3b63de9be243c5542d0f2f586b29a8f734b9b6c7"
 
 
 def digest(data: bytes) -> str:
@@ -146,3 +160,31 @@ def test_qubo_anneal_report_past_64_qubits(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     Path(CHAIN).write_text(serialize_cfn(chain_cfn()), encoding="utf-8")
     assert anneal_report_digest(CHAIN, tmp_path) == QUBO_ANNEAL_DIGESTS[CHAIN]
+
+
+@pytest.mark.parametrize("method", list(SOLVE_ARGS))
+def test_solve_stdout(at_root, tmp_path, capsys, method):
+    trunc = tmp_path / "trunc.json"
+    assert main(["compile", "--input", DEMO, "--kmax", "3", "--out-trunc", str(trunc)]) == 0
+    assert main(["solve", "--hubo", str(trunc), *SOLVE_ARGS[method]]) == 0
+    assert digest(capsys.readouterr().out.encode()) == SOLVE_DIGESTS[method]
+
+
+def ensemble_profile() -> dict:
+    """10 qubits cut at degree 2: unit linear modes, and cubic and quartic
+    modes small enough that no omitted mode carries 1% of the residual's
+    variance, so the Gaussian gates apply."""
+    variances = {1: 1.0, 3: 0.01, 4: 0.005}
+    modes = [
+        {"qubits": list(qubits), "pi": pi}
+        for degree, pi in variances.items()
+        for qubits in itertools.combinations(range(10), degree)
+    ]
+    return {"n": 10, "k_max": 2, "family": "gaussian", "modes": modes}
+
+
+def test_ensemble_stdout(tmp_path, capsys):
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(ensemble_profile()), encoding="utf-8")
+    assert main(["ensemble", "--profile", str(profile), *ENSEMBLE_ARGS]) == 0
+    assert digest(capsys.readouterr().out.encode()) == ENSEMBLE_DIGEST
