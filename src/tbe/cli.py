@@ -438,15 +438,13 @@ def run_ensemble(args) -> int:
     spec = EnsembleSpec(
         variance_profile=profile, family=family, trials=args.trials, rng_seed=args.seed
     )
-    residual = asdict(ensemble_residual_check(spec, n, cutoff))
-    del residual["fourth_moment_ok"]
     out = {
         "n": n,
         "k_max": cutoff,
         "family": family,
         "trials": args.trials,
         "seed": args.seed,
-        "residual_moments": residual,
+        "residual_moments": asdict(ensemble_residual_check(spec, n, cutoff)),
         "bitflip_variance": asdict(bitflip_variance_check(spec, cutoff, args.coordinate, n=n)),
         "sign_preservation": asdict(sign_preservation_rate(spec, n, cutoff)),
     }

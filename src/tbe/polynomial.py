@@ -16,10 +16,11 @@ caller reads ``terms``.  A 0/1-basis polynomial (``BinaryPolynomial``,
 and ``QuboModel`` built on it) stores the same two arrays, and every
 stored type passes one check of them (``check_terms``).
 
-Keys and configuration masks are Python ints wherever they leave the
-arrays, so nothing here has a qubit cap; a polynomial enumerated whole
-(``verify.dense_values``) is capped at 24 qubits, by the 2^24 entries
-of any exact landscape's table.
+The flip kernels read the (term, qubit) pairs of the nonzero key bytes
+(``held_qubits``), so their memory follows the held pairs.  Keys and
+masks are Python ints wherever they leave the arrays, so nothing here
+has a qubit cap; a polynomial enumerated whole (``verify.dense_values``)
+is capped at 24 qubits, the 2^24 entries of an exact landscape's table.
 """
 
 from __future__ import annotations
@@ -380,27 +381,26 @@ def pack_masks(bits: np.ndarray) -> list[int]:
     return octet_keys(bit_octets(bits))
 
 
-def active_incidence(octets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The qubits some key holds, ascending, and the boolean (keys x
-    those qubits) incidence: entry (t, j) is whether key t holds qubit
-    ``qubits[j]``.  Only the byte columns holding a set bit are
-    unpacked, so idle qubits cost nothing."""
-    columns = np.flatnonzero(octets.any(axis=0))
-    bits = octet_bits(octets[:, columns], 8 * columns.size)
-    held = bits.any(axis=0)
-    return (8 * columns[:, None] + np.arange(8)).ravel()[held], bits[:, held]
+def held_qubits(octets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (term, qubit) pairs of keys given as rows of bytes, in the
+    order of ``np.nonzero`` of their ``octet_bits``, unpacked from the
+    nonzero bytes alone, so memory follows the pairs, not keys x qubits."""
+    term, column = np.nonzero(octets)
+    slot, bit = np.nonzero(np.unpackbits(octets[term, column][:, None], axis=1, bitorder="little"))
+    return term[slot], 8 * column[slot] + bit
 
 
-def overlaps(octets: np.ndarray, masks: Sequence[int]) -> np.ndarray:
-    """(len(masks) x keys) count of the qubits each mask (below
-    ``2^(8 width)``) shares with each key given as a row of bytes, so
-    key t's character at mask m is -1 where it is odd; a popcount table
-    reads only the byte columns where some key holds a qubit."""
-    held = mask_octets(masks, octets.shape[1])
-    counts = np.zeros((len(held), len(octets)), np.int64)
-    for b in np.flatnonzero(octets.any(axis=0)).tolist():
-        counts += _BYTE_DEGREE[held[:, b, None] & octets[:, b]]
-    return counts
+def characters(octets: np.ndarray, masks: Sequence[int]) -> np.ndarray:
+    """(len(masks) x keys) matrix of each key's character at each mask
+    (below ``2^(8 width)``): -1.0 where they share an odd number of
+    qubits, else 1.0, read off the held pairs (``held_qubits``)."""
+    term, qubit = held_qubits(octets)
+    shared = mask_bits(masks, 8 * octets.shape[1])[:, qubit]
+    # the pairs are key-major, so each key that holds a qubit starts a run
+    starts = np.flatnonzero(np.diff(term, prepend=-1))
+    odd = np.zeros((len(masks), len(octets)), bool)
+    odd[:, term[starts]] = np.bitwise_xor.reduceat(shared, starts, axis=1)
+    return np.where(odd, -1.0, 1.0)
 
 
 def octet_words(octets: np.ndarray) -> np.ndarray:

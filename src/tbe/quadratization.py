@@ -25,8 +25,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .polynomial import BinaryPolynomial, IsingPolynomial, active_incidence, bit_octets, check_distinct, check_terms
-from .polynomial import first_appearance_groups, json_array, key_octets, octet_bits, octet_degrees
+from .polynomial import BinaryPolynomial, IsingPolynomial, bit_octets, check_distinct, check_terms
+from .polynomial import first_appearance_groups, held_qubits, json_array, key_octets, octet_bits, octet_degrees
 from .walsh import leakage_transform, to_01_basis
 
 __all__ = ["QuboModel", "quadratize", "resolve_ancillas", "qubo_json"]
@@ -295,9 +295,8 @@ def qubo_json(model: QuboModel) -> str:
     constant is written ``0.0``.  The key bytes' set bits, row by row,
     are each linear term's ``i``, then each quadratic term's ``i`` and ``j``.
     """
-    qubits, bits = active_incidence(model.octets)
-    constants, linears = np.searchsorted(bits.sum(axis=1), (1, 2)).tolist()
-    qubits = qubits[np.nonzero(bits)[1]].tolist()
+    constants, linears = np.searchsorted(octet_degrees(model.octets), (1, 2)).tolist()
+    qubits = held_qubits(model.octets)[1].tolist()
     texts = list(map(float.__repr__, model.coeffs.tolist()))
     constant = texts[0] if constants else "0.0"
     linear = [

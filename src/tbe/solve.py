@@ -20,8 +20,8 @@ Solutions are decoded back to CFN assignments, re-scored against the
 true cost tables, and optionally refined by bit-flip descent on the
 full (untruncated) encoding.  Configuration masks are Python ints, so
 neither annealing nor refinement has a qubit cap; both read only the
-qubits some term holds (``polynomial.active_incidence`` and
-``overlaps``): O(terms x active qubits) memory, and n bytes a restart.
+(term, qubit) pairs the terms hold (``polynomial.held_qubits``), plus n
+bytes a restart and the anneal's dense gain matrix per colour class.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .cfn import Cfn, evaluate_cfn
 from .encoding import EncodingLayout, decode
-from .polynomial import IsingPolynomial, active_incidence, mask_bits, mask_to_string, overlaps, pack_masks, random_masks
+from .polynomial import IsingPolynomial, characters, held_qubits, mask_bits, mask_to_string, pack_masks, random_masks
 from .quadratization import QuboModel
 from .verify import DenseLandscape, RegisterLandscape, bitflip_descent
 
@@ -136,22 +136,24 @@ def solve(
     )
 
 
-def _colour_classes(incidence: np.ndarray) -> list[np.ndarray]:
+def _colour_classes(columns: np.ndarray, n: int) -> list[np.ndarray]:
     """Independent sets of the qubit graph, in colour order.
 
-    Two qubits are adjacent when they share a term (a column pair of
-    the terms x active qubits ``incidence`` of ``active_incidence`` with
-    a common row).  DSATUR repeatedly takes the uncoloured qubit whose
-    neighbours show the most distinct colours (then the highest degree,
-    then the lowest index) and gives it the lowest colour none of them
-    has.  Each class lists its columns in increasing order; the map
-    back to qubits is increasing, so ties break as they would over all
-    qubits.
+    Two qubits are adjacent when they share a term: both are in one
+    column of ``columns``, the terms' lists of the ``n`` qubit columns
+    (``_term_columns``, padded with ``n``).  DSATUR repeatedly takes the
+    uncoloured qubit whose neighbours show the most distinct colours
+    (then the highest degree, then the lowest index) and gives it the
+    lowest colour none of them has.  Each class lists its columns in
+    increasing order; the map back to qubits is increasing, so ties
+    break as they would over all qubits.
     """
-    n = incidence.shape[1]
-    neighbours = [np.flatnonzero(incidence[incidence[:, q]].any(axis=0)) for q in range(n)]
-    neighbours = [nb[nb != q] for q, nb in enumerate(neighbours)]
-    degree = np.array([nb.size for nb in neighbours], dtype=np.int64)
+    # every ordered pair of distinct columns within a term, as one code
+    a, b = np.broadcast_arrays(columns[:, None], columns[None])
+    codes = np.sort((a * n + b)[(a < n) & (b < n) & (a != b)])
+    codes = codes[np.diff(codes, prepend=-1) != 0]
+    degree = np.bincount(codes // n, minlength=n)
+    neighbours = np.split(codes % n, np.cumsum(degree))[:-1]
     saturation = np.zeros(n, dtype=np.int64)
     # seen[q, c]: some neighbour of q has colour c; a qubit never needs
     # a colour above its degree
@@ -171,23 +173,22 @@ def _colour_classes(incidence: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(colour == c) for c in range(int(colour.max(initial=-1)) + 1)]
 
 
-def _schedule(coeffs: np.ndarray, incidence: np.ndarray, params: AnnealParams) -> tuple[float, float]:
+def _schedule(coeffs: np.ndarray, term: np.ndarray, column: np.ndarray, params: AnnealParams) -> tuple[float, float]:
     """The first sweep's temperature T_hot and the cooling per sweep.
 
     Flipping a qubit changes the energy by at most dE = 2 sum |c| over
-    the terms that hold it (row t of the terms x active qubits
-    ``incidence`` holds ``coeffs[t]``).  With dE_max the largest such
-    bound, T_hot = dE_max / ln 2 accepts the largest uphill flip with
-    probability 1/2, and T_cold = max(2 min |c|, 1e-3 dE_max) / ln 100
-    accepts the smallest with probability 1/100.  The cooling is
-    ``params.cooling`` when given; else the factor that takes T_hot to
-    T_cold on the last sweep, or 1 when there is one sweep or none.
-    These are the end points of D-Wave's ``neal`` default beta range,
-    and of Isakov et al., Comput. Phys. Commun. 192 (2015).
+    the terms that hold it (term ``term[i]`` holds the qubit of column
+    ``column[i]``).  With dE_max the largest such bound, T_hot = dE_max
+    / ln 2 accepts the largest uphill flip with probability 1/2, and
+    T_cold = max(2 min |c|, 1e-3 dE_max) / ln 100 accepts the smallest
+    with probability 1/100.  The cooling is ``params.cooling`` when
+    given; else the factor that takes T_hot to T_cold on the last sweep,
+    or 1 when there is one sweep or none.  These are the end points of
+    D-Wave's ``neal`` default beta range, and of Isakov et al., Comput.
+    Phys. Commun. 192 (2015).
     """
-    term, col = np.nonzero(incidence)
     magnitude = np.abs(coeffs)
-    largest = float(np.bincount(col, weights=2.0 * magnitude[term]).max())
+    largest = float(np.bincount(column, weights=2.0 * magnitude[term]).max())
     t_hot = largest / math.log(2)
     if params.cooling is not None:
         return t_hot, params.cooling
@@ -197,18 +198,16 @@ def _schedule(coeffs: np.ndarray, incidence: np.ndarray, params: AnnealParams) -
     return t_hot, (t_cold / t_hot) ** (1.0 / (params.sweeps - 1))
 
 
-def _held_spins(incidence: np.ndarray, spin_row: np.ndarray) -> np.ndarray:
-    """The (width x terms) index whose column t lists the spin rows of
-    the qubits term t holds (row t of the terms x active qubits
-    ``incidence``), padded with the +1 row ``len(spin_row)`` to the
-    largest degree rounded up to an odd width."""
-    term, col = np.nonzero(incidence)
-    degree = incidence.sum(axis=1)
-    held = np.full((int(degree.max()) | 1, len(incidence)), len(spin_row))
-    # np.nonzero walks the terms in turn, so each entry's slot is its
-    # place among its term's entries
-    held[np.arange(term.size) - np.repeat(np.cumsum(degree) - degree, degree), term] = spin_row[col]
-    return held
+def _term_columns(term: np.ndarray, column: np.ndarray, terms: int, fill: int) -> np.ndarray:
+    """(width x terms) matrix whose column t lists the columns term t
+    holds (pairs ``term[i]``, ``column[i]``, term-major), padded with
+    ``fill`` to the largest degree rounded up to an odd width."""
+    degree = np.bincount(term, minlength=terms)
+    padded = np.full((int(degree.max(initial=0)) | 1, terms), fill)
+    # the pairs walk the terms in turn, so each pair's slot is its
+    # place among its term's pairs
+    padded[np.arange(term.size) - np.repeat(np.cumsum(degree) - degree, degree), term] = column
+    return padded
 
 
 def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple[int, float, float, float]:
@@ -224,15 +223,15 @@ def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple
     then per sweep one permutation of the classes (the visiting order)
     and one uniform per restart for each active qubit, in class order
     (classes by colour, qubits ascending within a class), drawn as one
-    block.  Only the active qubits' columns are unpacked
-    (``active_incidence``), and idle qubits keep their start values.
+    block.  Only the held (term, qubit) pairs are read
+    (``held_qubits``), and idle qubits keep their start values.
 
     The state is one int8 spin per active qubit and restart, 1 or -1
     (0x01 or 0xFF), in class order, so a class's spins are a contiguous
     slice, plus a row of +1s.  The two bytes differ in bits 1-7 only, so
     the XOR of an odd number of them is their product: a step XORs the
-    spins each of its class's terms holds (``_held_spins``, padded to an
-    odd count) into the terms' characters, takes every delta as one
+    spins each of its class's terms holds (``_term_columns``, padded to
+    an odd count) into the terms' characters, takes every delta as one
     gain-matrix product and negates the accepted spins in place.  Each
     step records its accepted delta sum; once per sweep a running sum
     gives the energy after every step, by the same additions in the same
@@ -252,22 +251,28 @@ def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple
     rng = np.random.default_rng(seed)
     restarts = params.restarts
     masks = random_masks(rng, n, restarts)
-    best_energy = np.where(overlaps(poly.octets[first:], masks) % 2, -1.0, 1.0) @ coeffs + constant
+    best_energy = characters(poly.octets[first:], masks) @ coeffs + constant
 
-    qubits, incidence = active_incidence(poly.octets[first:])
-    start_temperature, cooling = _schedule(coeffs, incidence, params)
-    classes = _colour_classes(incidence)
+    # each qubit some term holds gets a column, in increasing order
+    term, qubit = held_qubits(poly.octets[first:])
+    holds = np.bincount(qubit) > 0
+    qubits, column = np.flatnonzero(holds), np.cumsum(holds)[qubit] - 1
+    active = qubits.size
+    start_temperature, cooling = _schedule(coeffs, term, column, params)
+    term_columns = _term_columns(term, column, coeffs.size, active)
+    classes = _colour_classes(term_columns, active)
     columns = np.concatenate(classes)
     qubit_order = qubits[columns]
-    active = columns.size
-    # the spin row of each active column; row ``active`` holds +1s
-    spin_row = np.empty(active, np.intp)
+    # each column's spin row; the padding column ``active`` reads the +1 row
+    spin_row = np.full(active + 1, active)
     spin_row[columns] = np.arange(active)
-    held = _held_spins(incidence, spin_row)
+    held = spin_row[term_columns]
+    # the terms holding each column, ascending
+    per_column = np.split(term[np.argsort(column, kind="stable")], np.cumsum(np.bincount(column))[:-1])
     steps = []
     lo = 0
     for members in classes:
-        per_qubit = [np.flatnonzero(incidence[:, q]) for q in members]
+        per_qubit = [per_column[q] for q in members]
         rows = np.concatenate(per_qubit)
         owner = np.repeat(np.arange(members.size), [idx.size for idx in per_qubit])
         # flipping member i negates its terms, so gain[i] holds -2 c over

@@ -37,7 +37,7 @@ from .cfn import Cfn
 from .elimination import MAX_TABLE_ENTRIES, PairwiseNetwork, first, lowest
 from .encoding import WalshBlocks, encode
 from .errors import CapacityError
-from .polynomial import IsingPolynomial, active_incidence, key_octets, octet_words, overlaps, random_masks, significant
+from .polynomial import IsingPolynomial, characters, held_qubits, key_octets, octet_words, random_masks, significant
 from .truncation import certify, truncate
 from .walsh import subset_degrees, synthesize_values
 
@@ -405,33 +405,31 @@ def bitflip_descent(poly: IsingPolynomial, start: int) -> tuple[int, int]:
     by rounding errors).  Returns the endpoint and the number of flips
     taken.
 
-    The (term, qubit) incidence is built once, term-major, over the
-    qubits some term holds (``active_incidence``); ``bincount``
-    accumulates each one's change term by term.  An idle qubit's change
-    is exactly 0 and the column map is increasing, so ties go to the
-    lowest index as they would over every qubit.
+    The (term, qubit) pairs are read once, term-major
+    (``held_qubits``), and ``bincount`` accumulates each qubit's change
+    term by term.  An idle qubit's change is exactly 0, so it is never
+    taken, and ties go to the lowest index.
     """
     if start < 0 or start.bit_length() > poly.num_qubits:
         raise ValueError("configuration mask out of range")
     coeffs = poly.coeffs
-    qubits, incidence = active_incidence(poly.octets)
-    term_idx, column_idx = np.nonzero(incidence)
+    term_idx, qubit_idx = held_qubits(poly.octets)
     mask = start
-    chi = np.where(overlaps(poly.octets, [start])[0] % 2, -1.0, 1.0)
+    chi = characters(poly.octets, [start])[0]
     energy = float(chi @ coeffs)
     steps = 0
-    while qubits.size:
+    while qubit_idx.size:
         contrib = -2.0 * coeffs * chi
-        deltas = np.bincount(column_idx, weights=contrib[term_idx], minlength=qubits.size)
+        deltas = np.bincount(qubit_idx, weights=contrib[term_idx])
         best = int(np.argmin(deltas))
         if not deltas[best] < 0.0:
             break
-        chi[term_idx[column_idx == best]] *= -1.0
+        chi[term_idx[qubit_idx == best]] *= -1.0
         after = float(chi @ coeffs)
         if not after < energy:
             break
         energy = after
-        mask ^= 1 << int(qubits[best])
+        mask ^= 1 << best
         steps += 1
     return mask, steps
 
@@ -531,6 +529,17 @@ def _draw(rng: np.random.Generator, family: str, variances: np.ndarray, trials: 
     return rng.uniform(-1.0, 1.0, size=shape) * (scale * math.sqrt(3.0))
 
 
+def _variance_gate(samples: np.ndarray, target: float) -> tuple[float, bool, float, float, float]:
+    """The sample variance (ddof 1; 0 for one sample), whether it is
+    within five standard errors of ``target`` (is 0, if ``target`` is
+    not positive), and the central moments m2, m3 and m4."""
+    var = float(samples.var(ddof=1)) if len(samples) > 1 else 0.0
+    centered = samples - samples.mean()
+    m2, m3, m4 = (float(np.mean(centered**p)) for p in (2, 3, 4))
+    se = math.sqrt(max(m4 - m2**2, 0.0) / len(samples))
+    return var, (abs(var - target) <= 5.0 * se if target > 0 else var == 0.0), m2, m3, m4
+
+
 @dataclass(frozen=True)
 class MomentReport:
     """Sample moments of the truncation residual at one configuration."""
@@ -575,18 +584,12 @@ def ensemble_residual_check(spec: EnsembleSpec, n: int, k_max: int) -> MomentRep
         max_ratio = 0.0
 
     mean = float(samples.mean())
-    var = float(samples.var(ddof=1)) if spec.trials > 1 else 0.0
-    centered = samples - mean
-    m2 = float(np.mean(centered**2))
-    m3 = float(np.mean(centered**3))
-    m4 = float(np.mean(centered**4))
+    var, variance_ok, m2, m3, m4 = _variance_gate(samples, target)
     skew = m3 / m2**1.5 if m2 > 0 else 0.0
     kurt = m4 / m2**2 - 3.0 if m2 > 0 else 0.0
-    var_se = math.sqrt(max(m4 - m2**2, 0.0) / spec.trials)
     skew_se = math.sqrt(6.0 / spec.trials)
     kurt_se = math.sqrt(24.0 / spec.trials)
 
-    variance_ok = abs(var - target) <= 5.0 * var_se if target > 0 else var == 0.0
     gate = max_ratio < 0.01 and target > 0
     skew_ok = (abs(skew) < 0.1 + 5.0 * skew_se) if gate else None
     kurt_ok = (abs(kurt) < 0.1 + 5.0 * kurt_se) if gate else None
@@ -657,12 +660,7 @@ def bitflip_variance_check(spec: EnsembleSpec, k_max: int, coordinate: int, n: i
         samples = -2.0 * (draws @ np.ones(len(touching)))
     else:
         samples = np.zeros(spec.trials)
-    var = float(samples.var(ddof=1)) if spec.trials > 1 else 0.0
-    centered = samples - samples.mean()
-    m4 = float(np.mean(centered**4))
-    m2 = float(np.mean(centered**2))
-    se = math.sqrt(max(m4 - m2**2, 0.0) / spec.trials)
-    ok = abs(var - target) <= 5.0 * se if target > 0 else var == 0.0
+    var, ok, *_ = _variance_gate(samples, target)
 
     kept_power = sum(spec.variance_profile[s] for s in kept)
     total = 4.0 * sum(s.bit_count() * spec.variance_profile[s] for s in kept)
@@ -705,13 +703,14 @@ def sign_preservation_rate(spec: EnsembleSpec, n: int, k_max: int) -> SignRateRe
     variances = np.array([spec.variance_profile[s] for s in modes])
     draws = _draw(rng, spec.family, variances, spec.trials)
     octets = key_octets(modes, n)
-    chi = np.where(overlaps(octets, [at_mask])[0] % 2, -1.0, 1.0)
-    qubits, incidence = active_incidence(octets)
+    chi = characters(octets, [at_mask])[0]
+    term, qubit = held_qubits(octets)
+    qubits = np.flatnonzero(np.bincount(qubit))
 
     # a coordinate in no mode moves neither landscape, so the two agree
     agree = (n - qubits.size) * spec.trials
-    for column in incidence.T:
-        cols = np.flatnonzero(column)
+    for q in qubits.tolist():
+        cols = term[qubit == q]
         contrib = draws[:, cols] * (-2.0 * chi[cols])
         full_diff = contrib.sum(axis=1)
         trunc_diff = contrib[:, cols < len(kept)].sum(axis=1)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .polynomial import BinaryPolynomial, IsingPolynomial, _canonical_order, first_appearance_groups
-from .polynomial import active_incidence, octet_degrees, octet_width, significant
+from .polynomial import held_qubits, octet_degrees, octet_width, significant
 
 __all__ = [
     "fwht",
@@ -138,8 +138,7 @@ def _subset_expansion(
     the subsets of a key's first b + 1 qubits are those of its first b
     with and without qubit b."""
     count, width = octets.shape
-    active, bits = active_incidence(octets)
-    qubits = active[np.nonzero(bits)[1]].reshape(count, d)
+    qubits = held_qubits(octets)[1].reshape(count, d)
     one_hot = np.zeros((count, d, width), np.uint8)
     one_hot[np.arange(count)[:, None], np.arange(d), qubits >> 3] = 1 << (qubits & 7)
     subsets = np.zeros((count, 1 << d, width), np.uint8)

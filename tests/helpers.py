@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from tbe import AnnealParams, BinaryPolynomial, Cfn, EncodingLayout, IsingPolynomial, PairwiseTable, Penalty, VariableSpec
 from tbe.encoding import default_penalty_weight
-from tbe.polynomial import active_incidence, mask_bits, overlaps, pack_masks, random_masks
+from tbe.polynomial import mask_bits, pack_masks, random_masks
 from tbe.quadratization import QuboModel
-from tbe.solve import _colour_classes
+from tbe.solve import _colour_classes, _term_columns
 from tbe.walsh import SmoothnessReport, fwht, squared_mass_by_degree, subset_degrees
 
 
@@ -404,8 +404,8 @@ def reference_metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int)
     then per sweep one permutation of the classes (the visiting order)
     and one uniform per restart for each active qubit, in class order
     (classes by colour, qubits ascending within a class), drawn as one
-    block.  Only the active qubits' columns are unpacked
-    (``active_incidence``), and idle qubits keep their start values.
+    block.  Only the active qubits' columns are read, from a dense
+    terms x qubits incidence, and idle qubits keep their start values.
     Term characters are held term-major (terms x restarts) and spins as
     a boolean (active qubits x restarts) array in class order, so a
     class's spins are a contiguous slice; a step gathers the class's
@@ -428,8 +428,12 @@ def reference_metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int)
     restarts = params.restarts
     masks = random_masks(rng, n, restarts)
 
-    qubits, incidence = active_incidence(poly.octets[first:])
-    classes = _colour_classes(incidence)
+    keys = list(poly.terms)[first:]
+    bits = mask_bits(keys, n)
+    qubits = np.flatnonzero(bits.any(axis=0))
+    incidence = bits[:, qubits]
+    term, column = np.nonzero(incidence)
+    classes = _colour_classes(_term_columns(term, column, len(keys), qubits.size), qubits.size)
     qubit_order = qubits[np.concatenate(classes)]
     steps = []
     lo = 0
@@ -443,7 +447,7 @@ def reference_metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int)
         gain[owner, np.arange(rows.size)] = -2.0 * coeffs[rows]
         steps.append((rows, gain, owner, lo, lo + members.size))
         lo += members.size
-    chi = np.where(overlaps(poly.octets[first:], masks) % 2, -1.0, 1.0)
+    chi = np.array([[-1.0 if (s & m).bit_count() % 2 else 1.0 for s in keys] for m in masks])
     energy = chi @ coeffs + constant
     chi_t = np.ascontiguousarray(chi.T)
     start_bits = mask_bits(masks, n)
@@ -493,5 +497,17 @@ def gaussian_complete_cfn(seed: int, num_vars: int = 6, card: int = 8) -> Cfn:
         PairwiseTable(i, j, tuple(rng.standard_normal((card, card)).reshape(-1).tolist()))
         for i in range(num_vars)
         for j in range(i + 1, num_vars)
+    )
+    return Cfn(tuple(VariableSpec(f"v{i}", card) for i in range(num_vars)), unary, pairs)
+
+
+def gaussian_chain_cfn(seed: int, num_vars: int, card: int = 8) -> Cfn:
+    """N(0, 1) unary tables and pair tables between neighbours i, i + 1
+    on a chain: the shape where a term x qubit incidence grows with the
+    square of the length while the terms' own qubits grow linearly."""
+    rng = np.random.default_rng(seed)
+    unary = tuple(tuple(rng.standard_normal(card).tolist()) for _ in range(num_vars))
+    pairs = tuple(
+        PairwiseTable(i, i + 1, tuple(rng.standard_normal(card * card).tolist())) for i in range(num_vars - 1)
     )
     return Cfn(tuple(VariableSpec(f"v{i}", card) for i in range(num_vars)), unary, pairs)

@@ -77,7 +77,7 @@ SOLVE_DIGESTS = {
 }
 # `tbe ensemble` stdout on ensemble_profile()
 ENSEMBLE_ARGS = ["--trials", "2000", "--seed", "3", "--coordinate", "1"]
-ENSEMBLE_DIGEST = "1a9a938eaf8cd666cb911a6e3b63de9be243c5542d0f2f586b29a8f734b9b6c7"
+ENSEMBLE_DIGEST = "ab655648084cfaf6026ca40d813b6cccf079dbf080d8fc656dc4a04f687b0476"
 
 
 def digest(data: bytes) -> str:
@@ -188,3 +188,15 @@ def test_ensemble_stdout(tmp_path, capsys):
     profile.write_text(json.dumps(ensemble_profile()), encoding="utf-8")
     assert main(["ensemble", "--profile", str(profile), *ENSEMBLE_ARGS]) == 0
     assert digest(capsys.readouterr().out.encode()) == ENSEMBLE_DIGEST
+
+
+def test_ensemble_writes_the_fourth_moment_verdict(tmp_path, capsys):
+    # the ratio passes its bound, yet lies within the gate's tolerance
+    # bound * (1 + 10 / sqrt(trials)), so the block must say it held
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(ensemble_profile()), encoding="utf-8")
+    assert main(["ensemble", "--profile", str(profile), *ENSEMBLE_ARGS]) == 0
+    block = json.loads(capsys.readouterr().out)["residual_moments"]
+    assert block["fourth_moment_ok"] is True
+    bound, ratio = block["fourth_moment_bound"], block["fourth_moment_ratio"]
+    assert bound < ratio <= bound * (1 + 10 / 2000**0.5)

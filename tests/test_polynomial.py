@@ -15,7 +15,7 @@ from tbe import (
     mask_to_string,
     to_01_basis,
 )
-from tbe.polynomial import active_incidence, key_octets, octet_bits, octet_width, overlaps
+from tbe.polynomial import characters, held_qubits, key_octets, octet_bits, octet_width
 from tbe.solve import AnnealParams, _metropolis
 from tbe.truncation import residual, truncate
 from tbe.verify import bitflip_descent
@@ -361,22 +361,20 @@ _keys_and_masks = st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65, 130]).flatmap(
 
 @settings(max_examples=200, deadline=None)
 @given(_keys_and_masks)
-def test_overlaps_count_the_shared_qubits(case):
+def test_characters_are_the_parities_of_the_shared_qubits(case):
     n, held, keys, masks = case
     keys = [s & held for s in keys]
     masks = [*masks, (1 << n) - 1]  # every idle qubit set too
-    got = overlaps(key_octets(keys, n), masks)
-    assert got.shape == (len(masks), len(keys))
-    assert got.tolist() == [[(s & m).bit_count() for s in keys] for m in masks]
+    got = characters(key_octets(keys, n), masks)
+    assert got.shape == (len(masks), len(keys)) and got.flags.c_contiguous
+    assert got.tolist() == [[-1.0 if (s & m).bit_count() % 2 else 1.0 for s in keys] for m in masks]
 
 
 @settings(max_examples=200, deadline=None)
 @given(_keys_and_masks)
-def test_active_incidence_is_octet_bits_on_the_held_qubits(case):
+def test_held_qubits_are_the_nonzero_octet_bits(case):
     n, held, keys, _ = case
     octets = key_octets([s & held for s in keys], n)
-    qubits, incidence = active_incidence(octets)
-    bits = octet_bits(octets, n)
-    used = np.flatnonzero(bits.any(axis=0))
-    assert qubits.tolist() == used.tolist()
-    assert incidence.dtype == bool and np.array_equal(incidence, bits[:, used])
+    term, qubit = held_qubits(octets)
+    want_term, want_qubit = np.nonzero(octet_bits(octets, n))
+    assert term.tolist() == want_term.tolist() and qubit.tolist() == want_qubit.tolist()

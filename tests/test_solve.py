@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tbe import (
@@ -28,10 +28,10 @@ from tbe import (
     truncate,
     walsh_blocks,
 )
-from tbe.polynomial import active_incidence, key_octets
-from tbe.solve import _colour_classes, _metropolis, _schedule
+from tbe.polynomial import held_qubits, key_octets
+from tbe.solve import _colour_classes, _metropolis, _schedule, _term_columns
 from tbe.verify import dense_values
-from helpers import all_assignments, random_cfn, random_polynomial, reference_metropolis
+from helpers import all_assignments, gaussian_chain_cfn, random_cfn, random_polynomial, reference_metropolis
 
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "data" / "two_card32.json"
 
@@ -236,9 +236,18 @@ def test_flip_kernels_hold_only_the_active_qubits():
         picks = [held[len(terms) % 40], *rng.choice(held, int(rng.integers(1, 4))).tolist()]
         terms[sum(1 << q for q in set(picks))] = float(rng.normal())
     poly = IsingPolynomial(n, terms)
-    qubits, incidence = active_incidence(poly.octets)
-    assert incidence.shape == (200, 40) and qubits.tolist() == sorted(held)
+    assert np.flatnonzero(np.bincount(held_qubits(poly.octets)[1])).tolist() == sorted(held)
     assert _peak_bytes(lambda: _metropolis(poly, AnnealParams(restarts=1, sweeps=1), 0)) < 8 << 20
+    assert _peak_bytes(lambda: bitflip_descent(poly, 0)) < 8 << 20
+
+
+def test_descent_memory_follows_the_held_pairs_on_a_chain():
+    # the full encoding of a 400-variable chain of cardinality 8: its
+    # 22 352 terms hold 1 to 6 of the 1200 qubits each, and a terms x
+    # qubits incidence over them would take 27 MB
+    cfn = gaussian_chain_cfn(0, 400)
+    poly = encode(walsh_blocks(cfn, build_layout(cfn)))
+    assert (poly.num_qubits, poly.num_terms()) == (1200, 22352)
     assert _peak_bytes(lambda: bitflip_descent(poly, 0)) < 8 << 20
 
 
@@ -257,11 +266,14 @@ def _sparse_polynomial(n: int, seed: int) -> IsingPolynomial:
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+@example(1, 0)  # no term holds a qubit, so there is no class
 def test_colour_classes_partition_the_active_qubits_into_independent_sets(n, seed):
     poly = _sparse_polynomial(n, seed)
     keys = [s for s in poly.terms if s]
-    qubits, incidence = active_incidence(key_octets(keys, n))
-    classes = [qubits[members] for members in _colour_classes(incidence)]
+    term, qubit = held_qubits(key_octets(keys, n))
+    qubits = np.flatnonzero(np.bincount(qubit))
+    columns = _term_columns(term, np.searchsorted(qubits, qubit), len(keys), qubits.size)
+    classes = [qubits[members] for members in _colour_classes(columns, qubits.size)]
     active = [q for q in range(n) if any(s >> q & 1 for s in keys)]
     assert sorted(q for members in classes for q in members.tolist()) == active
     for members in classes:
@@ -332,8 +344,7 @@ def test_schedule_hot_end_bounds_every_flip_and_cooling_ends_cold(case):
     poly, linear, sweeps = case
     first = poly.degree_starts[1]
     coeffs = poly.coeffs[first:]
-    _, incidence = active_incidence(poly.octets[first:])
-    t_hot, cooling = _schedule(coeffs, incidence, AnnealParams(sweeps=sweeps))
+    t_hot, cooling = _schedule(coeffs, *held_qubits(poly.octets[first:]), AnnealParams(sweeps=sweeps))
     values = dense_values(poly)
     states = np.arange(values.size)
     largest = max(float(np.abs(values[states ^ (1 << q)] - values).max()) for q in range(poly.num_qubits))
