@@ -21,7 +21,8 @@ from dataclasses import asdict, replace
 from .cfn import Cfn, parse_cfn
 from .encoding import Fallback, Penalty, WalshBlocks, build_layout, encode, walsh_blocks
 from .errors import CapacityError, CfnFormatError
-from .polynomial import MAX_ABS_COST, finite_float, hubo_from_json, hubo_to_json, is_int, mask_to_string, qubit_mask
+from .polynomial import MAX_ABS_COST, IsingPolynomial, finite_float, hubo_from_json, hubo_texts, is_int, mask_to_string
+from .polynomial import qubit_mask
 from .quadratization import quadratize, qubo_json, resolve_ancillas
 from .solve import AnnealParams, decode_and_refine, solve, solve_result_json
 from .spectrum import spectrum_csv, table_spectrum
@@ -316,10 +317,7 @@ def run_pipeline(args) -> int:
         "corollary_check": corollary_block,
     }
 
-    if args.out_hubo:
-        _write(args.out_hubo, hubo_to_json(full))
-    if args.out_trunc:
-        _write(args.out_trunc, hubo_to_json(truncated))
+    _write_hubos([(path, poly) for path, poly in ((args.out_trunc, truncated), (args.out_hubo, full)) if path])
     if args.out_qubo and qubo is not None:
         _write(args.out_qubo, qubo_json(qubo))
     if args.out_spectrum:
@@ -332,6 +330,16 @@ def run_pipeline(args) -> int:
     if args.strict and not noise_ok:
         return EXIT_NOISE_FLOOR
     return EXIT_OK
+
+
+def _write_hubos(hubos: list[tuple[str, IsingPolynomial]]) -> None:
+    """Write HUBO-JSON files of a polynomial and of its truncations, from
+    the shortest (each a prefix of the next's terms) to the polynomial:
+    their texts come from one formatting of the terms written."""
+    if hubos:
+        texts = hubo_texts(hubos[-1][1], [poly.num_terms() for _, poly in hubos])
+        for (path, _), text in zip(hubos, texts):
+            _write(path, text)
 
 
 def _finite_or_none(value: float | None) -> float | None:

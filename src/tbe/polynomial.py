@@ -21,6 +21,11 @@ The flip kernels read the (term, qubit) pairs of the nonzero key bytes
 masks are Python ints wherever they leave the arrays, so nothing here
 has a qubit cap; a polynomial enumerated whole (``verify.dense_values``)
 is capped at 24 qubits, the 2^24 entries of an exact landscape's table.
+
+HUBO-JSON is written directly, each term's qubit list and coupling
+formatted once between fixed pieces of text (``json_objects``), so the
+text of a truncation, a prefix of the terms, is a prefix of the same
+pieces (``hubo_texts``).
 """
 
 from __future__ import annotations
@@ -451,45 +456,86 @@ def hubo_to_json(poly: IsingPolynomial) -> str:
     the document ``{"num_qubits": n, "terms": [{"qubits": [...],
     "coeff": c}, ...]}``, but directly: with an indent, ``json`` always
     falls back to its pure-Python encoder, which is the slow part of a
-    multi-megabyte export.  Qubit lists come from the stored key bytes
-    (``_qubit_lists``); each coupling is a finite float, which ``json``
-    formats with ``float.__repr__``.
+    multi-megabyte export.  The text is joined once from fixed pieces
+    and each term's qubit list and coupling (``hubo_texts``).
     """
-    # every index follows its separator, so q[1:] cuts the leading comma
-    items = [
-        f'    {{\n      "qubits": [{q[1:]}\n      ],\n      "coeff": {c}\n    }}' if q
-        else f'    {{\n      "qubits": [],\n      "coeff": {c}\n    }}'
-        for q, c in zip(_qubit_lists(poly.octets), map(float.__repr__, poly.coeffs.tolist()))
-    ]
-    return f'{{\n  "num_qubits": {json.dumps(poly.num_qubits)},\n  "terms": {json_array(items)}\n}}\n'
+    return hubo_texts(poly, [poly.num_terms()])[0]
+
+
+def hubo_texts(poly: IsingPolynomial, counts: Sequence[int]) -> list[str]:
+    """For each t in ``counts``, in that order, the HUBO-JSON text of
+    ``poly``'s first t terms: ``hubo_to_json`` of the polynomial of
+    those terms.  A truncation keeps a prefix of the stored terms, so a
+    polynomial's text and its truncations' share one formatting of each
+    term.
+
+    Each term's qubit list comes from the stored key bytes
+    (``_qubit_lists``) and its coupling, a finite float, is written with
+    ``float.__repr__`` as ``json`` writes it; both are formatted once,
+    into one flat list of pieces (``json_objects``), and each text is
+    joined from a prefix of that list.
+    """
+    pieces = json_objects(
+        ('\n      "qubits": [', '\n      ],\n      "coeff": '),
+        (_qubit_lists(poly.octets), list(map(float.__repr__, poly.coeffs.tolist()))),
+    )
+    if poly.degree_starts[1]:
+        # the constant is the first term, and its qubit list is empty
+        pieces[2] = '],\n      "coeff": '
+    header = f'{{\n  "num_qubits": {poly.num_qubits},\n  "terms": ['
+    return ["".join([header, *pieces[: 4 * t], json_list_end(t), "\n}\n"]) for t in counts]
 
 
 def _qubit_lists(octets: np.ndarray) -> list[str]:
-    """Each key's qubit indices as indented HUBO-JSON text, every index
-    after its comma, assembled a byte column of the keys at a time: a
-    key gathers one ``_qubit_table`` entry per nonzero byte."""
+    """Each key's qubit indices as indented HUBO-JSON text, each index
+    after a newline and every one but the first after its comma,
+    assembled a byte column of the keys at a time: a key gathers one
+    ``_qubit_table`` entry per nonzero byte."""
     texts = np.full(len(octets), "", dtype=object)
+    started = np.zeros(len(octets), np.uint8)
     for b, column in enumerate(octets.T):
         rows = np.flatnonzero(column)
-        texts[rows] += _qubit_table(b)[column[rows]]
+        texts[rows] += _qubit_table(b)[started[rows], column[rows]]
+        started[rows] = 1
     return texts.tolist()
 
 
 @lru_cache(maxsize=None)
 def _qubit_table(b: int) -> np.ndarray:
     """Per byte value v at byte position b, the text of qubits 8b to
-    8b + 7 that v holds, ascending, each after its comma."""
-    table = [""] * 256
+    8b + 7 that v holds, ascending, each after its comma (row 1), or
+    without the first comma for a key's first nonzero byte (row 0)."""
+    later = [""] * 256
     for v in range(1, 256):
         low = (v & -v).bit_length() - 1
-        table[v] = f",\n        {8 * b + low}" + table[v & (v - 1)]
-    return np.array(table, dtype=object)
+        later[v] = f",\n        {8 * b + low}" + later[v & (v - 1)]
+    return np.array([[text[1:] for text in later], later], dtype=object)
 
 
-def json_array(items: list[str]) -> str:
-    """A top-level field's list, as ``json.dumps(indent=2)`` writes it
-    around items already indented to depth 2."""
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+def json_objects(fixed: Sequence[str], fields: Sequence[Sequence[str]]) -> list[str]:
+    """A top-level field's list of objects as ``json.dumps(indent=2)``
+    writes it after the ``[``, in pieces, without the end
+    (``json_list_end``).  Object t is ``fixed[0] + fields[0][t] +
+    fixed[1] + fields[1][t] + ...``, then ``fixed[-1]`` if there is one
+    more fixed text than fields, and the opening piece carries the
+    separator from the object before.  The list is filled a slice per
+    piece, so the first t objects are the first t * (len(fixed) +
+    len(fields)) pieces."""
+    count, width = len(fields[0]), len(fixed) + len(fields)
+    pieces = [""] * (count * width)
+    pieces[0::width] = ["\n    },\n    {" + fixed[0]] * count
+    for k, text in enumerate(fixed[1:], 1):
+        pieces[2 * k :: width] = [text] * count
+    for k, field in enumerate(fields):
+        pieces[2 * k + 1 :: width] = field
+    if count:
+        pieces[0] = "\n    {" + fixed[0]
+    return pieces
+
+
+def json_list_end(count: int) -> str:
+    """The text that ends a top-level field's list of ``count`` objects."""
+    return "\n    }\n  ]" if count else "]"
 
 
 def hubo_from_json(data: bytes | str) -> IsingPolynomial:

@@ -26,7 +26,8 @@ from typing import Mapping
 import numpy as np
 
 from .polynomial import BinaryPolynomial, IsingPolynomial, bit_octets, check_distinct, check_terms
-from .polynomial import first_appearance_groups, held_qubits, json_array, key_octets, octet_bits, octet_degrees
+from .polynomial import first_appearance_groups, held_qubits, json_list_end, json_objects, key_octets
+from .polynomial import octet_bits, octet_degrees
 from .walsh import leakage_transform, to_01_basis
 
 __all__ = ["QuboModel", "quadratize", "resolve_ancillas", "qubo_json"]
@@ -296,28 +297,35 @@ def qubo_json(model: QuboModel) -> str:
     are each linear term's ``i``, then each quadratic term's ``i`` and ``j``.
     """
     constants, linears = np.searchsorted(octet_degrees(model.octets), (1, 2)).tolist()
-    qubits = held_qubits(model.octets)[1].tolist()
+    names = np.array([str(v) for v in range(model.num_vars)], dtype=object)
+    qubits = names[held_qubits(model.octets)[1]].tolist()
     texts = list(map(float.__repr__, model.coeffs.tolist()))
     constant = texts[0] if constants else "0.0"
-    linear = [
-        f'    {{\n      "i": {i},\n      "coeff": {c}\n    }}'
-        for i, c in zip(qubits, texts[constants:linears])
-    ]
     ends = qubits[linears - constants :]
-    quadratic = [
-        f'    {{\n      "i": {i},\n      "j": {j},\n      "coeff": {c}\n    }}'
-        for i, j, c in zip(ends[::2], ends[1::2], texts[linears:])
-    ]
-    ancillas = [
-        f'    {{\n      "index": {a},\n      "parents": [\n        {p},\n        {q}\n      ]\n    }}'
-        for a, (p, q) in model.ancilla_defs
-    ]
-    return (
-        f'{{\n  "num_qubits": {model.num_original_qubits},\n'
-        f'  "num_ancillas": {model.num_ancilla_qubits},\n'
-        f'  "constant": {constant},\n'
-        f'  "linear": {json_array(linear)},\n'
-        f'  "quadratic": {json_array(quadratic)},\n'
-        f'  "ancillas": {json_array(ancillas)},\n'
-        f'  "penalty": {model.penalty_weight!r}\n}}\n'
+    ancillas = [str(v) for a, (p, q) in model.ancilla_defs for v in (a, p, q)]
+    linear = json_objects(
+        ('\n      "i": ', ',\n      "coeff": '), (qubits[: linears - constants], texts[constants:linears])
+    )
+    quadratic = json_objects(
+        ('\n      "i": ', ',\n      "j": ', ',\n      "coeff": '), (ends[::2], ends[1::2], texts[linears:])
+    )
+    parents = json_objects(
+        ('\n      "index": ', ',\n      "parents": [\n        ', ',\n        ', '\n      ]'),
+        (ancillas[0::3], ancillas[1::3], ancillas[2::3]),
+    )
+    return "".join(
+        [
+            f'{{\n  "num_qubits": {model.num_original_qubits},\n'
+            f'  "num_ancillas": {model.num_ancilla_qubits},\n'
+            f'  "constant": {constant},\n  "linear": [',
+            *linear,
+            json_list_end(linears - constants),
+            ',\n  "quadratic": [',
+            *quadratic,
+            json_list_end(len(texts) - linears),
+            ',\n  "ancillas": [',
+            *parents,
+            json_list_end(len(model.ancilla_defs)),
+            f',\n  "penalty": {model.penalty_weight!r}\n}}\n',
+        ]
     )

@@ -6,6 +6,7 @@ import re
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from itertools import product
@@ -19,19 +20,24 @@ from hypothesis import strategies as st
 from tbe import (
     CapacityError,
     Cfn,
+    Fallback,
     PairwiseTable,
     Penalty,
     VariableSpec,
     build_layout,
     certify,
     dense_values,
+    encode,
     evaluate_cfn,
     hubo_from_json,
+    hubo_to_json,
     parse_cfn,
+    truncate,
+    walsh_blocks,
 )
 from tbe.cli import main
 from tbe.verify import cfn_optimum
-from helpers import assemble_truth_table, random_cfn
+from helpers import assemble_truth_table, gaussian_complete_cfn, random_cfn
 from tbe.cfn import serialize_cfn
 
 
@@ -1035,6 +1041,68 @@ def test_compile_and_spectrum_past_64_qubits(tmp_path, capsys):
     assert spectrum == pytest.approx(mass, rel=1e-12)
     trunc = hubo_from_json(out["trunc"].read_text())
     assert list(trunc.terms.items()) == [(s, c) for s, c in hubo.terms.items() if s.bit_count() <= 2]
+
+
+@st.composite
+def _mixed_cardinality_cfns(draw):
+    """1-3 variables of cardinalities that are not powers of two, so every
+    register has unused bitstrings, with N(0, 1) tables on a random set
+    of pairs, and the unused-bitstring policy."""
+    cards = draw(st.lists(st.sampled_from([3, 5, 6, 7, 9, 10, 11, 12]), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = tuple(
+        PairwiseTable(i, j, tuple(rng.standard_normal(cards[i] * cards[j]).tolist()))
+        for i in range(len(cards))
+        for j in range(i + 1, len(cards))
+        if draw(st.booleans())
+    )
+    unary = tuple(tuple(rng.standard_normal(c).tolist()) for c in cards)
+    cfn = Cfn(tuple(VariableSpec(f"v{i}", c) for i, c in enumerate(cards)), unary, pairs)
+    return cfn, draw(st.sampled_from(["fallback", "penalty"]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mixed_cardinality_cfns())
+def test_truncation_written_with_the_full_hubo_is_the_one_written_alone(case):
+    # --out-trunc takes its terms from the first pieces of --out-hubo's;
+    # alone, it formats the truncation's terms only
+    cfn, unused = case
+    full = encode(walsh_blocks(cfn, build_layout(cfn, "binary", Fallback() if unused == "fallback" else Penalty())))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, hubo, both, alone = (os.path.join(tmp, name) for name in ("cfn.json", "h.json", "t.json", "t1.json"))
+        Path(path).write_text(serialize_cfn(cfn))
+        base = ["compile", "--input", path, "--unused", unused]
+        for k in range(1, full.degree + 2):
+            assert main([*base, "--kmax", str(k), "--out-hubo", hubo, "--out-trunc", both]) == 0
+            assert main([*base, "--kmax", str(k), "--out-trunc", alone]) == 0
+            want = hubo_to_json(truncate(full, k)).encode()
+            assert Path(both).read_bytes() == Path(alone).read_bytes() == want
+            assert Path(hubo).read_bytes() == hubo_to_json(full).encode()
+
+
+# the lowest of three tracemalloc peaks of the call below (python 3.11,
+# numpy 2.4) when each HUBO writer built every term's text as one
+# f-string of its own; one formatting for both measured 12.2 MB
+_SIX_ARTIFACTS_PEAK_BEFORE = 14_170_435
+
+
+def test_six_artifacts_of_a_wide_instance_within_the_memory_of_separate_writers(tmp_path):
+    # the bench's wide shape, 8 variables of cardinality 32 on the complete
+    # graph: 27 157 HUBO terms, whose pieces and the two texts joined
+    # from them are what the HUBO writing holds at once
+    path = tmp_path / "wide.json"
+    path.write_text(serialize_cfn(gaussian_complete_cfn(0, 8, 32)))
+    argv = ["compile", "--input", str(path), "--kmax", "3", "--quadratize"]
+    for name in ("hubo", "trunc", "qubo", "spectrum", "cert", "report"):
+        argv += [f"--out-{name}", str(tmp_path / name)]
+    assert main(argv) == 0  # warm the per-process caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * _SIX_ARTIFACTS_PEAK_BEFORE
 
 
 def test_hubo_json_and_solve_past_64_qubits(tmp_path, capsys):

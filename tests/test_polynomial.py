@@ -15,7 +15,7 @@ from tbe import (
     mask_to_string,
     to_01_basis,
 )
-from tbe.polynomial import characters, held_qubits, key_octets, octet_bits, octet_width
+from tbe.polynomial import characters, held_qubits, hubo_texts, key_octets, octet_bits, octet_width
 from tbe.solve import AnnealParams, _metropolis
 from tbe.truncation import residual, truncate
 from tbe.verify import bitflip_descent
@@ -226,6 +226,17 @@ def _spin_polynomials(draw):
 @given(_spin_polynomials())
 def test_hubo_to_json_matches_json_dumps(poly):
     assert hubo_to_json(poly) == _dumps_reference(poly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spin_polynomials())
+def test_hubo_texts_are_the_json_of_every_prefix_of_the_terms(poly):
+    # a truncation keeps a prefix of the stored terms, so its text is one
+    # of these, from the same formatting of each term as the whole's
+    terms = list(poly.terms.items())
+    counts = list(range(0, len(terms) + 1, 2)) + list(range(1, len(terms) + 1, 2))
+    for t, text in zip(counts, hubo_texts(poly, counts)):
+        assert text == _dumps_reference(IsingPolynomial(poly.num_qubits, dict(terms[:t])))
 
 
 @pytest.mark.parametrize(
