@@ -19,7 +19,7 @@ from tbe import (
 
 profile = degree_uniform_profile(12, {4: 0.02})
 spec = EnsembleSpec(variance_profile=profile, family="gaussian", trials=20000, rng_seed=3)
-report = ensemble_residual_check(spec, 12, 2)
+report = ensemble_residual_check(spec, 2)
 print("residual at a fixed configuration over", report.num_modes, "omitted modes:")
 print(f"  target variance {report.target_variance:.3f}, sample {report.sample_variance:.3f}"
       f"  (within 5 SE: {report.variance_ok})")

@@ -139,16 +139,15 @@ def _first_out_of_bound(costs):
 def parse_cfn(data: bytes | str) -> Cfn:
     """Parse CFN-JSON into a validated Cfn.
 
-    Raises CfnFormatError naming the offending field on any schema
-    violation, shape mismatch, duplicate pair, or a cost that is not
-    finite or exceeds ``MAX_ABS_COST`` in magnitude, and CapacityError
-    naming the variable on a cardinality above 2^``MAX_TRANSFORM_DIM``.
+    Raises CfnFormatError on invalid JSON (bytes that are not UTF-8
+    included) and, naming the offending field, on any schema violation,
+    shape mismatch, duplicate pair, or a cost that is not finite or
+    exceeds ``MAX_ABS_COST`` in magnitude, and CapacityError naming the
+    variable on a cardinality above 2^``MAX_TRANSFORM_DIM``.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
         raise CfnFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CfnFormatError("top-level value must be an object")

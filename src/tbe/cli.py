@@ -13,6 +13,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -203,12 +204,13 @@ def _load_cfn(path: str) -> Cfn:
 
 
 def _write(path: str | None, text: str) -> None:
-    """Write an artifact to ``path``, or to stdout when none is given."""
-    if not path:
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write an artifact to ``path``, or to stdout when none is given,
+    in slices of 2^16 characters, so it is encoded a slice at a time and
+    never copied whole; a slice stays under the allocator's default
+    128 KiB threshold for mapping fresh pages."""
+    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as fh:
+        for start in range(0, len(text), 1 << 16):
+            fh.write(text[start : start + (1 << 16)])
 
 
 def _prepare(args) -> tuple[Cfn, WalshBlocks]:
@@ -452,7 +454,7 @@ def run_ensemble(args) -> int:
         "family": family,
         "trials": args.trials,
         "seed": args.seed,
-        "residual_moments": asdict(ensemble_residual_check(spec, n, cutoff)),
+        "residual_moments": asdict(ensemble_residual_check(spec, cutoff)),
         "bitflip_variance": asdict(bitflip_variance_check(spec, cutoff, args.coordinate, n=n)),
         "sign_preservation": asdict(sign_preservation_rate(spec, n, cutoff)),
     }

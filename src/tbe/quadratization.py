@@ -5,18 +5,18 @@ has the classic penalty gadget
 M * (b_i b_j - 2 b_i y - 2 b_j y + 3 y), which is zero exactly when
 the ancilla agrees with the product and at least M otherwise.  Pairs
 are chosen greedily by frequency across the remaining high-degree
-monomials (Boros & Gruber's greedy pair substitution).  The monomials
-of degree > 2 are rows of a 0/1 incidence matrix, and the pair counts
-a symmetric matrix kept exact from substitution to substitution: a
-substitution reads and rewrites only the rows holding its pair, and
-its count changes are three rows and columns of the matrix, so no
-pair is recounted.  The penalty weight comes from the l1 norm of the
-cost coefficients, which substitution never changes, so it is
-computed once; it keeps every intermediate model min-equivalent to its
-predecessor.  The result is a ``QuboModel``: the 0/1-basis polynomial
-type, ``BinaryPolynomial``, with the ancilla definitions and the
-penalty, checked once as it is built, so every value it writes is
-finite.
+monomials (Boros & Gruber's greedy pair substitution).  Each monomial
+of degree > 2 is the ascending list of its variables, and the pair
+counts are sorted pair codes kept exact from substitution to
+substitution: a substitution reads and rewrites only the lists holding
+its pair and changes only the counts of pairs with one of its three
+variables, so no pair is recounted and memory follows the held pairs.
+The penalty weight comes from the l1 norm of the cost coefficients,
+which substitution never changes, so it is computed once; it keeps
+every intermediate model min-equivalent to its predecessor.  The result
+is a ``QuboModel``: the 0/1-basis polynomial type, ``BinaryPolynomial``,
+with the ancilla definitions and the penalty, checked once as it is
+built, so every value it writes is finite.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .polynomial import BinaryPolynomial, IsingPolynomial, bit_octets, check_distinct, check_terms
-from .polynomial import first_appearance_groups, held_qubits, json_list_end, json_objects, key_octets
-from .polynomial import octet_bits, octet_degrees
+from .polynomial import BinaryPolynomial, IsingPolynomial, check_distinct, check_terms, first_appearance_groups
+from .polynomial import held_qubits, json_list_end, json_objects, key_octets, octet_degrees, octet_width
 from .walsh import leakage_transform, to_01_basis
 
 __all__ = ["QuboModel", "quadratize", "resolve_ancillas", "qubo_json"]
@@ -115,9 +114,10 @@ def quadratize(poly: IsingPolynomial) -> QuboModel:
 
     Each substitution takes the variable pair held by the most
     monomials of degree > 2, ties going to the smallest ``(i, j)``.
-    Those monomials and their exact pair counts are matrices
-    (``_Incidence``), and a substitution reads and rewrites only the
-    monomials holding its pair.
+    Those monomials are ascending variable lists with exact pair counts
+    (``_Monomials``), and a substitution reads and rewrites only the
+    lists holding its pair.  The key bytes are built once, from the
+    final lists and the ancilla definitions.
 
     The penalty weight is 1 plus twice the l1 norm of the cost
     coefficients, over the transformed cost polynomial alone, summed in
@@ -141,30 +141,29 @@ def quadratize(poly: IsingPolynomial) -> QuboModel:
     n = poly.num_qubits
     poly01 = to_01_basis(poly)
     octets, coeffs = poly01.octets, poly01.coeffs
-    bits = octet_bits(octets, n)
-    high = bits.sum(axis=1) > 2
-    incidence = _Incidence(bits[high])
+    term, qubit = held_qubits(octets)
+    degrees = np.bincount(term, minlength=len(coeffs))
+    high = np.flatnonzero(degrees > 2)
+    monomials = _Monomials(degrees[high], qubit[degrees[term] > 2], n)
     ancilla_defs: list[tuple[int, tuple[int, int]]] = []
     penalty = 0.0
 
-    while (pair := incidence.top_pair()) is not None:
+    while (pair := monomials.top_pair()) is not None:
         i, j = pair
         if not ancilla_defs:
-            penalty = 1.0 + 2.0 * sum(np.abs(coeffs[octets.any(axis=1)]).tolist())
+            penalty = 1.0 + 2.0 * sum(np.abs(coeffs[degrees > 0]).tolist())
         y = n + len(ancilla_defs)
         ancilla_defs.append((y, (i, j)))
-        incidence.substitute(i, j, y)
+        monomials.substitute(i, j, y)
 
-    # each monomial of degree > 2 ends as {c, y}, in its row of the incidence
-    width = n + len(ancilla_defs)
-    cost = np.zeros((len(coeffs), width), bool)
-    cost[:, :n] = bits
-    cost[high] = incidence.rows[:, :width]
+    # each monomial of degree > 2 ends as {c, y}, the first two of its list
+    width = octet_width(n + len(ancilla_defs))
+    cost = np.zeros((len(coeffs), width), np.uint8)
+    cost[:, : octets.shape[1]] = octets
+    cost[high] = _key_octets(monomials.rows[:, :2], width)
     # per ancilla y with parents (i, j): {i, j}, {i, y}, {j, y} and {y, y} = {y}
-    y, i, j = np.array([(a, p, q) for a, (p, q) in ancilla_defs], np.intp).reshape(-1, 3).T
-    gadget = np.zeros((4 * len(y), width), bool)
-    gadget[np.arange(len(gadget)).repeat(2), np.stack([i, j, i, y, j, y, y, y], axis=1).ravel()] = True
-    cost, gadget = (bit_octets(rows) for rows in (cost, gadget))
+    y, i, j = np.array([(a, p, q) for a, (p, q) in ancilla_defs], np.int64).reshape(-1, 3).T
+    gadget = _key_octets(np.stack([i, j, i, y, j, y, y, y], axis=1).reshape(-1, 2), width)
 
     ids, first = first_appearance_groups(gadget)
     with np.errstate(over="ignore"):  # an infinite sum is refused by QuboModel, naming its key
@@ -175,103 +174,88 @@ def quadratize(poly: IsingPolynomial) -> QuboModel:
     return QuboModel.from_octets(n, ancilla_defs, penalty, keys[first], sums)
 
 
-def _pair_counts(rows: np.ndarray) -> np.ndarray:
-    """``counts[a, b]``: how many rows of the boolean matrix hold both a
-    and b, with a zero diagonal.  Rows are taken a degree at a time:
-    the d columns of each row, in increasing order, give its d(d-1)/2
-    pairs a < b, and one ``bincount`` tallies them exactly."""
-    n = rows.shape[1]
-    degrees = rows.sum(axis=1)
-    upper = np.zeros(n * n, np.int64)
-    for d in np.unique(degrees[degrees > 1]).tolist():
-        cols = np.nonzero(rows[degrees == d])[1].reshape(-1, d)
-        a, b = np.triu_indices(d, 1)
-        upper += np.bincount((cols[:, a] * n + cols[:, b]).ravel(), minlength=n * n)
-    upper = upper.reshape(n, n)
-    return upper + upper.T
+def _key_octets(pairs: np.ndarray, width: int) -> np.ndarray:
+    """Rows of two variables (equal for a one-variable key) as keys in
+    rows of ``width`` little-endian bytes."""
+    keys = np.zeros((len(pairs), width), np.uint8)
+    bits = np.left_shift(1, pairs & 7).astype(np.uint8)
+    np.bitwise_or.at(keys, (np.arange(len(pairs)).repeat(2), (pairs >> 3).ravel()), bits.ravel())
+    return keys
 
 
-class _Incidence:
+class _Monomials:
     """The monomials of degree > 2 under greedy pair substitution.
 
-    ``rows`` is a boolean matrix, one row per monomial and one column per
-    variable, its ancilla columns growing by doubling.  A row that falls
-    to degree 2 stays as it is but leaves ``active``, so only rows of
-    degree > 2 are ever counted or rewritten.  ``counts[a, b]`` is the
-    number of active rows holding both a and b (zero on the diagonal);
-    ``row_max`` and ``row_argmax`` are each count row's largest entry
-    and the first column holding it.
+    ``rows[r]`` is monomial r's variables in ascending order, padded with
+    ``pad``, which is above every variable an ancilla can be.  A row
+    that falls to degree 2 stays as it is but leaves ``live``, so only
+    rows of degree > 2 are ever counted or rewritten.  ``holders[v]``
+    lists the rows that have held v, a superset of those that do.  The
+    pairs a < b of the live rows are ``codes``, a * (pad + 1) + b in
+    ascending order, and ``counts`` how many live rows hold each.
     """
 
-    def __init__(self, rows: np.ndarray) -> None:
-        count, n = rows.shape
-        width = max(8, 2 * n)
-        self.rows = np.zeros((count, width), bool)
-        self.rows[:, :n] = rows
-        self.active = np.ones(count, bool)
-        self.counts = np.zeros((width, width), np.int64)
-        self.counts[:n, :n] = _pair_counts(rows)
-        self.row_max = self.counts.max(axis=1)
-        self.row_argmax = self.counts.argmax(axis=1)
+    def __init__(self, degrees: np.ndarray, variables: np.ndarray, n: int) -> None:
+        """Monomials of the given degrees (each > 2) over ``n`` variables,
+        ``variables`` holding each one's in ascending order, one after another."""
+        self.pad = n + int(np.sum(degrees - 2))
+        row = np.arange(len(degrees)).repeat(degrees)
+        slot = np.arange(len(variables)) - (np.cumsum(degrees) - degrees).repeat(degrees)
+        self.rows = np.full((len(degrees), degrees.max(initial=0)), self.pad, np.int64)
+        self.rows[row, slot] = variables
+        self.live = np.ones(len(degrees), bool)
+        by_variable = row[np.argsort(variables, kind="stable")]
+        ends = np.cumsum(np.bincount(variables, minlength=n)).tolist()
+        self.holders = [by_variable[start:end] for start, end in zip([0, *ends], ends)]
+        first, second = np.triu_indices(self.rows.shape[1], 1)
+        first, second = self.rows[:, first], self.rows[:, second]
+        held = second < self.pad
+        self.codes, self.counts = np.unique(first[held] * (self.pad + 1) + second[held], return_counts=True)
 
     def top_pair(self) -> tuple[int, int] | None:
-        """The pair held most often, the smallest on a tie; None when no
-        pair is held.  That is the row-major ``argmax`` of ``counts``:
-        the first count row whose maximum is the largest, at that row's
-        first column holding it (i < j, since the counts are
-        symmetric)."""
-        i = int(self.row_max.argmax())
-        if self.row_max[i] == 0:
-            return None
-        return i, int(self.row_argmax[i])
+        """The pair held most often, the smallest on a tie, which is the
+        first ``argmax`` of the counts; None when no pair is held."""
+        if self.counts.size and self.counts[top := self.counts.argmax()]:
+            return divmod(int(self.codes[top]), self.pad + 1)
+        return None
 
     def substitute(self, i: int, j: int, y: int) -> None:
-        """Replace the pair (i, j) by the fresh variable y in every
-        active row holding both.
+        """Replace the pair (i, j) by y, the largest variable so far, in
+        every live row holding both.
 
-        Of a rewritten row's pairs, only those with i, j or y change: it
-        loses (i, j) and (i, c), (j, c) for each of its other variables
-        c, and if it stays above degree 2 it gains (y, c).  A row of
-        degree 3 falls to degree 2, {c, y}, and leaves ``active``."""
-        if y == self.rows.shape[1]:
-            self._grow()
-        rows = self.rows
-        hit = np.flatnonzero(rows[:, i] & rows[:, j] & self.active)
-        block = rows[hit, : y + 1]
-        block[:, i] = False
-        block[:, j] = False
-        stays = block.sum(axis=1) > 1
-        others = block.sum(axis=0, dtype=np.int64)
-        kept = block[stays].sum(axis=0, dtype=np.int64)
-        counts = self.counts[: y + 1, : y + 1]
-        for v in (i, j):
-            counts[v] -= others
-            counts[:, v] -= others
-        counts[y] += kept
-        counts[:, y] += kept
-        counts[i, j] -= len(hit)
-        counts[j, i] -= len(hit)
+        Each other variable c of such a row loses its pairs (c, i) and
+        (c, j), the row loses (i, j), and if the row stays above degree
+        2 it gains (c, y); no other count changes.  A row of degree 3
+        falls to degree 2, {c, y}, and leaves ``live``."""
+        rows, pad, step = self.rows, self.pad, self.pad + 1
+        rival = min(self.holders[i], self.holders[j], key=len)
+        rival = rival[self.live[rival]]
+        block = rows[rival]
+        holds = (block == i).any(axis=1) & (block == j).any(axis=1)
+        hit, block = rival[holds], block[holds]
+        block[block == i] = y
+        block[block == j] = pad
+        others = block < y
+        degrees = others.sum(axis=1)
+        c = block[others]
+        lost = np.bincount(c, minlength=y)
+        c_lost = np.flatnonzero(lost)
+        ends = np.array([i, j])
+        codes = np.minimum(c_lost[:, None], ends) * step + np.maximum(c_lost[:, None], ends)
+        at = np.searchsorted(self.codes, np.append(codes, i * step + j))
+        self.counts[at] -= np.append(lost[c_lost].repeat(2), len(hit))
 
-        rows[hit, i] = False
-        rows[hit, j] = False
-        rows[hit, y] = True
-        self.active[hit[~stays]] = False
-
-        # the count rows that changed: i, j, y and every c beside them
-        touched = np.append(np.flatnonzero(others), (i, j, y))
-        part = self.counts[touched]
-        self.row_max[touched] = part.max(axis=1)
-        self.row_argmax[touched] = part.argmax(axis=1)
-
-    def _grow(self) -> None:
-        count, width = self.rows.shape
-        rows = np.zeros((count, 2 * width), bool)
-        rows[:, :width] = self.rows
-        counts = np.zeros((2 * width, 2 * width), np.int64)
-        counts[:width, :width] = self.counts
-        self.rows, self.counts = rows, counts
-        self.row_max = np.concatenate([self.row_max, np.zeros(width, np.int64)])
-        self.row_argmax = np.concatenate([self.row_argmax, np.zeros(width, np.intp)])
+        block.sort(axis=1)
+        rows[hit] = block
+        stays = degrees > 1
+        self.live[hit] = stays
+        self.holders.append(hit[stays])
+        if stays.any():
+            gained = np.bincount(c[stays.repeat(degrees)], minlength=y)
+            c_gained = np.flatnonzero(gained)
+            at = np.searchsorted(self.codes, c_gained * step + y)
+            self.codes = np.insert(self.codes, at, c_gained * step + y)
+            self.counts = np.insert(self.counts, at, gained[c_gained])
 
 
 def resolve_ancillas(model: QuboModel, original_bits: int) -> int:

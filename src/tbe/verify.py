@@ -560,7 +560,7 @@ class MomentReport:
     fourth_moment_ok: bool
 
 
-def ensemble_residual_check(spec: EnsembleSpec, n: int, k_max: int) -> MomentReport:
+def ensemble_residual_check(spec: EnsembleSpec, k_max: int) -> MomentReport:
     """Draw omitted couplings and check the residual's moments at the
     all-plus configuration (mask 0), where every character is 1.
 

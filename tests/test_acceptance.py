@@ -290,7 +290,7 @@ def test_criterion_10_ensemble_claims():
 
     profile = degree_uniform_profile(12, {4: 0.02})  # 495 omitted modes
     spec = EnsembleSpec(variance_profile=profile, family="gaussian", trials=trials, rng_seed=1010)
-    residual_report = ensemble_residual_check(spec, 12, 2)
+    residual_report = ensemble_residual_check(spec, 2)
     residual_ok = (
         residual_report.variance_ok
         and residual_report.gaussian_gate_applied

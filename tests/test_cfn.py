@@ -90,6 +90,15 @@ def test_parse_errors_name_the_field(doc, fragment):
         parse_cfn(doc)
 
 
+def test_bytes_that_are_not_utf8_are_invalid_json():
+    # a variable name holding byte 0xff: the UnicodeDecodeError escaped
+    # parse_cfn, so the CLI exited 1 and not 3
+    with pytest.raises(CfnFormatError, match="invalid JSON: 'utf-8' codec can't decode byte 0xff"):
+        parse_cfn(b'{"variables": [{"name": "\xff", "cardinality": 2}]}')
+    # a byte-order mark is read past, as in HUBO-JSON and ensemble profiles
+    assert parse_cfn(b'\xef\xbb\xbf{"variables": [{"cardinality": 2}]}').num_variables == 1
+
+
 def test_non_finite_cost_rejected():
     with pytest.raises(CfnFormatError, match="non-finite"):
         Cfn(

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -35,8 +36,8 @@ from tbe import (
     truncate,
     walsh_blocks,
 )
-from tbe.cli import main
-from tbe.verify import cfn_optimum
+from tbe.cli import _write, main
+from tbe.verify import Verdict, cfn_optimum, check_preservation
 from helpers import assemble_truth_table, gaussian_complete_cfn, random_cfn
 from tbe.cfn import serialize_cfn
 
@@ -247,6 +248,29 @@ def test_parse_error_exit_code(tmp_path):
     assert main(["compile", "--input", str(missing_kmax), "--kmax", "0"]) == 3
 
 
+def test_artifacts_are_written_a_slice_at_a_time(tmp_path, capsys):
+    # an 8 MB text: written whole, it was first encoded into one 7.6 MiB copy
+    text = ("x" * 99 + "\n") * 80_000 + "\u00e9\n"
+    path = tmp_path / "big.txt"
+    tracemalloc.start()
+    try:
+        _write(str(path), text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert path.read_text(encoding="utf-8") == text
+    _write(None, text)
+    assert capsys.readouterr().out == text
+
+
+def test_a_cfn_that_is_not_utf8_exits_3(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"variables": [{"name": "\xff", "cardinality": 2}]}')
+    assert main(["compile", "--input", str(path), "--kmax", "1"]) == 3
+    assert "invalid JSON: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [
@@ -369,6 +393,21 @@ def test_verify_subcommand_passes_on_clean_instance(small_input, tmp_path):
     failed = [c for c in doc["claims"] if c["precondition_held"] and c["asserted"] is False]
     assert code == (5 if failed else 0)
     assert not failed
+
+
+def test_verify_exits_5_on_a_failed_claim_and_still_writes_its_report(small_input, tmp_path, monkeypatch):
+    def failing(blocks, k_max):
+        report = check_preservation(blocks, k_max)
+        return replace(report, verdicts=(*report.verdicts, Verdict("planted", False, -1.0, "a failed claim")))
+
+    monkeypatch.setattr("tbe.cli.check_preservation", failing)
+    report = tmp_path / "verify.json"
+    assert main(["verify", "--input", str(small_input), "--kmax", "2", "--out-report", str(report)]) == 5
+    claims = json.loads(report.read_text())["claims"]
+    assert len(claims) == 5
+    assert claims[-1] == {
+        "claim": "planted", "precondition_held": True, "asserted": False, "margin": -1.0, "details": "a failed claim"
+    }
 
 
 def test_verify_epsilon_zero_trivially_passes(small_input, tmp_path):

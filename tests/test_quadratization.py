@@ -1,14 +1,17 @@
 import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tbe import BinaryPolynomial, IsingPolynomial, quadratize, qubo_json, resolve_ancillas, truncate
-from tbe.quadratization import QuboModel, _pair_counts
-from helpers import random_polynomial, reference_leakage_transform, reference_quadratize, sparse_polynomials
+from tbe import BinaryPolynomial, IsingPolynomial, build_layout, encode, quadratize, qubo_json, resolve_ancillas
+from tbe import truncate, walsh_blocks
+from tbe.quadratization import QuboModel, _Monomials
+from helpers import gaussian_chain_cfn, random_polynomial, reference_leakage_transform, reference_quadratize
+from helpers import sparse_polynomials
 
 
 def _min_over_ancillas(model, original_bits):
@@ -334,8 +337,39 @@ def test_to_ising_matches_the_reference_walk(model):
 @given(st.integers(0, 40), st.integers(1, 24), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
 def test_pair_counts_equal_the_integer_product(count, n, density, seed):
     rows = np.random.default_rng(seed).random((count, n)) < density
-    want = rows.astype(np.int64).T @ rows.astype(np.int64)
-    np.fill_diagonal(want, 0)
-    got = _pair_counts(rows)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, want)
+    rows = rows[rows.sum(axis=1) > 2]
+    monomials = _Monomials(rows.sum(axis=1), np.nonzero(rows)[1], n)
+    y = n
+    while True:
+        # the counts are those of the live rows' lists, substitution after substitution
+        held = np.zeros((len(rows), monomials.pad), np.int64)
+        row, slot = np.nonzero(monomials.rows < monomials.pad)
+        held[row, monomials.rows[row, slot]] = 1
+        want = np.triu(held[monomials.live].T @ held[monomials.live], 1)
+        got = np.zeros_like(want)
+        first, second = np.divmod(monomials.codes, monomials.pad + 1)
+        got[first, second] = monomials.counts
+        assert monomials.counts.dtype == np.int64
+        assert np.array_equal(got, want)
+        if (pair := monomials.top_pair()) is None:
+            break
+        assert want[pair] == want.max() > 0 and pair == np.unravel_index(want.argmax(), want.shape)
+        monomials.substitute(*pair, y)
+        y += 1
+    assert not monomials.live.any()
+
+
+def test_quadratize_memory_follows_the_held_pairs():
+    # the k=3 truncation of a 300-variable chain (900 qubits, 900
+    # ancillas): dense (2n x 2n) pair counts and a boolean row per
+    # monomial over 2n columns peaked at 71.2 MiB
+    cfn = gaussian_chain_cfn(0, 300)
+    poly = truncate(encode(walsh_blocks(cfn, build_layout(cfn))), 3)
+    tracemalloc.start()
+    try:
+        model = quadratize(poly)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.num_ancilla_qubits == 900
+    assert peak < 40 * 2**20

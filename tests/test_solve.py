@@ -15,10 +15,12 @@ from tbe import (
     Fallback,
     IsingPolynomial,
     PairwiseTable,
+    Penalty,
     VariableSpec,
     bitflip_descent,
     build_layout,
     certify,
+    decode,
     decode_and_refine,
     encode,
     evaluate_cfn,
@@ -129,6 +131,29 @@ def test_refinement_never_worse_across_seeds():
         result = solve(truncated, "anneal", seed=seed, anneal=params)
         out = decode_and_refine(result, layout, cfn, full_poly=full)
         assert out.refined_cfn_value <= out.cfn_value + 1e-12
+
+
+def test_refinement_keeps_the_solved_assignment_when_the_descent_decodes_worse():
+    # under a small Penalty weight, descent on the full encoding can end
+    # on an unused bitstring whose decoded choice costs more
+    rng = np.random.default_rng(8)
+    cards = rng.choice([3, 5, 6, 7], 3).tolist()
+    unary = tuple(tuple(rng.standard_normal(c).tolist()) for c in cards)
+    pairs = tuple(
+        PairwiseTable(i, i + 1, tuple(rng.standard_normal(cards[i] * cards[i + 1]).tolist())) for i in range(2)
+    )
+    cfn = Cfn(tuple(VariableSpec(f"v{i}", c) for i, c in enumerate(cards)), unary, pairs)
+    layout = build_layout(cfn, unused_policy=Penalty(0.1))
+    full = encode(walsh_blocks(cfn, layout))
+    result = solve(truncate(full, 1), "anneal", seed=0, anneal=AnnealParams(restarts=2, sweeps=5))
+    out = decode_and_refine(result, layout, cfn, full_poly=full)
+    solved = result.best_spin & ((1 << layout.total_qubits) - 1)
+    end, steps = bitflip_descent(full, solved)
+    assert end != solved and evaluate_cfn(cfn, decode(layout, end)[0]) > out.cfn_value
+    assert out.refined_spin == solved
+    assert out.refined_assignment == out.decoded_assignment
+    assert out.refined_cfn_value == out.cfn_value
+    assert out.refine_steps == steps
 
 
 def test_end_to_end_value_bound_when_valid():

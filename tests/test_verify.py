@@ -330,7 +330,7 @@ def test_sign_rate_rejects_a_mode_outside_its_coordinates():
 
 def test_degenerate_profile_all_zero_variances():
     spec = EnsembleSpec(variance_profile={0b111: 0.0}, trials=1000, rng_seed=1)
-    report = ensemble_residual_check(spec, 3, 2)
+    report = ensemble_residual_check(spec, 2)
     assert report.target_variance == 0.0
     assert report.sample_variance == 0.0
     assert report.variance_ok
@@ -353,7 +353,7 @@ def test_spec_validation():
 def test_gaussian_ensemble_variance_and_moments():
     profile = degree_uniform_profile(10, {3: 1.0})  # 120 modes of variance 1
     spec = EnsembleSpec(variance_profile=profile, family="gaussian", trials=6000, rng_seed=2)
-    report = ensemble_residual_check(spec, 10, 2)
+    report = ensemble_residual_check(spec, 2)
     assert report.num_modes == 120
     assert report.target_variance == pytest.approx(120.0)
     assert report.variance_ok
@@ -370,7 +370,7 @@ def test_thousand_unit_variance_modes():
         spec = EnsembleSpec(
             variance_profile={m: 1.0 for m in masks}, family=family, trials=4000, rng_seed=9
         )
-        report = ensemble_residual_check(spec, 12, 2)
+        report = ensemble_residual_check(spec, 2)
         assert report.num_modes == 1000
         assert report.target_variance == pytest.approx(1000.0)
         assert report.variance_ok
@@ -381,7 +381,7 @@ def test_thousand_unit_variance_modes():
 def test_rademacher_ensemble_clt():
     profile = degree_uniform_profile(10, {4: 1.0})  # 210 modes
     spec = EnsembleSpec(variance_profile=profile, family="rademacher", trials=6000, rng_seed=3)
-    report = ensemble_residual_check(spec, 10, 3)
+    report = ensemble_residual_check(spec, 3)
     assert report.variance_ok
     assert report.gaussian_gate_applied
     assert report.skewness_ok and report.kurtosis_ok
@@ -390,7 +390,7 @@ def test_rademacher_ensemble_clt():
 
 def test_uniform_family_fourth_moment():
     spec = EnsembleSpec(variance_profile={0b111: 2.0}, family="uniform", trials=8000, rng_seed=4)
-    report = ensemble_residual_check(spec, 3, 2)
+    report = ensemble_residual_check(spec, 2)
     assert report.variance_ok
     assert report.fourth_moment_bound == pytest.approx(1.8)
     assert report.fourth_moment_ok
