@@ -21,7 +21,9 @@ true cost tables, and optionally refined by bit-flip descent on the
 full (untruncated) encoding.  Configuration masks are Python ints, so
 neither annealing nor refinement has a qubit cap; both read only the
 (term, qubit) pairs the terms hold (``polynomial.held_qubits``), plus n
-bytes a restart and the anneal's dense gain matrix per colour class.
+bytes a restart and the anneal's gain blocks, each over at most
+``BLOCK_ROWS`` term rows unless one qubit holds more, so the anneal's
+memory too is linear in the held pairs.
 """
 
 from __future__ import annotations
@@ -34,7 +36,16 @@ import numpy as np
 
 from .cfn import Cfn, evaluate_cfn
 from .encoding import EncodingLayout, decode
-from .polynomial import IsingPolynomial, characters, held_qubits, mask_bits, mask_to_string, pack_masks, random_masks
+from .polynomial import (
+    IsingPolynomial,
+    characters,
+    held_qubits,
+    is_int,
+    mask_bits,
+    mask_to_string,
+    pack_masks,
+    random_masks,
+)
 from .quadratization import QuboModel
 from .verify import DenseLandscape, RegisterLandscape, bitflip_descent
 
@@ -50,12 +61,20 @@ class AnnealParams:
     runs at the hot end T_hot = dE_max / ln 2 of the polynomial annealed
     (``_schedule``), and each later sweep at ``cooling`` times the one
     before.  ``cooling`` None takes T_hot to the cold end T_cold on the
-    last sweep.
+    last sweep.  ``restarts`` must be an int of at least 1 and
+    ``sweeps`` one of at least 0, or construction raises ValueError
+    naming the field.
     """
 
     restarts: int = 16
     sweeps: int = 200
     cooling: float | None = None
+
+    def __post_init__(self) -> None:
+        for name, low in (("restarts", 1), ("sweeps", 0)):
+            value = getattr(self, name)
+            if not (is_int(value) and value >= low):
+                raise ValueError(f"AnnealParams.{name} must be an int >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -210,6 +229,26 @@ def _term_columns(term: np.ndarray, column: np.ndarray, terms: int, fill: int) -
     return padded
 
 
+# the term rows one gain block holds, unless one class member alone
+# holds more: blocks cost about BLOCK_ROWS x (members per block) x 8
+# bytes each, so the anneal's memory is linear in the held pairs
+BLOCK_ROWS = 512
+
+
+def _blocks(counts: np.ndarray) -> list[tuple[int, int]]:
+    """Runs ``[m0, m1)`` of whole class members, in order, that between
+    them hold at most ``BLOCK_ROWS`` term rows (member m holds
+    ``counts[m]``); a member holding more is a run of its own."""
+    blocks, m0, rows = [], 0, 0
+    for m, count in enumerate(counts.tolist()):
+        if m > m0 and rows + count > BLOCK_ROWS:
+            blocks.append((m0, m))
+            m0, rows = m, 0
+        rows += count
+    blocks.append((m0, len(counts)))
+    return blocks
+
+
 def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple[int, float, float, float]:
     """Lockstep colour-class Metropolis over all restarts: the best mask,
     its energy, and the start temperature and cooling that ran
@@ -231,14 +270,19 @@ def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple
     slice, plus a row of +1s.  The two bytes differ in bits 1-7 only, so
     the XOR of an odd number of them is their product: a step XORs the
     spins each of its class's terms holds (``_term_columns``, padded to
-    an odd count) into the terms' characters, takes every delta as one
-    gain-matrix product and negates the accepted spins in place.  Each
-    step records its accepted delta sum; once per sweep a running sum
-    gives the energy after every step, by the same additions in the same
-    order as adding each sum as it comes.  The first minimum per restart
-    is the best energy's first strict improvement, and its spins are the
-    sweep's end spins on the classes visited by then and its start spins
-    elsewhere.  The best masks are packed once, at the end.
+    an odd count) into the terms' characters, takes the deltas as one
+    gain-matrix product per block of whole members (``_blocks``; one
+    product when the class fits one block) and negates the accepted
+    spins in place.  Each step writes its deltas and acceptances into its
+    class's rows of two (active x restarts) arrays.  Once per sweep
+    ``np.add.at`` sums each class's accepted deltas in member order, and a
+    running sum of those class sums in visiting order gives the energy
+    after every step, by the same additions in the same order as adding
+    each sum after its step (a rejected delta adds -0.0, which changes
+    nothing).  The first minimum per restart is the best energy's first
+    strict improvement, and its spins are the sweep's end spins on the
+    classes visited by then and its start spins elsewhere.  The best
+    masks are packed once, at the end.
     """
     n = poly.num_qubits
     first = poly.degree_starts[1]
@@ -269,25 +313,42 @@ def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple
     held = spin_row[term_columns]
     # the terms holding each column, ascending
     per_column = np.split(term[np.argsort(column, kind="stable")], np.cumsum(np.bincount(column))[:-1])
+    start_bits = mask_bits(masks, n)
+    spins = np.ones((active + 1, restarts), np.int8)
+    spins[:active][start_bits.T[qubit_order]] = -1
+    flips = spins[:active]
+    # a step's deltas, uniforms and acceptances, each in its class's rows
+    deltas = np.empty((active, restarts))
+    uniforms = np.empty((active, restarts))
+    accepted = np.empty((active, restarts), bool)
     steps = []
     lo = 0
     for members in classes:
         per_qubit = [per_column[q] for q in members]
         rows = np.concatenate(per_qubit)
-        owner = np.repeat(np.arange(members.size), [idx.size for idx in per_qubit])
-        # flipping member i negates its terms, so gain[i] holds -2 c over
-        # the rows of member i and zero over the rows of the others
-        gain = np.zeros((members.size, rows.size))
-        gain[owner, np.arange(rows.size)] = -2.0 * coeffs[rows]
-        steps.append((held.take(rows, axis=1), gain, lo, lo + members.size))
-        lo += members.size
-    start_bits = mask_bits(masks, n)
-    spins = np.ones((active + 1, restarts), np.int8)
-    spins[:active][start_bits.T[qubit_order]] = -1
-    flips = spins[:active]
+        counts = np.array([idx.size for idx in per_qubit])
+        # member m holds rows bounds[m] to bounds[m + 1]
+        bounds = np.concatenate(([0], np.cumsum(counts)))
+        hi = lo + members.size
+        products = []
+        for m0, m1 in _blocks(counts):
+            r0, r1 = bounds[m0], bounds[m1]
+            # flipping member i negates its terms, so gain[i] holds -2 c
+            # over the rows of member i and zero over the rows of the others
+            gain = np.zeros((m1 - m0, r1 - r0))
+            gain[np.repeat(np.arange(m1 - m0), counts[m0:m1]), np.arange(r1 - r0)] = -2.0 * coeffs[rows[r0:r1]]
+            products.append((gain, slice(r0, r1), deltas[lo + m0 : lo + m1]))
+        steps.append(
+            (held.take(rows, axis=1), products, deltas[lo:hi], uniforms[lo:hi], accepted[lo:hi], flips[lo:hi])
+        )
+        lo = hi
     class_of = np.repeat(np.arange(len(classes)), [members.size for members in classes])
-    # trail[0] is the energy before a sweep, trail[k] the accepted delta
-    # sum of its k-th step, and after ``np.cumsum`` the energy after it
+    # sums[c] is the accepted delta sum of class c in a sweep, and each
+    # (qubit, restart) entry of ``deltas`` adds into flat slot ``slots``
+    # of it; trail[0] is the energy before the sweep, trail[k] the sum of
+    # its k-th step, and after ``np.cumsum`` the energy after it
+    sums = np.empty((len(steps), restarts))
+    slots = (class_of[:, None] * restarts + np.arange(restarts)).ravel()
     trail = np.empty((len(steps) + 1, restarts))
     trail[-1] = best_energy
     best_spins = flips.copy()
@@ -295,32 +356,33 @@ def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple
     with np.errstate(over="ignore", under="ignore"):
         for _ in range(params.sweeps):
             order = rng.permutation(len(steps))
-            uniforms = rng.random((active, restarts))
+            rng.random(out=uniforms)
             neg_t = -temperature
             begin = flips.copy()
-            trail[0] = trail[-1]
-            for k, c in enumerate(order.tolist(), 1):
-                term_spins, gain, lo, hi = steps[c]
+            for c in order.tolist():
+                term_spins, products, delta, u, accept, flip = steps[c]
                 sub = np.bitwise_xor.reduce(spins.take(term_spins, axis=0), axis=0).astype(np.float64)
-                delta = gain @ sub
-                u = uniforms[lo:hi]
+                for gain, rows, out in products:
+                    np.matmul(gain, sub[rows], out=out)
                 if neg_t < 0.0:
                     # u < 1, so at a positive temperature this already
                     # accepts every delta <= 0
-                    accept = u < np.exp(delta / neg_t)
+                    np.less(u, np.exp(delta / neg_t), out=accept)
                 elif neg_t > 0.0:
                     # a negative temperature accepts every proposal but a
                     # NaN delta, whose acceptance test is false
-                    accept = ~np.isnan(delta)
+                    np.logical_not(np.isnan(delta), out=accept)
                 else:
                     # a zero (or NaN) temperature takes no uphill move
-                    accept = delta <= 0.0
-                if np.count_nonzero(accept):
-                    np.negative(flips[lo:hi], out=flips[lo:hi], where=accept)
-                    np.add.reduce(delta, axis=0, where=accept, out=trail[k])
-                else:
-                    # x + -0.0 is x for every x, so the energy is unchanged
-                    trail[k] = -0.0
+                    np.less_equal(delta, 0.0, out=accept)
+                np.negative(flip, out=flip, where=accept)
+            # x + -0.0 is x for every x, so a rejected delta adds nothing;
+            # ``np.add.at`` adds in slot order, so each class's members in
+            # turn, and over flat indices it takes numpy's fast path
+            sums.fill(-0.0)
+            np.add.at(sums.reshape(-1), slots, np.where(accepted, deltas, -0.0).reshape(-1))
+            trail[0] = trail[-1]
+            trail[1:] = sums[order]
             np.cumsum(trail, axis=0, out=trail)
             # a NaN energy never improves on the best, and fmin skips it
             low = np.fmin.reduce(trail, axis=0)

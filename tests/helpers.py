@@ -411,9 +411,9 @@ def reference_metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int)
     class's spins are a contiguous slice; a step gathers the class's
     term rows once (disjoint, since its qubits share no term), takes
     every delta as one gain-matrix product, negates the accepted
-    entries and writes the rows back.  The energy and the best states
-    are updated after each class; the best masks are packed once, at
-    the end.
+    entries and writes the rows back.  After each class the energy
+    grows by the accepted deltas' sum, taken in member order, and the
+    best states are updated; the best masks are packed once, at the end.
     """
     n = poly.num_qubits
     first = poly.degree_starts[1]
@@ -476,7 +476,12 @@ def reference_metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int)
                     sub *= np.where(accept, -1.0, 1.0).take(owner, axis=0)
                     chi_t[rows] = sub
                     spins[lo:hi] ^= accept
-                    energy += np.add.reduce(delta, axis=0, where=accept)
+                    # the class's accepted deltas, summed in member
+                    # order and then added to the energy
+                    total = np.full(restarts, -0.0)
+                    for row, taken in zip(delta, accept):
+                        total += np.where(taken, row, -0.0)
+                    energy += total
                     improved = energy < best_energy
                     if np.count_nonzero(improved):
                         np.copyto(best_energy, energy, where=improved)

@@ -1,3 +1,4 @@
+import importlib
 import math
 import tracemalloc
 from itertools import combinations
@@ -31,11 +32,13 @@ from tbe import (
     walsh_blocks,
 )
 from tbe.polynomial import held_qubits, key_octets
-from tbe.solve import _colour_classes, _metropolis, _schedule, _term_columns
+from tbe.solve import _blocks, _colour_classes, _metropolis, _schedule, _term_columns
 from tbe.verify import dense_values
 from helpers import all_assignments, gaussian_chain_cfn, random_cfn, random_polynomial, reference_metropolis
 
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "data" / "two_card32.json"
+# the module, for patching its constants: ``tbe.solve`` is also the function
+solve_module = importlib.import_module("tbe.solve")
 
 
 def test_exhaustive_single_spin():
@@ -348,6 +351,75 @@ def test_metropolis_matches_the_term_character_kernel_bit_for_bit(case):
     with np.errstate(divide="ignore", invalid="ignore"):
         want = reference_metropolis(poly, params, seed)
     assert got[0] == want[0] and got[1].hex() == want[1].hex() and got[2:] == want[2:]
+
+
+@pytest.mark.parametrize("restarts", [1, 5])
+def test_metropolis_matches_the_reference_on_long_classes(restarts):
+    # a 90-qubit chain colours in two classes of 45 members; each class's
+    # accepted deltas are summed in member order at every restart count
+    # (numpy's masked reduce over a single restart would add pairwise)
+    rng = np.random.default_rng(3)
+    terms = {1 << q: float(rng.normal()) for q in range(90)}
+    terms.update({3 << q: float(rng.normal()) for q in range(89)})
+    poly = IsingPolynomial(90, terms)
+    params = AnnealParams(restarts=restarts, sweeps=40)
+    for seed in range(3):
+        got, want = _metropolis(poly, params, seed), reference_metropolis(poly, params, seed)
+        assert got[0] == want[0] and got[1].hex() == want[1].hex() and got[2:] == want[2:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=60), st.integers(1, 100))
+def test_gain_blocks_cover_each_member_once(counts, block_rows):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solve_module, "BLOCK_ROWS", block_rows)
+        blocks = _blocks(np.array(counts))
+    assert [m for m0, m1 in blocks for m in range(m0, m1)] == list(range(len(counts)))
+    for (m0, m1), (next_start, _) in zip(blocks, blocks[1:] + [(len(counts), None)]):
+        # within the bound unless one member alone exceeds it, and no
+        # block could have taken the member after it
+        assert m1 - m0 == 1 or sum(counts[m0:m1]) <= block_rows
+        assert next_start == m1 and (m1 == len(counts) or sum(counts[m0 : m1 + 1]) > block_rows)
+
+
+def _integer_couplings(case):
+    """The case with every coupling rounded to an integer, so that every
+    energy and delta is exact whatever order its terms are added in."""
+    poly, params, seed = case
+    return IsingPolynomial(poly.num_qubits, {s: float(round(c)) for s, c in poly.terms.items()}), params, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(_anneal_cases().map(_integer_couplings))
+def test_split_gain_blocks_match_the_reference_where_sums_are_exact(case):
+    # one row per block makes every class member a block of its own
+    poly, params, seed = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solve_module, "BLOCK_ROWS", 1)
+        got = _metropolis(poly, params, seed)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = reference_metropolis(poly, params, seed)
+    assert got[0] == want[0] and got[1].hex() == want[1].hex() and got[2:] == want[2:]
+
+
+def test_anneal_memory_is_linear_in_the_held_pairs_on_a_chain():
+    # 4000 qubits with linear and nearest-neighbour couplings colour in
+    # two classes of 2000 members holding about 6000 term rows each; one
+    # dense gain matrix per class would peak near 188 MiB
+    rng = np.random.default_rng(0)
+    terms = {1 << q: float(rng.normal()) for q in range(4000)}
+    terms.update({3 << q: float(rng.normal()) for q in range(3999)})
+    poly = IsingPolynomial(4000, terms)
+    assert _peak_bytes(lambda: _metropolis(poly, AnnealParams(restarts=16, sweeps=20), 0)) < 30 << 20
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("restarts", 0), ("restarts", 2.5), ("restarts", True), ("sweeps", -3), ("sweeps", 2.0), ("sweeps", "3")],
+)
+def test_anneal_params_refuse_a_budget_no_anneal_can_run(field, value):
+    with pytest.raises(ValueError, match=f"AnnealParams.{field} must be an int"):
+        AnnealParams(**{field: value})
 
 
 @st.composite
