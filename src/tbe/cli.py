@@ -268,7 +268,8 @@ def run_pipeline(args) -> int:
         # a Fallback register on an unused bitstring decodes to a
         # choice of the same cost, so only a Penalty one voids the bound
         if exhaustive and (all(result.decoded_valid) or isinstance(blocks.layout.unused_policy, Fallback)):
-            best_value, best_assignment = cfn_optimum(cfn)
+            # the truncation's register graph is the CFN's: one elimination order
+            best_value, best_assignment = cfn_optimum(cfn, target.steps)
             achieved = result.cfn_value
             if result.refined_cfn_value is not None:
                 achieved = min(achieved, result.refined_cfn_value)

@@ -10,7 +10,7 @@ only in the width of the elimination order (Bertelè & Brioschi,
 
 * ``elimination_order`` picks the order on the interaction graph by
   minimum fill, the lowest variable on ties, and gives each variable's
-  neighbours at its turn;
+  neighbours at its turn; networks on one graph share one order;
 * ``Elimination`` sums each variable's bucket (the tables and messages
   whose earliest-eliminated variable it is) and minimizes the variable
   out, leaving a message to a later bucket;
@@ -29,6 +29,7 @@ and the list of assignments, checked as it grows.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -38,7 +39,7 @@ import numpy as np
 
 from .errors import CapacityError
 
-__all__ = ["MAX_TABLE_ENTRIES", "PairwiseNetwork", "elimination_order", "Elimination", "lowest", "first"]
+__all__ = ["MAX_TABLE_ENTRIES", "PairwiseNetwork", "elimination_order", "network_order", "Elimination", "lowest", "first"]
 
 MAX_TABLE_ENTRIES = 1 << 24
 
@@ -95,6 +96,9 @@ class PairwiseNetwork:
         return abs(self.constant) + sum(float(np.abs(t).max(initial=0.0)) for t in tables)
 
 
+Steps = Sequence[tuple[int, tuple[int, ...]]]
+
+
 def elimination_order(num_vars: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, tuple[int, ...]]]:
     """Greedy minimum-fill order on the graph of ``edges``: each step
     eliminates the variable whose neighbours miss the fewest edges among
@@ -109,9 +113,15 @@ def elimination_order(num_vars: int, edges: Sequence[tuple[int, int]]) -> list[t
         return sum(b not in adjacent[a] for a, b in combinations(adjacent[v], 2))
 
     fills = {v: fill(v) for v in range(num_vars)}
+    # every variable left has its (fill, variable) on the heap; an entry
+    # whose fill has changed since, or whose variable is gone, is skipped
+    heap = [(f, v) for v, f in fills.items()]
+    heapq.heapify(heap)
     steps = []
     while fills:
-        v = min(fills, key=lambda u: (fills[u], u))
+        f, v = heapq.heappop(heap)
+        if fills.get(v) != f:
+            continue
         neighbours = adjacent[v]
         steps.append((v, tuple(sorted(neighbours))))
         for u in neighbours:
@@ -121,7 +131,13 @@ def elimination_order(num_vars: int, edges: Sequence[tuple[int, int]]) -> list[t
         # only a neighbour, or a neighbour's neighbour, sees its fill change
         for u in set().union(neighbours, *(adjacent[u] for u in neighbours)):
             fills[u] = fill(u)
+            heapq.heappush(heap, (fills[u], u))
     return steps
+
+
+def network_order(network: PairwiseNetwork) -> list[tuple[int, tuple[int, ...]]]:
+    """``elimination_order`` on the graph of a network's pairwise tables."""
+    return elimination_order(len(network.domains), [(i, j) for i, j, _ in network.pairwise])
 
 
 @dataclass(frozen=True)
@@ -140,11 +156,14 @@ class Elimination:
     kept, not the bucket sums, so besides the messages the largest array
     alive at once is one bucket.  Raises ``CapacityError`` naming the width when a bucket
     would exceed ``MAX_TABLE_ENTRIES`` entries, before any is built.
+    ``steps`` is the network's ``elimination_order``, given when another
+    network on the same graph has it already.
     """
 
-    def __init__(self, network: PairwiseNetwork) -> None:
+    def __init__(self, network: PairwiseNetwork, steps: Steps | None = None) -> None:
         domains = network.domains
-        steps = elimination_order(len(domains), [(i, j) for i, j, _ in network.pairwise])
+        if steps is None:
+            steps = network_order(network)
         for v, neighbours in steps:
             entries = math.prod(domains[u] for u in (v, *neighbours))
             if entries > MAX_TABLE_ENTRIES:
@@ -219,7 +238,9 @@ class Elimination:
         )
 
 
-def lowest(network: PairwiseNetwork, radius: float, gap: bool = False) -> tuple[np.ndarray, np.ndarray, float | None]:
+def lowest(
+    network: PairwiseNetwork, radius: float, gap: bool = False, steps: Steps | None = None
+) -> tuple[np.ndarray, np.ndarray, float | None]:
     """Every assignment whose direct value (``PairwiseNetwork.values``)
     is within ``radius`` of the least direct value, as rows in no set
     order, and those values; with ``gap``, also the least direct value
@@ -229,8 +250,8 @@ def lowest(network: PairwiseNetwork, radius: float, gap: bool = False) -> tuple[
     by ``ROUNDING_SLACK`` of the scale, so rounding cannot drop an
     assignment.  When an assignment beyond it could undercut the next
     value found, a second search reaches just past the least bound
-    beyond the first."""
-    elim = Elimination(network)
+    beyond the first.  ``steps`` is as for ``Elimination``."""
+    elim = Elimination(network, steps)
     slack = ROUNDING_SLACK * network.scale()
     rows, beyond = elim.within(elim.minimum + radius + slack)
     values = network.values(rows)
@@ -245,7 +266,7 @@ def lowest(network: PairwiseNetwork, radius: float, gap: bool = False) -> tuple[
     return rows[tied], values[tied], float(above.min()) if above.size else math.inf
 
 
-def first(network: PairwiseNetwork, priority: Sequence[int]) -> np.ndarray:
+def first(network: PairwiseNetwork, priority: Sequence[int], steps: Steps | None = None) -> np.ndarray:
     """A minimizer as a row of values: of the assignments with the least
     direct value (``PairwiseNetwork.values``), the first in the
     lexicographic order of the variables of ``priority``, most
@@ -256,8 +277,9 @@ def first(network: PairwiseNetwork, priority: Sequence[int]) -> np.ndarray:
     plateau, it is found without the listing: each variable in turn is
     held at its first value whose held network's minimum stays within
     the slack, one elimination per value tried, and the answer is then
-    the first of the assignments within the slack."""
-    elim = Elimination(network)
+    the first of the assignments within the slack.  ``steps`` is as for
+    ``Elimination``."""
+    elim = Elimination(network, steps)
     threshold = elim.minimum + ROUNDING_SLACK * network.scale()
     try:
         rows = elim.within(threshold)[0]

@@ -16,24 +16,28 @@ and leaves interactions at zero there.  The marginals of each
 (extended) interaction grid are absorbed into the register tables
 before transforming, which keeps interaction couplings supported on
 exactly two registers and makes the per-table spectral decomposition
-exact; ``walsh_blocks`` is the one place these transforms are taken,
-and its ``WalshBlocks`` value is what both ``encode`` and
-``spectrum.table_spectrum`` read.  ``encode`` places each block's
-couplings in the polynomial's stored arrays as rows of key bytes,
-without forming a Python-int key per coupling.
+exact; ``walsh_blocks`` is the one place these transforms are taken.
+It transforms the tables of one shape (the register tables of one
+width, the interaction grids of one pair of widths) as one stack, and
+its ``WalshBlocks`` value keeps those stacks: ``encode``,
+``spectrum.table_spectrum`` and ``verify``'s register networks each
+read them a stack at a time.  ``encode`` places each stack's couplings
+in the polynomial's stored arrays as rows of key bytes, without
+forming a Python-int key per coupling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .cfn import MAX_ABS_COST, Cfn
 from .errors import CfnFormatError
-from .polynomial import IsingPolynomial, mask_octets, octet_width
-from .walsh import fwht
+from .polynomial import IsingPolynomial, octet_width
+from .walsh import MAX_TRANSFORM_DIM, fwht
 
 __all__ = [
     "Fallback",
@@ -41,6 +45,8 @@ __all__ = [
     "EncodingLayout",
     "build_layout",
     "default_penalty_weight",
+    "RegisterStack",
+    "InteractionStack",
     "WalshBlocks",
     "walsh_blocks",
     "encode",
@@ -203,16 +209,55 @@ def default_penalty_weight(cfn: Cfn) -> float:
     return 2.0 * (hi - lo) + 1.0
 
 
+STACK_ENTRIES = 1 << MAX_TRANSFORM_DIM  # the most table entries ``walsh_blocks`` transforms at once
+
+
+@dataclass(frozen=True, eq=False)
+class RegisterStack:
+    """The Walsh blocks of registers of one width: ``coeffs[r, t - 1]``
+    is the coupling on the nonempty local qubit subset ``t`` of register
+    ``registers[r]``."""
+
+    registers: np.ndarray
+    coeffs: np.ndarray
+
+    @property
+    def width(self) -> int:
+        return self.coeffs.shape[1].bit_length()
+
+
+@dataclass(frozen=True, eq=False)
+class InteractionStack:
+    """The Walsh blocks of pairwise tables of one register shape: the
+    CFN's pairwise table ``tables[s]`` joins registers ``pairs[s] = (i,
+    j)``, and ``coeffs[s, tj - 1, ti - 1]`` is its coupling on local
+    subset ``ti`` of register i times local subset ``tj`` of register j,
+    both nonempty."""
+
+    tables: np.ndarray
+    pairs: np.ndarray
+    coeffs: np.ndarray
+
+    @property
+    def widths(self) -> tuple[int, int]:
+        """The widths of registers i and j."""
+        return self.coeffs.shape[2].bit_length(), self.coeffs.shape[1].bit_length()
+
+
 @dataclass(frozen=True, eq=False)
 class WalshBlocks:
-    """Each cost table's Walsh coefficients on its own registers.
+    """Each cost table's Walsh coefficients on its own registers, held
+    as stacks of tables of one shape.
 
-    * ``registers[i][t - 1]`` is the coupling on the nonempty local
-      qubit subset ``t`` of register i;
-    * each ``(i, j, coeffs)`` in ``interactions`` holds
-      ``coeffs[tj - 1, ti - 1]``, the coupling on local subset ``ti`` of
-      register i times local subset ``tj`` of register j, both nonempty;
+    * each ``RegisterStack`` of ``register_stacks`` holds the register
+      tables of one width, ascending by register;
+    * each ``InteractionStack`` of ``interaction_stacks`` holds the
+      pairwise tables of one pair of register widths, in file order;
     * ``constant`` is the coupling on the empty subset.
+
+    A stack holds at most ``STACK_ENTRIES`` entries (one table may hold
+    more), so one shape can take several stacks.  ``registers`` and
+    ``interactions`` give the same blocks a table at a time.
 
     Tables are first extended over unused bitstrings by the layout's
     policy.  Each interaction grid then gives its row and column means
@@ -220,102 +265,193 @@ class WalshBlocks:
     its marginal modes vanish (up to roundoff) and are left out; each
     register table's mean is folded into the constant.  The blocks
     together reproduce the extended cost at every bitstring pattern,
-    valid or not.  ``encode`` assembles them and ``table_spectrum``
-    bins them, so their arrays are read-only.
+    valid or not.  ``encode`` assembles them, ``table_spectrum`` bins
+    them and ``verify`` synthesizes them, a stack at a time, so their
+    arrays are read-only.
     """
 
     layout: EncodingLayout
     constant: float
-    registers: tuple[np.ndarray, ...]
-    interactions: tuple[tuple[int, int, np.ndarray], ...]
+    register_stacks: tuple[RegisterStack, ...]
+    interaction_stacks: tuple[InteractionStack, ...]
+
+    @property
+    def registers(self) -> tuple[np.ndarray, ...]:
+        """Register i's block ``registers[i][t - 1]``, a view into its stack."""
+        blocks: list = [None] * self.layout.num_variables
+        for stack in self.register_stacks:
+            for i, block in zip(stack.registers.tolist(), stack.coeffs):
+                blocks[i] = block
+        return tuple(blocks)
+
+    @property
+    def interactions(self) -> tuple[tuple[int, int, np.ndarray], ...]:
+        """Each pairwise table's ``(i, j, coeffs[tj - 1, ti - 1])``, in
+        file order, its block a view into its stack."""
+        blocks: list = [None] * sum(len(stack.tables) for stack in self.interaction_stacks)
+        for stack in self.interaction_stacks:
+            for t, (i, j), block in zip(stack.tables.tolist(), stack.pairs.tolist(), stack.coeffs):
+                blocks[t] = (i, j, block)
+        return tuple(blocks)
 
     @property
     def k_full(self) -> int:
         """Largest possible monomial degree of the exact encoding."""
-        widths = self.layout.register_widths
         # a register in no interaction can still carry the widest block
-        return max([*(widths[i] + widths[j] for i, j, _ in self.interactions), *widths], default=0)
+        pairs = [sum(stack.widths) for stack in self.interaction_stacks]
+        return max([*pairs, *self.layout.register_widths], default=0)
+
+
+def _stacks(shapes: np.ndarray) -> list[np.ndarray]:
+    """The indices of the rows of ``shapes`` (a table's register widths,
+    one column per register) grouped by row, ascending in a group, and
+    cut into stacks of at most ``STACK_ENTRIES`` entries, one table at
+    the least."""
+    kinds, which = np.unique(shapes, axis=0, return_inverse=True)
+    stacks = []
+    for k, kind in enumerate(kinds.tolist()):
+        members = np.flatnonzero(which.reshape(-1) == k)
+        per = max(1, STACK_ENTRIES >> sum(kind))
+        stacks += [members[start : start + per] for start in range(0, len(members), per)]
+    return stacks
+
+
+def _flat(tables, count: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Tables of varied lengths laid end to end, and where each starts."""
+    lengths = np.fromiter(map(len, tables), np.intp, count=count)
+    starts = np.cumsum(lengths) - lengths
+    return np.fromiter(chain.from_iterable(tables), dtype, count=int(lengths.sum())), starts
 
 
 def walsh_blocks(cfn: Cfn, layout: EncodingLayout) -> WalshBlocks:
-    """Take each cost table's Walsh transform on its own registers."""
+    """Take each cost table's Walsh transform on its own registers.
+
+    The tables of one shape go through ``fwht`` as one stack, and their
+    means as one reduction per axis, so each coefficient has the bits a
+    transform of its table alone gives.  Register tables are held end to
+    end, each at its register's place in the flat arrays (``starts``).
+    """
     policy = layout.unused_policy
     if isinstance(policy, Penalty):
         pad = policy.weight if policy.weight is not None else default_penalty_weight(cfn)
     else:
         pad = 0.0  # never read: Fallback sends unused bitstrings to a choice
+    n = cfn.num_variables
+    widths = np.array(layout.register_widths, dtype=np.intp)
+    cards = np.array([len(bits) for bits in layout.assignments], dtype=np.intp)
+    sizes = np.left_shift(1, widths)
+    starts = np.cumsum(sizes) - sizes
 
     # per register, bitstring -> row of its padded table: the 0-based
     # choice, else the fallback choice or, under Penalty, the pad row
-    rows: list[np.ndarray] = []
-    for i in range(cfn.num_variables):
-        card = layout.cardinality(i)
-        fill = card if isinstance(policy, Penalty) else layout.fallback_choice(i) - 1
-        lookup = np.full(1 << layout.register_widths[i], fill)
-        lookup[list(layout.assignments[i])] = np.arange(card)
-        rows.append(lookup)
+    if isinstance(policy, Penalty):
+        fill = cards
+    else:
+        fill = np.array([layout.fallback_choice(i) - 1 for i in range(n)], dtype=np.intp)
+    rows = np.repeat(fill, sizes)
+    bits, choice_starts = _flat(layout.assignments, n, np.intp)
+    rows[np.repeat(starts, cards) + bits] = np.arange(len(bits)) - np.repeat(choice_starts, cards)
 
-    tables = [np.append(np.asarray(t, dtype=float), pad)[r] for t, r in zip(cfn.unary_tables, rows)]
-    constant = 0.0
-    interactions: list[tuple[int, int, np.ndarray]] = []
-    for t in cfn.pairwise_tables:
-        di = cfn.cardinality(t.i)
-        dj = cfn.cardinality(t.j)
-        padded = np.zeros((di + 1, dj + 1))
-        padded[:di, :dj] = np.asarray(t.costs, dtype=float).reshape(di, dj)
-        grid = padded[np.ix_(rows[t.i], rows[t.j])]
-        row_means = grid.mean(axis=1)  # function of the register-i bitstring
-        col_means = grid.mean(axis=0)
-        grand = float(grid.mean())
-        grid = grid - row_means[:, None] - col_means[None, :] + grand
-        tables[t.i] = tables[t.i] + (row_means - grand)
-        tables[t.j] = tables[t.j] + (col_means - grand)
-        constant += grand
+    # each register's extended unary table; the pad is the last entry
+    unary, unary_starts = _flat(cfn.unary_tables, n, float)
+    unary = np.append(unary, pad)
+    inside = rows < np.repeat(cards, sizes)
+    tables = unary[np.where(inside, np.repeat(unary_starts, sizes) + rows, len(unary) - 1)]
+
+    # the pairwise tables, end to end, and a zero for their pad rows
+    pairwise = cfn.pairwise_tables
+    costs, cost_starts = _flat([t.costs for t in pairwise], len(pairwise), float)
+    costs = np.append(costs, 0.0)
+    pairs = np.array([(t.i, t.j) for t in pairwise], dtype=np.intp).reshape(-1, 2)
+    grands = np.zeros(len(pairwise))
+    # (table, side) of each marginal entry, where it goes, and its value
+    order: list[np.ndarray] = []
+    targets: list[np.ndarray] = []
+    margins: list[np.ndarray] = []
+    interactions = []
+    for members in _stacks(widths[pairs]):
+        i, j = pairs[members].T
+        wi, wj = widths[i[0]], widths[j[0]]
+        ri = starts[i][:, None] + np.arange(1 << wi)  # register i's entries in the flat arrays
+        rj = starts[j][:, None] + np.arange(1 << wj)
+        at = cost_starts[members][:, None, None] + (rows[ri] * cards[j][:, None])[:, :, None] + rows[rj][:, None, :]
+        inside = (rows[ri] < cards[i][:, None])[:, :, None] & (rows[rj] < cards[j][:, None])[:, None, :]
+        grid = costs[np.where(inside, at, len(costs) - 1)]
+        del at, inside
+        row_means = grid.mean(axis=2)  # function of the register-i bitstring
+        col_means = grid.mean(axis=1)
+        grand = grid.reshape(len(members), -1).mean(axis=1)
+        grid = grid - row_means[:, :, None] - col_means[:, None, :] + grand[:, None, None]
+        grands[members] = grand
+        for side, where, means in ((0, ri, row_means), (1, rj, col_means)):
+            order.append(np.repeat(2 * members + side, where.shape[1]))
+            targets.append(where.reshape(-1))
+            margins.append((means - grand[:, None]).reshape(-1))
         # transform with register-i bits low: joint index ti | (tj << wi)
-        coeffs = fwht(grid.T.reshape(-1)).reshape(grid.shape[::-1])
-        interactions.append((t.i, t.j, coeffs[1:, 1:]))
+        coeffs = fwht(grid.transpose(0, 2, 1).reshape(len(members), -1)).reshape(len(members), 1 << wj, 1 << wi)
+        del grid
+        interactions.append(InteractionStack(members, pairs[members], coeffs[:, 1:, 1:]))
 
-    registers: list[np.ndarray] = []
-    for table in tables:
-        coeffs = fwht(table)
-        constant += float(coeffs[0])
-        registers.append(coeffs[1:])
-    for block in (*registers, *(coeffs for _, _, coeffs in interactions)):
-        block.flags.writeable = False
+    # the marginals join each register table in file order, one at a time
+    if order:
+        sequence = np.argsort(np.concatenate(order), kind="stable")
+        np.add.at(tables, np.concatenate(targets)[sequence], np.concatenate(margins)[sequence])
+
+    means = np.zeros(n)
+    registers = []
+    for members in _stacks(widths[:, None]):
+        coeffs = fwht(tables[starts[members][:, None] + np.arange(sizes[members[0]])])
+        means[members] = coeffs[:, 0]
+        registers.append(RegisterStack(members, coeffs[:, 1:]))
+    for stack in (*registers, *interactions):
+        stack.coeffs.flags.writeable = False
+    # a running sum, as a loop over the pairwise tables, then the registers, adds
+    constant = float(np.cumsum(np.concatenate([[0.0], grands, means]))[-1])
     return WalshBlocks(layout, constant, tuple(registers), tuple(interactions))
 
 
+def _subset_keys(layout: EncodingLayout) -> tuple[np.ndarray, np.ndarray]:
+    """The key bytes of every local subset of every register, shifted to
+    its register's offset and laid end to end (subset t of register i at
+    row ``starts[i] + t``), and ``starts``."""
+    widths = np.array(layout.register_widths, dtype=np.intp)
+    sizes = np.left_shift(1, widths)
+    starts = np.cumsum(sizes) - sizes
+    offsets = np.repeat(np.array(layout.register_offsets, dtype=np.intp), sizes)
+    shifted = (np.arange(sizes.sum()) - np.repeat(starts, sizes)) << (offsets & 7)
+    keys = np.zeros((len(shifted), octet_width(layout.total_qubits)), dtype=np.uint8)
+    rows = np.arange(len(keys))
+    for k in range((int(widths.max(initial=0)) + 14) // 8):  # the bytes a shifted subset spans
+        columns = (offsets >> 3) + k
+        inside = columns < keys.shape[1]
+        keys[rows[inside], columns[inside]] = (shifted[inside] >> (8 * k)) & 255
+    return keys, starts
+
+
 def encode(blocks: WalshBlocks) -> IsingPolynomial:
-    """Assemble a CFN's per-table Walsh blocks into its exact spin-basis HUBO.
+    """Assemble a CFN's Walsh blocks into its exact spin-basis HUBO.
 
     The couplings are the blocks' entries placed at their registers'
     offsets; exact zeros are dropped.  The constant term is stored.
-    Keys are built as byte rows, a block at a time, and go to the
-    polynomial's one sort (``IsingPolynomial.from_octets``): each
-    register has a table of the key bytes of its local subsets, shifted
-    to its offset; a register block's rows are its table's rows at the
-    block's nonzero entries, and an interaction block's rows OR the
-    rows of its two registers.  No transform is taken here.
+    Keys are built as byte rows, a stack at a time, and go to the
+    polynomial's one sort (``IsingPolynomial.from_octets``): a register
+    block's rows are the key bytes of its local subsets
+    (``_subset_keys``), and an interaction block's rows OR those of its
+    two registers.  No transform is taken here.
     """
     layout = blocks.layout
-    width = octet_width(layout.total_qubits)
-    # tables[i][t - 1]: the key bytes of nonempty local subset t of register i
-    tables = [
-        mask_octets([t << offset for t in range(1, 1 << w)], width)
-        for w, offset in zip(layout.register_widths, layout.register_offsets)
-    ]
-    octets = [np.zeros((1, width), dtype=np.uint8)]
+    keys, starts = _subset_keys(layout)
+    octets = [np.zeros((1, keys.shape[1]), dtype=np.uint8)]
     coeffs = [np.array([blocks.constant])]
-    for table, block in zip(tables, blocks.registers):
-        nonzero = np.flatnonzero(block)
-        octets.append(table[nonzero])
-        coeffs.append(block[nonzero])
-    for i, j, block in blocks.interactions:
-        flat = block.reshape(-1)
-        nonzero = np.flatnonzero(flat)
-        tj, ti = np.divmod(nonzero, block.shape[1])
-        octets.append(tables[i][ti] | tables[j][tj])
-        coeffs.append(flat[nonzero])
+    for stack in blocks.register_stacks:
+        r, t = np.nonzero(stack.coeffs)
+        octets.append(keys[starts[stack.registers[r]] + t + 1])
+        coeffs.append(stack.coeffs[r, t])
+    for stack in blocks.interaction_stacks:
+        s, tj, ti = np.nonzero(stack.coeffs)
+        i, j = stack.pairs[s].T
+        octets.append(keys[starts[i] + ti + 1] | keys[starts[j] + tj + 1])
+        coeffs.append(stack.coeffs[s, tj, ti])
     return IsingPolynomial.from_octets(layout.total_qubits, np.concatenate(octets), np.concatenate(coeffs))
 
 

@@ -73,9 +73,12 @@ def mask_to_string(mask: int, n: int) -> str:
     return format(mask, f"0{n}b")[::-1][:n].translate(_SPIN_SIGNS)
 
 
-def significant(magnitudes: np.ndarray) -> np.ndarray:
-    """Which magnitudes exceed 1e-14 of the largest."""
-    return magnitudes > RELATIVE_PRUNE_TOL * magnitudes.max(initial=0.0)
+def significant(magnitudes: np.ndarray, largest: float | None = None) -> np.ndarray:
+    """Which magnitudes exceed 1e-14 of the largest: of ``magnitudes``,
+    or ``largest`` when they are one part of a larger set."""
+    if largest is None:
+        largest = magnitudes.max(initial=0.0)
+    return magnitudes > RELATIVE_PRUNE_TOL * largest
 
 
 def octet_width(num_qubits: int) -> int:

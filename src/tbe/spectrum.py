@@ -6,8 +6,8 @@ interaction order.  Because unary couplings sit on single registers
 and interaction couplings on disjoint two-register subsets, the global
 profile is the exact sum of per-table profiles, so the whole spectrum
 can be computed from small per-table transforms without assembling the
-2^n polynomial: each block is binned by one ``np.bincount`` over the
-degrees of its local subsets.
+2^n polynomial: each stack of blocks is binned by one ``np.bincount``
+over the degrees of its local subsets.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import WalshBlocks
-from .walsh import squared_mass_by_degree, subset_degrees
+from .walsh import subset_degrees
 
 __all__ = ["SpectralProfile", "table_spectrum", "spectrum_csv"]
 
@@ -47,31 +47,47 @@ class SpectralProfile:
 
 
 def table_spectrum(blocks: WalshBlocks) -> SpectralProfile:
-    """Spectral profile straight from the per-table Walsh blocks.
+    """Spectral profile straight from the Walsh blocks.
 
-    Bins the squared coefficients of each of ``blocks`` by degree
-    (interaction modes by the sum of the two register-local degrees,
-    both nonzero).  No transform is taken and no global mask is formed.
+    Bins the squared coefficients of each table by degree (interaction
+    modes by the sum of the two register-local degrees, both nonzero),
+    a stack at a time (``_binned``).  No transform is taken and no
+    global mask is formed.
     """
     top = blocks.k_full
-    degrees = [subset_degrees(width)[1:] for width in blocks.layout.register_widths]
-    unary_profiles = [squared_mass_by_degree(coeffs, d, top) for d, coeffs in zip(degrees, blocks.registers)]
-    # interaction coeffs[tj - 1, ti - 1] has degree |ti| + |tj|
-    pairwise_profiles = [
-        (i, j, squared_mass_by_degree(coeffs, degrees[j][:, None] + degrees[i], top))
-        for i, j, coeffs in blocks.interactions
-    ]
+    unary = np.zeros((blocks.layout.num_variables, top + 1))
+    pairwise = np.zeros((sum(len(stack.tables) for stack in blocks.interaction_stacks), top + 1))
+    pairs = np.zeros((len(pairwise), 2), dtype=np.intp)
+    for stack in blocks.register_stacks:
+        unary[stack.registers] = _binned(stack.coeffs, subset_degrees(stack.width)[1:], top)
+    for stack in blocks.interaction_stacks:
+        wi, wj = stack.widths
+        # interaction coeffs[s, tj - 1, ti - 1] has degree |ti| + |tj|
+        degrees = subset_degrees(wj)[1:, None] + subset_degrees(wi)[1:]
+        pairwise[stack.tables] = _binned(stack.coeffs, degrees, top)
+        pairs[stack.tables] = stack.pairs
 
-    global_bins = np.zeros(top + 1)
-    for bins in unary_profiles + [bins for _, _, bins in pairwise_profiles]:
-        global_bins += bins
+    # the tables' bins added one table at a time: registers, then pairs in file order
+    global_bins = np.cumsum(np.concatenate([np.zeros((1, top + 1)), unary, pairwise]), axis=0)[-1]
     global_bins[0] = blocks.constant**2
 
     return SpectralProfile(
         per_degree_power=tuple(global_bins.tolist()),
-        per_table_unary=tuple(unary_profiles),
-        per_table_pairwise=tuple(pairwise_profiles),
+        per_table_unary=tuple(map(tuple, unary.tolist())),
+        per_table_pairwise=tuple((i, j, tuple(bins)) for (i, j), bins in zip(pairs.tolist(), pairwise.tolist())),
     )
+
+
+def _binned(stack: np.ndarray, degrees: np.ndarray, top: int) -> np.ndarray:
+    """``walsh.squared_mass_by_degree`` of each table of ``stack`` (its
+    leading axis), as the rows of one array: ``degrees`` has one table's
+    shape, and one ``np.bincount`` adds each table's squares to its own
+    bins in row-major order."""
+    count = len(stack)
+    squares = [c**2 for c in stack.ravel().tolist()]
+    bins = np.arange(count)[:, None] * (top + 1) + degrees.reshape(1, -1)
+    # astype: with no coefficients, bincount returns integer zeros
+    return np.bincount(bins.ravel(), weights=squares, minlength=count * (top + 1)).astype(float).reshape(count, top + 1)
 
 
 def spectrum_csv(profile: SpectralProfile) -> str:

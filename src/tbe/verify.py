@@ -10,14 +10,21 @@ read both the same way:
 
 * a CFN's encoding, and its truncation, is a network of value tables
   over register bitstrings, one per register block and one per
-  interaction block (``RegisterLandscape``), minimized by min-sum
-  elimination (``elimination``).  Its cap is the elimination's largest
-  table, 2^24 entries, whatever the qubit count: a chain or a grid of
-  hundreds of qubits verifies in well under a second.  The CFN's own
-  optimum comes from the same kernel (``cfn_optimum``);
+  interaction block (``RegisterLandscape``), synthesized a stack of
+  blocks at a time and minimized by min-sum elimination
+  (``elimination``), the two landscapes on one elimination order.  Its
+  cap is the elimination's largest table, 2^24 entries, whatever the
+  qubit count: a chain or a grid of hundreds of qubits verifies in well
+  under a second.  The CFN's own optimum comes from the same kernel
+  (``cfn_optimum``);
 * a polynomial with no register structure (a HUBO-JSON file, a QUBO
   with its ancillas) is enumerated into its 2^n values
   (``DenseLandscape``), up to 24 qubits.
+
+The barriers of all minimizers are one evaluation of every (minimizer,
+single flip) pair (``_barriers``): rows of one direct sum, or one
+gather from the enumerated table, so their cost follows the pairs, not
+a pass over the landscape per qubit.
 
 The ensemble half draws random couplings with a prescribed per-mode
 variance profile and checks the distributional claims about the
@@ -34,7 +41,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cfn import Cfn
-from .elimination import MAX_TABLE_ENTRIES, PairwiseNetwork, first, lowest
+from .elimination import MAX_TABLE_ENTRIES, PairwiseNetwork, Steps, first, lowest, network_order
 from .encoding import WalshBlocks, encode
 from .errors import CapacityError
 from .polynomial import IsingPolynomial, characters, held_qubits, key_octets, octet_words, random_masks, significant
@@ -65,6 +72,10 @@ __all__ = [
 ]
 
 TIE_RADIUS = 1e-12
+# state entries ``_barriers`` evaluates at once: 2^20, a 16th of the
+# largest elimination table, so a run's dozen arrays of one entry per
+# (mask, flip) pair stay near 100 MB
+RUN_ENTRIES = MAX_TABLE_ENTRIES >> 4
 
 
 @dataclass(frozen=True)
@@ -143,6 +154,19 @@ class DenseLandscape:
         """The lowest mask among the exact ties of the least value."""
         return int(np.argmin(self.table))
 
+    def states(self, masks: list[int]) -> np.ndarray:
+        """The masks as an array: a mask indexes the table."""
+        return np.array(masks, dtype=np.intp)
+
+    def flipped(self, states: np.ndarray, which: np.ndarray, qubits: np.ndarray) -> np.ndarray:
+        """Mask ``which[k]`` of ``states`` with qubit ``qubits[k]``
+        flipped, for each k."""
+        return states[which] ^ np.left_shift(1, qubits)
+
+    def at(self, states: np.ndarray) -> np.ndarray:
+        """The value at each mask: one table gather."""
+        return self.table[states]
+
     def values(self, masks: list[int]) -> np.ndarray:
         return self.table[masks]
 
@@ -151,37 +175,38 @@ def _register_network(blocks: WalshBlocks, k_max: int | None = None) -> Pairwise
     """The landscape of ``encode(blocks)``, or of its truncation at
     ``k_max``, as a network over register bitstrings: each register
     block and each interaction block synthesized into a value table
-    over its registers, and the constant.
+    over its registers, a stack at a time, and the constant.
 
     Couplings at most 1e-14 of the largest are zeroed, as the
     polynomial drops them, and so are those of degree above ``k_max``,
     as ``truncate`` drops them: the network and the polynomial hold the
     same couplings."""
-    widths = blocks.layout.register_widths
+    layout = blocks.layout
     top = math.inf if k_max is None else k_max
-    degrees = [subset_degrees(w) for w in widths]
-    # the constant, then each register block, then each interaction
-    # block, each with an empty subset of every register
-    coeffs = [np.array(blocks.constant)]
-    coeffs += [np.append(0.0, block) for block in blocks.registers]
-    for i, j, block in blocks.interactions:
+    stacks = (*blocks.register_stacks, *blocks.interaction_stacks)
+    largest = max([abs(blocks.constant), *(float(np.abs(stack.coeffs).max(initial=0.0)) for stack in stacks)])
+
+    def synthesized(coeffs: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+        # the stack's tables with the empty subset of each register put back
+        full = np.zeros((len(coeffs), *degrees.shape))
+        full[(slice(None), *(slice(1, None) for _ in degrees.shape))] = coeffs
+        kept = np.where(significant(np.abs(full), largest) & (degrees <= top), full, 0.0)
+        return synthesize_values(kept.reshape(len(coeffs), -1)).reshape(full.shape)
+
+    unary: list = [None] * layout.num_variables
+    for stack in blocks.register_stacks:
+        for i, table in zip(stack.registers.tolist(), synthesized(stack.coeffs, subset_degrees(stack.width))):
+            unary[i] = table
+    pairwise: list = [None] * sum(len(stack.tables) for stack in blocks.interaction_stacks)
+    for stack in blocks.interaction_stacks:
+        wi, wj = stack.widths
         # the block's rows are register j's subsets, its columns register i's
-        full = np.zeros((1 << widths[j], 1 << widths[i]))
-        full[1:, 1:] = block
-        coeffs.append(full)
-    keep = significant(np.abs(np.concatenate([c.reshape(-1) for c in coeffs])))
-    ends = np.cumsum([c.size for c in coeffs])[:-1]
-    kept = [np.where(k.reshape(c.shape), c, 0.0) for c, k in zip(coeffs, np.split(keep, ends))]
-
-    def table(c: np.ndarray, degree: np.ndarray) -> np.ndarray:
-        return synthesize_values(np.where(degree <= top, c, 0.0).reshape(-1)).reshape(c.shape)
-
-    unary = tuple(table(c, d) for c, d in zip(kept[1:], degrees))
-    pairwise = tuple(
-        (i, j, np.ascontiguousarray(table(c, degrees[j][:, None] + degrees[i]).T))
-        for (i, j, _), c in zip(blocks.interactions, kept[1 + len(widths):])
-    )
-    return PairwiseNetwork(tuple(1 << w for w in widths), float(kept[0]), unary, pairwise)
+        tables = synthesized(stack.coeffs, subset_degrees(wj)[:, None] + subset_degrees(wi))
+        tables = np.ascontiguousarray(tables.transpose(0, 2, 1))
+        for t, (i, j), table in zip(stack.tables.tolist(), stack.pairs.tolist(), tables):
+            pairwise[t] = (i, j, table)
+    constant = blocks.constant if significant(np.abs(blocks.constant), largest) else 0.0
+    return PairwiseNetwork(tuple(1 << w for w in layout.register_widths), constant, tuple(unary), tuple(pairwise))
 
 
 class RegisterLandscape:
@@ -190,52 +215,86 @@ class RegisterLandscape:
     minimized by min-sum elimination (``elimination.lowest`` and
     ``elimination.first``), never enumerated, so its cap is the
     elimination's largest table, not 2^n.  A value at a mask is one
-    direct sum of the tables."""
+    direct sum of the tables.
 
-    def __init__(self, blocks: WalshBlocks, k_max: int | None = None) -> None:
+    ``steps`` is the elimination order of the register graph, which the
+    full and every truncated landscape of one CFN share (and so does
+    ``cfn_optimum``'s network): given one, the landscape takes no order
+    of its own."""
+
+    def __init__(self, blocks: WalshBlocks, k_max: int | None = None, steps: Steps | None = None) -> None:
         layout = blocks.layout
         self.num_qubits = layout.total_qubits
         self.network = _register_network(blocks, k_max)
+        self.steps = network_order(self.network) if steps is None else steps
         self._registers = tuple(zip(layout.register_offsets, layout.register_widths))
+        widths = np.array(layout.register_widths, dtype=np.intp)
+        # each qubit's register, and its bit in the register's bitstring
+        self._register_of = np.repeat(np.arange(len(widths)), widths)
+        self._bit_of = np.arange(self.num_qubits) - np.repeat(np.array(layout.register_offsets, dtype=np.intp), widths)
 
     def lowest(self, radius: float, gap: bool = False) -> tuple[list[int], np.ndarray, float | None]:
         """As ``DenseLandscape.lowest``."""
-        rows, values, above = lowest(self.network, radius, gap)
+        rows, values, above = lowest(self.network, radius, gap, self.steps)
         masks = [sum(b << offset for b, (offset, _) in zip(row, self._registers)) for row in rows.tolist()]
         order = sorted(range(len(masks)), key=masks.__getitem__)
         return [masks[k] for k in order], values[order], above
 
-    def _rows(self, masks: list[int]) -> np.ndarray:
+    def states(self, masks: list[int]) -> np.ndarray:
+        """Each mask as a row of register bitstrings."""
         rows = [[(m >> offset) & ((1 << w) - 1) for offset, w in self._registers] for m in masks]
         return np.array(rows, dtype=np.intp).reshape(len(masks), len(self._registers))
 
+    def flipped(self, states: np.ndarray, which: np.ndarray, qubits: np.ndarray) -> np.ndarray:
+        """Row ``which[k]`` of ``states`` with qubit ``qubits[k]`` flipped,
+        for each k: the bit XORed into its register's bitstring."""
+        rows = states[which]
+        rows[np.arange(len(rows)), self._register_of[qubits]] ^= np.left_shift(1, self._bit_of[qubits])
+        return rows
+
+    def at(self, states: np.ndarray) -> np.ndarray:
+        """The value at each row of register bitstrings: one direct sum."""
+        return self.network.values(states)
+
     def values(self, masks: list[int]) -> np.ndarray:
-        return self.network.values(self._rows(masks))
+        return self.at(self.states(masks))
 
     def lowest_mask(self) -> int:
         """The lowest mask among the exact ties of the least direct
         value (``elimination.first``)."""
-        row = first(self.network, range(len(self._registers) - 1, -1, -1))
+        row = first(self.network, range(len(self._registers) - 1, -1, -1), self.steps)
         return sum(int(b) << offset for b, (offset, _) in zip(row, self._registers))
 
 
 def _barriers(land: DenseLandscape | RegisterLandscape, masks: list[int]) -> list[float]:
     """The least single-flip change at each mask (inf with no qubits):
     the value after each flip less the value at the mask, so a
-    neighbour that is the runner-up gives exactly the energy gap."""
-    here = land.values(masks)
+    neighbour that is the runner-up gives exactly the energy gap.
+
+    Every (mask, flip) pair is evaluated at once, mask-major, in runs of
+    at most ``RUN_ENTRIES`` state entries (a register landscape's state
+    is a row of register bitstrings, a dense one's a mask), so neither
+    many qubits nor many minimizers hold more at once.  ``np.minimum.at``
+    takes each mask's least change a flip at a time, in qubit order, as
+    a loop over the qubits would, signed zeros included."""
+    states = land.states(masks)
+    here = land.at(states)
     least = np.full(len(masks), math.inf)
-    for q in range(land.num_qubits):
-        least = np.minimum(least, land.values([m ^ (1 << q) for m in masks]) - here)
+    n = land.num_qubits
+    per = RUN_ENTRIES // max(1, math.prod(states.shape[1:]))  # pairs a run
+    for start in range(0, len(masks) * n, per):
+        which, qubit = np.divmod(np.arange(start, min(start + per, len(masks) * n)), n)
+        np.minimum.at(least, which, land.at(land.flipped(states, which, qubit)) - here[which])
     return least.tolist()
 
 
-def cfn_optimum(cfn: Cfn) -> tuple[float, tuple[int, ...]]:
+def cfn_optimum(cfn: Cfn, steps: Steps | None = None) -> tuple[float, tuple[int, ...]]:
     """A CFN's exact optimum and its lexicographically first minimizer
     (1-based), by min-sum elimination on its own tables
     (``elimination.first``).  Values are summed with the float
     additions of ``evaluate_cfn``, in its order: unaries by variable,
-    then pairwise tables in file order."""
+    then pairwise tables in file order.  ``steps`` is the elimination
+    order of its graph, a ``RegisterLandscape``'s, when one is at hand."""
     network = PairwiseNetwork(
         domains=tuple(v.cardinality for v in cfn.variables),
         constant=0.0,
@@ -245,7 +304,7 @@ def cfn_optimum(cfn: Cfn) -> tuple[float, tuple[int, ...]]:
             for t in cfn.pairwise_tables
         ),
     )
-    row = first(network, range(cfn.num_variables))
+    row = first(network, range(cfn.num_variables), steps)
     return float(network.values(row[None])[0]), tuple(int(c) + 1 for c in row)
 
 
@@ -289,7 +348,8 @@ def check_preservation(source: IsingPolynomial | WalshBlocks, k_max: int) -> Lan
     """
     if isinstance(source, WalshBlocks):
         poly = encode(source)
-        full, trunc = RegisterLandscape(source), RegisterLandscape(source, k_max)
+        full = RegisterLandscape(source)
+        trunc = RegisterLandscape(source, k_max, full.steps)
     else:
         poly = source
         full, trunc = DenseLandscape(source), DenseLandscape(truncate(source, k_max))

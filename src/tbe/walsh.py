@@ -36,21 +36,25 @@ MAX_TRANSFORM_DIM = 26
 
 
 def fwht(values, normalize: bool = True) -> np.ndarray:
-    """Walsh-Hadamard transform of a length-2^D value table.
+    """Walsh-Hadamard transform along the last axis: of a length-2^D
+    value table, or of each table in a stack of them.
 
     With ``normalize`` (the default) returns the coefficient table
     f_hat(T) = 2^-D * sum_z f(z) * chi_T(z); without it returns the raw
     butterfly output, which applied twice gives 2^D times the input.
+    Each table of a stack goes through the same butterfly, in the same
+    order, as it would alone, so its coefficients are the same bits.
     """
     out = np.array(values, dtype=float)
-    size = out.size
+    if out.ndim == 0:
+        raise ValueError("expected a value table or a stack of them")
+    shape = out.shape
+    size = shape[-1]
     if size == 0 or size & (size - 1):
         raise ValueError(f"length {size} is not a power of two")
     dim = size.bit_length() - 1
     if dim > MAX_TRANSFORM_DIM:
         raise CapacityError(f"transform dimension {dim} exceeds cap {MAX_TRANSFORM_DIM}")
-    if out.ndim != 1:
-        raise ValueError("expected a flat value table")
     h = 1
     while h < size:
         out = out.reshape(-1, 2, h)
@@ -60,14 +64,15 @@ def fwht(values, normalize: bool = True) -> np.ndarray:
         np.subtract(a, b, out=b)
         a[...] = total
         h *= 2
-    out = out.reshape(size)
+    out = out.reshape(shape)
     if normalize:
         out /= size
     return out
 
 
 def synthesize_values(coefficients) -> np.ndarray:
-    """Inverse of ``fwht``: pointwise values from a coefficient table."""
+    """Inverse of ``fwht``: pointwise values from a coefficient table,
+    or from each table of a stack along the last axis."""
     return fwht(coefficients, normalize=False)
 
 

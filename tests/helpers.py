@@ -9,16 +9,19 @@ effective-table machinery.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
 
 from tbe import AnnealParams, BinaryPolynomial, Cfn, EncodingLayout, IsingPolynomial, PairwiseTable, Penalty, VariableSpec
+from tbe.elimination import PairwiseNetwork
 from tbe.encoding import default_penalty_weight
-from tbe.polynomial import mask_bits, pack_masks, random_masks
+from tbe.polynomial import mask_bits, mask_octets, octet_width, pack_masks, random_masks, significant
 from tbe.quadratization import QuboModel
 from tbe.solve import _colour_classes, _term_columns
-from tbe.walsh import SmoothnessReport, fwht, squared_mass_by_degree, subset_degrees
+from tbe.spectrum import SpectralProfile
+from tbe.walsh import SmoothnessReport, fwht, squared_mass_by_degree, subset_degrees, synthesize_values
 
 
 def random_cfn(rng: np.random.Generator, max_vars: int = 3, max_card: int = 8,
@@ -516,3 +519,141 @@ def gaussian_chain_cfn(seed: int, num_vars: int, card: int = 8) -> Cfn:
         PairwiseTable(i, i + 1, tuple(rng.standard_normal(card * card).tolist())) for i in range(num_vars - 1)
     )
     return Cfn(tuple(VariableSpec(f"v{i}", card) for i in range(num_vars)), unary, pairs)
+
+
+# ---------------------------------------------------------------------------
+# per-table reference oracles for the stacked Walsh blocks: one transform,
+# one key build and one synthesis per table, and one direct sum per qubit
+
+
+@dataclass(frozen=True, eq=False)
+class ReferenceBlocks:
+    """Per-table Walsh blocks: ``registers[i][t - 1]`` and, per pairwise
+    table in order, ``(i, j, coeffs[tj - 1, ti - 1])``."""
+
+    layout: EncodingLayout
+    constant: float
+    registers: tuple[np.ndarray, ...]
+    interactions: tuple[tuple[int, int, np.ndarray], ...]
+
+    @property
+    def k_full(self) -> int:
+        widths = self.layout.register_widths
+        return max([*(widths[i] + widths[j] for i, j, _ in self.interactions), *widths], default=0)
+
+
+def reference_walsh_blocks(cfn: Cfn, layout: EncodingLayout) -> ReferenceBlocks:
+    """Each cost table extended, centred and transformed on its own, one
+    table at a time, in the order the tables are listed."""
+    policy = layout.unused_policy
+    if isinstance(policy, Penalty):
+        pad = policy.weight if policy.weight is not None else default_penalty_weight(cfn)
+    else:
+        pad = 0.0
+    rows = []
+    for i in range(cfn.num_variables):
+        card = layout.cardinality(i)
+        fill = card if isinstance(policy, Penalty) else layout.fallback_choice(i) - 1
+        lookup = np.full(1 << layout.register_widths[i], fill)
+        lookup[list(layout.assignments[i])] = np.arange(card)
+        rows.append(lookup)
+    tables = [np.append(np.asarray(t, dtype=float), pad)[r] for t, r in zip(cfn.unary_tables, rows)]
+    constant = 0.0
+    interactions = []
+    for t in cfn.pairwise_tables:
+        di, dj = cfn.cardinality(t.i), cfn.cardinality(t.j)
+        padded = np.zeros((di + 1, dj + 1))
+        padded[:di, :dj] = np.asarray(t.costs, dtype=float).reshape(di, dj)
+        grid = padded[np.ix_(rows[t.i], rows[t.j])]
+        row_means = grid.mean(axis=1)
+        col_means = grid.mean(axis=0)
+        grand = float(grid.mean())
+        grid = grid - row_means[:, None] - col_means[None, :] + grand
+        tables[t.i] = tables[t.i] + (row_means - grand)
+        tables[t.j] = tables[t.j] + (col_means - grand)
+        constant += grand
+        coeffs = fwht(grid.T.reshape(-1)).reshape(grid.shape[::-1])
+        interactions.append((t.i, t.j, coeffs[1:, 1:]))
+    registers = []
+    for table in tables:
+        coeffs = fwht(table)
+        constant += float(coeffs[0])
+        registers.append(coeffs[1:])
+    return ReferenceBlocks(layout, constant, tuple(registers), tuple(interactions))
+
+
+def reference_encode(blocks: ReferenceBlocks) -> IsingPolynomial:
+    """The blocks' couplings at their registers' offsets, a table at a time."""
+    layout = blocks.layout
+    width = octet_width(layout.total_qubits)
+    tables = [
+        mask_octets([t << offset for t in range(1, 1 << w)], width)
+        for w, offset in zip(layout.register_widths, layout.register_offsets)
+    ]
+    octets = [np.zeros((1, width), dtype=np.uint8)]
+    coeffs = [np.array([blocks.constant])]
+    for table, block in zip(tables, blocks.registers):
+        nonzero = np.flatnonzero(block)
+        octets.append(table[nonzero])
+        coeffs.append(block[nonzero])
+    for i, j, block in blocks.interactions:
+        flat = block.reshape(-1)
+        nonzero = np.flatnonzero(flat)
+        tj, ti = np.divmod(nonzero, block.shape[1])
+        octets.append(tables[i][ti] | tables[j][tj])
+        coeffs.append(flat[nonzero])
+    return IsingPolynomial.from_octets(layout.total_qubits, np.concatenate(octets), np.concatenate(coeffs))
+
+
+def reference_table_spectrum(blocks: ReferenceBlocks) -> SpectralProfile:
+    """Each table's squared couplings binned by degree on their own, and
+    the bins added up a table at a time."""
+    top = blocks.k_full
+    degrees = [subset_degrees(width)[1:] for width in blocks.layout.register_widths]
+    unary = [squared_mass_by_degree(coeffs, d, top) for d, coeffs in zip(degrees, blocks.registers)]
+    pairwise = [
+        (i, j, squared_mass_by_degree(coeffs, degrees[j][:, None] + degrees[i], top))
+        for i, j, coeffs in blocks.interactions
+    ]
+    global_bins = np.zeros(top + 1)
+    for bins in unary + [bins for _, _, bins in pairwise]:
+        global_bins += bins
+    global_bins[0] = blocks.constant**2
+    return SpectralProfile(tuple(global_bins.tolist()), tuple(unary), tuple(pairwise))
+
+
+def reference_register_network(blocks: ReferenceBlocks, k_max: int | None = None) -> PairwiseNetwork:
+    """Each block, significant and within degree ``k_max``, synthesized
+    into a value table on its own."""
+    widths = blocks.layout.register_widths
+    top = math.inf if k_max is None else k_max
+    degrees = [subset_degrees(w) for w in widths]
+    coeffs = [np.array(blocks.constant)]
+    coeffs += [np.append(0.0, block) for block in blocks.registers]
+    for i, j, block in blocks.interactions:
+        full = np.zeros((1 << widths[j], 1 << widths[i]))
+        full[1:, 1:] = block
+        coeffs.append(full)
+    keep = significant(np.abs(np.concatenate([c.reshape(-1) for c in coeffs])))
+    ends = np.cumsum([c.size for c in coeffs])[:-1]
+    kept = [np.where(k.reshape(c.shape), c, 0.0) for c, k in zip(coeffs, np.split(keep, ends))]
+
+    def table(c: np.ndarray, degree: np.ndarray) -> np.ndarray:
+        return synthesize_values(np.where(degree <= top, c, 0.0).reshape(-1)).reshape(c.shape)
+
+    unary = tuple(table(c, d) for c, d in zip(kept[1:], degrees))
+    pairwise = tuple(
+        (i, j, np.ascontiguousarray(table(c, degrees[j][:, None] + degrees[i]).T))
+        for (i, j, _), c in zip(blocks.interactions, kept[1 + len(widths):])
+    )
+    return PairwiseNetwork(tuple(1 << w for w in widths), float(kept[0]), unary, pairwise)
+
+
+def reference_barriers(land, masks: list[int]) -> list[float]:
+    """The least single-flip change at each mask, one evaluation of
+    every mask per qubit."""
+    here = land.values(masks)
+    least = np.full(len(masks), math.inf)
+    for q in range(land.num_qubits):
+        least = np.minimum(least, land.values([m ^ (1 << q) for m in masks]) - here)
+    return least.tolist()

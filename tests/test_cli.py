@@ -1211,16 +1211,17 @@ def test_quadratized_exhaustive_solve_enumerates_the_original_qubits(tmp_path):
 
 def test_compile_transforms_each_table_once(tmp_path, monkeypatch):
     # the encoding, the report's k_full and the spectrum share one pass of
-    # per-table transforms: one per register, one per pairwise table
+    # transforms: each register and each pairwise table once, in one
+    # stack per shape
     import tbe.encoding
 
     demo = Path(__file__).resolve().parent.parent / "demos" / "data" / "two_card32.json"
     calls = []
     real = tbe.encoding.fwht
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(values, *args, **kwargs):
+        calls.append(len(values))  # the tables in the stack
+        return real(values, *args, **kwargs)
 
     monkeypatch.setattr("tbe.encoding.fwht", counted)
     outs = []
@@ -1229,4 +1230,5 @@ def test_compile_transforms_each_table_once(tmp_path, monkeypatch):
     assert main(["compile", "--input", str(demo), "--kmax", "3", "--quadratize", *outs]) == 0
     assert all((tmp_path / name).stat().st_size for name in ("hubo", "trunc", "qubo", "spectrum", "cert", "report"))
     cfn = parse_cfn(demo.read_bytes())
-    assert len(calls) == cfn.num_variables + len(cfn.pairwise_tables) == 3
+    assert sum(calls) == cfn.num_variables + len(cfn.pairwise_tables) == 3
+    assert sorted(calls) == [1, 2]  # the two 5-qubit registers, then the one 32 x 32 grid

@@ -23,11 +23,12 @@ from tbe import (
     sign_preservation_rate,
 )
 from tbe import Cfn, Fallback, PairwiseTable, Penalty, VariableSpec, build_layout, encode, parse_cfn, walsh_blocks
+from tbe.elimination import PairwiseNetwork
 from tbe.polynomial import mask_bits, pack_masks, random_masks
 from tbe.solve import solve
 from tbe.truncation import truncate
 from tbe.verify import RegisterLandscape
-from helpers import gaussian_complete_cfn, naive_eval, random_polynomial, shifted
+from helpers import gaussian_chain_cfn, gaussian_complete_cfn, naive_eval, random_polynomial, shifted
 
 
 def test_single_spin_landscape():
@@ -454,3 +455,24 @@ def test_splitting_modes_by_cutoff():
     kept, omitted = spec.split(2)
     assert kept == [0b1, 0b11]
     assert omitted == [0b111]
+
+
+def test_preservation_takes_direct_sums_independent_of_the_qubit_count(monkeypatch):
+    # every (minimizer, flip) pair is one row of one direct sum, so the
+    # number of network evaluations is the same on 30 qubits as on 300;
+    # one evaluation per qubit and landscape would make 2 (n + 1) of them
+    calls = []
+    real = PairwiseNetwork.values
+
+    def counted(self, rows):
+        calls.append(len(rows))
+        return real(self, rows)
+
+    monkeypatch.setattr(PairwiseNetwork, "values", counted)
+    counts = []
+    for num_vars in (10, 100):
+        calls.clear()
+        cfn = gaussian_chain_cfn(0, num_vars)
+        check_preservation(walsh_blocks(cfn, build_layout(cfn)), 3)
+        counts.append(len(calls))
+    assert counts[1] == counts[0] <= 10
