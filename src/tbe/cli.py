@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -23,7 +24,7 @@ from .cfn import Cfn, parse_cfn
 from .encoding import Fallback, Penalty, WalshBlocks, build_layout, encode, walsh_blocks
 from .errors import CapacityError, CfnFormatError
 from .polynomial import MAX_ABS_COST, IsingPolynomial, finite_float, hubo_from_json, hubo_texts, is_int, mask_to_string
-from .polynomial import qubit_mask
+from .polynomial import qubit_key
 from .quadratization import quadratize, qubo_json, resolve_ancillas
 from .solve import AnnealParams, decode_and_refine, solve, solve_result_json
 from .spectrum import spectrum_csv, table_spectrum
@@ -78,7 +79,10 @@ def _ranged(kind: type, low: float, high: float = math.inf, *, low_open: bool = 
     return read
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps
+    no state in it, so every ``main`` call shares it."""
     parser = _Parser(
         prog="tbe",
         description="Compile cost function networks to degree-truncated spin polynomials",
@@ -432,7 +436,7 @@ def run_ensemble(args) -> int:
     for k, entry in enumerate(modes):
         if not isinstance(entry, dict):
             raise CfnFormatError(f"modes[{k}] must be an object with qubits and pi")
-        mask = qubit_mask(entry.get("qubits"), n, f"modes[{k}].qubits")
+        mask = sum(1 << q for q in qubit_key(entry.get("qubits"), n, f"modes[{k}].qubits"))
         # a variance, and a repeated mode's running sum, is bounded as a
         # HUBO coefficient is: a draw, under 10 standard deviations, is
         # then under 1e51, and a fourth power of a sum of under 2^64

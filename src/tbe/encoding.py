@@ -22,8 +22,8 @@ width, the interaction grids of one pair of widths) as one stack, and
 its ``WalshBlocks`` value keeps those stacks: ``encode``,
 ``spectrum.table_spectrum`` and ``verify``'s register networks each
 read them a stack at a time.  ``encode`` places each stack's couplings
-in the polynomial's stored arrays as rows of key bytes, without
-forming a Python-int key per coupling.
+in the polynomial's stored arrays as qubit lists, without forming a
+Python-int key per coupling.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ import numpy as np
 
 from .cfn import MAX_ABS_COST, Cfn
 from .errors import CfnFormatError
-from .polynomial import IsingPolynomial, octet_width
-from .walsh import MAX_TRANSFORM_DIM, fwht
+from .polynomial import IsingPolynomial
+from .walsh import MAX_TRANSFORM_DIM, fwht, subset_members
 
 __all__ = [
     "Fallback",
@@ -256,8 +256,7 @@ class WalshBlocks:
     * ``constant`` is the coupling on the empty subset.
 
     A stack holds at most ``STACK_ENTRIES`` entries (one table may hold
-    more), so one shape can take several stacks.  ``registers`` and
-    ``interactions`` give the same blocks a table at a time.
+    more), so one shape can take several stacks.
 
     Tables are first extended over unused bitstrings by the layout's
     policy.  Each interaction grid then gives its row and column means
@@ -274,25 +273,6 @@ class WalshBlocks:
     constant: float
     register_stacks: tuple[RegisterStack, ...]
     interaction_stacks: tuple[InteractionStack, ...]
-
-    @property
-    def registers(self) -> tuple[np.ndarray, ...]:
-        """Register i's block ``registers[i][t - 1]``, a view into its stack."""
-        blocks: list = [None] * self.layout.num_variables
-        for stack in self.register_stacks:
-            for i, block in zip(stack.registers.tolist(), stack.coeffs):
-                blocks[i] = block
-        return tuple(blocks)
-
-    @property
-    def interactions(self) -> tuple[tuple[int, int, np.ndarray], ...]:
-        """Each pairwise table's ``(i, j, coeffs[tj - 1, ti - 1])``, in
-        file order, its block a view into its stack."""
-        blocks: list = [None] * sum(len(stack.tables) for stack in self.interaction_stacks)
-        for stack in self.interaction_stacks:
-            for t, (i, j), block in zip(stack.tables.tolist(), stack.pairs.tolist(), stack.coeffs):
-                blocks[t] = (i, j, block)
-        return tuple(blocks)
 
     @property
     def k_full(self) -> int:
@@ -410,49 +390,46 @@ def walsh_blocks(cfn: Cfn, layout: EncodingLayout) -> WalshBlocks:
     return WalshBlocks(layout, constant, tuple(registers), tuple(interactions))
 
 
-def _subset_keys(layout: EncodingLayout) -> tuple[np.ndarray, np.ndarray]:
-    """The key bytes of every local subset of every register, shifted to
-    its register's offset and laid end to end (subset t of register i at
-    row ``starts[i] + t``), and ``starts``."""
-    widths = np.array(layout.register_widths, dtype=np.intp)
-    sizes = np.left_shift(1, widths)
-    starts = np.cumsum(sizes) - sizes
-    offsets = np.repeat(np.array(layout.register_offsets, dtype=np.intp), sizes)
-    shifted = (np.arange(sizes.sum()) - np.repeat(starts, sizes)) << (offsets & 7)
-    keys = np.zeros((len(shifted), octet_width(layout.total_qubits)), dtype=np.uint8)
-    rows = np.arange(len(keys))
-    for k in range((int(widths.max(initial=0)) + 14) // 8):  # the bytes a shifted subset spans
-        columns = (offsets >> 3) + k
-        inside = columns < keys.shape[1]
-        keys[rows[inside], columns[inside]] = (shifted[inside] >> (8 * k)) & 255
-    return keys, starts
-
-
 def encode(blocks: WalshBlocks) -> IsingPolynomial:
     """Assemble a CFN's Walsh blocks into its exact spin-basis HUBO.
 
     The couplings are the blocks' entries placed at their registers'
     offsets; exact zeros are dropped.  The constant term is stored.
-    Keys are built as byte rows, a stack at a time, and go to the
-    polynomial's one sort (``IsingPolynomial.from_octets``): a register
-    block's rows are the key bytes of its local subsets
-    (``_subset_keys``), and an interaction block's rows OR those of its
-    two registers.  No transform is taken here.
+    Keys are built as qubit lists, a stack at a time, and go to the
+    polynomial's one sort (``IsingPolynomial.from_lists``): a register
+    block's key is the members of its local subset (``subset_members``)
+    shifted to the register's offset, and an interaction block's key
+    joins those of its two registers, already in order because i < j.
+    No transform is taken here.
     """
     layout = blocks.layout
-    keys, starts = _subset_keys(layout)
-    octets = [np.zeros((1, keys.shape[1]), dtype=np.uint8)]
-    coeffs = [np.array([blocks.constant])]
+    offsets = np.array(layout.register_offsets, dtype=np.intp)
+    qubits, degrees, coeffs = [np.zeros(0, np.intp)], [np.zeros(1, np.intp)], [np.array([blocks.constant])]
+
+    def add(local: np.ndarray, side: np.ndarray, bases: np.ndarray, stack_coeffs: np.ndarray) -> None:
+        # local[e] lists block entry e's local qubits, padded with -1, and
+        # each takes the offset of its register, bases[s, side]
+        nonzero = stack_coeffs.reshape(len(bases), -1) != 0
+        held = local >= 0
+        counts = held.sum(axis=1)
+        at = local[held] + bases[:, np.broadcast_to(side, local.shape)[held]]
+        qubits.append(at[np.repeat(nonzero, counts, axis=1)])
+        degrees.append(np.broadcast_to(counts, nonzero.shape)[nonzero])
+        coeffs.append(stack_coeffs.reshape(nonzero.shape)[nonzero])
+
     for stack in blocks.register_stacks:
-        r, t = np.nonzero(stack.coeffs)
-        octets.append(keys[starts[stack.registers[r]] + t + 1])
-        coeffs.append(stack.coeffs[r, t])
+        w = stack.width
+        add(subset_members(w)[1:], np.zeros(w, np.intp), offsets[stack.registers, None], stack.coeffs)
     for stack in blocks.interaction_stacks:
-        s, tj, ti = np.nonzero(stack.coeffs)
-        i, j = stack.pairs[s].T
-        octets.append(keys[starts[i] + ti + 1] | keys[starts[j] + tj + 1])
-        coeffs.append(stack.coeffs[s, tj, ti])
-    return IsingPolynomial.from_octets(layout.total_qubits, np.concatenate(octets), np.concatenate(coeffs))
+        # entry (tj, ti) of a block, ti fastest, joins subset ti of register i and tj of j
+        (wi, wj), cols = stack.widths, (1 << stack.widths[0]) - 1
+        ti = np.tile(np.arange(1, cols + 1), (1 << wj) - 1)
+        tj = np.repeat(np.arange(1, 1 << wj), cols)
+        local = np.concatenate([subset_members(wi)[ti], subset_members(wj)[tj]], axis=1)
+        add(local, np.repeat([0, 1], [wi, wj]), offsets[stack.pairs], stack.coeffs)
+    # the offsets: 0, then each key's end, the constant's first
+    ends = np.cumsum(np.concatenate([[0], *degrees]))
+    return IsingPolynomial.from_lists(layout.total_qubits, np.concatenate(qubits), ends, np.concatenate(coeffs))
 
 
 def spin_image(layout: EncodingLayout, assignment: Sequence[int]) -> int:

@@ -1,26 +1,25 @@
 """Sparse multilinear polynomials over spin and binary variables.
 
-Monomials are keyed by subset bitmasks: bit ``q`` of a key means the
+A monomial is a set of variables.  Where it leaves the stored arrays it
+is a Python-int subset bitmask (a key): bit ``q`` of a key means the
 monomial contains variable ``q``.  Spin configurations are likewise
 passed around as masks, with bit ``q`` set when spin ``q`` equals -1
 (so mask 0 is the all-plus configuration).  This matches the bit/spin
 convention ``z = 1 - 2b`` used by the encoder.
 
-A spin polynomial stores its terms as two read-only arrays in
-canonical (degree, qubit list) order, the order HUBO-JSON is written
-in: the keys as rows of little-endian bytes (``octets``) and the
-couplings as float64 (``coeffs``).  It records where each degree
-starts, so a degree cut is a slice of both.  The encoder builds the
-arrays directly; a ``{key: coupling}`` mapping is built only when a
-caller reads ``terms``.  A 0/1-basis polynomial (``BinaryPolynomial``,
-and ``QuboModel`` built on it) stores the same two arrays, and every
-stored type passes one check of them (``check_terms``).
-
-The flip kernels read the (term, qubit) pairs of the nonzero key bytes
-(``held_qubits``), so their memory follows the held pairs.  Keys and
-masks are Python ints wherever they leave the arrays, so nothing here
-has a qubit cap; a polynomial enumerated whole (``verify.dense_values``)
-is capped at 24 qubits, the 2^24 entries of an exact landscape's table.
+Stored terms are three read-only arrays: term t's qubits, ascending,
+are ``qubits[offsets[t] : offsets[t + 1]]`` and its coupling is
+``coeffs[t]``, so memory follows the (term, qubit) pairs the terms hold
+(``held_qubits``, which the flip kernels read), however many qubits
+there are.  A spin polynomial keeps its terms in canonical (degree,
+qubit list) order, the order HUBO-JSON is written in, and records where
+each degree starts, so a degree cut is a slice of the arrays.  Every
+stored type passes one check of the arrays (``check_terms``).  A
+``{key: coupling}`` mapping is built only when a caller reads
+``terms``.  Keys and masks are Python ints wherever they leave the
+arrays, so nothing here has a qubit cap; a polynomial enumerated whole
+(``verify.dense_values``) is capped at 24 qubits, the 2^24 entries of
+an exact landscape's table.
 
 HUBO-JSON is written directly, each term's qubit list and coupling
 formatted once between fixed pieces of text (``json_objects``), so the
@@ -33,14 +32,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import FrozenInstanceError
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import repeat
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import CfnFormatError
+from .errors import CapacityError, CfnFormatError
 
 __all__ = [
     "MAX_ABS_COST",
@@ -60,9 +59,6 @@ from these sums under 2^64 terms (the 2^24 enumerated states included),
 each under 2^64 B, so is under 2^128 B ~ 3.4e138; a squared sum
 (certificate, spectrum) is under 2^64 (2^128 B)^2 ~ 2e296 < 1.8e308."""
 
-# per byte value: its bits reversed (bit 0 to bit 7), and its popcount
-_REVERSED_BYTE = np.array([int(f"{v:08b}"[::-1], 2) for v in range(256)], dtype=np.uint8)
-_BYTE_DEGREE = np.array([v.bit_count() for v in range(256)], dtype=np.uint8)
 _SPIN_SIGNS = str.maketrans("01", "+-")
 
 
@@ -81,69 +77,129 @@ def significant(magnitudes: np.ndarray, largest: float | None = None) -> np.ndar
     return magnitudes > RELATIVE_PRUNE_TOL * largest
 
 
-def octet_width(num_qubits: int) -> int:
-    """Bytes per key over ``num_qubits`` qubits."""
-    return (num_qubits + 7) // 8
-
-
-def key_octets(keys: Sequence[int], n: int) -> np.ndarray:
-    """``mask_octets`` of keys over ``n`` qubits, raising ``ValueError``
+def key_lists(keys: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The qubit lists of keys over ``n`` qubits, as ``qubits`` and
+    ``offsets`` (see the module docstring), raising ``ValueError``
     naming the first key outside ``[0, 2^n)``."""
     if keys and (min(keys) < 0 or max(keys).bit_length() > n):
-        raise _outside(next(s for s in keys if s < 0 or s.bit_length() > n), n)
-    return mask_octets(keys, octet_width(n))
+        bad = next(s for s in keys if s < 0 or s.bit_length() > n)
+        raise ValueError(f"term key {bad:#x} references qubits outside [0, {n})")
+    qubits, offsets = [], [0]
+    for key in keys:
+        while key:
+            low = key & -key
+            qubits.append(low.bit_length() - 1)
+            key ^= low
+        offsets.append(len(qubits))
+    return np.array(qubits, np.int64), np.array(offsets, np.int64)
 
 
-def check_terms(n: int, octets: np.ndarray, coeffs: np.ndarray) -> None:
+def list_keys(qubits: np.ndarray, offsets: np.ndarray) -> list[int]:
+    """The keys of qubit lists, as Python ints; the inverse of ``key_lists``."""
+    flat, bounds = qubits.tolist(), offsets.tolist()
+    return [sum(map((1).__lshift__, flat[a:b])) for a, b in zip(bounds, bounds[1:])]
+
+
+def _key_name(qubits: np.ndarray, offsets: np.ndarray, t: int) -> str:
+    """Key t for a message: its hex mask, or its qubit list when that is
+    no set of qubits (a negative or repeated entry)."""
+    listed = qubits[offsets[t] : offsets[t + 1]].tolist()
+    if min(listed, default=0) < 0 or len(set(listed)) < len(listed):
+        return f"with qubits {listed}"
+    return f"{sum(1 << q for q in listed):#x}"
+
+
+def check_terms(n: int, qubits: np.ndarray, offsets: np.ndarray, coeffs: np.ndarray) -> None:
     """The one check of stored terms: raise ``ValueError`` unless
-    ``octets`` holds one key per coefficient in rows of ``ceil(n / 8)``
-    little-endian bytes, every key lies in ``[0, 2^n)`` and every
+    ``offsets`` splits ``qubits`` into one key per coefficient, every
+    key lists distinct qubits of ``[0, n)`` in ascending order and every
     coefficient is finite.  The message names the first bad key, and its
     coefficient.  That no key repeats is checked where the keys are
     sorted (``check_distinct``)."""
     if n < 0:
         raise ValueError(f"variable count {n} is negative")
-    if coeffs.ndim != 1 or octets.shape != (len(coeffs), octet_width(n)):
-        raise ValueError(f"key bytes of shape {octets.shape} do not match {len(coeffs)} couplings over {n} qubits")
-    if n % 8 and len(octets):
-        beyond = np.flatnonzero(octets[:, -1] >> (n % 8))
-        if beyond.size:
-            raise _outside(octet_keys(octets[beyond[:1]])[0], n)
+    split = coeffs.ndim == qubits.ndim == 1 and offsets.shape == (len(coeffs) + 1,)
+    if not (split and offsets[0] == 0 and offsets[-1] == len(qubits) and (np.diff(offsets) >= 0).all()):
+        raise ValueError(f"{len(qubits)} qubits split at {offsets.shape} offsets do not match {len(coeffs)} couplings")
+    term, _ = held_qubits(qubits, offsets)
+    unordered = np.append(False, (qubits[1:] <= qubits[:-1]) & (term[1:] == term[:-1]))
+    for bad, problem in (
+        ((qubits < 0) | (qubits >= n), f"references qubits outside [0, {n})"),
+        (unordered, "does not list distinct qubits in ascending order"),
+    ):
+        if bad.any():
+            raise ValueError(f"term key {_key_name(qubits, offsets, term[bad.argmax()])} {problem}")
     bad = np.flatnonzero(~np.isfinite(coeffs))
     if bad.size:
-        raise ValueError(f"non-finite coupling {float(coeffs[bad[0]])} at key {octet_keys(octets[bad[:1]])[0]:#x}")
+        raise ValueError(f"non-finite coupling {float(coeffs[bad[0]])} at key {_key_name(qubits, offsets, bad[0])}")
+
+
+def narrow(values: np.ndarray) -> np.ndarray:
+    """Non-negative integers in the smallest unsigned type that holds
+    them: numpy's stable sorts, ``np.lexsort`` among them, take a radix
+    sort on 8- and 16-bit keys."""
+    return values.astype(np.min_scalar_type(int(values.max(initial=0))))
 
 
 def check_distinct(rows: np.ndarray) -> None:
     """Raise ``ValueError`` naming a key that two adjacent rows share:
-    the keys, as rows of bytes, must be sorted so that equal ones meet.
-    Each row is compared as one opaque value of its bytes (with no
-    bytes, every key is 0), which is faster than a reduction along it."""
-    width = rows.shape[1]
-    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, width))).ravel() if width else np.zeros(len(rows))
-    same = np.flatnonzero(keys[1:] == keys[:-1])
+    the keys, as rows of qubits (padded with -1), must be sorted so that
+    equal ones meet."""
+    same = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1))
     if same.size:
-        raise ValueError(f"term key {octet_keys(rows[same[:1]])[0]:#x} is repeated")
+        raise ValueError(f"term key {_key_name(*unpadded(rows[same[:1]]), 0)} is repeated")
 
 
-def _outside(key: int, n: int) -> ValueError:
-    return ValueError(f"term key {key:#x} references qubits outside [0, {n})")
+def held_qubits(qubits: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (term, qubit) pairs of qubit lists: each term's index once per
+    qubit it holds, and ``qubits`` itself, key-major with the qubits
+    ascending within a key."""
+    return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets)), qubits
+
+
+def take_terms(qubits: np.ndarray, offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The qubit lists of terms ``rows`` (an index array), in that order,
+    as new arrays."""
+    degrees = np.diff(offsets)[rows]
+    taken = np.cumsum(np.append(0, degrees))
+    # pair p of the result is pair p - taken[k] of term rows[k]
+    shift = np.repeat(offsets[:-1][rows] - taken[:-1], degrees)
+    return qubits[np.arange(taken[-1]) + shift], taken
+
+
+def padded_rows(qubits: np.ndarray, offsets: np.ndarray, width: int) -> np.ndarray:
+    """(terms x width) matrix whose row t holds the first ``width``
+    qubits of key t, ascending, padded with -1: for keys of bounded
+    degree, where equal keys are equal rows."""
+    term, _ = held_qubits(qubits, offsets)
+    slot = np.arange(len(qubits)) - offsets[term]
+    kept = slot < width
+    rows = np.full((len(offsets) - 1, width), -1, np.int64)
+    rows[term[kept], slot[kept]] = qubits[kept]
+    return rows
+
+
+def unpadded(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The qubit lists of rows padded with -1; the inverse of ``padded_rows``."""
+    held = rows >= 0
+    return rows[held], np.cumsum(np.append(0, held.sum(axis=1)))
 
 
 class StoredTerms:
-    """Immutable terms in read-only arrays: keys in rows of little-endian
-    bytes (``octets``) and float64 ``coeffs``, row for row.  ``terms`` is
-    the same as a read-only ``{key: coefficient}`` mapping, built on first
-    read.  Fields are set once, by ``_set``; instances are equal when the
-    fields ``__reduce__`` rebuilds them from are."""
+    """Immutable terms in read-only arrays: the keys as qubit lists
+    (``qubits`` and ``offsets``) and float64 ``coeffs``, term for term.
+    ``terms`` is the same as a read-only ``{key: coefficient}`` mapping,
+    built on first read.  Fields are set once, by ``_set``; instances are
+    equal when the fields ``__reduce__`` rebuilds them from are."""
 
-    octets: np.ndarray
+    qubits: np.ndarray
+    offsets: np.ndarray
     coeffs: np.ndarray
     __hash__ = None
 
     def _set(self, **fields):
-        fields["octets"].flags.writeable = False
-        fields["coeffs"].flags.writeable = False
+        for name in ("qubits", "offsets", "coeffs"):
+            fields[name].flags.writeable = False
         self.__dict__.update(fields)
         return self
 
@@ -161,26 +217,35 @@ class StoredTerms:
             for a, b in zip(self.__reduce__()[1], other.__reduce__()[1])
         )
 
+    @property
+    def degree(self) -> int:
+        """Largest monomial size among stored terms (0 for constants)."""
+        return int(np.diff(self.offsets).max(initial=0))
+
     @cached_property
     def terms(self) -> Mapping[int, float]:
         """The stored terms as a read-only ``{key: coefficient}`` mapping."""
-        return MappingProxyType(dict(zip(octet_keys(self.octets), self.coeffs.tolist())))
+        return MappingProxyType(dict(zip(list_keys(self.qubits, self.offsets), self.coeffs.tolist())))
+
+
+def _arrays(qubits, offsets, coeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return np.asarray(qubits, np.int64), np.asarray(offsets, np.int64), np.asarray(coeffs, float)
 
 
 class IsingPolynomial(StoredTerms):
     """A real polynomial in +/-1 spin variables, stored sparsely.
 
-    Built from a ``{key: coupling}`` mapping, or from key bytes with
-    ``from_octets``.  Zero couplings (below 1e-14 of the largest
+    Built from a ``{key: coupling}`` mapping, or from qubit lists with
+    ``from_lists``.  Zero couplings (below 1e-14 of the largest
     magnitude) are dropped, and the rest are stored in canonical order,
     by (degree, qubit list):
 
-    * ``octets``: read-only (terms x ceil(n / 8)) uint8 matrix whose row
-      t holds the t-th key in little-endian bytes;
-    * ``coeffs``: read-only float64 couplings, row for row;
-    * ``degree_starts[d]``: the row of the first term of degree >= d,
-      for d = 0 .. degree + 1, so the degree-d terms are rows
-      ``degree_starts[d]:degree_starts[d + 1]``.
+    * ``qubits`` and ``offsets``: read-only int64, term t's qubits
+      ascending in ``qubits[offsets[t] : offsets[t + 1]]``;
+    * ``coeffs``: read-only float64 couplings, term for term;
+    * ``degree_starts[d]``: the first term of degree >= d, for d = 0 ..
+      degree + 1, so the degree-d terms are ``degree_starts[d] :
+      degree_starts[d + 1]``.
 
     ``terms`` is the same content as a read-only ``{key: coupling}``
     mapping in that order (``StoredTerms``).  Every reduction over
@@ -189,31 +254,25 @@ class IsingPolynomial(StoredTerms):
     """
 
     num_qubits: int
-    octets: np.ndarray
-    coeffs: np.ndarray
     degree_starts: tuple[int, ...]
 
     def __init__(self, num_qubits: int, terms: Mapping[int, float] | None = None) -> None:
         terms = {} if terms is None else terms
-        _canonicalize(self, num_qubits, key_octets(list(terms), num_qubits), np.fromiter(terms.values(), float))
+        qubits, offsets = key_lists(list(terms), num_qubits)
+        _canonicalize(self, num_qubits, qubits, offsets, np.fromiter(terms.values(), float))
 
     @classmethod
-    def from_octets(cls, num_qubits: int, octets: np.ndarray, coeffs: np.ndarray) -> "IsingPolynomial":
-        """The polynomial with distinct keys given as rows of
-        little-endian bytes (``ceil(num_qubits / 8)`` columns) and their
-        couplings, in any order; a repeated key is a ``ValueError``."""
-        return _canonicalize(cls.__new__(cls), num_qubits, np.asarray(octets, np.uint8), np.asarray(coeffs, float))
+    def from_lists(cls, num_qubits: int, qubits, offsets, coeffs) -> "IsingPolynomial":
+        """The polynomial with distinct keys given as qubit lists
+        (``qubits`` split at ``offsets``) and their couplings, in any
+        order; a repeated key is a ``ValueError``."""
+        return _canonicalize(cls.__new__(cls), num_qubits, *_arrays(qubits, offsets, coeffs))
 
     def __reduce__(self):
-        return _stored, (self.num_qubits, self.octets, self.coeffs, self.degree_starts)
+        return _stored, (self.num_qubits, self.qubits, self.offsets, self.coeffs, self.degree_starts)
 
     def __repr__(self) -> str:
         return f"IsingPolynomial(num_qubits={self.num_qubits}, terms={dict(self.terms)!r})"
-
-    @property
-    def degree(self) -> int:
-        """Largest monomial size among stored terms (0 for constants)."""
-        return len(self.degree_starts) - 2
 
     @property
     def constant(self) -> float:
@@ -234,7 +293,15 @@ class IsingPolynomial(StoredTerms):
         kept = [min(max(s, first), stop) - first for s in starts]
         # the slice's degree is its highest nonempty one
         degree = max((d for d in range(top) if kept[d] < kept[d + 1]), default=0)
-        return _stored(self.num_qubits, self.octets[first:stop], self.coeffs[first:stop], kept[: degree + 2])
+        offsets = self.offsets[first : stop + 1]
+        qubits = self.qubits[offsets[0] : offsets[-1]]
+        return _stored(self.num_qubits, qubits, offsets - offsets[0], self.coeffs[first:stop], kept[: degree + 2])
+
+    def degree_rows(self, d: int) -> np.ndarray:
+        """The stored terms of degree ``d`` as the rows of a (count x d)
+        view of ``qubits``."""
+        a, b = self.degree_starts[d : d + 2]
+        return self.qubits[self.offsets[a] : self.offsets[b]].reshape(b - a, d)
 
     def evaluate_mask(self, mask: int) -> float:
         if not (0 <= mask < (1 << self.num_qubits)):
@@ -245,57 +312,62 @@ class IsingPolynomial(StoredTerms):
         return total
 
 
-def _stored(n: int, octets: np.ndarray, coeffs: np.ndarray, degree_starts) -> IsingPolynomial:
+def _stored(n: int, qubits: np.ndarray, offsets: np.ndarray, coeffs: np.ndarray, degree_starts) -> IsingPolynomial:
     """A new polynomial over arrays already in canonical form."""
     return IsingPolynomial.__new__(IsingPolynomial)._set(
-        num_qubits=n, octets=octets, coeffs=coeffs, degree_starts=tuple(degree_starts)
+        num_qubits=n, qubits=qubits, offsets=offsets, coeffs=coeffs, degree_starts=tuple(degree_starts)
     )
 
 
-def _canonicalize(poly: IsingPolynomial, n: int, octets: np.ndarray, coeffs: np.ndarray) -> IsingPolynomial:
-    """Store distinct keys (rows of little-endian bytes) and their
-    couplings in ``poly``, in canonical form.
+def _canonicalize(
+    poly: IsingPolynomial, n: int, qubits: np.ndarray, offsets: np.ndarray, coeffs: np.ndarray
+) -> IsingPolynomial:
+    """Store distinct keys (qubit lists) and their couplings in ``poly``,
+    in canonical form.
 
-    Checks the arrays (``check_terms``), sorts them
-    (``_canonical_order``), checks that no key repeats
-    (``check_distinct``), drops the insignificant couplings and records
-    where each degree starts.
+    Checks the arrays (``check_terms``), sorts them and checks that no
+    key repeats (``_canonical_order``), drops the insignificant couplings
+    and records where each degree starts.
     """
-    check_terms(n, octets, coeffs)
-    order, degrees = _canonical_order(octets)
+    check_terms(n, qubits, offsets, coeffs)
+    order = _canonical_order(qubits, offsets)
+    order = order[significant(np.abs(coeffs[order]))]
     # fancy indexing copies, so the stored arrays never alias the caller's
-    octets, coeffs, degrees = octets[order], coeffs[order], degrees[order]
-    check_distinct(octets)
-    keep = significant(np.abs(coeffs))
-    if not keep.all():
-        octets, coeffs, degrees = octets[keep], coeffs[keep], degrees[keep]
+    qubits, offsets = take_terms(qubits, offsets, order)
+    degrees = np.diff(offsets)
     starts = np.searchsorted(degrees, np.arange(degrees.max(initial=0) + 2))
-    return poly._set(num_qubits=n, octets=octets, coeffs=coeffs, degree_starts=tuple(starts.tolist()))
+    return poly._set(
+        num_qubits=n, qubits=qubits, offsets=offsets, coeffs=coeffs[order], degree_starts=tuple(starts.tolist())
+    )
 
 
-def _canonical_order(octets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows that sort keys, given as rows of little-endian bytes, by
-    (degree, ascending qubit list), and each key's degree: one
-    ``np.lexsort`` over byte columns, at any width.
+def _canonical_order(qubits: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The terms that sort keys, given as qubit lists, by (degree,
+    ascending qubit list), raising ``ValueError`` on a repeated key.
 
-    Each byte goes through a bit-reversal table, so qubit 0 is the most
-    significant bit of column 0 and the columns, first to last, spell
-    the key's bit reversal.  Within one degree a smaller qubit list is a
-    larger reversal: the first qubit where two lists differ is the
-    highest bit where their reversals differ, and only the smaller list
-    has it.  So the sort keys are the degree (summed from a popcount
-    table), then the complemented columns, first to last.  Memory is one
-    byte per key and byte column; no per-bit matrix is unpacked.
-    """
-    degrees = octet_degrees(octets)
-    columns = ~_REVERSED_BYTE[octets]
-    return np.lexsort((*columns.T[::-1], degrees)), degrees
+    The keys of each degree d are gathered into a (count x d) matrix and
+    sorted by one ``np.lexsort`` over its columns, the first column
+    deciding first; equal keys are then adjacent rows
+    (``check_distinct``).  Memory follows the held pairs, and the sort
+    keys are ``narrow``."""
+    degrees = np.diff(offsets)
+    by_degree = np.argsort(narrow(degrees), kind="stable")
+    bounds = np.searchsorted(degrees[by_degree], np.arange(degrees.max(initial=0) + 2))
+    qubits = narrow(qubits)
+    parts = []
+    for d, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        terms = by_degree[a:b]
+        rows = qubits[offsets[terms][:, None] + np.arange(d)]
+        order = np.lexsort(rows.T[::-1]) if d else np.arange(b - a)
+        check_distinct(rows[order])
+        parts.append(terms[order])
+    return np.concatenate(parts)
 
 
 class BinaryPolynomial(StoredTerms):
     """A real polynomial in 0/1 variables, stored sparsely: built from a
-    ``{key: coefficient}`` mapping, or from key bytes with
-    ``from_octets``, and kept in the order given as read-only key bytes
+    ``{key: coefficient}`` mapping, or from qubit lists with
+    ``from_lists``, and kept in the order given as read-only qubit lists
     and float64 coefficients (``StoredTerms``).  Coefficients at most
     1e-14 of the largest magnitude are dropped."""
 
@@ -303,32 +375,28 @@ class BinaryPolynomial(StoredTerms):
 
     def __init__(self, num_vars: int, terms: Mapping[int, float] | None = None) -> None:
         terms = {} if terms is None else terms
-        self._prune(num_vars, key_octets(list(terms), num_vars), np.fromiter(terms.values(), float))
+        self._prune(num_vars, *key_lists(list(terms), num_vars), np.fromiter(terms.values(), float))
 
     @classmethod
-    def from_octets(cls, num_vars: int, octets: np.ndarray, coeffs: np.ndarray) -> "BinaryPolynomial":
-        """The polynomial with distinct keys given as rows of
-        little-endian bytes and their coefficients, kept in that order; a
-        repeated key is a ``ValueError``."""
-        return cls.__new__(cls)._prune(num_vars, np.asarray(octets, np.uint8), np.asarray(coeffs, float))
+    def from_lists(cls, num_vars: int, qubits, offsets, coeffs) -> "BinaryPolynomial":
+        """The polynomial with distinct keys given as qubit lists
+        (``qubits`` split at ``offsets``) and their coefficients, kept in
+        that order; a repeated key is a ``ValueError``."""
+        return cls.__new__(cls)._prune(num_vars, *_arrays(qubits, offsets, coeffs))
 
-    def _prune(self, n: int, octets: np.ndarray, coeffs: np.ndarray) -> "BinaryPolynomial":
-        check_terms(n, octets, coeffs)
-        check_distinct(octets[_canonical_order(octets)[0]])
-        keep = significant(np.abs(coeffs))
-        # boolean indexing copies, so the stored arrays never alias the caller's
-        return self._set(num_vars=n, octets=octets[keep], coeffs=coeffs[keep])
+    def _prune(self, n: int, qubits: np.ndarray, offsets: np.ndarray, coeffs: np.ndarray) -> "BinaryPolynomial":
+        check_terms(n, qubits, offsets, coeffs)
+        _canonical_order(qubits, offsets)
+        keep = np.flatnonzero(significant(np.abs(coeffs)))
+        # fancy indexing copies, so the stored arrays never alias the caller's
+        qubits, offsets = take_terms(qubits, offsets, keep)
+        return self._set(num_vars=n, qubits=qubits, offsets=offsets, coeffs=coeffs[keep])
 
     def __reduce__(self):
-        return BinaryPolynomial.from_octets, (self.num_vars, self.octets, self.coeffs)
+        return BinaryPolynomial.from_lists, (self.num_vars, self.qubits, self.offsets, self.coeffs)
 
     def __repr__(self) -> str:
         return f"BinaryPolynomial(num_vars={self.num_vars}, terms={dict(self.terms)!r})"
-
-    @property
-    def degree(self) -> int:
-        """Largest monomial size among stored terms (0 for constants)."""
-        return int(octet_degrees(self.octets).max(initial=0))
 
     def evaluate_bits(self, bits: int) -> float:
         """Value at the configuration whose set bits are the 1-valued
@@ -341,11 +409,6 @@ class BinaryPolynomial(StoredTerms):
         return total
 
 
-def octet_degrees(octets: np.ndarray) -> np.ndarray:
-    """The degree (popcount) of each key, given as a row of bytes."""
-    return _BYTE_DEGREE[octets].sum(axis=1, dtype=np.int64)
-
-
 def mask_octets(masks: Sequence[int], width: int) -> np.ndarray:
     """(len(masks) x width) uint8 matrix of masks below ``2^(8 width)``:
     row t is ``masks[t]`` in little-endian bytes, so column b holds
@@ -356,24 +419,27 @@ def mask_octets(masks: Sequence[int], width: int) -> np.ndarray:
 
 def random_masks(rng: np.random.Generator, n: int, size: int | None = None):
     """Uniform masks over ``n`` qubits as Python ints (a list when ``size``
-    is given), drawn a 64-bit word at a time from the low word; up to 64
-    qubits that is the one draw ``rng.integers(0, 1 << n, size)`` makes."""
-    masks = [0] * (1 if size is None else size)
-    for low in range(0, n, 64):
-        words = rng.integers(0, (1 << min(64, n - low)) - 1, size=size, dtype=np.uint64, endpoint=True)
-        masks = [m | w << low for m, w in zip(masks, np.ravel(words).tolist())]
+    is given), drawn a 64-bit word at a time from the low word, each word
+    for every mask in turn (up to 64 qubits, the one draw ``rng.integers(0,
+    1 << n, size)`` makes); the full words are one draw, linear in n."""
+    count = 1 if size is None else size
+    full, rest = divmod(n, 64)
+    words = rng.integers(0, (1 << 64) - 1, size=(full, count), dtype=np.uint64, endpoint=True)
+    tops = rng.integers(0, (1 << rest) - 1, size=count, dtype=np.uint64, endpoint=True).tolist() if rest else [0] * count
+    data, step = words.T.astype("<u8").tobytes(), 8 * full
+    masks = [int.from_bytes(data[r * step : (r + 1) * step], "little") | top << 64 * full for r, top in enumerate(tops)]
     return masks[0] if size is None else masks
 
 
 def mask_bits(masks, n: int) -> np.ndarray:
     """Boolean (len(masks) x n) matrix of a sequence of masks below
     ``2^n``: entry (t, q) is bit q of ``masks[t]``."""
-    return octet_bits(mask_octets(masks, octet_width(n)), n)
+    return octet_bits(mask_octets(masks, (n + 7) // 8), n)
 
 
 def octet_bits(octets: np.ndarray, n: int) -> np.ndarray:
-    """Boolean (rows x n) matrix of keys over ``n`` qubits given as rows
-    of little-endian bytes: entry (t, q) is bit q of key t."""
+    """Boolean (rows x n) matrix of masks over ``n`` qubits given as rows
+    of little-endian bytes: entry (t, q) is bit q of mask t."""
     return np.unpackbits(octets, axis=1, count=n, bitorder="little").view(bool)
 
 
@@ -386,62 +452,39 @@ def bit_octets(bits: np.ndarray) -> np.ndarray:
 def pack_masks(bits: np.ndarray) -> list[int]:
     """The masks whose bits are the rows of a boolean matrix; the
     inverse of ``mask_bits``."""
-    return octet_keys(bit_octets(bits))
-
-
-def held_qubits(octets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (term, qubit) pairs of keys given as rows of bytes, in the
-    order of ``np.nonzero`` of their ``octet_bits``, unpacked from the
-    nonzero bytes alone, so memory follows the pairs, not keys x qubits."""
-    term, column = np.nonzero(octets)
-    slot, bit = np.nonzero(np.unpackbits(octets[term, column][:, None], axis=1, bitorder="little"))
-    return term[slot], 8 * column[slot] + bit
-
-
-def characters(octets: np.ndarray, masks: Sequence[int]) -> np.ndarray:
-    """(len(masks) x keys) matrix of each key's character at each mask
-    (below ``2^(8 width)``): -1.0 where they share an odd number of
-    qubits, else 1.0, read off the held pairs (``held_qubits``)."""
-    term, qubit = held_qubits(octets)
-    shared = mask_bits(masks, 8 * octets.shape[1])[:, qubit]
-    # the pairs are key-major, so each key that holds a qubit starts a run
-    starts = np.flatnonzero(np.diff(term, prepend=-1))
-    odd = np.zeros((len(masks), len(octets)), bool)
-    odd[:, term[starts]] = np.bitwise_xor.reduceat(shared, starts, axis=1)
-    return np.where(odd, -1.0, 1.0)
-
-
-def octet_words(octets: np.ndarray) -> np.ndarray:
-    """The keys of rows of at most 8 little-endian bytes, as uint64."""
-    padded = np.zeros((len(octets), 8), dtype=np.uint8)
-    padded[:, : octets.shape[1]] = octets
-    return padded.view("<u8").reshape(-1)
-
-
-def octet_keys(octets: np.ndarray) -> list[int]:
-    """The keys of rows of little-endian bytes, as Python ints; the
-    inverse of ``mask_octets``."""
-    width = octets.shape[1]
-    if width <= 8:
-        return octet_words(octets).tolist()
-    data = octets.tobytes()
+    octets = bit_octets(bits)
+    if not octets.shape[1]:
+        return [0] * len(octets)
+    width, data = octets.shape[1], octets.tobytes()
     return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
 
 
-def first_appearance_groups(octets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def characters(qubits: np.ndarray, offsets: np.ndarray, masks: Sequence[int]) -> np.ndarray:
+    """(len(masks) x keys) matrix of each key's character at each mask:
+    -1.0 where they share an odd number of qubits, else 1.0, read off
+    the held qubits, one XOR reduction per key that holds one."""
+    width = max(int(qubits.max(initial=-1)) + 1, max(masks, default=0).bit_length())
+    shared = mask_bits(masks, width)[:, qubits]
+    holding = np.flatnonzero(np.diff(offsets))
+    odd = np.zeros((len(masks), len(offsets) - 1), bool)
+    odd[:, holding] = np.bitwise_xor.reduceat(shared, offsets[holding], axis=1)
+    return np.where(odd, -1.0, 1.0)
+
+
+def first_appearance_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group equal rows: each row's group id, groups numbered in order of
     first appearance, and the row where each group first appears.
 
-    The rows are read as 64-bit words (zero-padded, at least one) and
-    sorted with the stable ``np.lexsort``, so a group's first sorted row
-    is its first appearance.  ``np.bincount`` over the ids then adds each
-    group's weights one by one, in row order."""
-    count, width = octets.shape
-    padded = np.zeros((count, 8 * max(1, -(-width // 8))), np.uint8)
-    padded[:, :width] = octets
-    words = padded.view("<u8")
-    order = np.lexsort(words.T)
-    ranked = words[order]
+    The rows (keys padded with -1, so equal keys are equal rows; at least
+    one column is compared) are sorted with the stable ``np.lexsort``, so
+    a group's first sorted row is its first appearance.  ``np.bincount``
+    over the ids then adds each group's weights one by one, in row
+    order."""
+    count = len(rows)
+    if not rows.shape[1]:
+        rows = np.zeros((count, 1), np.int64)
+    order = np.lexsort(narrow(rows + 1).T)
+    ranked = rows[order]
     starts = np.ones(count, bool)
     starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
     first = order[starts]
@@ -472,7 +515,7 @@ def hubo_texts(poly: IsingPolynomial, counts: Sequence[int]) -> list[str]:
     polynomial's text and its truncations' share one formatting of each
     term.
 
-    Each term's qubit list comes from the stored key bytes
+    Each term's qubit list comes from the stored qubit lists
     (``_qubit_lists``) and its coupling, a finite float, is written with
     ``float.__repr__`` as ``json`` writes it; both are formatted once,
     into one flat list of pieces (``json_objects``), and each text is
@@ -480,7 +523,7 @@ def hubo_texts(poly: IsingPolynomial, counts: Sequence[int]) -> list[str]:
     """
     pieces = json_objects(
         ('\n      "qubits": [', '\n      ],\n      "coeff": '),
-        (_qubit_lists(poly.octets), list(map(float.__repr__, poly.coeffs.tolist()))),
+        (_qubit_lists(poly), list(map(float.__repr__, poly.coeffs.tolist()))),
     )
     if poly.degree_starts[1]:
         # the constant is the first term, and its qubit list is empty
@@ -489,30 +532,21 @@ def hubo_texts(poly: IsingPolynomial, counts: Sequence[int]) -> list[str]:
     return ["".join([header, *pieces[: 4 * t], json_list_end(t), "\n}\n"]) for t in counts]
 
 
-def _qubit_lists(octets: np.ndarray) -> list[str]:
-    """Each key's qubit indices as indented HUBO-JSON text, each index
-    after a newline and every one but the first after its comma,
-    assembled a byte column of the keys at a time: a key gathers one
-    ``_qubit_table`` entry per nonzero byte."""
-    texts = np.full(len(octets), "", dtype=object)
-    started = np.zeros(len(octets), np.uint8)
-    for b, column in enumerate(octets.T):
-        rows = np.flatnonzero(column)
-        texts[rows] += _qubit_table(b)[started[rows], column[rows]]
-        started[rows] = 1
-    return texts.tolist()
-
-
-@lru_cache(maxsize=None)
-def _qubit_table(b: int) -> np.ndarray:
-    """Per byte value v at byte position b, the text of qubits 8b to
-    8b + 7 that v holds, ascending, each after its comma (row 1), or
-    without the first comma for a key's first nonzero byte (row 0)."""
-    later = [""] * 256
-    for v in range(1, 256):
-        low = (v & -v).bit_length() - 1
-        later[v] = f",\n        {8 * b + low}" + later[v & (v - 1)]
-    return np.array([[text[1:] for text in later], later], dtype=object)
+def _qubit_lists(poly: IsingPolynomial) -> list[str]:
+    """Each term's qubit indices as indented HUBO-JSON text, each index
+    after a newline and every one but the first after its comma.  Each
+    held qubit's two texts are formatted once; a degree slice
+    (``degree_rows``) gathers them a column at a time and joins them per
+    term."""
+    held = np.flatnonzero(np.bincount(poly.qubits)).tolist()
+    first, later = np.empty((2, poly.num_qubits), object)
+    first[held] = [f"\n        {q}" for q in held]
+    later[held] = [f",\n        {q}" for q in held]
+    texts = [""] * poly.degree_starts[1]
+    for d in range(1, poly.degree + 1):
+        rows = poly.degree_rows(d)
+        texts += map("".join, zip(first[rows[:, 0]].tolist(), *(later[column].tolist() for column in rows.T[1:])))
+    return texts
 
 
 def json_objects(fixed: Sequence[str], fields: Sequence[Sequence[str]]) -> list[str]:
@@ -549,7 +583,7 @@ def hubo_from_json(data: bytes | str) -> IsingPolynomial:
     a coefficient, or a running sum of a repeated monomial's, above
     ``MAX_ABS_COST`` in magnitude, or a qubit that is negative, out of
     range or repeated within its term (z * z = 1, so a repeat cannot
-    stand for a power).
+    stand for a power).  Memory follows the listed qubits, not ``num_qubits``.
     """
     try:
         doc = json.loads(data)
@@ -563,42 +597,46 @@ def hubo_from_json(data: bytes | str) -> IsingPolynomial:
     entries = doc.get("terms")
     if not isinstance(entries, list):
         raise CfnFormatError("missing field: terms (a list of term objects)")
-    terms: dict[int, float] = {}
+    terms: dict[tuple[int, ...], float] = {}
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict) or "qubits" not in entry or "coeff" not in entry:
             raise CfnFormatError(f"terms[{k}] must be an object with qubits and coeff")
-        mask = qubit_mask(entry["qubits"], n, f"terms[{k}].qubits")
+        key = qubit_key(entry["qubits"], n, f"terms[{k}].qubits")
         coeff = finite_float(entry["coeff"])
         if coeff is None:
             raise CfnFormatError(f"terms[{k}].coeff must be a finite number")
         if abs(coeff) > MAX_ABS_COST:
             raise CfnFormatError(f"terms[{k}].coeff: {coeff!r} exceeds {MAX_ABS_COST:g} in magnitude")
-        total = terms.get(mask, 0.0) + coeff
+        total = terms.get(key, 0.0) + coeff
         if abs(total) > MAX_ABS_COST:
             raise CfnFormatError(
                 f"terms[{k}].coeff: the repeated monomial's coefficients sum to {total!r}, "
                 f"which exceeds {MAX_ABS_COST:g} in magnitude"
             )
-        terms[mask] = total
-    return IsingPolynomial(n, terms)
+        terms[key] = total
+    qubits = [q for key in terms for q in key]
+    return IsingPolynomial.from_lists(n, qubits, np.cumsum([0, *map(len, terms)]), list(terms.values()))
 
 
-def qubit_mask(qubits, n: int, where: str) -> int:
-    """Mask of a JSON qubit list.
+def qubit_key(qubits, n: int, where: str) -> tuple[int, ...]:
+    """The qubits of a JSON qubit list, ascending.
 
     Raises CfnFormatError naming ``where`` unless ``qubits`` is a list
-    of integers (not booleans) in ``[0, n)`` with none repeated.
+    of integers (not booleans) in ``[0, n)`` with none repeated, and
+    CapacityError past 2^63 - 1, the largest index a stored list holds.
     """
     if not isinstance(qubits, list) or not all(is_int(q) for q in qubits):
         raise CfnFormatError(f"{where} must be a list of qubit indices")
-    mask = 0
+    seen = set()
     for q in qubits:
         if not 0 <= q < n:
             raise CfnFormatError(f"{where}: qubit {q} is outside [0, {n})")
-        if (mask >> q) & 1:
+        if q >> 63:
+            raise CapacityError(f"{where}: qubit {q} is past 2^63 - 1, the largest stored qubit index")
+        if q in seen:
             raise CfnFormatError(f"{where}: qubit {q} is repeated")
-        mask |= 1 << q
-    return mask
+        seen.add(q)
+    return tuple(sorted(qubits))
 
 
 def is_int(value) -> bool:
@@ -616,4 +654,3 @@ def finite_float(value) -> float | None:
     except OverflowError:
         return None
     return out if math.isfinite(out) else None
-

@@ -25,8 +25,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .polynomial import BinaryPolynomial, IsingPolynomial, check_distinct, check_terms, first_appearance_groups
-from .polynomial import held_qubits, json_list_end, json_objects, key_octets, octet_degrees, octet_width
+from .polynomial import BinaryPolynomial, IsingPolynomial, _arrays, check_distinct, check_terms, first_appearance_groups
+from .polynomial import held_qubits, json_list_end, json_objects, key_lists, narrow, padded_rows, take_terms, unpadded
 from .walsh import leakage_transform, to_01_basis
 
 __all__ = ["QuboModel", "quadratize", "resolve_ancillas", "qubo_json"]
@@ -39,8 +39,8 @@ class QuboModel(BinaryPolynomial):
     writes.  Each ancilla records the variable pair whose product it
     stands for; the k-th ancilla is variable ``num_original_qubits + k``
     and its parents precede it, so ancilla values can be resolved left
-    to right.  Every model, from a mapping, from key bytes
-    (``from_octets``), unpickled or quadratized, is built by ``_build``.
+    to right.  Every model, from a mapping, from qubit lists
+    (``from_lists``), unpickled or quadratized, is built by ``_build``.
     """
 
     num_original_qubits: int
@@ -52,27 +52,30 @@ class QuboModel(BinaryPolynomial):
                  ancilla_defs: tuple[tuple[int, tuple[int, int]], ...], penalty_weight: float) -> None:
         if num_ancilla_qubits != len(ancilla_defs):
             raise ValueError(f"{num_ancilla_qubits} ancillas but {len(ancilla_defs)} definitions")
-        octets = key_octets(list(terms), num_original_qubits + num_ancilla_qubits)
-        self._build(num_original_qubits, ancilla_defs, penalty_weight, octets, np.fromiter(terms.values(), float))
+        keys = key_lists(list(terms), num_original_qubits + num_ancilla_qubits)
+        self._build(num_original_qubits, ancilla_defs, penalty_weight, *keys, np.fromiter(terms.values(), float))
 
     @classmethod
-    def from_octets(cls, num_original_qubits: int, ancilla_defs, penalty_weight: float, octets, coeffs) -> "QuboModel":
-        """The model with distinct keys given as rows of little-endian
-        bytes, in any order; a repeated key is a ``ValueError``."""
-        octets, coeffs = np.asarray(octets, np.uint8), np.asarray(coeffs, float)
-        return cls.__new__(cls)._build(num_original_qubits, ancilla_defs, penalty_weight, octets, coeffs)
+    def from_lists(cls, num_original_qubits: int, ancilla_defs, penalty_weight: float, qubits, offsets, coeffs):
+        """The model with distinct keys given as qubit lists (``qubits``
+        split at ``offsets``), in any order; a repeated key is a
+        ``ValueError``."""
+        arrays = _arrays(qubits, offsets, coeffs)
+        return cls.__new__(cls)._build(num_original_qubits, ancilla_defs, penalty_weight, *arrays)
 
-    def _build(self, n: int, ancilla_defs, penalty_weight: float, octets: np.ndarray, coeffs: np.ndarray):
+    def _build(self, n: int, ancilla_defs, penalty_weight: float, qubits: np.ndarray, offsets: np.ndarray,
+               coeffs: np.ndarray):
         """Check the model (a finite penalty, ``check_terms``, degree <= 2,
         each ancilla after its two distinct parents, and a finite l1 norm,
         which bounds every coefficient of ``to_ising``), sort the keys by
-        (degree, mask) with one ``np.lexsort``, check that none repeats
-        (``check_distinct``) and set the fields; returns self."""
+        (degree, mask) with one ``np.lexsort`` over their rows of two
+        qubits, check that none repeats (``check_distinct``) and set the
+        fields; returns self."""
         ancilla_defs, penalty_weight = tuple(ancilla_defs), float(penalty_weight)
         if not np.isfinite(penalty_weight):
             raise ValueError(f"non-finite penalty weight {penalty_weight}")
-        check_terms(n + len(ancilla_defs), octets, coeffs)
-        degrees = octet_degrees(octets)
+        check_terms(n + len(ancilla_defs), qubits, offsets, coeffs)
+        degrees = np.diff(offsets)
         if degrees.max(initial=0) > 2:
             raise ValueError("quadratized model contains a term of degree > 2")
         for k, (a, (p, q)) in enumerate(ancilla_defs):
@@ -84,16 +87,20 @@ class QuboModel(BinaryPolynomial):
             norm = np.sum(np.abs(coeffs))
         if not np.isfinite(norm):
             raise ValueError("the couplings' l1 norm overflows a float")
-        order = np.lexsort((*octets.T, degrees))
-        octets = octets[order]
-        check_distinct(octets)
+        # a mask compares from its highest qubit down: a row's second
+        # column, then its first, with the pad (-1) below every qubit
+        rows = padded_rows(qubits, offsets, 2)
+        order = np.lexsort((*narrow(rows + 1).T, narrow(degrees)))
+        rows = rows[order]
+        check_distinct(rows)
+        qubits, offsets = unpadded(rows)
         return self._set(num_vars=n + len(ancilla_defs), num_original_qubits=n, num_ancilla_qubits=len(ancilla_defs),
-                         ancilla_defs=ancilla_defs, penalty_weight=penalty_weight, octets=octets,
+                         ancilla_defs=ancilla_defs, penalty_weight=penalty_weight, qubits=qubits, offsets=offsets,
                          coeffs=coeffs[order])
 
     def __reduce__(self):
-        return QuboModel.from_octets, (self.num_original_qubits, self.ancilla_defs, self.penalty_weight,
-                                       self.octets, self.coeffs)
+        return QuboModel.from_lists, (self.num_original_qubits, self.ancilla_defs, self.penalty_weight,
+                                      self.qubits, self.offsets, self.coeffs)
 
     def __repr__(self) -> str:
         return (f"QuboModel({self.num_original_qubits}, {self.num_ancilla_qubits}, {dict(self.terms)!r}, "
@@ -116,8 +123,8 @@ def quadratize(poly: IsingPolynomial) -> QuboModel:
     monomials of degree > 2, ties going to the smallest ``(i, j)``.
     Those monomials are ascending variable lists with exact pair counts
     (``_Monomials``), and a substitution reads and rewrites only the
-    lists holding its pair.  The key bytes are built once, from the
-    final lists and the ancilla definitions.
+    lists holding its pair.  The model's keys are built once, as rows of
+    two qubits, from the final lists and the ancilla definitions.
 
     The penalty weight is 1 plus twice the l1 norm of the cost
     coefficients, over the transformed cost polynomial alone, summed in
@@ -140,11 +147,10 @@ def quadratize(poly: IsingPolynomial) -> QuboModel:
     """
     n = poly.num_qubits
     poly01 = to_01_basis(poly)
-    octets, coeffs = poly01.octets, poly01.coeffs
-    term, qubit = held_qubits(octets)
-    degrees = np.bincount(term, minlength=len(coeffs))
+    coeffs = poly01.coeffs
+    degrees = np.diff(poly01.offsets)
     high = np.flatnonzero(degrees > 2)
-    monomials = _Monomials(degrees[high], qubit[degrees[term] > 2], n)
+    monomials = _Monomials(*take_terms(poly01.qubits, poly01.offsets, high), n)
     ancilla_defs: list[tuple[int, tuple[int, int]]] = []
     penalty = 0.0
 
@@ -157,13 +163,11 @@ def quadratize(poly: IsingPolynomial) -> QuboModel:
         monomials.substitute(i, j, y)
 
     # each monomial of degree > 2 ends as {c, y}, the first two of its list
-    width = octet_width(n + len(ancilla_defs))
-    cost = np.zeros((len(coeffs), width), np.uint8)
-    cost[:, : octets.shape[1]] = octets
-    cost[high] = _key_octets(monomials.rows[:, :2], width)
-    # per ancilla y with parents (i, j): {i, j}, {i, y}, {j, y} and {y, y} = {y}
+    cost = padded_rows(poly01.qubits, poly01.offsets, 2)
+    cost[high] = monomials.rows[:, :2].reshape(-1, 2)
+    # per ancilla y with parents (i, j): {i, j}, {i, y}, {j, y} and {y}
     y, i, j = np.array([(a, p, q) for a, (p, q) in ancilla_defs], np.int64).reshape(-1, 3).T
-    gadget = _key_octets(np.stack([i, j, i, y, j, y, y, y], axis=1).reshape(-1, 2), width)
+    gadget = np.stack([i, j, i, y, j, y, y, np.full_like(y, -1)], axis=1).reshape(-1, 2)
 
     ids, first = first_appearance_groups(gadget)
     with np.errstate(over="ignore"):  # an infinite sum is refused by QuboModel, naming its key
@@ -171,16 +175,7 @@ def quadratize(poly: IsingPolynomial) -> QuboModel:
     keys = np.concatenate([cost, gadget[first]])
     ids, first = first_appearance_groups(keys)
     sums = np.bincount(ids, weights=np.concatenate([coeffs, gadget_sums]))
-    return QuboModel.from_octets(n, ancilla_defs, penalty, keys[first], sums)
-
-
-def _key_octets(pairs: np.ndarray, width: int) -> np.ndarray:
-    """Rows of two variables (equal for a one-variable key) as keys in
-    rows of ``width`` little-endian bytes."""
-    keys = np.zeros((len(pairs), width), np.uint8)
-    bits = np.left_shift(1, pairs & 7).astype(np.uint8)
-    np.bitwise_or.at(keys, (np.arange(len(pairs)).repeat(2), (pairs >> 3).ravel()), bits.ravel())
-    return keys
+    return QuboModel.from_lists(n, ancilla_defs, penalty, *unpadded(keys[first]), sums)
 
 
 class _Monomials:
@@ -195,14 +190,14 @@ class _Monomials:
     ascending order, and ``counts`` how many live rows hold each.
     """
 
-    def __init__(self, degrees: np.ndarray, variables: np.ndarray, n: int) -> None:
-        """Monomials of the given degrees (each > 2) over ``n`` variables,
-        ``variables`` holding each one's in ascending order, one after another."""
+    def __init__(self, variables: np.ndarray, offsets: np.ndarray, n: int) -> None:
+        """Monomials over ``n`` variables, each of degree > 2, given as
+        qubit lists (``variables`` split at ``offsets``)."""
+        degrees = np.diff(offsets)
         self.pad = n + int(np.sum(degrees - 2))
-        row = np.arange(len(degrees)).repeat(degrees)
-        slot = np.arange(len(variables)) - (np.cumsum(degrees) - degrees).repeat(degrees)
-        self.rows = np.full((len(degrees), degrees.max(initial=0)), self.pad, np.int64)
-        self.rows[row, slot] = variables
+        row, _ = held_qubits(variables, offsets)
+        self.rows = padded_rows(variables, offsets, degrees.max(initial=0))
+        self.rows[self.rows < 0] = self.pad
         self.live = np.ones(len(degrees), bool)
         by_variable = row[np.argsort(variables, kind="stable")]
         ends = np.cumsum(np.bincount(variables, minlength=n)).tolist()
@@ -277,12 +272,12 @@ def qubo_json(model: QuboModel) -> str:
     "constant", "linear": [{"i", "coeff"}, ...], "quadratic": [{"i",
     "j", "coeff"}, ...], "ancillas": [{"index", "parents"}, ...],
     "penalty"}``, but directly, as ``hubo_to_json`` does.  An absent
-    constant is written ``0.0``.  The key bytes' set bits, row by row,
-    are each linear term's ``i``, then each quadratic term's ``i`` and ``j``.
+    constant is written ``0.0``.  The stored qubits, term by term, are
+    each linear term's ``i``, then each quadratic term's ``i`` and ``j``.
     """
-    constants, linears = np.searchsorted(octet_degrees(model.octets), (1, 2)).tolist()
+    constants, linears = np.searchsorted(np.diff(model.offsets), (1, 2)).tolist()
     names = np.array([str(v) for v in range(model.num_vars)], dtype=object)
-    qubits = names[held_qubits(model.octets)[1]].tolist()
+    qubits = names[model.qubits].tolist()
     texts = list(map(float.__repr__, model.coeffs.tolist()))
     constant = texts[0] if constants else "0.0"
     ends = qubits[linears - constants :]

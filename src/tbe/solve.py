@@ -44,6 +44,7 @@ from .polynomial import (
     mask_bits,
     mask_to_string,
     pack_masks,
+    padded_rows,
     random_masks,
 )
 from .quadratization import QuboModel
@@ -160,8 +161,8 @@ def _colour_classes(columns: np.ndarray, n: int) -> list[np.ndarray]:
 
     Two qubits are adjacent when they share a term: both are in one
     column of ``columns``, the terms' lists of the ``n`` qubit columns
-    (``_term_columns``, padded with ``n``).  DSATUR repeatedly takes the
-    uncoloured qubit whose neighbours show the most distinct colours
+    (padded with ``n``).  DSATUR repeatedly takes the uncoloured qubit
+    whose neighbours show the most distinct colours
     (then the highest degree, then the lowest index) and gives it the
     lowest colour none of them has.  Each class lists its columns in
     increasing order; the map back to qubits is increasing, so ties
@@ -217,18 +218,6 @@ def _schedule(coeffs: np.ndarray, term: np.ndarray, column: np.ndarray, params: 
     return t_hot, (t_cold / t_hot) ** (1.0 / (params.sweeps - 1))
 
 
-def _term_columns(term: np.ndarray, column: np.ndarray, terms: int, fill: int) -> np.ndarray:
-    """(width x terms) matrix whose column t lists the columns term t
-    holds (pairs ``term[i]``, ``column[i]``, term-major), padded with
-    ``fill`` to the largest degree rounded up to an odd width."""
-    degree = np.bincount(term, minlength=terms)
-    padded = np.full((int(degree.max(initial=0)) | 1, terms), fill)
-    # the pairs walk the terms in turn, so each pair's slot is its
-    # place among its term's pairs
-    padded[np.arange(term.size) - np.repeat(np.cumsum(degree) - degree, degree), term] = column
-    return padded
-
-
 # the term rows one gain block holds, unless one class member alone
 # holds more: blocks cost about BLOCK_ROWS x (members per block) x 8
 # bytes each, so the anneal's memory is linear in the held pairs
@@ -269,7 +258,7 @@ def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple
     (0x01 or 0xFF), in class order, so a class's spins are a contiguous
     slice, plus a row of +1s.  The two bytes differ in bits 1-7 only, so
     the XOR of an odd number of them is their product: a step XORs the
-    spins each of its class's terms holds (``_term_columns``, padded to
+    spins each of its class's terms holds (``padded_rows``, padded to
     an odd count) into the terms' characters, takes the deltas as one
     gain-matrix product per block of whole members (``_blocks``; one
     product when the class fits one block) and negates the accepted
@@ -295,15 +284,20 @@ def _metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int) -> tuple
     rng = np.random.default_rng(seed)
     restarts = params.restarts
     masks = random_masks(rng, n, restarts)
-    best_energy = characters(poly.octets[first:], masks) @ coeffs + constant
+    # the constant holds no qubit, so the other terms' lists start at 0
+    offsets = poly.offsets[first:]
+    best_energy = characters(poly.qubits, offsets, masks) @ coeffs + constant
 
     # each qubit some term holds gets a column, in increasing order
-    term, qubit = held_qubits(poly.octets[first:])
+    term, qubit = held_qubits(poly.qubits, offsets)
     holds = np.bincount(qubit) > 0
     qubits, column = np.flatnonzero(holds), np.cumsum(holds)[qubit] - 1
     active = qubits.size
     start_temperature, cooling = _schedule(coeffs, term, column, params)
-    term_columns = _term_columns(term, column, coeffs.size, active)
+    # (width x terms): each term's columns, padded to an odd width with
+    # ``active``, the column of the +1 row
+    rows = padded_rows(column, offsets, poly.degree | 1)
+    term_columns = np.ascontiguousarray(np.where(rows < 0, active, rows).T)
     classes = _colour_classes(term_columns, active)
     columns = np.concatenate(classes)
     qubit_order = qubits[columns]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import WalshBlocks
-from .walsh import subset_degrees
+from .walsh import squared_mass_by_degree, subset_degrees
 
 __all__ = ["SpectralProfile", "table_spectrum", "spectrum_csv"]
 
@@ -51,20 +51,20 @@ def table_spectrum(blocks: WalshBlocks) -> SpectralProfile:
 
     Bins the squared coefficients of each table by degree (interaction
     modes by the sum of the two register-local degrees, both nonzero),
-    a stack at a time (``_binned``).  No transform is taken and no
-    global mask is formed.
+    a stack at a time (``walsh.squared_mass_by_degree``).  No transform
+    is taken and no global mask is formed.
     """
     top = blocks.k_full
     unary = np.zeros((blocks.layout.num_variables, top + 1))
     pairwise = np.zeros((sum(len(stack.tables) for stack in blocks.interaction_stacks), top + 1))
     pairs = np.zeros((len(pairwise), 2), dtype=np.intp)
     for stack in blocks.register_stacks:
-        unary[stack.registers] = _binned(stack.coeffs, subset_degrees(stack.width)[1:], top)
+        unary[stack.registers] = squared_mass_by_degree(stack.coeffs, subset_degrees(stack.width)[1:], top)
     for stack in blocks.interaction_stacks:
         wi, wj = stack.widths
         # interaction coeffs[s, tj - 1, ti - 1] has degree |ti| + |tj|
         degrees = subset_degrees(wj)[1:, None] + subset_degrees(wi)[1:]
-        pairwise[stack.tables] = _binned(stack.coeffs, degrees, top)
+        pairwise[stack.tables] = squared_mass_by_degree(stack.coeffs, degrees, top)
         pairs[stack.tables] = stack.pairs
 
     # the tables' bins added one table at a time: registers, then pairs in file order
@@ -76,18 +76,6 @@ def table_spectrum(blocks: WalshBlocks) -> SpectralProfile:
         per_table_unary=tuple(map(tuple, unary.tolist())),
         per_table_pairwise=tuple((i, j, tuple(bins)) for (i, j), bins in zip(pairs.tolist(), pairwise.tolist())),
     )
-
-
-def _binned(stack: np.ndarray, degrees: np.ndarray, top: int) -> np.ndarray:
-    """``walsh.squared_mass_by_degree`` of each table of ``stack`` (its
-    leading axis), as the rows of one array: ``degrees`` has one table's
-    shape, and one ``np.bincount`` adds each table's squares to its own
-    bins in row-major order."""
-    count = len(stack)
-    squares = [c**2 for c in stack.ravel().tolist()]
-    bins = np.arange(count)[:, None] * (top + 1) + degrees.reshape(1, -1)
-    # astype: with no coefficients, bincount returns integer zeros
-    return np.bincount(bins.ravel(), weights=squares, minlength=count * (top + 1)).astype(float).reshape(count, top + 1)
 
 
 def spectrum_csv(profile: SpectralProfile) -> str:

@@ -44,7 +44,7 @@ from .cfn import Cfn
 from .elimination import MAX_TABLE_ENTRIES, PairwiseNetwork, Steps, first, lowest, network_order
 from .encoding import WalshBlocks, encode
 from .errors import CapacityError
-from .polynomial import IsingPolynomial, characters, held_qubits, key_octets, octet_words, random_masks, significant
+from .polynomial import IsingPolynomial, characters, held_qubits, key_lists, random_masks, significant
 from .truncation import certify, truncate
 from .walsh import subset_degrees, synthesize_values
 
@@ -125,8 +125,10 @@ def dense_values(poly: IsingPolynomial) -> np.ndarray:
     at 2^24 states, as every elimination table is (``MAX_TABLE_ENTRIES``)."""
     if 1 << poly.num_qubits > MAX_TABLE_ENTRIES:
         raise CapacityError(f"enumeration over {poly.num_qubits} qubits exceeds the 2^24 cap")
+    term, qubit = held_qubits(poly.qubits, poly.offsets)
     coeffs = np.zeros(1 << poly.num_qubits)
-    coeffs[octet_words(poly.octets)] = poly.coeffs
+    # each key's mask, summed exactly as floats below 2^24
+    coeffs[np.bincount(term, np.left_shift(1, qubit), poly.num_terms()).astype(np.intp)] = poly.coeffs
     return synthesize_values(coeffs)
 
 
@@ -473,9 +475,9 @@ def bitflip_descent(poly: IsingPolynomial, start: int) -> tuple[int, int]:
     if start < 0 or start.bit_length() > poly.num_qubits:
         raise ValueError("configuration mask out of range")
     coeffs = poly.coeffs
-    term_idx, qubit_idx = held_qubits(poly.octets)
+    term_idx, qubit_idx = held_qubits(poly.qubits, poly.offsets)
     mask = start
-    chi = characters(poly.octets, [start])[0]
+    chi = characters(poly.qubits, poly.offsets, [start])[0]
     energy = float(chi @ coeffs)
     steps = 0
     while qubit_idx.size:
@@ -762,9 +764,9 @@ def sign_preservation_rate(spec: EnsembleSpec, n: int, k_max: int) -> SignRateRe
     at_mask = random_masks(rng, n)
     variances = np.array([spec.variance_profile[s] for s in modes])
     draws = _draw(rng, spec.family, variances, spec.trials)
-    octets = key_octets(modes, n)
-    chi = characters(octets, [at_mask])[0]
-    term, qubit = held_qubits(octets)
+    keys = key_lists(modes, n)
+    chi = characters(*keys, [at_mask])[0]
+    term, qubit = held_qubits(*keys)
     qubits = np.flatnonzero(np.bincount(qubit))
 
     # a coordinate in no mode moves neither landscape, so the two agree

@@ -7,7 +7,7 @@ as a subset mask.  The forward transform uses the expectation
 normalization, so coefficients are directly comparable to sparse
 polynomial couplings.  The basis changes between spin and 0/1
 variables (``to_01_basis``, ``leakage_transform``) expand each monomial
-over its subsets on key-byte arrays, one degree slice at a time.
+over its subsets on qubit lists, one degree slice at a time.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .polynomial import BinaryPolynomial, IsingPolynomial, _canonical_order, first_appearance_groups
-from .polynomial import held_qubits, octet_degrees, octet_width, significant
+from .polynomial import BinaryPolynomial, IsingPolynomial, first_appearance_groups, unpadded
 
 __all__ = [
     "fwht",
@@ -86,13 +85,10 @@ def leakage_transform(poly01: BinaryPolynomial) -> IsingPolynomial:
     order.  Coefficients at most 1e-14 of the largest are dropped first,
     as ``BinaryPolynomial`` does; a ``QuboModel`` keeps its zeros.
     """
-    keep = significant(np.abs(poly01.coeffs))
-    octets, coeffs = poly01.octets[keep], poly01.coeffs[keep]
-    order, _ = _canonical_order(octets)
-    keys, sums = _change_basis(
-        octets[order], coeffs[order], poly01.num_vars, lambda d: (-1.0) ** np.arange(d + 1) / 2.0**d
-    )
-    return IsingPolynomial.from_octets(poly01.num_vars, keys, sums)
+    # an IsingPolynomial of the same terms holds them in canonical order
+    terms = IsingPolynomial.from_lists(poly01.num_vars, poly01.qubits, poly01.offsets, poly01.coeffs)
+    keys, sums = _change_basis(terms, lambda d: (-1.0) ** np.arange(d + 1) / 2.0**d)
+    return IsingPolynomial.from_lists(poly01.num_vars, *unpadded(keys), sums)
 
 
 def to_01_basis(poly: IsingPolynomial) -> BinaryPolynomial:
@@ -106,26 +102,26 @@ def to_01_basis(poly: IsingPolynomial) -> BinaryPolynomial:
     ``ValueError``.
     """
     with np.errstate(over="ignore"):
-        keys, sums = _change_basis(poly.octets, poly.coeffs, poly.num_qubits, lambda d: (-2.0) ** np.arange(d + 1))
-    return BinaryPolynomial.from_octets(poly.num_qubits, keys, sums)
+        keys, sums = _change_basis(poly, lambda d: (-2.0) ** np.arange(d + 1))
+    return BinaryPolynomial.from_lists(poly.num_qubits, *unpadded(keys), sums)
 
 
-def _change_basis(octets: np.ndarray, coeffs: np.ndarray, n: int, factors) -> tuple[np.ndarray, np.ndarray]:
-    """Expand each term c * x_S (keys in rows of little-endian bytes,
-    ordered by degree) into c * factors(|S|)[|t|] * x_t over the subsets
-    t of S; the basis change both ways.  Returns the distinct keys in
-    order of first appearance (term order, then a term's subsets by
-    descending mask: the walk ``t = (t - 1) & S``) and their sums.  Each
-    degree slice expands at once (``_subset_expansion``) and adds onto
-    the sums so far one by one (``np.bincount``), in term order."""
-    degrees = octet_degrees(octets)
-    starts = np.searchsorted(degrees, np.arange(degrees.max(initial=0) + 2))
-    keys = np.zeros((0, octet_width(n)), np.uint8)
+def _change_basis(poly: IsingPolynomial, factors) -> tuple[np.ndarray, np.ndarray]:
+    """Expand each term c * x_S into c * factors(|S|)[|t|] * x_t over the
+    subsets t of S; the basis change both ways.  Returns the distinct
+    keys, as rows of qubits padded with -1, in order of first appearance
+    (term order, then a term's subsets by descending mask: the walk
+    ``t = (t - 1) & S``) and their sums.  Each degree-d slice
+    (``degree_rows``) expands at once (``_subset_expansion``); the keys
+    so far are padded to d qubits, and the slice's subsets add onto their
+    sums one by one (``np.bincount``), in term order."""
+    keys = np.zeros((0, 0), np.int64)
     sums = np.zeros(0)
-    for d, (a, b) in enumerate(zip(starts, starts[1:])):
-        subsets, contributions = _subset_expansion(octets[a:b], coeffs[a:b], d, factors(d))
+    for d in range(poly.degree + 1):
+        a, b = poly.degree_starts[d : d + 2]
+        subsets, contributions = _subset_expansion(poly.degree_rows(d), poly.coeffs[a:b], factors(d))
         # the keys so far come first, so they keep their places
-        keys = np.concatenate([keys, subsets])
+        keys = np.concatenate([np.pad(keys, ((0, 0), (0, d - keys.shape[1])), constant_values=-1), subsets])
         ids, first = first_appearance_groups(keys)
         sums = np.bincount(ids, weights=np.concatenate([sums, contributions]))
         keys = keys[first]
@@ -133,24 +129,15 @@ def _change_basis(octets: np.ndarray, coeffs: np.ndarray, n: int, factors) -> tu
     return keys, sums.astype(float)
 
 
-def _subset_expansion(
-    octets: np.ndarray, coeffs: np.ndarray, d: int, scale: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every subset of each degree-``d`` key, 2^d rows of key bytes per
-    key by descending mask, and ``coeff * scale[|subset|]`` for each.
-
-    A subset's bytes are the OR of the one-hot byte rows of its qubits;
-    the subsets of a key's first b + 1 qubits are those of its first b
-    with and without qubit b."""
-    count, width = octets.shape
-    qubits = held_qubits(octets)[1].reshape(count, d)
-    one_hot = np.zeros((count, d, width), np.uint8)
-    one_hot[np.arange(count)[:, None], np.arange(d), qubits >> 3] = 1 << (qubits & 7)
-    subsets = np.zeros((count, 1 << d, width), np.uint8)
-    for b in range(d):
-        np.bitwise_or(subsets[:, : 1 << b], one_hot[:, b, None], out=subsets[:, 1 << b : 2 << b])
+def _subset_expansion(rows: np.ndarray, coeffs: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every subset of each key (a row of d ascending qubits), 2^d rows
+    of d qubits padded with -1 per key, by descending mask, and
+    ``coeff * scale[|subset|]`` for each: one gather of each row's
+    qubits, and of a -1, by ``subset_members``."""
+    count, d = rows.shape
+    subsets = np.append(rows, np.full((count, 1), -1), axis=1)[:, subset_members(d)[::-1]]
     per_subset = scale[subset_degrees(d)[::-1]]
-    return subsets[:, ::-1].reshape(count << d, width), (coeffs[:, None] * per_subset).reshape(-1)
+    return subsets.reshape(count << d, d), (coeffs[:, None] * per_subset).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -199,7 +186,7 @@ def smoothness_report(values) -> SmoothnessReport:
         raise CapacityError(f"smoothness scan over dimension {dim} exceeds cap 16")
 
     coeffs = fwht(table)
-    powers = squared_mass_by_degree(coeffs, subset_degrees(dim), dim)
+    powers = squared_mass_by_degree(coeffs[None], subset_degrees(dim), dim)[0].tolist()
 
     # per order k: the largest |D_S f| and the sum of squares over |S| = k
     peaks = [0.0] * (dim + 1)
@@ -252,6 +239,15 @@ def _half_differences(block: np.ndarray, bits: int) -> list[np.ndarray]:
     return orders
 
 
+def subset_members(width: int) -> np.ndarray:
+    """(2^width x width) matrix whose row t holds the positions of the
+    set bits of subset mask t, ascending, padded with -1."""
+    bits = np.arange(1 << width)[:, None] >> np.arange(width) & 1
+    members = np.argsort(1 - bits, axis=1, kind="stable")
+    members[np.arange(width) >= bits.sum(axis=1)[:, None]] = -1
+    return members
+
+
 def subset_degrees(width: int) -> np.ndarray:
     """Degree (popcount) of each subset mask 0 .. 2^width - 1."""
     degrees = np.zeros(1 << width, dtype=np.intp)
@@ -260,10 +256,15 @@ def subset_degrees(width: int) -> np.ndarray:
     return degrees
 
 
-def squared_mass_by_degree(coeffs: np.ndarray, degrees: np.ndarray, top: int) -> tuple[float, ...]:
-    """Squared ``coeffs`` summed per degree 0 .. top, each bin added in
-    row-major order.  Squares are ``c**2`` (libm pow, which can differ
-    from ``c * c`` in the last bit), as the spectrum CSV always had."""
-    squares = [c**2 for c in coeffs.ravel().tolist()]
+def squared_mass_by_degree(stack: np.ndarray, degrees: np.ndarray, top: int) -> np.ndarray:
+    """Squared coefficients summed per degree 0 .. top, for each table of
+    ``stack`` (its leading axis), as the rows of one (tables x top + 1)
+    array.  ``degrees`` has one table's shape, and one ``np.bincount``
+    adds each table's squares to its own bins in row-major order.
+    Squares are ``c**2`` (libm pow, which can differ from ``c * c`` in
+    the last bit), as the spectrum CSV always had."""
+    count = len(stack)
+    squares = [c**2 for c in stack.ravel().tolist()]
+    bins = np.arange(count)[:, None] * (top + 1) + degrees.reshape(1, -1)
     # astype: with no coefficients, bincount returns integer zeros
-    return tuple(np.bincount(degrees.ravel(), weights=squares, minlength=top + 1).astype(float).tolist())
+    return np.bincount(bins.ravel(), weights=squares, minlength=count * (top + 1)).astype(float).reshape(count, top + 1)

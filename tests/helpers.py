@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 from tbe import AnnealParams, BinaryPolynomial, Cfn, EncodingLayout, IsingPolynomial, PairwiseTable, Penalty, VariableSpec
 from tbe.elimination import PairwiseNetwork
-from tbe.encoding import default_penalty_weight
-from tbe.polynomial import mask_bits, mask_octets, octet_width, pack_masks, random_masks, significant
+from tbe.encoding import WalshBlocks, default_penalty_weight
+from tbe.polynomial import mask_bits, pack_masks, random_masks, significant
 from tbe.quadratization import QuboModel
-from tbe.solve import _colour_classes, _term_columns
+from tbe.solve import _colour_classes
 from tbe.spectrum import SpectralProfile
 from tbe.walsh import SmoothnessReport, fwht, squared_mass_by_degree, subset_degrees, synthesize_values
 
@@ -164,6 +164,16 @@ def qubit_list(mask: int) -> list[int]:
     return [q for q in range(mask.bit_length()) if (mask >> q) & 1]
 
 
+def reference_random_masks(rng: np.random.Generator, n: int, size: int) -> list[int]:
+    """``random_masks`` one 64-bit word at a time, each ORed into the
+    masks drawn so far, low word first."""
+    masks = [0] * size
+    for low in range(0, n, 64):
+        words = rng.integers(0, (1 << min(64, n - low)) - 1, size=size, dtype=np.uint64, endpoint=True)
+        masks = [m | w << low for m, w in zip(masks, words.tolist())]
+    return masks
+
+
 def reference_mask_to_string(mask: int, n: int) -> str:
     """'+'/'-' per qubit by a plain shift per qubit, qubit 0 first."""
     return "".join("-" if (mask >> q) & 1 else "+" for q in range(n))
@@ -293,7 +303,7 @@ def reference_smoothness(values) -> SmoothnessReport:
     table = np.asarray(values, dtype=float)
     size = table.size
     dim = size.bit_length() - 1
-    powers = squared_mass_by_degree(fwht(table), subset_degrees(dim), dim)
+    powers = squared_mass_by_degree(fwht(table)[None], subset_degrees(dim), dim)[0].tolist()
 
     # index k - 1 holds order k; each order's subsets come by ascending mask
     lipschitz = [0.0] * dim
@@ -373,6 +383,18 @@ def reference_quadratize(poly: IsingPolynomial) -> QuboModel:
 # bit for bit: same colouring, RNG stream, deltas and running energy sums.
 # Its schedule is worked out qubit by qubit from ``terms``.
 
+def term_columns(term: np.ndarray, column: np.ndarray, terms: int, fill: int) -> np.ndarray:
+    """(width x terms) matrix whose column t lists the columns term t
+    holds (pairs ``term[i]``, ``column[i]``, term-major), padded with
+    ``fill`` to the largest degree rounded up to an odd width."""
+    degree = np.bincount(term, minlength=terms)
+    padded = np.full((int(degree.max(initial=0)) | 1, terms), fill)
+    # the pairs walk the terms in turn, so each pair's slot is its
+    # place among its term's pairs
+    padded[np.arange(term.size) - np.repeat(np.cumsum(degree) - degree, degree), term] = column
+    return padded
+
+
 def reference_schedule(poly: IsingPolynomial, params: AnnealParams) -> tuple[float, float]:
     """The start temperature T_hot = dE_max / ln 2, where dE_max is the
     largest over the qubits of 2 sum |c| over the terms that hold the
@@ -436,7 +458,7 @@ def reference_metropolis(poly: IsingPolynomial, params: AnnealParams, seed: int)
     qubits = np.flatnonzero(bits.any(axis=0))
     incidence = bits[:, qubits]
     term, column = np.nonzero(incidence)
-    classes = _colour_classes(_term_columns(term, column, len(keys), qubits.size), qubits.size)
+    classes = _colour_classes(term_columns(term, column, len(keys), qubits.size), qubits.size)
     qubit_order = qubits[np.concatenate(classes)]
     steps = []
     lo = 0
@@ -583,26 +605,36 @@ def reference_walsh_blocks(cfn: Cfn, layout: EncodingLayout) -> ReferenceBlocks:
 
 
 def reference_encode(blocks: ReferenceBlocks) -> IsingPolynomial:
-    """The blocks' couplings at their registers' offsets, a table at a time."""
-    layout = blocks.layout
-    width = octet_width(layout.total_qubits)
-    tables = [
-        mask_octets([t << offset for t in range(1, 1 << w)], width)
-        for w, offset in zip(layout.register_widths, layout.register_offsets)
-    ]
-    octets = [np.zeros((1, width), dtype=np.uint8)]
-    coeffs = [np.array([blocks.constant])]
-    for table, block in zip(tables, blocks.registers):
-        nonzero = np.flatnonzero(block)
-        octets.append(table[nonzero])
-        coeffs.append(block[nonzero])
+    """The blocks' nonzero couplings at their registers' offsets, one
+    Python-int key at a time, a table at a time."""
+    offsets = blocks.layout.register_offsets
+    terms = {0: blocks.constant}
+    for i, block in enumerate(blocks.registers):
+        for t in np.flatnonzero(block).tolist():
+            terms[t + 1 << offsets[i]] = block[t]
     for i, j, block in blocks.interactions:
-        flat = block.reshape(-1)
-        nonzero = np.flatnonzero(flat)
-        tj, ti = np.divmod(nonzero, block.shape[1])
-        octets.append(tables[i][ti] | tables[j][tj])
-        coeffs.append(flat[nonzero])
-    return IsingPolynomial.from_octets(layout.total_qubits, np.concatenate(octets), np.concatenate(coeffs))
+        for tj, ti in zip(*np.nonzero(block)):
+            terms[int(ti + 1) << offsets[i] | int(tj + 1) << offsets[j]] = block[tj, ti]
+    return IsingPolynomial(blocks.layout.total_qubits, terms)
+
+
+def registers(blocks: WalshBlocks) -> tuple[np.ndarray, ...]:
+    """Register i's block ``registers(blocks)[i][t - 1]``, a view into its stack."""
+    out: list = [None] * blocks.layout.num_variables
+    for stack in blocks.register_stacks:
+        for i, block in zip(stack.registers.tolist(), stack.coeffs):
+            out[i] = block
+    return tuple(out)
+
+
+def interactions(blocks: WalshBlocks) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """Each pairwise table's ``(i, j, coeffs[tj - 1, ti - 1])``, in file
+    order, its block a view into its stack."""
+    out: list = [None] * sum(len(stack.tables) for stack in blocks.interaction_stacks)
+    for stack in blocks.interaction_stacks:
+        for t, (i, j), block in zip(stack.tables.tolist(), stack.pairs.tolist(), stack.coeffs):
+            out[t] = (i, j, block)
+    return tuple(out)
 
 
 def reference_table_spectrum(blocks: ReferenceBlocks) -> SpectralProfile:
@@ -610,11 +642,11 @@ def reference_table_spectrum(blocks: ReferenceBlocks) -> SpectralProfile:
     the bins added up a table at a time."""
     top = blocks.k_full
     degrees = [subset_degrees(width)[1:] for width in blocks.layout.register_widths]
-    unary = [squared_mass_by_degree(coeffs, d, top) for d, coeffs in zip(degrees, blocks.registers)]
-    pairwise = [
-        (i, j, squared_mass_by_degree(coeffs, degrees[j][:, None] + degrees[i], top))
-        for i, j, coeffs in blocks.interactions
-    ]
+    def binned(coeffs: np.ndarray, degrees: np.ndarray) -> tuple[float, ...]:
+        return tuple(squared_mass_by_degree(coeffs[None], degrees, top)[0].tolist())
+
+    unary = [binned(coeffs, d) for d, coeffs in zip(degrees, blocks.registers)]
+    pairwise = [(i, j, binned(coeffs, degrees[j][:, None] + degrees[i])) for i, j, coeffs in blocks.interactions]
     global_bins = np.zeros(top + 1)
     for bins in unary + [bins for _, _, bins in pairwise]:
         global_bins += bins

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from tbe import (
     CapacityError,
     Cfn,
+    CfnFormatError,
     Fallback,
     PairwiseTable,
     Penalty,
@@ -36,7 +37,7 @@ from tbe import (
     truncate,
     walsh_blocks,
 )
-from tbe.cli import _write, main
+from tbe.cli import _build_parser, _write, main
 from tbe.verify import Verdict, cfn_optimum, check_preservation
 from helpers import assemble_truth_table, gaussian_complete_cfn, random_cfn
 from tbe.cfn import serialize_cfn
@@ -652,6 +653,22 @@ def test_solve_rejects_hubo_coefficients_past_the_cost_bound(tmp_path, capsys, c
     assert re.search(message, err) and "Warning" not in err
 
 
+@pytest.mark.parametrize("command", ["solve", "ensemble"])
+def test_a_qubit_index_past_int64_exits_4_naming_it(tmp_path, capsys, command):
+    # it raised an uncaught OverflowError: the qubit lists are int64
+    q = 1 << 63
+    if command == "solve":
+        doc = {"num_qubits": 1 << 70, "terms": [{"qubits": [3, q], "coeff": 1.0}]}
+        argv = ["solve", "--hubo"]
+    else:
+        doc = {"n": 1 << 70, "k_max": 1, "modes": [{"qubits": [q], "pi": 1.0}]}
+        argv = ["ensemble", "--trials", "10", "--profile"]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    assert main([*argv, str(path)]) == 4
+    assert f".qubits: qubit {q} is past 2^63 - 1" in capsys.readouterr().err
+
+
 def test_solve_accepts_hubo_coefficients_at_the_cost_bound(tmp_path, capsys):
     terms = [{"qubits": [0], "coeff": 1e100}, {"qubits": [1], "coeff": -1e100}, {"qubits": [2], "coeff": 5e99},
              {"qubits": [2], "coeff": 5e99}]
@@ -1232,3 +1249,21 @@ def test_compile_transforms_each_table_once(tmp_path, monkeypatch):
     cfn = parse_cfn(demo.read_bytes())
     assert sum(calls) == cfn.num_variables + len(cfn.pairwise_tables) == 3
     assert sorted(calls) == [1, 2]  # the two 5-qubit registers, then the one 32 x 32 grid
+
+
+def test_the_parser_is_built_once_per_process():
+    # building it took about 1 ms, three times per bench cycle
+    assert _build_parser() is _build_parser()
+
+
+def test_a_command_line_parses_the_same_after_a_refused_one():
+    parser = _build_parser()
+    argv = ["compile", "--input", "in.json", "--kmax", "3", "--solve", "anneal", "--seed", "5", "--refine"]
+    before = vars(parser.parse_args(argv))
+    for refused in (["compile", "--input", "in.json", "--kmax", "0"], ["compile", "--bogus"], ["nonsense"]):
+        with pytest.raises(CfnFormatError):
+            parser.parse_args(refused)
+        assert main(refused) == 3
+    assert _build_parser() is parser
+    assert vars(parser.parse_args(argv)) == before
+    assert vars(parser.parse_args(["verify", "--input", "in.json", "--kmax", "2"]))["kmax"] == 2

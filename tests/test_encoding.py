@@ -29,10 +29,12 @@ from helpers import (
     bitstring_indicator,
     degree_power,
     indicator_expansion,
+    interactions,
     naive_eval,
     num_unused,
     random_cfn,
     register_mask,
+    registers,
     shifted,
 )
 
@@ -316,7 +318,7 @@ def test_walsh_blocks_are_read_only():
     rng = np.random.default_rng(3)
     cfn = _cfn_of_cards([3, 4], rng)
     blocks = walsh_blocks(cfn, build_layout(cfn))
-    for block in (*blocks.registers, *(coeffs for _, _, coeffs in blocks.interactions)):
+    for block in (*registers(blocks), *(coeffs for _, _, coeffs in interactions(blocks))):
         with pytest.raises(ValueError):
             block[0] = 1.0
 
@@ -442,11 +444,11 @@ def _encode_by_dict(cfn, layout):
     blocks = walsh_blocks(cfn, layout)
     offsets = layout.register_offsets
     terms = {0: blocks.constant}
-    for i, block in enumerate(blocks.registers):
+    for i, block in enumerate(registers(blocks)):
         for t, c in enumerate(block, start=1):
             if c:
                 terms[t << offsets[i]] = float(c)
-    for i, j, block in blocks.interactions:
+    for i, j, block in interactions(blocks):
         for (tj, ti), c in np.ndenumerate(block):
             if c:
                 terms[(ti + 1) << offsets[i] | (tj + 1) << offsets[j]] = float(c)

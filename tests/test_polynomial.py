@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from tbe import (
     mask_to_string,
     to_01_basis,
 )
-from tbe.polynomial import characters, held_qubits, hubo_texts, key_octets, octet_bits, octet_width
+from tbe.polynomial import characters, held_qubits, hubo_texts, key_lists, list_keys
+from tbe.quadratization import QuboModel
 from tbe.solve import AnnealParams, _metropolis
 from tbe.truncation import residual, truncate
 from tbe.verify import bitflip_descent
@@ -168,16 +170,16 @@ def test_binary_polynomial_refuses_a_non_finite_coefficient():
 
 
 @pytest.mark.parametrize("kind", [IsingPolynomial, BinaryPolynomial])
-def test_from_octets_refuses_a_repeated_key(kind):
-    # both rows were stored, but terms kept only the last: the arrays
+def test_from_lists_refuses_a_repeated_key(kind):
+    # both terms were stored, but terms kept only the last: the arrays
     # summed to 3 where terms read 2
     with pytest.raises(ValueError, match="term key 0x1 is repeated"):
-        kind.from_octets(1, [[1], [1]], [1.0, 2.0])
+        kind.from_lists(1, [0, 0], [0, 1, 2], [1.0, 2.0])
     with pytest.raises(ValueError, match="term key 0x102 is repeated"):
-        kind.from_octets(9, [[2, 1], [0, 1], [2, 1]], [1.0, 2.0, 3.0])
+        kind.from_lists(9, [1, 8, 8, 1, 8], [0, 2, 3, 5], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="term key 0x0 is repeated"):
-        kind.from_octets(0, np.zeros((2, 0), np.uint8), [1.0, 2.0])
-    assert dict(kind.from_octets(9, [[2, 1], [0, 1]], [1.0, 2.0]).terms) == {0x102: 1.0, 0x100: 2.0}
+        kind.from_lists(0, [], [0, 0, 0], [1.0, 2.0])
+    assert dict(kind.from_lists(9, [1, 8, 8], [0, 2, 3], [1.0, 2.0]).terms) == {0x102: 1.0, 0x100: 2.0}
 
 
 def test_binary_polynomial_terms_are_read_only():
@@ -317,13 +319,18 @@ def _stored_polynomials(draw):
 @settings(max_examples=200, deadline=None)
 @given(_stored_polynomials())
 def test_stored_rows_are_the_terms(poly):
-    width = octet_width(poly.num_qubits)
     items = list(poly.terms.items())
-    assert poly.octets.shape == (len(items), width) and poly.octets.dtype == np.uint8
+    assert poly.offsets.shape == (len(items) + 1,) and poly.offsets.dtype == np.int64
+    assert poly.qubits.shape == (poly.offsets[-1],) and poly.qubits.dtype == np.int64
     assert poly.coeffs.shape == (len(items),) and poly.coeffs.dtype == np.float64
     for t, (s, c) in enumerate(items):
-        assert poly.octets[t].tobytes() == s.to_bytes(width, "little")
+        assert poly.qubits[poly.offsets[t] : poly.offsets[t + 1]].tolist() == qubit_list(s)
         assert poly.coeffs[t] == c and type(c) is float
+    # the terms of one degree are the rows of a view of the qubits
+    for d in range(poly.degree + 1):
+        rows = poly.degree_rows(d)
+        assert rows.shape[1] == d and (np.shares_memory(rows, poly.qubits) or not rows.size)
+        assert rows.tolist() == [qubit_list(s) for s in poly.terms if s.bit_count() == d]
 
 
 @settings(max_examples=200, deadline=None)
@@ -349,7 +356,8 @@ def test_pickled_polynomial_is_equal_and_read_only(poly):
             assert getattr(again, "degree_starts", None) == getattr(original, "degree_starts", None)
             assert tuple(again.terms.items()) == tuple(original.terms.items())
             for stored in (again, original):
-                assert not stored.octets.flags.writeable and not stored.coeffs.flags.writeable
+                for array in (stored.qubits, stored.offsets, stored.coeffs):
+                    assert not array.flags.writeable
                 with pytest.raises(TypeError):
                     stored.terms[0] = 1.0
                 with pytest.raises(AttributeError):
@@ -376,16 +384,159 @@ def test_characters_are_the_parities_of_the_shared_qubits(case):
     n, held, keys, masks = case
     keys = [s & held for s in keys]
     masks = [*masks, (1 << n) - 1]  # every idle qubit set too
-    got = characters(key_octets(keys, n), masks)
+    got = characters(*key_lists(keys, n), masks)
     assert got.shape == (len(masks), len(keys)) and got.flags.c_contiguous
     assert got.tolist() == [[-1.0 if (s & m).bit_count() % 2 else 1.0 for s in keys] for m in masks]
 
 
 @settings(max_examples=200, deadline=None)
 @given(_keys_and_masks)
-def test_held_qubits_are_the_nonzero_octet_bits(case):
+def test_held_qubits_are_the_set_bits_of_each_key(case):
     n, held, keys, _ = case
-    octets = key_octets([s & held for s in keys], n)
-    term, qubit = held_qubits(octets)
-    want_term, want_qubit = np.nonzero(octet_bits(octets, n))
-    assert term.tolist() == want_term.tolist() and qubit.tolist() == want_qubit.tolist()
+    keys = [s & held for s in keys]
+    qubits, offsets = key_lists(keys, n)
+    term, qubit = held_qubits(qubits, offsets)
+    want = [(t, q) for t, s in enumerate(keys) for q in range(n) if s >> q & 1]
+    assert list(zip(term.tolist(), qubit.tolist())) == want
+    assert list_keys(qubits, offsets) == keys
+
+
+# --- qubit lists against Python-int references ---------------------------
+
+_WIDTHS = [0, 1, 7, 8, 9, 63, 64, 65, 130]
+
+
+@st.composite
+def _distinct_keys(draw, max_degree=None):
+    """A width from ``_WIDTHS`` and distinct keys over it: sparse ones
+    (a few qubits), and uniform ones when no degree bound is given."""
+    n = draw(st.sampled_from(_WIDTHS))
+    if n == 0:
+        return n, draw(st.lists(st.just(0), max_size=1))
+    top = 3 if max_degree is None else max_degree
+    few = st.lists(st.integers(0, n - 1), max_size=top).map(lambda qs: sum(1 << q for q in set(qs)))
+    masks = few if max_degree is not None else st.integers(0, (1 << n) - 1) | few
+    return n, draw(st.lists(masks, unique=True, max_size=30))
+
+
+def _mask_order(keys):
+    return sorted(keys, key=lambda s: (s.bit_count(), s))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_distinct_keys(), st.data())
+def test_qubit_lists_agree_with_int_keys(case, data):
+    n, keys = case
+    coeffs = {s: float(k + 1) for k, s in enumerate(keys)}
+    qubits, offsets = key_lists(keys, n)
+    assert list_keys(qubits, offsets) == keys
+    # the canonical order, from the lists in any order
+    order = data.draw(st.permutations(range(len(keys))))
+    shuffled = [keys[k] for k in order]
+    lists = [q for s in shuffled for q in qubit_list(s)]
+    ends = np.cumsum([0] + [s.bit_count() for s in shuffled])
+    poly = IsingPolynomial.from_lists(n, lists, ends, [coeffs[s] for s in shuffled])
+    assert tuple(poly.terms.items()) == tuple((s, coeffs[s]) for s in _reference_order(keys))
+    assert poly == IsingPolynomial(n, coeffs)
+    # a 0/1-basis polynomial keeps the order given
+    binary = BinaryPolynomial.from_lists(n, lists, ends, [coeffs[s] for s in shuffled])
+    assert tuple(binary.terms) == tuple(shuffled)
+    assert binary.degree == max((s.bit_count() for s in keys), default=0)
+    for stored in (poly, binary):
+        term, qubit = held_qubits(stored.qubits, stored.offsets)
+        assert list(zip(term.tolist(), qubit.tolist())) == [
+            (t, q) for t, s in enumerate(stored.terms) for q in qubit_list(s)
+        ]
+        masks = [0, (1 << n) - 1, *data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=3))]
+        assert characters(stored.qubits, stored.offsets, masks).tolist() == [
+            [-1.0 if (s & m).bit_count() % 2 else 1.0 for s in stored.terms] for m in masks
+        ]
+        again = pickle.loads(pickle.dumps(stored))
+        assert again == stored and tuple(again.terms.items()) == tuple(stored.terms.items())
+        assert again.qubits.tolist() == stored.qubits.tolist() and again.offsets.tolist() == stored.offsets.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_distinct_keys(max_degree=2), st.data())
+def test_qubo_terms_are_in_degree_then_mask_order(case, data):
+    n, keys = case
+    # a mask compares from its highest qubit down, not as a qubit list
+    shuffled = data.draw(st.permutations(keys))
+    model = QuboModel(n, 0, {s: float(s.bit_length() + 1) for s in shuffled}, (), 1.0)
+    assert tuple(model.terms) == tuple(_mask_order(keys))
+    again = pickle.loads(pickle.dumps(model))
+    assert again == model and tuple(again.terms.items()) == tuple(model.terms.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_distinct_keys(max_degree=2).filter(lambda case: case[1]), st.data())
+def test_repeated_keys_are_refused_naming_the_key(case, data):
+    n, keys = case
+    repeat = data.draw(st.sampled_from(keys))
+    listed = [*keys, repeat]
+    lists = [q for s in listed for q in qubit_list(s)]
+    ends = np.cumsum([0] + [s.bit_count() for s in listed])
+    ones = [1.0] * len(listed)
+    message = f"term key {repeat:#x} is repeated"
+    for build in (
+        lambda: IsingPolynomial.from_lists(n, lists, ends, ones),
+        lambda: BinaryPolynomial.from_lists(n, lists, ends, ones),
+        lambda: QuboModel.from_lists(n, (), 1.0, lists, ends, ones),
+    ):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n", _WIDTHS[1:])
+def test_keys_listing_bad_qubits_are_refused_naming_the_key(n):
+    top = n - 1
+    cases = [
+        ([[0], [n]], f"term key {1 << n:#x} references qubits outside [0, {n})"),
+        ([[top], [0, n + 5]], f"term key {1 | 1 << n + 5:#x} references qubits outside [0, {n})"),
+        ([[-1]], f"term key with qubits [-1] references qubits outside [0, {n})"),
+        ([[0], [top, top]], f"term key with qubits [{top}, {top}] does not list distinct qubits in ascending order"),
+    ]
+    if n > 1:
+        cases.append(([[1, 0]], "term key 0x3 does not list distinct qubits in ascending order"))
+    for lists, message in cases:
+        flat = [q for qs in lists for q in qs]
+        ends = np.cumsum([0] + [len(qs) for qs in lists])
+        for build in (IsingPolynomial.from_lists, BinaryPolynomial.from_lists):
+            with pytest.raises(ValueError) as info:
+                build(n, flat, ends, [1.0] * len(lists))
+            assert str(info.value) == message
+        if max(map(len, lists)) <= 2:
+            with pytest.raises(ValueError) as info:
+                QuboModel.from_lists(n, (), 1.0, flat, ends, [1.0] * len(lists))
+            assert str(info.value) == message
+
+
+def _wide_sparse_hubo(seed: int) -> tuple[str, dict[int, float]]:
+    """HUBO-JSON of 1528 terms of degree 1 to 3 on 200 of 10^5 qubits
+    (about 90 KB), each listing its qubits in a random order, and its
+    terms by key."""
+    rng = np.random.default_rng(seed)
+    pool = rng.choice(100_000, 200, replace=False).tolist()
+    entries, terms = [], {}
+    while len(terms) < 1528:
+        qubits = rng.choice(pool, int(rng.integers(1, 4)), replace=False).tolist()
+        key = sum(1 << q for q in qubits)
+        if key not in terms:
+            terms[key] = float(rng.normal())
+            entries.append({"qubits": qubits, "coeff": terms[key]})
+    return json.dumps({"num_qubits": 100_000, "terms": entries}), terms
+
+
+def test_wide_sparse_hubo_parses_in_memory_that_follows_its_terms():
+    # key bytes over all 10^5 qubits took 18 MB and a parse peak of 84 MiB
+    text, terms = _wide_sparse_hubo(0)
+    assert 80_000 < len(text) < 130_000
+    tracemalloc.start()
+    try:
+        poly = hubo_from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 << 20
+    assert poly == IsingPolynomial(100_000, terms)

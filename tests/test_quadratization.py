@@ -171,7 +171,7 @@ def test_qubo_model_refuses_a_negative_or_repeated_parent(parents):
 
 def test_qubo_model_refuses_a_repeated_key():
     with pytest.raises(ValueError, match="term key 0x3 is repeated"):
-        QuboModel.from_octets(2, (), 1.0, [[3], [1], [3]], [1.0, 2.0, 0.0])
+        QuboModel.from_lists(2, (), 1.0, [0, 1, 0, 0, 1], [0, 2, 3, 5], [1.0, 2.0, 0.0])
 
 
 def test_qubo_terms_in_degree_then_mask_order():
@@ -338,7 +338,7 @@ def test_to_ising_matches_the_reference_walk(model):
 def test_pair_counts_equal_the_integer_product(count, n, density, seed):
     rows = np.random.default_rng(seed).random((count, n)) < density
     rows = rows[rows.sum(axis=1) > 2]
-    monomials = _Monomials(rows.sum(axis=1), np.nonzero(rows)[1], n)
+    monomials = _Monomials(np.nonzero(rows)[1], np.cumsum(np.append(0, rows.sum(axis=1))), n)
     y = n
     while True:
         # the counts are those of the live rows' lists, substitution after substitution
@@ -373,3 +373,19 @@ def test_quadratize_memory_follows_the_held_pairs():
         tracemalloc.stop()
     assert model.num_ancilla_qubits == 900
     assert peak < 40 * 2**20
+
+
+def test_quadratize_memory_follows_the_held_pairs_at_1000_variables():
+    # the k=3 truncation of a 1000-variable chain (3000 qubits, 33 974
+    # terms): key bytes over all 3000 qubits made the basis change peak
+    # at 244.7 MiB
+    cfn = gaussian_chain_cfn(0, 1000)
+    poly = truncate(encode(walsh_blocks(cfn, build_layout(cfn))), 3)
+    tracemalloc.start()
+    try:
+        model = quadratize(poly)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (poly.num_qubits, poly.num_terms(), model.num_ancilla_qubits) == (3000, 33974, 3000)
+    assert peak < 64 << 20

@@ -31,10 +31,11 @@ from tbe import (
     truncate,
     walsh_blocks,
 )
-from tbe.polynomial import held_qubits, key_octets
-from tbe.solve import _blocks, _colour_classes, _metropolis, _schedule, _term_columns
+from tbe.polynomial import held_qubits, key_lists
+from tbe.solve import _blocks, _colour_classes, _metropolis, _schedule
 from tbe.verify import dense_values
 from helpers import all_assignments, gaussian_chain_cfn, random_cfn, random_polynomial, reference_metropolis
+from helpers import term_columns
 
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "data" / "two_card32.json"
 # the module, for patching its constants: ``tbe.solve`` is also the function
@@ -264,7 +265,7 @@ def test_flip_kernels_hold_only_the_active_qubits():
         picks = [held[len(terms) % 40], *rng.choice(held, int(rng.integers(1, 4))).tolist()]
         terms[sum(1 << q for q in set(picks))] = float(rng.normal())
     poly = IsingPolynomial(n, terms)
-    assert np.flatnonzero(np.bincount(held_qubits(poly.octets)[1])).tolist() == sorted(held)
+    assert np.flatnonzero(np.bincount(poly.qubits)).tolist() == sorted(held)
     assert _peak_bytes(lambda: _metropolis(poly, AnnealParams(restarts=1, sweeps=1), 0)) < 8 << 20
     assert _peak_bytes(lambda: bitflip_descent(poly, 0)) < 8 << 20
 
@@ -298,9 +299,9 @@ def _sparse_polynomial(n: int, seed: int) -> IsingPolynomial:
 def test_colour_classes_partition_the_active_qubits_into_independent_sets(n, seed):
     poly = _sparse_polynomial(n, seed)
     keys = [s for s in poly.terms if s]
-    term, qubit = held_qubits(key_octets(keys, n))
+    term, qubit = held_qubits(*key_lists(keys, n))
     qubits = np.flatnonzero(np.bincount(qubit))
-    columns = _term_columns(term, np.searchsorted(qubits, qubit), len(keys), qubits.size)
+    columns = term_columns(term, np.searchsorted(qubits, qubit), len(keys), qubits.size)
     classes = [qubits[members] for members in _colour_classes(columns, qubits.size)]
     active = [q for q in range(n) if any(s >> q & 1 for s in keys)]
     assert sorted(q for members in classes for q in members.tolist()) == active
@@ -441,7 +442,7 @@ def test_schedule_hot_end_bounds_every_flip_and_cooling_ends_cold(case):
     poly, linear, sweeps = case
     first = poly.degree_starts[1]
     coeffs = poly.coeffs[first:]
-    t_hot, cooling = _schedule(coeffs, *held_qubits(poly.octets[first:]), AnnealParams(sweeps=sweeps))
+    t_hot, cooling = _schedule(coeffs, *held_qubits(poly.qubits, poly.offsets[first:]), AnnealParams(sweeps=sweeps))
     values = dense_values(poly)
     states = np.arange(values.size)
     largest = max(float(np.abs(values[states ^ (1 << q)] - values).max()) for q in range(poly.num_qubits))

@@ -28,7 +28,7 @@ from tbe.polynomial import mask_bits, pack_masks, random_masks
 from tbe.solve import solve
 from tbe.truncation import truncate
 from tbe.verify import RegisterLandscape
-from helpers import gaussian_chain_cfn, gaussian_complete_cfn, naive_eval, random_polynomial, shifted
+from helpers import gaussian_chain_cfn, gaussian_complete_cfn, naive_eval, random_polynomial, reference_random_masks, shifted
 
 
 def test_single_spin_landscape():
@@ -275,6 +275,10 @@ def test_random_masks_past_64_qubits_extend_the_low_word(n):
     assert [m & ((1 << 64) - 1) for m in masks] == words
     assert all(0 <= m < 1 << n for m in masks)
     assert len({m >> 64 for m in masks}) > 1  # the high words are drawn too
+    # and every word is the one a draw per word gives, the stream moving on as far
+    reference = np.random.default_rng(3)
+    assert masks == reference_random_masks(reference, n, 5)
+    assert wide.random() == reference.random()
 
 
 _masks_over_n_qubits = st.integers(0, 200).flatmap(

@@ -334,7 +334,7 @@ def test_squared_mass_by_degree_bins_pow_squares_in_order():
     # values pow and c * c round differently on common libms
     a, b, c = 0.3624182010806754, 1.8871580461934296, -1.2291748224027053
     coeffs = np.array([[a, b], [c, -2.5]])
-    got = squared_mass_by_degree(coeffs, np.array([[1, 2], [2, 3]]), 4)
-    assert got == (0.0, a**2, b**2 + c**2, 6.25, 0.0)
+    got = squared_mass_by_degree(coeffs[None], np.array([[1, 2], [2, 3]]), 4)
+    assert got.tolist() == [[0.0, a**2, b**2 + c**2, 6.25, 0.0]]
     assert subset_degrees(3).tolist() == [0, 1, 1, 2, 1, 2, 2, 3]
 
