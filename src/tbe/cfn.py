@@ -136,6 +136,15 @@ def _first_out_of_bound(costs):
     return None
 
 
+def _list_field(doc: dict, field: str) -> list:
+    """A top-level field's list, an absent field read as empty; raises
+    CfnFormatError naming the field where it is anything but a list."""
+    entries = doc.get(field, [])
+    if not isinstance(entries, list):
+        raise CfnFormatError(f"{field} must be a list")
+    return entries
+
+
 def parse_cfn(data: bytes | str) -> Cfn:
     """Parse CFN-JSON into a validated Cfn.
 
@@ -155,7 +164,7 @@ def parse_cfn(data: bytes | str) -> Cfn:
         raise CfnFormatError("missing field: variables")
 
     variables = []
-    for k, entry in enumerate(doc["variables"]):
+    for k, entry in enumerate(_list_field(doc, "variables")):
         if not isinstance(entry, dict) or "cardinality" not in entry:
             raise CfnFormatError(f"variables[{k}] must be an object with a cardinality")
         card = entry["cardinality"]
@@ -174,7 +183,7 @@ def parse_cfn(data: bytes | str) -> Cfn:
 
     unary = [(0.0,) * v.cardinality for v in variables]
     given = set()
-    for k, entry in enumerate(doc.get("unary", [])):
+    for k, entry in enumerate(_list_field(doc, "unary")):
         if not isinstance(entry, dict) or "var" not in entry or "costs" not in entry:
             raise CfnFormatError(f"unary[{k}] must be an object with var and costs")
         var = entry["var"]
@@ -189,7 +198,7 @@ def parse_cfn(data: bytes | str) -> Cfn:
         unary[var] = costs
 
     pairwise = []
-    for k, entry in enumerate(doc.get("pairwise", [])):
+    for k, entry in enumerate(_list_field(doc, "pairwise")):
         if not isinstance(entry, dict) or "vars" not in entry or "costs" not in entry:
             raise CfnFormatError(f"pairwise[{k}] must be an object with vars and costs")
         pair = entry["vars"]

@@ -28,7 +28,7 @@ from .polynomial import qubit_key
 from .quadratization import quadratize, qubo_json, resolve_ancillas
 from .solve import AnnealParams, decode_and_refine, solve, solve_result_json
 from .spectrum import spectrum_csv, table_spectrum
-from .truncation import certificate_json, certify, noise_floor_ok, truncate
+from .truncation import certificate_doc, certificate_json, certify, noise_floor_ok, truncate
 from .verify import (
     FAMILIES,
     EnsembleSpec,
@@ -310,7 +310,7 @@ def run_pipeline(args) -> int:
             "strong_ok": strong_ok,
             "ok": noise_ok,
         },
-        "certificate": json.loads(certificate_json(cert)),
+        "certificate": certificate_doc(cert),
         "truncated": {"num_terms": truncated.num_terms(), "degree": truncated.degree},
         "quadratization": (
             {

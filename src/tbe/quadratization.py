@@ -26,7 +26,8 @@ from typing import Mapping
 import numpy as np
 
 from .polynomial import BinaryPolynomial, IsingPolynomial, _arrays, check_distinct, check_terms, first_appearance_groups
-from .polynomial import held_qubits, json_list_end, json_objects, key_lists, narrow, padded_rows, take_terms, unpadded
+from .polynomial import float_texts, held_qubits, json_list_end, json_objects, key_lists, narrow, padded_rows
+from .polynomial import take_terms, unpadded
 from .walsh import leakage_transform, to_01_basis
 
 __all__ = ["QuboModel", "quadratize", "resolve_ancillas", "qubo_json"]
@@ -271,14 +272,15 @@ def qubo_json(model: QuboModel) -> str:
     would give for the document ``{"num_qubits", "num_ancillas",
     "constant", "linear": [{"i", "coeff"}, ...], "quadratic": [{"i",
     "j", "coeff"}, ...], "ancillas": [{"index", "parents"}, ...],
-    "penalty"}``, but directly, as ``hubo_to_json`` does.  An absent
-    constant is written ``0.0``.  The stored qubits, term by term, are
-    each linear term's ``i``, then each quadratic term's ``i`` and ``j``.
+    "penalty"}``, but directly, as ``hubo_to_json`` does, every coupling
+    formatted by one ``float_texts`` call.  An absent constant is written
+    ``0.0``.  The stored qubits, term by term, are each linear term's
+    ``i``, then each quadratic term's ``i`` and ``j``.
     """
     constants, linears = np.searchsorted(np.diff(model.offsets), (1, 2)).tolist()
     names = np.array([str(v) for v in range(model.num_vars)], dtype=object)
     qubits = names[model.qubits].tolist()
-    texts = list(map(float.__repr__, model.coeffs.tolist()))
+    texts = float_texts(model.coeffs)
     constant = texts[0] if constants else "0.0"
     ends = qubits[linears - constants :]
     ancillas = [str(v) for a, (p, q) in model.ancilla_defs for v in (a, p, q)]

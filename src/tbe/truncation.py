@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "truncate",
     "residual",
     "certify",
+    "certificate_doc",
     "certificate_json",
     "noise_floor_ok",
 ]
@@ -129,20 +131,39 @@ def certify(poly: IsingPolynomial, k_max: int) -> TruncationCertificate:
     )
 
 
-def certificate_json(cert: TruncationCertificate) -> str:
-    doc = {
+# the least int of 4301 digits: past Python's default limit on an
+# int's decimal text, ``json`` refuses to write it
+_INT_TEXT_LIMIT = 10**4300
+
+
+def certificate_doc(cert: TruncationCertificate) -> dict:
+    """The certificate's JSON document, which ``certificate_json`` writes
+    and a compile report carries as its ``certificate`` block.
+
+    ``omitted_combinatorial``, 2^n minus the modes kept, is a JSON number
+    while it has at most 4300 digits (at k_max 3, up to 14 284 qubits),
+    and past that a JSON string of its exact decimal digits.  ``decimal``
+    converts it, as the process-wide int-to-text limit does not apply
+    there."""
+    combinatorial = cert.omitted_combinatorial
+    return {
         "k_max": cert.k_max,
         "epsilon": cert.epsilon,
         "l2_residual": cert.l2_residual,
         "P_below": cert.power_below,
         "P_above": cert.power_above,
         "omitted_nonzero": cert.omitted_nonzero,
-        "omitted_combinatorial": cert.omitted_combinatorial,
+        "omitted_combinatorial": combinatorial if combinatorial < _INT_TEXT_LIMIT else str(Decimal(combinatorial)),
         "weak_ratio": cert.weak_noise_floor_ratio,
         "strong_margin": cert.strong_noise_floor_margin,
         "common_sign_saturation": cert.common_sign_saturation,
     }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def certificate_json(cert: TruncationCertificate) -> str:
+    """The certificate as ``json.dumps(certificate_doc(cert), indent=2)``
+    writes it, with a final newline."""
+    return json.dumps(certificate_doc(cert), indent=2, allow_nan=False) + "\n"
 
 
 def noise_floor_ok(

@@ -10,6 +10,7 @@ import tempfile
 import time
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal
 from itertools import product
 from pathlib import Path
 
@@ -270,6 +271,33 @@ def test_a_cfn_that_is_not_utf8_exits_3(tmp_path, capsys):
     path.write_bytes(b'{"variables": [{"name": "\xff", "cardinality": 2}]}')
     assert main(["compile", "--input", str(path), "--kmax", "1"]) == 3
     assert "invalid JSON: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["5", "null", '{"a": 1}', '"ab"'], ids=["int", "null", "object", "string"])
+@pytest.mark.parametrize("field", ["variables", "unary", "pairwise"])
+def test_a_top_level_field_that_is_not_a_list_exits_3(tmp_path, capsys, field, value):
+    # an int or null ended in a TypeError traceback and exit 1; an object
+    # or a string was iterated, its keys or characters read as entries
+    doc = {"variables": '[{"cardinality": 2}]', field: value}
+    path = tmp_path / "cfn.json"
+    path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in doc.items()) + "}")
+    assert main(["compile", "--input", str(path), "--kmax", "1"]) == 3
+    assert capsys.readouterr().err == f"tbe: {field} must be a list\n"
+
+
+def test_a_certificate_past_4300_digits_is_written(tmp_path):
+    # 2^15000 - sum C(15000, k <= 3) has 4516 digits: json refused to
+    # write it, so every compile past 14 284 qubits exited 1 writing nothing
+    n = 15_000
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"variables": [{"cardinality": 2}] * n}))
+    cert, report = tmp_path / "cert.json", tmp_path / "report.json"
+    argv = ["compile", "--input", str(path), "--kmax", "3", "--out-cert", str(cert), "--out-report", str(report)]
+    assert main(argv) == 0
+    combinatorial = json.loads(cert.read_text())["omitted_combinatorial"]
+    assert isinstance(combinatorial, str) and len(combinatorial) == 4516
+    assert Decimal(combinatorial) == (1 << n) - sum(math.comb(n, k) for k in range(4))
+    assert json.loads(report.read_text())["certificate"] == json.loads(cert.read_text())
 
 
 @pytest.mark.parametrize(

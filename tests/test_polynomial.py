@@ -16,7 +16,7 @@ from tbe import (
     mask_to_string,
     to_01_basis,
 )
-from tbe.polynomial import characters, held_qubits, hubo_texts, key_lists, list_keys
+from tbe.polynomial import MAX_ABS_COST, characters, float_texts, held_qubits, hubo_texts, key_lists, list_keys
 from tbe.quadratization import QuboModel
 from tbe.solve import AnnealParams, _metropolis
 from tbe.truncation import residual, truncate
@@ -219,8 +219,15 @@ def _dumps_reference(poly):
 def _spin_polynomials(draw):
     n = draw(st.integers(0, 130))
     masks = st.integers(0, (1 << n) - 1)
-    floats = st.floats(-1e6, 1e6).filter(lambda c: abs(c) > 1e-6)
-    exact = st.sampled_from([1, -7, 12345, 0.1, -1e-5, 1.0000000000000002, 123456.789])
+    # the float text switches notation at |c| = 1e-4 and 1e16 (float_texts)
+    floats = (
+        st.floats(-1e6, 1e6).filter(lambda c: abs(c) > 1e-6)
+        | st.floats(-MAX_ABS_COST, MAX_ABS_COST)
+        | st.floats(-1e-4, 1e-4)
+    )
+    exact = st.sampled_from(
+        [1, -7, 12345, 0.1, -1e-5, 1.0000000000000002, 123456.789, 1e16, -9999999999999998.0, 1e-4, -1e-300]
+    )
     return IsingPolynomial(n, draw(st.dictionaries(masks, floats | exact, max_size=40)))
 
 
@@ -254,6 +261,44 @@ def test_hubo_texts_are_the_json_of_every_prefix_of_the_terms(poly):
 )
 def test_hubo_to_json_matches_json_dumps_edge_cases(poly):
     assert hubo_to_json(poly) == _dumps_reference(poly)
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    return list(map(float.__repr__, values.tolist()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=200))
+def test_float_texts_are_the_reprs_of_any_bit_patterns(patterns):
+    # NaN (any payload), the infinities and subnormals included
+    values = np.array(patterns, np.uint64).view(np.float64)
+    assert float_texts(values) == _reprs(values)
+
+
+_NOTATION_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0.0),
+    1.7976931348623157e308, -1.7976931348623157e308, float("nan"), float("inf"), float("-inf"), MAX_ABS_COST,
+    *(x * sign for edge in (1e-4, 1e16) for x in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf))
+      for sign in (1.0, -1.0)),
+    1e-5, 0.00012, 123456789012345.6, 1e15, 0.1, 1.0, 1e22, 1e-7,
+]
+
+
+def test_float_texts_keep_repr_at_the_notation_edges():
+    values = np.array(_NOTATION_EDGES)
+    assert float_texts(values) == _reprs(values)
+    assert float_texts(values)[-8:] == ["1e-05", "0.00012", "123456789012345.6", "1000000000000000.0", "0.1", "1.0",
+                                        "1e+22", "1e-07"]
+
+
+def test_float_texts_take_any_float64_array():
+    values = np.array(_NOTATION_EDGES)
+    assert float_texts(np.array([])) == []
+    assert float_texts(values[::3]) == _reprs(values[::3])  # not contiguous
+    read_only = values.copy()
+    read_only.flags.writeable = False
+    assert float_texts(read_only) == _reprs(values)
+    assert float_texts(values.astype(">f8")) == _reprs(values)  # not in native byte order
 
 
 def test_int_couplings_are_stored_as_float64():

@@ -214,8 +214,10 @@ def _qubo_json_reference(model):
 
 _JSON_COEFF = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-4, 1e-4),
     st.integers(-(10**20), 10**20),
-    st.sampled_from([0.0, -0.0, 1, -3, 0.1, 1e-300]),
+    # the float text switches notation at |c| = 1e-4 and 1e16 (float_texts)
+    st.sampled_from([0.0, -0.0, 1, -3, 0.1, 1e-300, 1e-4, -9.999999999999999e-05, 1e16, -9999999999999998.0, 1e100]),
 )
 
 
