@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, CfnFormatError
+from .json_reader import read_json
 from .polynomial import MAX_ABS_COST, is_int
 from .walsh import MAX_TRANSFORM_DIM
 
@@ -152,12 +153,14 @@ def parse_cfn(data: bytes | str) -> Cfn:
     included) and, naming the offending field, on any schema violation,
     shape mismatch, duplicate pair, or a cost that is not finite or
     exceeds ``MAX_ABS_COST`` in magnitude, and CapacityError naming the
-    variable on a cardinality above 2^``MAX_TRANSFORM_DIM``.
+    variable on a cardinality above 2^``MAX_TRANSFORM_DIM``; every
+    refusal is decided on ``json``'s reading (``json_reader.read_json``).
     """
-    try:
-        doc = json.loads(data)
-    except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
-        raise CfnFormatError(f"invalid JSON: {exc}") from exc
+    return read_json(data, _build_cfn, "invalid JSON")
+
+
+def _build_cfn(doc) -> Cfn:
+    """The Cfn a parsed CFN-JSON document describes."""
     if not isinstance(doc, dict):
         raise CfnFormatError("top-level value must be an object")
     if "variables" not in doc:
@@ -213,7 +216,9 @@ def parse_cfn(data: bytes | str) -> Cfn:
 def _float_list(values, where: str) -> tuple[float, ...]:
     if not isinstance(values, list):
         raise CfnFormatError(f"{where} must be a list of numbers")
-    # json gives exactly int or float for a number; a bool is neither
+    # json and orjson give exactly int or float for a number (orjson an
+    # integer past 64 bits as the float json's int rounds to); a bool is
+    # neither
     types = set(map(type, values))
     costs = None
     if types <= {float, int}:

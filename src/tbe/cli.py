@@ -23,10 +23,11 @@ from dataclasses import asdict, replace
 from .cfn import Cfn, parse_cfn
 from .encoding import Fallback, Penalty, WalshBlocks, build_layout, encode, walsh_blocks
 from .errors import CapacityError, CfnFormatError
+from .json_reader import read_json
 from .polynomial import MAX_ABS_COST, IsingPolynomial, finite_float, hubo_from_json, hubo_texts, is_int, mask_to_string
 from .polynomial import qubit_key
 from .quadratization import quadratize, qubo_json, resolve_ancillas
-from .solve import AnnealParams, decode_and_refine, solve, solve_result_json
+from .solve import AnnealParams, decode_and_refine, solve, solve_result_doc, solve_result_json
 from .spectrum import spectrum_csv, table_spectrum
 from .truncation import certificate_doc, certificate_json, certify, noise_floor_ok, truncate
 from .verify import (
@@ -185,21 +186,26 @@ def _parse_strategy(text: str):
         return text
     if text.startswith("custom:"):
         path = text.split(":", 1)[1]
+        invalid = f"--assignment: custom map file {path!r} is not valid JSON"
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                maps = json.load(fh)
+                source = fh.read()
         except OSError as exc:
             raise OSError(f"--assignment: cannot read custom map file {path!r}: {exc.strerror or exc}") from exc
-        except ValueError as exc:
-            raise CfnFormatError(f"--assignment: custom map file {path!r} is not valid JSON: {exc}") from None
-        if not isinstance(maps, list) or not all(
-            isinstance(m, list) and all(is_int(b) for b in m) for m in maps
-        ):
-            raise CfnFormatError(
-                f"--assignment: custom map file {path!r} must hold a list of per-variable lists of integer bitstrings"
-            )
-        return maps
+        except ValueError as exc:  # bytes that are not UTF-8
+            raise CfnFormatError(f"{invalid}: {exc}") from None
+        return read_json(source, functools.partial(_custom_maps, path), invalid)
     raise CfnFormatError(f"unknown assignment strategy {text!r}")
+
+
+def _custom_maps(path: str, maps) -> list[list[int]]:
+    if not isinstance(maps, list) or not all(
+        isinstance(m, list) and all(is_int(b) for b in m) for m in maps
+    ):
+        raise CfnFormatError(
+            f"--assignment: custom map file {path!r} must hold a list of per-variable lists of integer bitstrings"
+        )
+    return maps
 
 
 def _load_cfn(path: str) -> Cfn:
@@ -268,7 +274,7 @@ def run_pipeline(args) -> int:
                 result, num_qubits=qubo.num_vars, best_spin=resolve_ancillas(qubo, result.best_spin)
             )
         result = decode_and_refine(result, blocks.layout, cfn, full_poly=full if args.refine else None)
-        solve_block = json.loads(solve_result_json(result))
+        solve_block = solve_result_doc(result)
         # a Fallback register on an unused bitstring decodes to a
         # choice of the same cost, so only a Penalty one voids the bound
         if exhaustive and (all(result.decoded_valid) or isinstance(blocks.layout.unused_policy, Fallback)):
@@ -286,6 +292,9 @@ def run_pipeline(args) -> int:
                 "holds": achieved <= bound,
             }
 
+    # one document for the report and --out-cert: past 4300 digits its
+    # omitted_combinatorial takes a decimal conversion of quadratic cost
+    cert_doc = certificate_doc(cert)
     report = {
         "config": {
             "input": args.input,
@@ -310,7 +319,7 @@ def run_pipeline(args) -> int:
             "strong_ok": strong_ok,
             "ok": noise_ok,
         },
-        "certificate": certificate_doc(cert),
+        "certificate": cert_doc,
         "truncated": {"num_terms": truncated.num_terms(), "degree": truncated.degree},
         "quadratization": (
             {
@@ -330,7 +339,7 @@ def run_pipeline(args) -> int:
     if args.out_spectrum:
         _write(args.out_spectrum, spectrum_csv(table_spectrum(blocks)))
     if args.out_cert:
-        _write(args.out_cert, certificate_json(cert))
+        _write(args.out_cert, certificate_json(cert, cert_doc))
     if args.out_report:
         _write(args.out_report, json.dumps(report, indent=2, allow_nan=False) + "\n")
 
@@ -412,10 +421,30 @@ def run_solve(args) -> int:
 
 def run_ensemble(args) -> int:
     with open(args.profile, "rb") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:
-            raise CfnFormatError(f"--profile {args.profile!r} is not valid JSON: {exc}") from None
+        source = fh.read()
+    n, cutoff, family, profile = read_json(
+        source, functools.partial(_profile, args), f"--profile {args.profile!r} is not valid JSON"
+    )
+    spec = EnsembleSpec(
+        variance_profile=profile, family=family, trials=args.trials, rng_seed=args.seed
+    )
+    out = {
+        "n": n,
+        "k_max": cutoff,
+        "family": family,
+        "trials": args.trials,
+        "seed": args.seed,
+        "residual_moments": asdict(ensemble_residual_check(spec, cutoff)),
+        "bitflip_variance": asdict(bitflip_variance_check(spec, cutoff, args.coordinate, n=n)),
+        "sign_preservation": asdict(sign_preservation_rate(spec, n, cutoff)),
+    }
+    _write(args.out, json.dumps(out, indent=2, allow_nan=False) + "\n")
+    return EXIT_OK
+
+
+def _profile(args, doc) -> tuple[int, int, str, dict[int, float]]:
+    """The qubit count, cutoff, family and {mode mask: variance} of a
+    parsed ensemble profile, checked against ``args.coordinate``."""
     if not isinstance(doc, dict):
         raise CfnFormatError(f"--profile {args.profile!r} must hold a JSON object")
     n = doc.get("n")
@@ -450,21 +479,7 @@ def run_ensemble(args) -> int:
                 f"modes[{k}].pi: the repeated mode's variances sum to {total!r}, which exceeds {MAX_ABS_COST:g}"
             )
         profile[mask] = total
-    spec = EnsembleSpec(
-        variance_profile=profile, family=family, trials=args.trials, rng_seed=args.seed
-    )
-    out = {
-        "n": n,
-        "k_max": cutoff,
-        "family": family,
-        "trials": args.trials,
-        "seed": args.seed,
-        "residual_moments": asdict(ensemble_residual_check(spec, cutoff)),
-        "bitflip_variance": asdict(bitflip_variance_check(spec, cutoff, args.coordinate, n=n)),
-        "sign_preservation": asdict(sign_preservation_rate(spec, n, cutoff)),
-    }
-    _write(args.out, json.dumps(out, indent=2, allow_nan=False) + "\n")
-    return EXIT_OK
+    return n, cutoff, family, profile
 
 
 def run_spectrum(args) -> int:

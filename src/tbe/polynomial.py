@@ -30,7 +30,6 @@ writes them, all of a polynomial's in one native call (``float_texts``).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import FrozenInstanceError
 from functools import cached_property
@@ -42,6 +41,7 @@ import numpy as np
 import orjson
 
 from .errors import CapacityError, CfnFormatError
+from .json_reader import read_json
 
 __all__ = [
     "MAX_ABS_COST",
@@ -609,12 +609,15 @@ def hubo_from_json(data: bytes | str) -> IsingPolynomial:
     a coefficient, or a running sum of a repeated monomial's, above
     ``MAX_ABS_COST`` in magnitude, or a qubit that is negative, out of
     range or repeated within its term (z * z = 1, so a repeat cannot
-    stand for a power).  Memory follows the listed qubits, not ``num_qubits``.
+    stand for a power), and CapacityError on a qubit past 2^63 - 1; every
+    refusal is decided on ``json``'s reading (``json_reader.read_json``).
+    Memory follows the listed qubits, not ``num_qubits``.
     """
-    try:
-        doc = json.loads(data)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CfnFormatError(f"invalid JSON: {exc}") from exc
+    return read_json(data, _build_hubo, "invalid JSON")
+
+
+def _build_hubo(doc) -> IsingPolynomial:
+    """The polynomial a parsed HUBO-JSON document describes."""
     if not isinstance(doc, dict):
         raise CfnFormatError("top-level value must be an object")
     n = doc.get("num_qubits")

@@ -50,7 +50,7 @@ from .polynomial import (
 from .quadratization import QuboModel
 from .verify import DenseLandscape, RegisterLandscape, bitflip_descent
 
-__all__ = ["AnnealParams", "SolveResult", "solve", "decode_and_refine", "solve_result_json"]
+__all__ = ["AnnealParams", "SolveResult", "solve", "decode_and_refine", "solve_result_doc", "solve_result_json"]
 
 
 @dataclass(frozen=True)
@@ -434,8 +434,16 @@ def decode_and_refine(
 
 
 def solve_result_json(result: SolveResult) -> str:
+    """``solve_result_doc(result)`` as ``json.dumps(indent=2)`` writes
+    it, with a final newline."""
+    return json.dumps(solve_result_doc(result), indent=2, allow_nan=False) + "\n"
+
+
+def solve_result_doc(result: SolveResult) -> dict:
     """The result's fields in order, with each configuration mask as a
-    '+'/'-' string and the start temperature inside the anneal block."""
+    '+'/'-' string and the start temperature inside the anneal block:
+    the document ``solve_result_json`` writes and a compile report
+    carries as its ``solve`` block."""
     doc = asdict(result)
     start_temperature = doc.pop("start_temperature")
     if result.anneal is not None:
@@ -443,4 +451,4 @@ def solve_result_json(result: SolveResult) -> str:
     doc["best_spin"] = mask_to_string(result.best_spin, result.num_qubits)
     if result.refined_spin is not None:
         doc["refined_spin"] = mask_to_string(result.refined_spin, result.num_original_qubits)
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return doc

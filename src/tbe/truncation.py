@@ -160,10 +160,11 @@ def certificate_doc(cert: TruncationCertificate) -> dict:
     }
 
 
-def certificate_json(cert: TruncationCertificate) -> str:
+def certificate_json(cert: TruncationCertificate, doc: dict | None = None) -> str:
     """The certificate as ``json.dumps(certificate_doc(cert), indent=2)``
-    writes it, with a final newline."""
-    return json.dumps(certificate_doc(cert), indent=2, allow_nan=False) + "\n"
+    writes it, with a final newline; ``doc``, when given, is that
+    ``certificate_doc(cert)``, already built."""
+    return json.dumps(certificate_doc(cert) if doc is None else doc, indent=2, allow_nan=False) + "\n"
 
 
 def noise_floor_ok(

@@ -261,10 +261,11 @@ def squared_mass_by_degree(stack: np.ndarray, degrees: np.ndarray, top: int) -> 
     ``stack`` (its leading axis), as the rows of one (tables x top + 1)
     array.  ``degrees`` has one table's shape, and one ``np.bincount``
     adds each table's squares to its own bins in row-major order.
-    Squares are ``c**2`` (libm pow, which can differ from ``c * c`` in
-    the last bit), as the spectrum CSV always had."""
+    Squares are ``c**2``, as the spectrum CSV always had: ``float_power``
+    calls the same libm ``pow`` that ``c**2`` does, while ``np.square``
+    and ``np.power`` compute ``c * c``, which can differ in the last bit."""
     count = len(stack)
-    squares = [c**2 for c in stack.ravel().tolist()]
+    squares = np.float_power(stack.ravel(), 2.0)
     bins = np.arange(count)[:, None] * (top + 1) + degrees.reshape(1, -1)
     # astype: with no coefficients, bincount returns integer zeros
     return np.bincount(bins.ravel(), weights=squares, minlength=count * (top + 1)).astype(float).reshape(count, top + 1)

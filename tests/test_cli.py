@@ -38,7 +38,10 @@ from tbe import (
     truncate,
     walsh_blocks,
 )
+import tbe.cli
+import tbe.truncation
 from tbe.cli import _build_parser, _write, main
+from tbe.truncation import certificate_doc, certificate_json
 from tbe.verify import Verdict, cfn_optimum, check_preservation
 from helpers import assemble_truth_table, gaussian_complete_cfn, random_cfn
 from tbe.cfn import serialize_cfn
@@ -297,6 +300,26 @@ def test_a_certificate_past_4300_digits_is_written(tmp_path):
     combinatorial = json.loads(cert.read_text())["omitted_combinatorial"]
     assert isinstance(combinatorial, str) and len(combinatorial) == 4516
     assert Decimal(combinatorial) == (1 << n) - sum(math.comb(n, k) for k in range(4))
+    assert json.loads(report.read_text())["certificate"] == json.loads(cert.read_text())
+
+
+def test_compile_builds_the_certificate_document_once(small_input, tmp_path, monkeypatch):
+    # the report and --out-cert each built one: past 4300 digits its
+    # decimal conversion takes about 1.6 s a time at 10^6 qubits
+    calls = []
+
+    def counted(cert):
+        calls.append(cert)
+        return certificate_doc(cert)
+
+    for module in (tbe.cli, tbe.truncation):
+        monkeypatch.setattr(module, "certificate_doc", counted)
+    cert, report = tmp_path / "cert.json", tmp_path / "report.json"
+    argv = ["compile", "--input", str(small_input), "--kmax", "2", "--out-cert", str(cert), "--out-report", str(report)]
+    assert main(argv) == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert cert.read_text() == certificate_json(calls[0])
     assert json.loads(report.read_text())["certificate"] == json.loads(cert.read_text())
 
 

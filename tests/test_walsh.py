@@ -338,3 +338,11 @@ def test_squared_mass_by_degree_bins_pow_squares_in_order():
     assert got.tolist() == [[0.0, a**2, b**2 + c**2, 6.25, 0.0]]
     assert subset_degrees(3).tolist() == [0, 1, 1, 2, 1, 2, 2, 3]
 
+
+
+@given(st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=64))
+@example([0.3624182010806754, 1.8871580461934296, -1.2291748224027053, -0.0, 5e-324])
+def test_squared_mass_by_degree_squares_as_pow_does(values):
+    # one coefficient per bin, so each bin holds exactly its square
+    got = squared_mass_by_degree(np.array([values]), np.arange(len(values)), len(values) - 1)[0]
+    assert got.view(np.int64).tolist() == np.array([c**2 for c in values]).view(np.int64).tolist()
